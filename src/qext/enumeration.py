@@ -1,118 +1,102 @@
 """Canonical forms, isomorph-free enumeration of small graphs, and graph6 I/O.
 
-Canonical form is the exact lexicographic minimum over all n! vertex
-permutations of the upper-triangle adjacency bit string (row-major pair
-order), prefixed by the order byte.  Permutations are applied as vectorized
-numpy gathers; the full permutation table is cached for n <= 8 and streamed
-in chunks for n = 9, 10.
+The canonical code is the exact lexicographic minimum, over all n! vertex
+relabelings, of the upper-triangle adjacency bit string in row-major pair
+order, read as an integer with the pair (0,1) as its MSB.  It is found by a
+branch-and-bound over the bitset rows rather than a scan of the relabelings
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998;
+McKay & Piperno, "Practical graph isomorphism II", J. Symb. Comp. 60, 2014).
+
+Positions 0, 1, ... are filled in order.  The vertices still to place carry
+an ordered partition whose cells occupy consecutive runs of positions, so
+the vertex at the next position comes from the first cell.  Placing v there
+writes, for each cell (first the rest of the first cell, then the later
+cells in order) of size s holding a neighbors of v, the bits 0^(s-a) 1^a;
+candidate rows thus compare as their neighbor-count tuples.  Only minimal
+candidates are expanded, each cell is split into the non-neighbors of v
+followed by its neighbors, and a branch is cut as soon as its code prefix
+exceeds the best one found.  Among tied candidates only one vertex per twin
+class (N(u) - {v} = N(v) - {u}) is expanded: swapping two twins is an
+automorphism that fixes the partition.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterator
-
-import numpy as np
 
 from .graph import Graph, build_graph
 
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
 
-_PERM_CHUNK = 40320
 
+def _min_code(rows: tuple[int, ...]) -> int:
+    """Canonical code of the graph with bitset adjacency ``rows``; uncached."""
+    n = len(rows)
+    if n <= 1:
+        return 0
+    best = 1 << n * (n - 1) // 2  # above every code until the first leaf
 
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pair rows/cols and MSB-first bit weights for order n."""
-    iu, ju = np.triu_indices(n, 1)
-    count = len(iu)
-    weights = 1 << np.arange(count - 1, -1, -1, dtype=np.int64)
-    return iu.astype(np.int64), ju.astype(np.int64), weights
+    def expand(depth: int, cells: list[int], prefix: int) -> None:
+        nonlocal best
+        width = n - 1 - depth  # bits in the row of this position
+        first, later = cells[0], cells[1:]
+        low_key: list[int] = []
+        tied: list[int] = []
+        rest = first
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            nb = rows[bit.bit_length() - 1]
+            key = [(nb & (first ^ bit)).bit_count()]
+            key += [(nb & c).bit_count() for c in later]
+            if not tied or key < low_key:
+                low_key, tied = key, [bit]
+            elif key == low_key:
+                tied.append(bit)
+        row = (1 << low_key[0]) - 1
+        for c, a in zip(later, low_key[1:]):
+            row = row << c.bit_count() | ((1 << a) - 1)
+        prefix = prefix << width | row
+        remaining = width * (width - 1) // 2  # bits in the rows after this one
+        if prefix > best >> remaining:
+            return
+        if width == 1:
+            if prefix < best:
+                best = prefix
+            return
+        # twins share an open (non-adjacent) or a closed (adjacent)
+        # neighborhood; no open neighborhood equals a closed one
+        seen: set[int] = set()
+        for bit in tied:
+            nb = rows[bit.bit_length() - 1]
+            if nb in seen or nb | bit in seen:
+                continue
+            seen.update((nb, nb | bit))
+            refined = []
+            for c in [first ^ bit] + later:
+                out = c & ~nb
+                if out:
+                    refined.append(out)
+                if c & nb:
+                    refined.append(c & nb)
+            expand(depth + 1, refined, prefix)
 
-
-@lru_cache(maxsize=None)
-def _perm_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All permutations of 0..n-1 plus flattened adjacency gather indices."""
-    iu, ju, weights = _pair_index(n)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    flat = perms[:, iu] * n + perms[:, ju]
-    return perms, flat, weights
-
-
-@lru_cache(maxsize=2)
-def _perm_matrix_large(n: int) -> np.ndarray:
-    """Permutation table for n in {9, 10}, kept compact for chunked scans."""
-    return np.fromiter(
-        (v for perm in itertools.permutations(range(n)) for v in perm),
-        dtype=np.int8,
-    ).reshape(-1, n)
-
-
-@lru_cache(maxsize=None)
-def _extension_deltas(n: int) -> np.ndarray:
-    """Code increments for every (permutation, neighborhood-of-new-vertex) pair.
-
-    Entry [p, mask] is the canonical-code contribution of joining vertex n-1
-    to the vertices of ``mask`` and then relabeling by permutation p.  Values
-    stay below 2**45 so float64 arithmetic is exact.
-    """
-    perms, _, weights = _perm_gather(n)
-    iu, ju, _ = _pair_index(n)
-    last = n - 1
-    count = perms.shape[0]
-    per_vertex = np.zeros((count, n - 1), dtype=np.float64)
-    for t in range(len(iu)):
-        pi = perms[:, iu[t]]
-        pj = perms[:, ju[t]]
-        hit = np.nonzero(pi == last)[0]
-        np.add.at(per_vertex, (hit, pj[hit]), float(weights[t]))
-        hit = np.nonzero(pj == last)[0]
-        np.add.at(per_vertex, (hit, pi[hit]), float(weights[t]))
-    masks = np.arange(1 << (n - 1), dtype=np.int64)
-    members = (masks[:, None] >> np.arange(n - 1)) & 1
-    return per_vertex @ members.T.astype(np.float64)
-
-
-def _adjacency_flat(g: Graph) -> np.ndarray:
-    n = g.n
-    a = np.zeros(n * n, dtype=np.int64)
-    for u in range(n):
-        row = g.rows[u]
-        while row:
-            low = row & -row
-            a[u * n + low.bit_length() - 1] = 1
-            row ^= low
-    return a
+    expand(0, [(1 << n) - 1], 0)
+    return best
 
 
 @lru_cache(maxsize=16384)
 def canonical_code(g: Graph) -> int:
     """Minimum upper-triangle bit string over all relabelings, as an integer.
 
-    MSB is the pair (0,1), then (0,2), ... in row-major pair order.
+    MSB is the pair (0,1), then (0,2), ... in row-major pair order.  Exact
+    for n <= CANONICAL_MAX by the partition branch-and-bound above.
     """
-    n = g.n
-    if n > CANONICAL_MAX:
-        raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX}, got {n}")
-    if n <= 1:
-        return 0
-    a = _adjacency_flat(g)
-    if n <= 8:
-        _, flat, weights = _perm_gather(n)
-        return int((a[flat] * weights).sum(axis=1).min())
-    iu, ju, weights = _pair_index(n)
-    perms = _perm_matrix_large(n)
-    best: int | None = None
-    for start in range(0, perms.shape[0], _PERM_CHUNK):
-        parr = perms[start : start + _PERM_CHUNK].astype(np.int64)
-        flat = parr[:, iu] * n + parr[:, ju]
-        low = int((a[flat] * weights).sum(axis=1).min())
-        if best is None or low < best:
-            best = low
-    assert best is not None
-    return best
+    if g.n > CANONICAL_MAX:
+        raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX}, got {g.n}")
+    return _min_code(g.rows)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -142,30 +126,33 @@ def graph_from_code(n: int, code: int) -> Graph:
 def _nonisomorphic_codes(n: int) -> tuple[int, ...]:
     if n == 1:
         return (0,)
-    parents = _nonisomorphic_codes(n - 1)
+    new = 1 << (n - 1)
     seen: set[int] = set()
-    _, flat, weights = _perm_gather(n)
-    deltas = _extension_deltas(n)
-    for pcode in parents:
+    for pcode in _nonisomorphic_codes(n - 1):
         parent = graph_from_code(n - 1, pcode)
-        base = np.zeros(n * n, dtype=np.int64)
-        for u in range(n - 1):
-            row = parent.rows[u]
-            while row:
-                low = row & -row
-                base[u * n + low.bit_length() - 1] = 1
-                row ^= low
-        base_codes = (base[flat] * weights).sum(axis=1).astype(np.float64)
-        mins = (base_codes[:, None] + deltas).min(axis=0)
-        seen.update(int(c) for c in mins)
+        top = max(parent.degrees)
+        # level[d]: the degree-d vertices, which joined to a new vertex of
+        # degree d would outgrow it
+        level = [sum(1 << u for u, du in enumerate(parent.degrees) if du == d) for d in range(n)]
+        for mask in range(new):
+            d = mask.bit_count()
+            if d < top or mask & level[d]:
+                continue
+            rows = tuple(r | new if mask >> u & 1 else r for u, r in enumerate(parent.rows))
+            # uncached: the children would flood canonical_code's cache
+            seen.add(_min_code(rows + (mask,)))
     return tuple(sorted(seen))
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class on n vertices, canonical order.
 
-    Each parent class on n-1 vertices is extended by a new vertex with every
-    possible neighborhood; canonical codes deduplicate the candidates.
+    Each class on n-1 vertices is extended by a new vertex with every
+    possible neighborhood, and a child is kept only if the new vertex has
+    maximum degree in it.  That loses no class: deleting a maximum-degree
+    vertex of any graph leaves a graph of some parent class.  Canonical
+    codes deduplicate the kept children, and representatives are yielded as
+    ``graph_from_code`` of each code in increasing code order.
     """
     if not 1 <= n <= ENUMERATE_MAX:
         raise ValueError(f"native enumeration supports 1 <= n <= {ENUMERATE_MAX}, got {n}")

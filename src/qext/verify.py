@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
 from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold
@@ -151,11 +150,6 @@ class SuiteReport:
 
 
 # --- structure matchers ------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _clique_code(size: int) -> int:
-    return canonical_code(complete(size))
 
 
 def _component_is(g: Graph, comp: tuple[int, ...], reference: Graph) -> bool:

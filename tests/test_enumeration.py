@@ -1,6 +1,11 @@
+import hashlib
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qext.enumeration import (
     canonical_code,
@@ -11,12 +16,36 @@ from qext.enumeration import (
     read_graph6_lines,
     write_graph6,
 )
-from qext.families import complete, path, star
-from qext.graph import build_graph
+from qext.families import complete, cycle, edgeless, path, star
+from qext.graph import build_graph, disjoint_union, join
+
+N8_CODES_SHA256 = "dcadbe6e773ef71781b0e6950c99589d3cdc1a8af2898923c1962081365e38b6"
 
 
 def relabel(g, perm):
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def row_major_code(g):
+    """The graph's own upper-triangle bit string, pair (0,1) as the MSB."""
+    code = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            code = code << 1 | g.has_edge(u, v)
+    return code
+
+
+def brute_code(g):
+    """Independent oracle: minimum row-major code over all n! relabelings."""
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+
+    def code(perm):
+        out = 0
+        for i, j in pairs:
+            out = out << 1 | (g.rows[perm[i]] >> perm[j] & 1)
+        return out
+
+    return min(map(code, itertools.permutations(range(g.n))))
 
 
 def brute_codes_all_labeled(n):
@@ -59,9 +88,28 @@ def test_canonical_form_layout():
         canonical_form(complete(11))
 
 
+def test_canonical_code_matches_brute_force_small_catalogue():
+    for n in range(1, 7):
+        for g in enumerate_nonisomorphic(n):
+            assert canonical_code(g) == brute_code(g)
+
+
+@pytest.mark.parametrize("n, samples", [(7, 25), (8, 4)])
+def test_canonical_code_matches_brute_force_relabeled(n, samples):
+    rng = random.Random(n)
+    catalogue = list(enumerate_nonisomorphic(n))
+    for g in rng.sample(catalogue, samples):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert canonical_code(h) == brute_code(h)
+
+
 def test_enumeration_counts():
-    for n, want in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)]:
+    for n, want in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044), (8, 12346)]:
         assert sum(1 for _ in enumerate_nonisomorphic(n)) == want
+    codes = "\n".join(str(row_major_code(g)) for g in enumerate_nonisomorphic(8))
+    assert hashlib.sha256(codes.encode()).hexdigest() == N8_CODES_SHA256
     with pytest.raises(ValueError):
         list(enumerate_nonisomorphic(9))
     with pytest.raises(ValueError):
@@ -82,6 +130,51 @@ def test_enumeration_is_canonical_and_sorted():
             # emitted representative is its own canonical labeling
             rebuilt = graph_from_code(n, code)
             assert rebuilt == g
+
+
+@st.composite
+def graphs_9_10(draw):
+    n = draw(st.integers(9, 10))
+    full = (1 << n * (n - 1) // 2) - 1
+    a, b = draw(st.integers(0, full)), draw(st.integers(0, full))
+    mask = draw(st.sampled_from([a & b, a, a | b]))  # sparse, even, dense
+    return graph_from_code(n, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_9_10(), st.randoms(use_true_random=False))
+def test_canonical_code_properties_n9_n10(g, rng):
+    code = canonical_code(g)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert canonical_code(relabel(g, perm)) == code
+    rebuilt = graph_from_code(g.n, code)
+    assert canonical_code(rebuilt) == code
+    assert code <= row_major_code(g)
+    assert sorted(rebuilt.degrees) == sorted(g.degrees)
+
+
+def test_canonical_code_worst_cases_n10(petersen):
+    cases = {
+        "E10": edgeless(10),
+        "K10": complete(10),
+        "5K2": disjoint_union([complete(2)] * 5),  # pairs {0,1}, {2,3}, ...
+        "co-5K2": build_graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10) if v != u ^ 1]),
+        "Petersen": petersen,
+        "C10": cycle(10),
+        "K5,5": join(edgeless(5), edgeless(5)),
+        "2C5": disjoint_union([cycle(5), cycle(5)]),
+    }
+    uncached = canonical_code.__wrapped__
+    for name, g in cases.items():
+        start = time.perf_counter()
+        code = uncached(g)
+        took = time.perf_counter() - start
+        assert took < 0.2, f"{name}: canonical code took {took:.3f} s"
+        assert code <= row_major_code(g)
+        assert uncached(graph_from_code(10, code)) == code
+    assert uncached(cases["E10"]) == 0
+    assert uncached(cases["K10"]) == (1 << 45) - 1
 
 
 def test_graph6_anchors():
