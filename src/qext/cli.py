@@ -45,6 +45,16 @@ def _default_jobs() -> int:
         return 1
 
 
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", default="1,2,3", help="comma-separated k values")
     p.add_argument("--corpus", help="graph6 file used instead of native enumeration")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
     add_common(p)
 
     p = sub.add_parser("search", help="maximize q under forbidden cycle lengths")
@@ -101,7 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed-construction", help="family:k seed, e.g. s_nk:2")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
     add_common(p)
 
     return parser

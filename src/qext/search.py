@@ -1,12 +1,17 @@
 """Stochastic maximization of the Q-index over graphs avoiding given cycle
 lengths.
 
-Hill climbing with random restarts: moves toggle one vertex pair, additions
-are rejected when they close a forbidden cycle (only cycles through the new
-edge need re-searching), and only strict improvements of the power-iteration
-estimate are accepted.  Removals never increase the Q-index, so progress
-comes from feasible additions; restarts escape plateaus from fresh random
-maximal feasible graphs.  Identical arguments always produce identical
+Hill climbing with random restarts.  Each restart starts from a random
+maximal feasible graph (or, for restart 0, from a given seed graph) and
+draws one vertex pair per budget step.  Only additions are evaluated; a
+drawn edge is skipped, because a removal never raises the Q-index
+(Q(G-e) <= Q(G) entrywise, hence q(G-e) <= q(G) by Perron-Frobenius).
+An addition is rejected when it closes a forbidden cycle (only cycles
+through the new edge need searching), and such a pair is remembered as
+blocked: the graph only gains edges, so the cycle persists.  A feasible
+addition is accepted when it strictly raises the power-iteration estimate.
+From a random maximal start every pair is an edge or blocked, so its climb
+costs no search at all.  Identical arguments always produce identical
 results: restart r uses the derived seed ``seed + r`` and the merge orders
 candidates by value with a canonical tiebreak, independent of completion
 order.
@@ -88,38 +93,51 @@ def _estimate(g: Graph, tol: float) -> float:
 
 def _random_feasible(
     n: int, forbidden: frozenset[int], rng: random.Random, node_budget: int
-) -> Graph:
+) -> tuple[Graph, set[tuple[int, int]]]:
+    """Random maximal feasible graph and the pairs whose addition was rejected."""
     g = edgeless(n)
+    blocked: set[tuple[int, int]] = set()
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     for u, v in pairs:
         candidate = g.with_edge(u, v)
         if _addition_allowed(candidate, u, v, forbidden, node_budget):
             g = candidate
-    return g
+        else:
+            blocked.add((u, v))
+    return g, blocked
 
 
 def _climb(
     start: Graph,
+    blocked: set[tuple[int, int]],
     forbidden: frozenset[int],
     budget: int,
     rng: random.Random,
     tol: float,
     node_budget: int,
 ) -> tuple[Graph, int]:
+    """Accept feasible additions that strictly raise the estimate.
+
+    Drawn edges and ``blocked`` pairs are skipped; a pair found to close a
+    forbidden cycle joins ``blocked``.  The start is estimated lazily.
+    """
     n = start.n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     current = start
-    current_q = _estimate(current, tol)
+    current_q: float | None = None
     accepted = 0
     for _ in range(budget):
         u, v = pairs[rng.randrange(len(pairs))]
-        if current.has_edge(u, v):
-            candidate = current.without_edge(u, v)
-        else:
-            candidate = current.with_edge(u, v)
-            if not _addition_allowed(candidate, u, v, forbidden, node_budget):
-                continue
+        # blocked is valid only while no removal is ever accepted: a swap move must clear it
+        if (u, v) in blocked or current.has_edge(u, v):
+            continue
+        candidate = current.with_edge(u, v)
+        if not _addition_allowed(candidate, u, v, forbidden, node_budget):
+            blocked.add((u, v))
+            continue
+        if current_q is None:
+            current_q = _estimate(current, tol)
         candidate_q = _estimate(candidate, tol)
         if candidate_q > current_q:
             current, current_q = candidate, candidate_q
@@ -134,10 +152,10 @@ def _restart_worker(payload: tuple) -> tuple[int, str, int]:
     rng = random.Random(seed + index)
     forbidden = frozenset(forbidden)
     if index == 0 and seed_graph6 is not None:
-        start = parse_graph6(seed_graph6)
+        start, blocked = parse_graph6(seed_graph6), set()
     else:
-        start = _random_feasible(n, forbidden, rng, node_budget)
-    best, accepted = _climb(start, forbidden, budget, rng, tol, node_budget)
+        start, blocked = _random_feasible(n, forbidden, rng, node_budget)
+    best, accepted = _climb(start, blocked, forbidden, budget, rng, tol, node_budget)
     return index, write_graph6(best), accepted
 
 
@@ -181,7 +199,10 @@ def maximize_q_forbidden_cycles(
 ) -> SearchResult:
     """Best graph found on n vertices with no cycle of a forbidden length.
 
-    ``budget`` counts attempted toggles per restart.  When ``seed_graph``
+    ``budget`` counts vertex pairs drawn per restart; a drawn pair that is
+    already an edge or known to close a forbidden cycle is skipped without
+    evaluation, so from a random maximal start the climb accepts nothing
+    and costs next to nothing.  When ``seed_graph``
     is given it must be feasible; restart 0 climbs from it, so the result
     value never falls below the seed's.  The returned graph is re-verified
     feasible from scratch and its Q-index re-certified with the dense

@@ -136,6 +136,15 @@ def test_search_bad_seed_construction(capsys):
     assert run(["search", "--n", "10", "--forbid", "5", "--seed-construction", "x"]) == 3
 
 
+def test_jobs_below_one_is_a_usage_error(capsys):
+    assert run(["search", "--n", "10", "--forbid", "5", "--jobs", "0"]) == 3
+    assert "--jobs: must be >= 1, got 0" in capsys.readouterr().err
+    assert run(["suite", "--statements", "egp", "--nmax", "4", "--jobs", "-1"]) == 3
+    assert "usage:" in capsys.readouterr().err
+    assert run(["search", "--n", "10", "--forbid", "5", "--jobs", "two"]) == 3
+    assert "--jobs: not an integer: 'two'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_and_flags(capsys):
     assert run(["nosuch"]) == 3
     assert run(["qindex", "--nosuch"]) == 3

@@ -1,10 +1,17 @@
-import pytest
+import random
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qext import search
 from qext.bounds import closed_form_snk
-from qext.enumeration import enumerate_nonisomorphic
-from qext.families import complete, s_nk, s_nk_plus
-from qext.search import is_feasible, maximize_q_forbidden_cycles
+from qext.enumeration import enumerate_nonisomorphic, graph_from_code
+from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus
+from qext.search import _addition_allowed, _estimate, is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
+from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
 
 
 def exhaustive_best(n, forbidden):
@@ -87,3 +94,155 @@ def test_result_record():
     assert record["kind"] == "search"
     assert record["feasible"] is True
     assert isinstance(record["near_ties"], list)
+
+
+def _slow_climb(start, forbidden, budget, rng, tol, node_budget):
+    # reference climb: toggles both ways and evaluates every feasible move
+    n = start.n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    current = start
+    current_q = _estimate(current, tol)
+    accepted = 0
+    for _ in range(budget):
+        u, v = pairs[rng.randrange(len(pairs))]
+        if current.has_edge(u, v):
+            candidate = current.without_edge(u, v)
+        else:
+            candidate = current.with_edge(u, v)
+            if not _addition_allowed(candidate, u, v, forbidden, node_budget):
+                continue
+        candidate_q = _estimate(candidate, tol)
+        if candidate_q > current_q:
+            current, current_q = candidate, candidate_q
+            accepted += 1
+    return current, accepted
+
+
+def _both_climbs(monkeypatch, *args, **kwargs):
+    fast = maximize_q_forbidden_cycles(*args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            search, "_climb", lambda start, blocked, *rest: _slow_climb(start, *rest)
+        )
+        slow = maximize_q_forbidden_cycles(*args, **kwargs)
+    return fast, slow
+
+
+@pytest.mark.parametrize("forbidden", [{3}, {4}, {5}, {3, 5}])
+@pytest.mark.parametrize("n", range(6, 17))
+def test_climb_matches_slow_climb_from_random_starts(monkeypatch, n, forbidden):
+    for seed in range(3):
+        fast, slow = _both_climbs(monkeypatch, n, forbidden, budget=120, restarts=2, seed=seed)
+        assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "seed_graph, forbidden",
+    [
+        (edgeless(8), {3}),
+        (edgeless(10), {5}),
+        (edgeless(12), {3, 5}),
+        (path(9), {4}),
+        (path(11), {5}),
+        (path(12), {3, 5}),
+        (cycle(8), {3}),
+        (cycle(10), {5}),
+        (cycle(12), {4}),
+    ],
+)
+def test_climb_matches_slow_climb_from_seed_graphs(monkeypatch, seed_graph, forbidden):
+    for seed in range(3):
+        fast, slow = _both_climbs(
+            monkeypatch,
+            seed_graph.n,
+            forbidden,
+            budget=200,
+            restarts=2,
+            seed=seed,
+            seed_graph=seed_graph,
+        )
+        assert fast == slow
+        assert fast.accepted_moves > 0
+
+
+@pytest.mark.parametrize("n", [10, 16, 24])
+def test_climb_from_maximal_start_evaluates_nothing(monkeypatch, n):
+    forbidden = frozenset({5})
+    rng = random.Random(n)
+    start, blocked = search._random_feasible(n, forbidden, rng, DEFAULT_NODE_BUDGET)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, wrapper)
+
+    counted("q_index")
+    counted("find_cycle_through_edge")
+    best, accepted = search._climb(
+        start, blocked, forbidden, 400, rng, 1e-8, DEFAULT_NODE_BUDGET
+    )
+    assert (best, accepted) == (start, 0)
+    assert calls == Counter()
+
+
+def test_climb_searches_each_blocked_pair_once(monkeypatch):
+    found = Counter()
+    original = search.find_cycle_through_edge
+
+    def recording(g, length, u, v, **kwargs):
+        witness = original(g, length, u, v, **kwargs)
+        if witness is not None:
+            found[u, v] += 1
+        return witness
+
+    monkeypatch.setattr(search, "find_cycle_through_edge", recording)
+    forbidden = frozenset({3, 5})
+    _, accepted = search._climb(
+        edgeless(12), set(), forbidden, 400, random.Random(0), 1e-8, DEFAULT_NODE_BUDGET
+    )
+    assert accepted > 0 and found
+    assert max(found.values()) == 1
+
+
+@st.composite
+def graphs_up_to_12(draw):
+    n = draw(st.integers(3, 12))
+    full = (1 << n * (n - 1) // 2) - 1
+    a, b = draw(st.integers(0, full)), draw(st.integers(0, full))
+    mask = draw(st.sampled_from([a & b, a, a | b]))  # sparse, even, dense
+    return graph_from_code(n, mask)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_up_to_12(), st.randoms(use_true_random=False))
+def test_removal_never_raises_q(g, rng):
+    edges = list(g.edges())
+    if not edges:
+        return
+    u, v = rng.choice(edges)
+    before = q_index(g, method="dense").q
+    after = q_index(g.without_edge(u, v), method="dense").q
+    assert after <= before + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_up_to_12(), st.randoms(use_true_random=False), st.integers(3, 12))
+def test_blocked_pair_stays_blocked_after_an_addition(g, rng, length):
+    length = min(length, g.n)
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    if not non_edges:
+        return
+    f = rng.choice(non_edges)
+    bigger = g.with_edge(*f)
+
+    def blocked(h, u, v):
+        return find_cycle_through_edge(h.with_edge(u, v), length, u, v) is not None
+
+    for u, v in non_edges:
+        if (u, v) != f and blocked(g, u, v):
+            assert blocked(bigger, u, v)
