@@ -20,7 +20,7 @@ from .families import FAMILY_NAMES, ConstructionSpec, build_construction, s_nk, 
 from .graph import Graph
 from .report import RunReport, exit_code_for, write_csv
 from .search import maximize_q_forbidden_cycles
-from .spectral import ConvergenceError, q_index
+from .spectral import ConvergenceError, SpectralResult, q_index
 from .verify import (
     SUITE_STATEMENTS,
     prop1_sandwich_check,
@@ -133,20 +133,22 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     return [(write_graph6(g), g) for g in graphs]
 
 
+def _spectral_record(token: str, result: SpectralResult) -> dict[str, Any]:
+    return {
+        "kind": "spectral",
+        "graph6": token,
+        "q": result.q,
+        "residual": result.residual,
+        "iterations": result.iterations,
+        "method": result.method,
+    }
+
+
 def _cmd_qindex(args: argparse.Namespace) -> list[dict[str, Any]]:
     outcomes = []
     for token, g in _input_graphs(args):
         result = q_index(g, tol=args.tol)
-        outcomes.append(
-            {
-                "kind": "spectral",
-                "graph6": token,
-                "q": result.q,
-                "residual": result.residual,
-                "iterations": result.iterations,
-                "method": result.method,
-            }
-        )
+        outcomes.append(_spectral_record(token, result))
         print(f"{token} q={result.q:.12g} residual={result.residual:.3g} method={result.method}")
     return outcomes
 
@@ -176,16 +178,7 @@ def _cmd_bounds(args: argparse.Namespace) -> list[dict[str, Any]]:
     outcomes: list[dict[str, Any]] = []
     for token, g in _input_graphs(args):
         result = q_index(g, tol=args.tol)
-        outcomes.append(
-            {
-                "kind": "spectral",
-                "graph6": token,
-                "q": result.q,
-                "residual": result.residual,
-                "iterations": result.iterations,
-                "method": result.method,
-            }
-        )
+        outcomes.append(_spectral_record(token, result))
         values = []
         for fn in (merris_bound, das_bound, edge_degree_bound):
             try:

@@ -4,9 +4,17 @@
 edges, a cycle of order k has k vertices and k edges.  Absence answers are
 exact (full backtracking within the node budget); running out of budget
 raises :class:`SearchBudgetExceeded`, which is distinct from absence.
-Vertices are tried in ascending index, so witnesses are deterministic.
-Every positive answer is re-checked by an independent validator before it
-is returned.
+
+One engine, :func:`_first_path`, does every search: it returns the first
+simple path from a given start whose interior lies in one bitmask and
+whose last vertex lies in another.  A constrained path, a cycle of given
+length (anchored at its smallest vertex) and a cycle through an edge are
+each a choice of those masks.  Vertices are tried in ascending index, so
+witnesses are deterministic.  The last vertex is picked straight from the
+end mask, so the node budget counts only vertices that can still end the
+path and a given budget reaches at least as far as a search that also
+visits dead-end leaves.  Every positive answer is re-checked by an
+independent validator before it is returned.
 """
 
 from __future__ import annotations
@@ -27,14 +35,12 @@ class SearchBudgetExceeded(RuntimeError):
 class EndpointConstraint:
     """Endpoint restriction for path searches.
 
-    mode "none": unconstrained; "ends_in": both endpoints inside a vertex
-    set; "ends_avoid": neither endpoint equals a given vertex (it may still
-    appear in the interior).
+    Both endpoints must lie in ``members`` and outside ``avoid`` (bitmasks);
+    an avoided vertex may still appear in the interior.
     """
 
-    mode: str = "none"
-    members: int = 0
-    avoid: int = -1
+    members: int = -1
+    avoid: int = 0
 
     @classmethod
     def none(cls) -> "EndpointConstraint":
@@ -45,18 +51,15 @@ class EndpointConstraint:
         mask = mask_of(vertices)
         if mask == 0:
             raise ValueError("ends_in constraint requires a nonempty vertex set")
-        return cls("ends_in", mask, -1)
+        return cls(members=mask)
 
     @classmethod
     def ends_avoid(cls, vertex: int) -> "EndpointConstraint":
-        return cls("ends_avoid", 0, vertex)
+        return cls(avoid=1 << vertex)
 
-    def endpoint_ok(self, v: int) -> bool:
-        if self.mode == "ends_in":
-            return bool(self.members >> v & 1)
-        if self.mode == "ends_avoid":
-            return v != self.avoid
-        return True
+    def mask(self, n: int) -> int:
+        """Allowed endpoints among the vertices 0..n-1."""
+        return self.members & ~self.avoid & ((1 << n) - 1)
 
 
 UNCONSTRAINED = EndpointConstraint.none()
@@ -83,6 +86,45 @@ def _check_witness(ok: bool, kind: str, vertices: tuple[int, ...]) -> None:
         raise RuntimeError(f"internal error: invalid {kind} witness {vertices}")
 
 
+def _first_path(
+    rows: tuple[int, ...],
+    start: int,
+    order: int,
+    inner: int,
+    last: int,
+    budget: list,
+) -> tuple[int, ...] | None:
+    """First path on ``order`` vertices from ``start`` in ascending DFS order.
+
+    Interior vertices lie in the bitmask ``inner`` and the last vertex in
+    ``last``; the start is the caller's choice and is not checked.
+    ``budget`` is a ``[nodes_left, message]`` pair shared by the caller's
+    searches: each vertex placed on the path costs one node, and
+    :class:`SearchBudgetExceeded` carries the message.
+    """
+    path: list[int] = []
+
+    def extend(v: int, visited: int, remaining: int) -> bool:
+        if budget[0] <= 0:
+            raise SearchBudgetExceeded(budget[1])
+        budget[0] -= 1
+        path.append(v)
+        if remaining == 0:
+            return True
+        if remaining == 1:
+            ends = rows[v] & last & ~visited
+            nxt = ends & -ends  # only the first vertex that can end the path
+        else:
+            nxt = rows[v] & inner & ~visited
+        for w in _bits(nxt):
+            if extend(w, visited | (1 << w), remaining - 1):
+                return True
+        path.pop()
+        return False
+
+    return tuple(path) if extend(start, 1 << start, order - 1) else None
+
+
 def find_constrained_path(
     g: Graph,
     order: int,
@@ -100,38 +142,16 @@ def find_constrained_path(
     n = g.n
     if order > n:
         return None
-    rows = g.rows
-    budget = [node_budget]
-    path: list[int] = []
-
-    def dfs(v: int, visited: int, remaining: int) -> bool:
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded(
-                f"path search exceeded node budget {node_budget}"
-            )
-        budget[0] -= 1
-        path.append(v)
-        if remaining == 0:
-            if constraint.endpoint_ok(v):
-                return True
-            path.pop()
-            return False
-        for w in _bits(rows[v] & ~visited):
-            if dfs(w, visited | (1 << w), remaining - 1):
-                return True
-        path.pop()
-        return False
-
-    for start in range(n):
-        if not constraint.endpoint_ok(start):
-            continue
-        if dfs(start, 1 << start, order - 1):
-            witness = tuple(path)
+    ends = constraint.mask(n)
+    budget = [node_budget, f"path search exceeded node budget {node_budget}"]
+    for start in _bits(ends):
+        witness = _first_path(g.rows, start, order, -1, ends, budget)
+        if witness is not None:
             _check_witness(
                 is_path_witness(g, witness)
                 and len(witness) == order
-                and constraint.endpoint_ok(witness[0])
-                and constraint.endpoint_ok(witness[-1]),
+                and ends >> witness[0] & 1
+                and ends >> witness[-1] & 1,
                 "path",
                 witness,
             )
@@ -151,33 +171,12 @@ def find_cycle_of_length(
     if length > n:
         return None
     rows = g.rows
-    budget = [node_budget]
-    path: list[int] = []
-
-    def dfs(v: int, visited: int, remaining: int, anchor: int, above: int) -> bool:
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded(
-                f"cycle search exceeded node budget {node_budget}"
-            )
-        budget[0] -= 1
-        path.append(v)
-        if remaining == 0:
-            if rows[v] >> anchor & 1:
-                return True
-            path.pop()
-            return False
-        for w in _bits(rows[v] & above & ~visited):
-            if dfs(w, visited | (1 << w), remaining - 1, anchor, above):
-                return True
-        path.pop()
-        return False
-
+    budget = [node_budget, f"cycle search exceeded node budget {node_budget}"]
     for anchor in range(n):
         # every cycle is found from its smallest vertex; larger ones only
         above = ~((1 << (anchor + 1)) - 1)
-        path.clear()
-        if dfs(anchor, 1 << anchor, length - 1, anchor, above):
-            witness = tuple(path)
+        witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget)
+        if witness is not None:
             _check_witness(
                 is_cycle_witness(g, witness) and len(witness) == length,
                 "cycle",
@@ -199,37 +198,12 @@ def find_cycle_through_edge(
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    n = g.n
-    if length > n:
+    if length > g.n:
         return None
-    rows = g.rows
-    budget = [node_budget]
-    path: list[int] = []
-
-    def dfs(w: int, visited: int, remaining: int) -> bool:
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded(
-                f"cycle search exceeded node budget {node_budget}"
-            )
-        budget[0] -= 1
-        path.append(w)
-        if remaining == 0:
-            if w == v:
-                return True
-            path.pop()
-            return False
-        if w == v:
-            path.pop()
-            return False
-        for x in _bits(rows[w] & ~visited):
-            if dfs(x, visited | (1 << x), remaining - 1):
-                return True
-        path.pop()
-        return False
-
+    budget = [node_budget, f"cycle search exceeded node budget {node_budget}"]
     # a cycle through (u, v) is a u..v path on `length` vertices plus that edge
-    if dfs(u, 1 << u, length - 1):
-        witness = tuple(path)
+    witness = _first_path(g.rows, u, length, ~(1 << v), 1 << v, budget)
+    if witness is not None:
         _check_witness(
             is_cycle_witness(g, witness)
             and len(witness) == length
@@ -238,8 +212,7 @@ def find_cycle_through_edge(
             "cycle",
             witness,
         )
-        return witness
-    return None
+    return witness
 
 
 def is_hamiltonian(

@@ -36,13 +36,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold
-from .enumeration import (
-    CANONICAL_MAX,
-    canonical_code,
-    enumerate_nonisomorphic,
-    write_graph6,
-)
-from .families import complete, corollary1_graph, kite_pendant
+from .enumeration import enumerate_nonisomorphic, write_graph6
+from .families import complete, corollary1_graph
 from .graph import (
     Graph,
     blocks,
@@ -51,7 +46,6 @@ from .graph import (
     disjoint_union,
     edges_between,
     edges_within,
-    is_complete,
     is_connected,
     mask_of,
 )
@@ -152,32 +146,17 @@ class SuiteReport:
 # --- structure matchers ------------------------------------------------------
 
 
-def _component_is(g: Graph, comp: tuple[int, ...], reference: Graph) -> bool:
-    sub = g.induced(comp)
-    if sub.n != reference.n or sub.m != reference.m:
-        return False
-    if sub.n <= CANONICAL_MAX:
-        return canonical_code(sub) == canonical_code(reference)
-    # reference families beyond the canonical cap are cliques or
-    # pendant-cliques; match them directly
-    return _same_by_structure(sub, reference)
-
-
-def _same_by_structure(sub: Graph, reference: Graph) -> bool:
-    if is_complete(reference):
-        return is_complete(sub)
-    # pendant-clique: unique degree-1 vertex whose removal leaves a clique
-    pendants = [v for v in range(sub.n) if sub.degrees[v] == 1]
-    if len(pendants) != 1:
-        return False
-    rest = [v for v in range(sub.n) if v != pendants[0]]
-    return is_complete(sub.induced(rest))
+def _is_clique(g: Graph, vertices: Sequence[int], size: int) -> bool:
+    """The given vertices are exactly ``size`` many and pairwise adjacent."""
+    return (
+        len(vertices) == size
+        and edges_within(g, mask_of(vertices)) == size * (size - 1) // 2
+    )
 
 
 def is_disjoint_cliques(g: Graph, size: int) -> bool:
     """Every component a clique of the given order."""
-    ref = complete(size)
-    return all(_component_is(g, comp, ref) for comp in components(g))
+    return all(_is_clique(g, comp, size) for comp in components(g))
 
 
 def is_complete_block_graph(g: Graph, k: int) -> bool:
@@ -191,10 +170,7 @@ def is_complete_block_graph(g: Graph, k: int) -> bool:
         return False
     if g.n == 1:
         return True
-    for blk in blocks(g):
-        if len(blk) != k or not is_complete(g.induced(blk)):
-            return False
-    return True
+    return all(_is_clique(g, blk, k) for blk in blocks(g))
 
 
 def has_single_hub(g: Graph) -> bool:
@@ -209,18 +185,16 @@ def has_single_hub(g: Graph) -> bool:
 
 
 def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
-    """Several 2k-cliques plus one pendant-clique block with v as the pendant."""
+    """Several 2k-cliques plus one pendant-clique block with v as the pendant.
+
+    v has degree 1, v's component minus v is a 2k-clique, and every other
+    component is a 2k-clique.
+    """
     if g.degrees[v] != 1:
         return False
-    ref_block = complete(2 * k)
-    ref_pendant = kite_pendant(k)
-    for comp in components(g):
-        if v in comp:
-            if not _component_is(g, comp, ref_pendant):
-                return False
-        elif not _component_is(g, comp, ref_block):
-            return False
-    return True
+    return all(
+        _is_clique(g, [w for w in comp if w != v], 2 * k) for comp in components(g)
+    )
 
 
 # --- individual checkers -----------------------------------------------------

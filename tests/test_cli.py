@@ -98,7 +98,7 @@ def test_suite_with_corpus(tmp_path, capsys):
 
 def test_suite_rejects_unknown_statement(capsys):
     assert run(["suite", "--statements", "egp,cor1", "--nmax", "4"]) == 3
-    assert "cannot run in a suite" in capsys.readouterr().err or True
+    assert "unknown suite statement 'cor1'" in capsys.readouterr().err
 
 
 def test_search_cli(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from qext.enumeration import enumerate_nonisomorphic
 from qext.families import complete, cycle, kite_pendant, path, s_nk, star
-from qext.graph import build_graph
+from qext.graph import _bits, build_graph
 from qext.subgraphs import (
     EndpointConstraint,
     SearchBudgetExceeded,
@@ -41,6 +41,142 @@ def brute_cycle_exists(g, length):
         ):
             return True
     return False
+
+
+# --- slow oracle: the three separate DFS routines the engine replaced ----------
+# Each returns (witness or None, nodes visited).  Vertices are tried in
+# ascending index and every leaf is visited, so the engine must return the
+# same witness and never need more nodes.
+
+
+def slow_constrained_path(g, order, endpoint_ok):
+    path, nodes = [], [0]
+
+    def dfs(v, visited, remaining):
+        nodes[0] += 1
+        path.append(v)
+        if remaining == 0:
+            if endpoint_ok(v):
+                return True
+            path.pop()
+            return False
+        for w in _bits(g.rows[v] & ~visited):
+            if dfs(w, visited | (1 << w), remaining - 1):
+                return True
+        path.pop()
+        return False
+
+    if order <= g.n:
+        for start in range(g.n):
+            if endpoint_ok(start) and dfs(start, 1 << start, order - 1):
+                return tuple(path), nodes[0]
+    return None, nodes[0]
+
+
+def slow_cycle_of_length(g, length):
+    path, nodes = [], [0]
+
+    def dfs(v, visited, remaining, anchor, above):
+        nodes[0] += 1
+        path.append(v)
+        if remaining == 0:
+            if g.rows[v] >> anchor & 1:
+                return True
+            path.pop()
+            return False
+        for w in _bits(g.rows[v] & above & ~visited):
+            if dfs(w, visited | (1 << w), remaining - 1, anchor, above):
+                return True
+        path.pop()
+        return False
+
+    if length <= g.n:
+        for anchor in range(g.n):
+            above = ~((1 << (anchor + 1)) - 1)
+            path.clear()
+            if dfs(anchor, 1 << anchor, length - 1, anchor, above):
+                return tuple(path), nodes[0]
+    return None, nodes[0]
+
+
+def slow_cycle_through_edge(g, length, u, v):
+    path, nodes = [], [0]
+
+    def dfs(w, visited, remaining):
+        nodes[0] += 1
+        path.append(w)
+        if remaining == 0:
+            if w == v:
+                return True
+            path.pop()
+            return False
+        if w == v:
+            path.pop()
+            return False
+        for x in _bits(g.rows[w] & ~visited):
+            if dfs(x, visited | (1 << x), remaining - 1):
+                return True
+        path.pop()
+        return False
+
+    if length <= g.n and dfs(u, 1 << u, length - 1):
+        return tuple(path), nodes[0]
+    return None, nodes[0]
+
+
+def constraint_cases(n, masks):
+    """(EndpointConstraint, predicate) pairs: none, avoid each v, ends_in masks."""
+    yield EndpointConstraint.none(), lambda x: True
+    for v in range(n):
+        yield EndpointConstraint.ends_avoid(v), lambda x, v=v: x != v
+    for mask in masks:
+        members = [i for i in range(n) if mask >> i & 1]
+        yield EndpointConstraint.ends_in(members), lambda x, mask=mask: mask >> x & 1
+
+
+def assert_engine_matches_oracle(g, masks):
+    """Same witness as the slow oracle, within the oracle's node count."""
+    for order in range(1, g.n + 1):
+        for constraint, ok in constraint_cases(g.n, masks):
+            expect, nodes = slow_constrained_path(g, order, ok)
+            assert find_constrained_path(g, order, constraint) == expect
+            assert find_constrained_path(g, order, constraint, nodes) == expect
+    for length in range(3, g.n + 1):
+        expect, nodes = slow_cycle_of_length(g, length)
+        assert find_cycle_of_length(g, length) == expect
+        assert find_cycle_of_length(g, length, nodes) == expect
+        for a, b in g.edges():
+            for u, v in ((a, b), (b, a)):
+                expect, nodes = slow_cycle_through_edge(g, length, u, v)
+                assert find_cycle_through_edge(g, length, u, v) == expect
+                assert find_cycle_through_edge(g, length, u, v, nodes) == expect
+
+
+def test_engine_matches_slow_oracle_all_graphs_small():
+    # every graph with n <= 6, every ends_in vertex set
+    for n in range(1, 7):
+        for g in enumerate_nonisomorphic(n):
+            assert_engine_matches_oracle(g, range(1, 1 << n))
+
+
+def test_engine_matches_slow_oracle_random():
+    rng = random.Random(2024)
+    for n in range(7, 13):
+        for _ in range(6):
+            g = random_graph(n, rng.uniform(0.2, 0.8), rng)
+            masks = [rng.randrange(1, 1 << n) for _ in range(3)]
+            assert_engine_matches_oracle(g, masks)
+
+
+def test_relabelled_witnesses_match_slow_oracle():
+    # labelled copies exercise orderings the canonical catalogue never shows
+    rng = random.Random(6)
+    for _ in range(40):
+        g = random_graph(7, 0.5, rng)
+        perm = list(range(7))
+        rng.shuffle(perm)
+        h = build_graph(7, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert_engine_matches_oracle(h, [rng.randrange(1, 1 << 7)])
 
 
 def test_path_examples():

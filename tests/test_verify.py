@@ -2,20 +2,23 @@ import random
 
 import pytest
 
-from qext.enumeration import enumerate_nonisomorphic
+from qext.enumeration import canonical_code, enumerate_nonisomorphic
 from qext.families import (
     complete,
     cycle,
     kite_pendant,
+    lemma2_exception,
     path,
     s_nk,
     star,
     windmill,
 )
-from qext.graph import build_graph, disjoint_union, is_connected
+from qext.graph import build_graph, components, disjoint_union, is_connected
 from qext.subgraphs import has_cycle_longer_than
 from qext.verify import (
     check_statement,
+    is_disjoint_cliques,
+    matches_lemma2_exception,
     prop1_sandwich_check,
     run_suite,
     theorem1_construction_probe,
@@ -71,6 +74,82 @@ def test_lemma2_pendant_must_be_v():
     g = disjoint_union([complete(4), kite_pendant(2)])
     outcome = check_statement("lemma2", g, k=2, v=4)
     assert outcome.status == "precondition_unmet"
+
+
+# --- structure matchers -------------------------------------------------------
+# Orders on both sides of 10, where clique shapes were once matched by
+# canonical code below and structurally above.
+
+
+def without_edge(g, u, v):
+    return build_graph(g.n, [e for e in g.edges() if e != (min(u, v), max(u, v))])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 9, 10, 11, 12, 14])
+def test_disjoint_cliques_matcher(size):
+    for copies in (0, 1, 3):
+        g = disjoint_union([complete(size)] * copies)
+        assert is_disjoint_cliques(g, size)
+        if copies:
+            assert not is_disjoint_cliques(g, size - 1)
+            assert not is_disjoint_cliques(g, size + 1)
+    if size >= 2:
+        g = disjoint_union([complete(size), complete(size)])
+        assert not is_disjoint_cliques(without_edge(g, 0, size - 1), size)
+        mixed = disjoint_union([complete(size), complete(size - 1)])
+        assert not is_disjoint_cliques(mixed, size)
+    if size >= 3:
+        assert not is_disjoint_cliques(path(size), size)
+        assert not is_disjoint_cliques(star(size), size)
+    if size >= 4:
+        assert not is_disjoint_cliques(cycle(size), size)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_lemma2_exception_matcher(k):
+    for copies in (0, 1, 2):
+        g = lemma2_exception(k, copies)
+        v = g.n - 1
+        assert matches_lemma2_exception(g, k, v)
+        assert not matches_lemma2_exception(g, k + 1, v)
+        if k > 1:
+            assert not matches_lemma2_exception(g, k - 1, v)
+        # v must be the pendant: clique vertices have degree >= 2k-1
+        for w in range(g.n - 1):
+            expect = k == 1 and w == g.n - 2  # the other end of P3
+            assert matches_lemma2_exception(g, k, w) == expect
+        # one clique edge missing, or an extra edge at the pendant
+        assert not matches_lemma2_exception(without_edge(g, v - 1, v - 2), k, v)
+        extra = build_graph(g.n, list(g.edges()) + [(v - 1, v)])
+        assert not matches_lemma2_exception(extra, k, v)
+    # k = 1: the pendant clique is P3, whose two ends both have degree 1
+    assert matches_lemma2_exception(path(3), 1, 0)
+    assert matches_lemma2_exception(star(3), 1, 2)
+    if k > 1:
+        assert not matches_lemma2_exception(path(2 * k + 1), k, 0)
+        assert not matches_lemma2_exception(star(2 * k + 1), k, 1)
+        kite_and_path = disjoint_union([path(2 * k), kite_pendant(k)])
+        assert not matches_lemma2_exception(kite_and_path, k, 4 * k)
+
+
+def test_matchers_agree_with_isomorphism_small():
+    # against canonical codes on every graph with n <= 7
+    def isomorphic(g, comp, ref):
+        return canonical_code(g.induced(comp)) == canonical_code(ref)
+
+    for n in range(1, 8):
+        for g in enumerate_nonisomorphic(n):
+            comps = components(g)
+            for size in range(1, n + 1):
+                expect = all(isomorphic(g, c, complete(size)) for c in comps)
+                assert is_disjoint_cliques(g, size) == expect
+            for k in range(1, 4):
+                for v in range(n):
+                    expect = g.degrees[v] == 1 and all(
+                        isomorphic(g, c, kite_pendant(k) if v in c else complete(2 * k))
+                        for c in comps
+                    )
+                    assert matches_lemma2_exception(g, k, v) == expect
 
 
 def test_ni_triangle_example():
