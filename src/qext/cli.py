@@ -64,7 +64,7 @@ def build_parser() -> _Parser:
         p.add_argument("--csv", help="write a flat CSV of the outcomes to this path")
 
     p = sub.add_parser("qindex", parents=[], help="Q-index of graph6 inputs")
-    p.add_argument("--graph6", help="one graph6 token")
+    p.add_argument("--graph6", action="append", help="a graph6 token; repeat for more")
     p.add_argument("--file", help="file with one graph6 token per line")
     p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("bounds", help="evaluate q plus the upper bounds on inputs")
-    p.add_argument("--graph6", help="one graph6 token")
+    p.add_argument("--graph6", action="append", help="a graph6 token; repeat for more")
     p.add_argument("--file", help="file with one graph6 token per line")
     p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
@@ -121,7 +121,7 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     if args.graph6 and args.file:
         raise UsageError("give either --graph6 or --file, not both")
     if args.graph6:
-        return [(args.graph6, parse_graph6(args.graph6))]
+        return [(token, parse_graph6(token)) for token in args.graph6]
     if args.file:
         with open(args.file) as handle:
             text = handle.read()
@@ -337,7 +337,8 @@ def run(argv: Sequence[str]) -> int:
         return 3
     elapsed = time.perf_counter() - started
     parameters = {
-        key: value
+        # one --graph6 token is recorded as a plain string
+        key: value[0] if key == "graph6" and len(value) == 1 else value
         for key, value in vars(args).items()
         if key not in ("command", "out", "csv") and value is not None
     }

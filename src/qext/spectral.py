@@ -3,9 +3,13 @@
 Every estimate carries an explicitly computed residual ||Qx - qx||_2, and
 threshold tests go through :func:`certified_compare`, which refuses to
 classify a comparison when the threshold falls inside the residual
-interval.  Two independent engines are available: deterministic power
-iteration, and a dense symmetric eigensolver used by default at desk scale
-(n <= 64) and as the cross-check oracle in tests.
+interval.  Three engines are available: a dense symmetric eigensolver, the
+default through 64 vertices and the cross-check oracle in tests; the
+equitable-partition quotient, the default above that; and deterministic
+power iteration, the fallback when colour refinement ends with more than
+64 cells.  The quotient's spectrum holds every main eigenvalue of Q, and
+the Q-index is one, since its Perron vector has a positive sum (Godsil &
+Royle, *Algebraic Graph Theory*, ch. 9).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _bits
 
 DENSE_MAX = 64
 
@@ -91,6 +95,52 @@ def _dense(q: np.ndarray) -> SpectralResult:
     return SpectralResult(top, x, res, 0, "dense")
 
 
+def _equitable_cells(g: Graph) -> list[int] | None:
+    """Cells (vertex bitmasks) of the coarsest equitable refinement of the
+    degree partition, or None once it has more than DENSE_MAX cells."""
+    keys: tuple | list = g.degrees
+    count = 0
+    while True:
+        cells: dict = {}
+        for v, key in enumerate(keys):
+            cells[key] = cells.get(key, 0) | 1 << v
+        if len(cells) > DENSE_MAX:
+            return None
+        if len(cells) == count:  # no cell split: every count tuple is uniform
+            return list(cells.values())
+        count = len(cells)
+        # counts over these cells determine the counts over the coarser
+        # cells before them, so each round refines the last
+        masks = list(cells.values())
+        keys = [tuple((row & c).bit_count() for c in masks) for row in g.rows]
+
+
+def _quotient(g: Graph, mat: np.ndarray) -> SpectralResult | None:
+    """Top eigenpair of Q from its equitable quotient, lifted to all of g."""
+    cells = _equitable_cells(g)
+    if cells is None:
+        return None
+    # row i: neighbours of a cell-i vertex in each cell, plus its degree
+    b = np.array(
+        [[(g.rows[(c & -c).bit_length() - 1] & d).bit_count() for d in cells] for c in cells],
+        dtype=np.float64,
+    )
+    b[np.diag_indices(len(cells))] += b.sum(axis=1)
+    root = np.sqrt([float(c.bit_count()) for c in cells])
+    # D^{1/2} B D^{-1/2} with D the cell sizes is symmetric
+    values, vectors = np.linalg.eigh(root[:, None] * b / root[None, :])
+    y = vectors[:, -1]
+    if y[int(np.argmax(np.abs(y)))] < 0:
+        y = -y
+    x = np.empty(g.n)
+    for c, value in zip(cells, y / root):
+        x[list(_bits(c))] = value
+    x /= np.linalg.norm(x)
+    top = float(values[-1])
+    res = float(np.linalg.norm(mat @ x - top * x))
+    return SpectralResult(top, x, res, 0, "quotient")
+
+
 def q_index(
     g: Graph,
     tol: float = 1e-10,
@@ -99,8 +149,11 @@ def q_index(
 ) -> SpectralResult:
     """Largest signless-Laplacian eigenvalue with residual certificate.
 
-    ``method`` is "auto" (dense for n <= 64, else power iteration),
-    "dense", or "power".  The power engine stops once
+    ``method`` is "auto", "dense", or "power".  Auto is dense for n <= 64;
+    above that it returns the equitable quotient's top eigenpair (method
+    "quotient", 0 iterations, residual against the full Q) and falls back
+    to power iteration when refinement ends with more than 64 cells or
+    that residual misses tol.  The power engine stops once
     ||Qx - qx|| <= tol * max(1, q) and fails loudly with the best estimate
     when its iteration cap (default 100n + 10000) runs out.
     """
@@ -108,9 +161,14 @@ def q_index(
         raise ValueError("Q-index undefined for the empty graph")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if method == "auto":
-        method = "dense" if g.n <= DENSE_MAX else "power"
     mat = signless_laplacian(g)
+    if method == "auto" and g.n <= DENSE_MAX:
+        method = "dense"
+    elif method == "auto":
+        result = _quotient(g, mat)
+        if result is not None and result.residual <= tol * max(1.0, result.q):
+            return result
+        method = "power"
     if method == "dense":
         result = _dense(mat)
         if result.residual > tol * max(1.0, result.q):

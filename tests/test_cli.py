@@ -24,6 +24,31 @@ def test_qindex_file(tmp_path, capsys):
     assert len(out) == 2 and "q=4" in out[0] and "q=6" in out[1]
 
 
+@pytest.mark.parametrize("command", ["qindex", "bounds"])
+def test_repeated_graph6_reports_every_token(tmp_path, capsys, command):
+    out_path = tmp_path / "report.json"
+    assert run([command, "--graph6", "D~{", "--graph6", "Cl", "--out", str(out_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["D~{", "Cl"]
+    report = parse_report(out_path.read_text())
+    assert report.parameters["graph6"] == ["D~{", "Cl"]
+    spectral = [r for r in report.outcomes if r["kind"] == "spectral"]
+    assert [r["graph6"] for r in spectral] == ["D~{", "Cl"]
+
+
+def test_single_graph6_is_recorded_as_a_string(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert run(["qindex", "--graph6", "C~", "--out", str(out_path)]) == 0
+    assert parse_report(out_path.read_text()).parameters["graph6"] == "C~"
+
+
+def test_graph6_with_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    path.write_text("Bw\n")
+    assert run(["qindex", "--graph6", "C~", "--graph6", "Bw", "--file", str(path)]) == 3
+    assert "not both" in capsys.readouterr().err
+
+
 def test_construct_round_trip(capsys):
     assert run(["construct", "--family", "s_nk", "--n", "10", "--k", "2"]) == 0
     token = capsys.readouterr().out.strip()

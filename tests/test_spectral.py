@@ -3,9 +3,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qext.enumeration import enumerate_nonisomorphic
-from qext.families import complete, cycle, edgeless, path, s_nk, star
+from qext import spectral
+from qext.enumeration import enumerate_nonisomorphic, graph_from_code
+from qext.families import (
+    complete,
+    corollary1_graph,
+    cycle,
+    edgeless,
+    path,
+    s_nk,
+    s_nk_plus,
+    star,
+    windmill,
+)
 from qext.graph import build_graph, components, disjoint_union, is_bipartite, is_regular
 from qext.spectral import (
     Comparison,
@@ -150,3 +163,89 @@ def test_certified_compare():
     synthetic = SpectralResult(26.851030, np.ones(1), 1e-9, 1, "power")
     comparison = certified_compare(synthetic, 26.851030)
     assert comparison == Comparison("indeterminate", 0.0)
+
+
+# --- equitable quotient (auto above DENSE_MAX) ---------------------------------
+
+
+@st.composite
+def graphs_up_to_12(draw):
+    n = draw(st.integers(1, 12))
+    full = (1 << n * (n - 1) // 2) - 1
+    a, b = draw(st.integers(0, full)), draw(st.integers(0, full))
+    return graph_from_code(n, draw(st.sampled_from([a & b, a, a | b])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_up_to_12())
+def test_refined_partition_is_equitable(g):
+    cells = spectral._equitable_cells(g)
+    assert sum(c.bit_count() for c in cells) == g.n
+    assert sum(cells) == (1 << g.n) - 1  # disjoint and covering
+    for c in cells:
+        members = [v for v in range(g.n) if c >> v & 1]
+        assert len({g.degrees[v] for v in members}) == 1
+        for d in cells:
+            assert len({(g.rows[v] & d).bit_count() for v in members}) == 1
+
+
+def test_quotient_matches_dense_on_enumerated_graphs():
+    for n in range(1, 8):
+        for g in enumerate_nonisomorphic(n):
+            r = spectral._quotient(g, signless_laplacian(g))
+            assert r.method == "quotient" and r.iterations == 0
+            assert abs(r.q - q_index(g, method="dense").q) <= 1e-9
+            assert abs(np.linalg.norm(r.vector) - 1.0) <= 1e-12
+            assert r.residual <= 1e-10 * max(1.0, r.q)
+
+
+def _snk_closed_form(n, k):
+    s = n + 2 * k - 2
+    return 0.5 * (s + math.sqrt(s * s - 8 * (k * k - k)))
+
+
+@pytest.mark.parametrize("n", [65, 100, 257, 512])
+def test_auto_uses_the_quotient_on_structured_families(n):
+    graphs = [complete(n), cycle(n), s_nk(n, 2), s_nk(n, 5), s_nk_plus(n, 3)]
+    graphs += [windmill(3, (n - 1) // 2), corollary1_graph(2, min((n - 2) // 4, 126))]
+    for g in graphs:
+        assert g.n > spectral.DENSE_MAX
+        r = q_index(g)
+        assert r.method == "quotient" and r.iterations == 0
+        assert r.residual <= 1e-10 * max(1.0, r.q)
+        assert (r.vector >= 0).all()
+    for k in (2, 5):
+        assert abs(q_index(s_nk(n, k)).q - _snk_closed_form(n, k)) <= 1e-8
+
+
+def test_auto_never_certifies_exact_values_as_lt():
+    for n in range(3, 200):
+        assert certified_compare(q_index(complete(n)), 2 * n - 2).verdict != "lt"
+        assert certified_compare(q_index(cycle(n)), 4).verdict != "lt"
+
+
+def test_large_probes_run_without_power_iteration(monkeypatch):
+    from qext.verify import prop1_sandwich_check, theorem1_construction_probe
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(spectral, "_power", refuse)
+    assert [o.status for o in prop1_sandwich_check(509, 2)] == ["holds"] * 3
+    assert theorem1_construction_probe(509, 2).status == "holds"
+
+
+def test_many_cells_fall_back_to_power():
+    rng = random.Random(100)
+    g = random_graph(100, 0.3, rng)
+    assert len(components(g)) == 1
+    assert spectral._equitable_cells(g) is None
+    r = q_index(g)
+    assert r.method == "power"
+    assert r.q == q_index(g, method="power").q
+
+
+def test_quotient_missing_tol_falls_back_to_power():
+    with pytest.raises(ConvergenceError) as info:
+        q_index(s_nk(100, 2), tol=1e-18, max_iterations=50)
+    assert info.value.best.method == "power"
