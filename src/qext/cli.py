@@ -9,7 +9,6 @@ one violation, 2 indeterminate outcomes present but nothing violated,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Any, Sequence
@@ -18,9 +17,9 @@ from .bounds import das_bound, edge_degree_bound, merris_bound
 from .enumeration import parse_graph6, read_graph6_lines, write_graph6
 from .families import FAMILY_NAMES, ConstructionSpec, build_construction, s_nk, s_nk_plus
 from .graph import Graph
-from .report import RunReport, exit_code_for, write_csv
+from .report import RunReport, exit_code_for, record, write_csv
 from .search import maximize_q_forbidden_cycles
-from .spectral import ConvergenceError, SpectralResult, q_index
+from .spectral import ConvergenceError, q_index
 from .verify import (
     SUITE_STATEMENTS,
     prop1_sandwich_check,
@@ -36,13 +35,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{message}\n{self.format_usage()}")
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("QEXT_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _jobs(text: str) -> int:
@@ -101,7 +93,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", default="1,2,3", help="comma-separated k values")
     p.add_argument("--corpus", help="graph6 file used instead of native enumeration")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=1)
     add_common(p)
 
     p = sub.add_parser("search", help="maximize q under forbidden cycle lengths")
@@ -111,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed-construction", help="family:k seed, e.g. s_nk:2")
-    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=1)
     add_common(p)
 
     return parser
@@ -133,22 +125,11 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     return [(write_graph6(g), g) for g in graphs]
 
 
-def _spectral_record(token: str, result: SpectralResult) -> dict[str, Any]:
-    return {
-        "kind": "spectral",
-        "graph6": token,
-        "q": result.q,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "method": result.method,
-    }
-
-
 def _cmd_qindex(args: argparse.Namespace) -> list[dict[str, Any]]:
     outcomes = []
     for token, g in _input_graphs(args):
         result = q_index(g, tol=args.tol)
-        outcomes.append(_spectral_record(token, result))
+        outcomes.append(record("spectral", result, graph6=token))
         print(f"{token} q={result.q:.12g} residual={result.residual:.3g} method={result.method}")
     return outcomes
 
@@ -162,46 +143,28 @@ def _cmd_construct(args: argparse.Namespace) -> list[dict[str, Any]]:
     g = build_construction(ConstructionSpec(args.family, params))
     token = write_graph6(g)
     print(token)
-    return [
-        {
-            "kind": "construct",
-            "family": args.family,
-            "params": params,
-            "graph6": token,
-            "n": g.n,
-            "m": g.m,
-        }
-    ]
+    return [record("construct", g, family=args.family, params=params, graph6=token)]
 
 
 def _cmd_bounds(args: argparse.Namespace) -> list[dict[str, Any]]:
     outcomes: list[dict[str, Any]] = []
     for token, g in _input_graphs(args):
         result = q_index(g, tol=args.tol)
-        outcomes.append(_spectral_record(token, result))
+        outcomes.append(record("spectral", result, graph6=token))
         values = []
         for fn in (merris_bound, das_bound, edge_degree_bound):
             try:
                 bound = fn(g)
-                record = {
-                    "kind": "bound",
-                    "graph6": token,
-                    "name": bound.name,
-                    "value": bound.value,
-                    "relation": bound.relation,
-                }
-                values.append(f"{bound.name}={bound.value:.12g}")
             except ValueError as exc:
-                record = {
-                    "kind": "bound",
-                    "graph6": token,
-                    "name": fn.__name__.removesuffix("_bound"),
-                    "value": None,
-                    "relation": "upper_bound_on_q",
-                    "note": str(exc),
-                }
-                values.append(f"{record['name']}=undefined")
-            outcomes.append(record)
+                name = fn.__name__.removesuffix("_bound")
+                outcomes.append(
+                    record("bound", graph6=token, name=name, value=None,
+                           relation="upper_bound_on_q", note=str(exc))
+                )
+                values.append(f"{name}=undefined")
+            else:
+                outcomes.append(record("bound", bound, graph6=token))
+                values.append(f"{bound.name}={bound.value:.12g}")
         print(f"{token} q={result.q:.12g} " + " ".join(values))
     return outcomes
 
@@ -297,17 +260,17 @@ def _cmd_search(args: argparse.Namespace) -> list[dict[str, Any]]:
         seed_graph=seed_graph,
         jobs=args.jobs,
     )
-    record = result.as_record()
-    print(record["graph6"])
+    outcome = result.as_record()
+    print(outcome["graph6"])
     print(
-        f"q in [{record['q_low']:.12g}, {record['q_high']:.12g}]"
-        f" feasible={record['feasible']} accepted_moves={record['accepted_moves']}"
-        f" matched_family={record['matched_family']}"
+        f"q in [{outcome['q_low']:.12g}, {outcome['q_high']:.12g}]"
+        f" feasible={outcome['feasible']} accepted_moves={outcome['accepted_moves']}"
+        f" matched_family={outcome['matched_family']}"
     )
-    for token in record["near_ties"]:
-        if token != record["graph6"]:
+    for token in outcome["near_ties"]:
+        if token != outcome["graph6"]:
             print(f"near-tie {token}")
-    return [record]
+    return [outcome]
 
 
 _COMMANDS = {

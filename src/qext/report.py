@@ -10,61 +10,83 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 
 _TOP_KEYS = {"command", "parameters", "outcomes", "artifact_version", "elapsed_seconds"}
 
-# per-kind required and optional outcome fields
-_SCHEMAS: dict[str, tuple[set[str], set[str]]] = {
-    "check": (
-        {"kind", "statement", "status", "lhs", "rhs", "witness", "note"},
-        {"params", "graph6"},
+# One entry per outcome kind: its fields, the ones that may be left out, and
+# its CSV columns.  A column is a field name or a function of the record;
+# None (and a left-out field) is written as an empty cell.
+class _Kind(NamedTuple):
+    fields: tuple[str, ...]
+    optional: tuple[str, ...]
+    columns: dict[str, str | Callable[[dict[str, Any]], Any]]
+
+
+_KINDS: dict[str, _Kind] = {
+    "check": _Kind(
+        ("statement", "status", "lhs", "rhs", "witness", "note"),
+        (),
+        {"name": "statement", "status": "status", "lhs": "lhs", "rhs": "rhs", "note": "note"},
     ),
-    "spectral": (
-        {"kind", "graph6", "q", "residual", "iterations", "method"},
-        {"note"},
+    "spectral": _Kind(
+        ("graph6", "q", "residual", "iterations", "method"),
+        (),
+        {"name": "method", "value": "q", "graph6": "graph6"},
     ),
-    "bound": (
-        {"kind", "graph6", "name", "value", "relation"},
-        {"note"},
+    "bound": _Kind(
+        ("graph6", "name", "value", "relation"),
+        ("note",),
+        {"name": "name", "value": "value", "graph6": "graph6", "note": "note"},
     ),
-    "construct": (
-        {"kind", "family", "params", "graph6", "n", "m"},
-        set(),
+    "construct": _Kind(
+        ("family", "params", "graph6", "n", "m"),
+        (),
+        {"name": "family", "value": "m", "graph6": "graph6"},
     ),
-    "search": (
+    "search": _Kind(
+        ("graph6", "q_low", "q_high", "feasible", "seed", "restarts", "accepted_moves",
+         "matched_family", "near_ties"),
+        (),
         {
-            "kind",
-            "graph6",
-            "q_low",
-            "q_high",
-            "feasible",
-            "seed",
-            "restarts",
-            "accepted_moves",
-            "matched_family",
-            "near_ties",
+            "name": lambda r: "search",
+            "status": lambda r: "feasible" if r["feasible"] else "infeasible",
+            "value": "q_low",
+            "graph6": "graph6",
+            "note": "matched_family",
         },
-        set(),
     ),
-    "suite": (
+    "suite": _Kind(
+        ("statements", "instances", "holds", "equality_case", "violated",
+         "precondition_unmet", "indeterminate", "violating", "by_statement"),
+        (),
         {
-            "kind",
-            "statements",
-            "instances",
-            "holds",
-            "equality_case",
-            "violated",
-            "precondition_unmet",
-            "indeterminate",
-            "violating",
-            "by_statement",
+            "name": lambda r: "suite",
+            "status": lambda r: "violated" if r["violated"] else "ok",
+            "value": "instances",
+            "lhs": "violated",
+            "rhs": "indeterminate",
+            "note": lambda r: ",".join(r["statements"]),
         },
-        set(),
     ),
 }
+
+
+def record(kind: str, source: Any = None, **given: Any) -> dict[str, Any]:
+    """The ``kind`` outcome record: each field from ``given``, else from the
+    attribute of that name on ``source``; tuples become lists.  An optional
+    field is written only when given."""
+    spec = _KINDS[kind]
+    unknown = given.keys() - set(spec.fields + spec.optional)
+    if unknown:
+        raise ValueError(f"{kind} record has unknown fields {sorted(unknown)}")
+    out: dict[str, Any] = {"kind": kind}
+    for name in spec.fields + tuple(n for n in spec.optional if n in given):
+        value = given[name] if name in given else getattr(source, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 @dataclass
@@ -90,14 +112,14 @@ def validate_outcome(record: dict[str, Any]) -> None:
     if not isinstance(record, dict):
         raise ValueError("outcome record must be an object")
     kind = record.get("kind")
-    if kind not in _SCHEMAS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown outcome kind {kind!r}")
-    required, optional = _SCHEMAS[kind]
-    keys = set(record)
-    missing = required - keys
+    fields, optional, _ = _KINDS[kind]
+    keys = set(record) - {"kind"}
+    missing = set(fields) - keys
     if missing:
         raise ValueError(f"{kind} record missing fields {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = keys - set(fields) - set(optional)
     if unknown:
         raise ValueError(f"{kind} record has unknown fields {sorted(unknown)}")
 
@@ -129,51 +151,10 @@ _CSV_COLUMNS = ("kind", "name", "status", "value", "lhs", "rhs", "graph6", "note
 
 
 def _flatten(record: dict[str, Any]) -> dict[str, Any]:
-    kind = record["kind"]
-    row: dict[str, Any] = {c: "" for c in _CSV_COLUMNS}
-    row["kind"] = kind
-    if kind == "check":
-        row.update(
-            name=record["statement"],
-            status=record["status"],
-            lhs=record["lhs"],
-            rhs=record["rhs"],
-            graph6=record.get("graph6", ""),
-            note=record["note"],
-        )
-    elif kind == "spectral":
-        row.update(
-            name=record["method"],
-            value=record["q"],
-            graph6=record["graph6"],
-            note=record.get("note", ""),
-        )
-    elif kind == "bound":
-        row.update(
-            name=record["name"],
-            value="" if record["value"] is None else record["value"],
-            graph6=record["graph6"],
-            note=record.get("note", ""),
-        )
-    elif kind == "construct":
-        row.update(name=record["family"], graph6=record["graph6"], value=record["m"])
-    elif kind == "search":
-        row.update(
-            name="search",
-            status="feasible" if record["feasible"] else "infeasible",
-            value=record["q_low"],
-            graph6=record["graph6"],
-            note=record["matched_family"] or "",
-        )
-    elif kind == "suite":
-        row.update(
-            name="suite",
-            status="violated" if record["violated"] else "ok",
-            value=record["instances"],
-            lhs=record["violated"],
-            rhs=record["indeterminate"],
-            note=",".join(record["statements"]),
-        )
+    columns = _KINDS[record["kind"]].columns
+    row = {"kind": record["kind"]}
+    for column, source in columns.items():
+        row[column] = source(record) if callable(source) else record.get(source)
     return row
 
 

@@ -26,6 +26,7 @@ from typing import Any, Iterable
 from .enumeration import CANONICAL_MAX, canonical_code, write_graph6
 from .families import edgeless
 from .graph import Graph
+from .report import record
 from .spectral import ConvergenceError, q_index
 from .subgraphs import (
     DEFAULT_NODE_BUDGET,
@@ -48,18 +49,8 @@ class SearchResult:
     near_ties: tuple[str, ...] = ()
 
     def as_record(self) -> dict[str, Any]:
-        return {
-            "kind": "search",
-            "graph6": write_graph6(self.best),
-            "q_low": self.q_interval[0],
-            "q_high": self.q_interval[1],
-            "feasible": self.feasible,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "accepted_moves": self.accepted_moves,
-            "matched_family": self.matched_family,
-            "near_ties": list(self.near_ties),
-        }
+        low, high = self.q_interval
+        return record("search", self, graph6=write_graph6(self.best), q_low=low, q_high=high)
 
 
 def is_feasible(g: Graph, forbidden: Iterable[int], node_budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -25,7 +25,7 @@ lemma2       no path on 2k+1 vertices avoiding v at both ends  =>
 lemma3       block/pendant assembly: q(H) small  =>  q(G) <= n+2k-2
 cor1         apex over cliques: q < n+2k-2 (strict, certified)
 cor2         components of G-w small  =>  q < n+2k-2 (strict, certified)
-theorem1     q >= n+2k-2 with n > 6k^2  =>  cycles on 2k+1 and 2k+2 vertices
+theorem1     q >= n+2k-2 with n > 5k^2  =>  cycles on 2k+1 and 2k+2 vertices
 theorem1_corollary   same hypothesis  =>  cycles of every order 3..2k+2
 """
 
@@ -49,6 +49,7 @@ from .graph import (
     is_connected,
     mask_of,
 )
+from .report import record
 from .spectral import certified_compare, q_index
 from .subgraphs import (
     DEFAULT_NODE_BUDGET,
@@ -94,16 +95,7 @@ class CheckOutcome:
     note: str = ""
 
     def as_record(self) -> dict[str, Any]:
-        witness = list(self.witness) if self.witness is not None else None
-        return {
-            "kind": "check",
-            "statement": self.statement,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "witness": witness,
-            "note": self.note,
-        }
+        return record("check", self)
 
 
 @dataclass
@@ -129,18 +121,7 @@ class SuiteReport:
         return total == self.instances
 
     def as_record(self) -> dict[str, Any]:
-        return {
-            "kind": "suite",
-            "statements": list(self.statements),
-            "instances": self.instances,
-            "holds": self.holds,
-            "equality_case": self.equality,
-            "violated": self.violated,
-            "precondition_unmet": self.precondition_unmet,
-            "indeterminate": self.indeterminate,
-            "violating": self.violating,
-            "by_statement": self.by_statement,
-        }
+        return record("suite", self, equality_case=self.equality)
 
 
 # --- structure matchers ------------------------------------------------------
@@ -198,6 +179,11 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 
 
 # --- individual checkers -----------------------------------------------------
+
+
+def _order_limit(k: int) -> int:
+    """Theorem 1 and Proposition 1 assume n > 5k^2, as the paper states."""
+    return 5 * k * k
 
 
 def _require_k(params: dict[str, Any], minimum: int) -> int:
@@ -534,9 +520,9 @@ def _check_theorem1(
     tol = float(params.get("tol", 1e-10))
     n = g.n
     threshold = float(n + 2 * k - 2)
-    if n <= 6 * k * k:
+    if n <= _order_limit(k):
         return CheckOutcome(
-            stmt, UNMET, 0.0, threshold, None, f"order {n} <= {6 * k * k}"
+            stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}"
         )
     result = q_index(g, tol=tol)
     cmp = certified_compare(result, threshold)
@@ -608,7 +594,7 @@ def prop1_sandwich_check(n: int, k: int, tol: float = 1e-10) -> list[CheckOutcom
     from .bounds import prop1_sandwich
     from .families import s_nk, s_nk_plus
 
-    if k < 2 or n <= 5 * k * k:
+    if k < 2 or n <= _order_limit(k):
         return [
             CheckOutcome(
                 "prop1",
@@ -638,21 +624,22 @@ def prop1_sandwich_check(n: int, k: int, tol: float = 1e-10) -> list[CheckOutcom
     return outcomes
 
 
-def theorem1_construction_probe(
-    n: int, k: int, tol: float = 1e-10, node_budget: int = DEFAULT_NODE_BUDGET
-) -> CheckOutcome:
+def theorem1_construction_probe(n: int, k: int, tol: float = 1e-10) -> CheckOutcome:
     """Check the threshold's consistency on the extremal candidates.
 
     Verifies (certified) that both split-graph candidates stay strictly
-    below n+2k-2, and that the complete graph, whose Q-index 2n-2 clears
-    the threshold, contains cycles of every order 3..2k+2.
+    below n+2k-2.  The complete graph needs no check: once n > 5k^2, its
+    Q-index 2n-2 clears n+2k-2 and it has cycles of every order 3..n,
+    which covers 3..2k+2.
     """
     stmt = "theorem1_construction_probe"
     if k < 2:
         raise ValueError(f"probe requires k >= 2, got {k}")
     threshold = float(n + 2 * k - 2)
-    if n <= 6 * k * k:
-        return CheckOutcome(stmt, UNMET, 0.0, threshold, None, f"order {n} <= {6 * k * k}")
+    if n <= _order_limit(k):
+        return CheckOutcome(
+            stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}"
+        )
     from .families import s_nk, s_nk_plus
 
     worst_q = 0.0
@@ -667,21 +654,6 @@ def theorem1_construction_probe(
         if cmp.verdict == "ge":
             return CheckOutcome(
                 stmt, VIOLATED, result.q, threshold, None, f"{label} reaches the threshold"
-            )
-    kn = complete(n)
-    if 2 * n - 2 < n + 2 * k - 2:
-        return CheckOutcome(
-            stmt, VIOLATED, float(2 * n - 2), threshold, None, "complete graph below threshold"
-        )
-    for length in range(3, 2 * k + 3):
-        if find_cycle_of_length(kn, length, node_budget=node_budget) is None:
-            return CheckOutcome(
-                stmt,
-                VIOLATED,
-                float(2 * n - 2),
-                threshold,
-                None,
-                f"complete graph missing a cycle on {length} vertices",
             )
     return CheckOutcome(
         stmt, HOLDS, worst_q, threshold, None, "candidates below threshold; complete graph pancyclic to 2k+2"

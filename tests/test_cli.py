@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from qext.cli import run
+from qext.cli import build_parser, run
 from qext.enumeration import parse_graph6, write_graph6
 from qext.families import edgeless, s_nk
-from qext.report import RunReport, exit_code_for, parse_report
+from qext.report import _CSV_COLUMNS, _KINDS, RunReport, exit_code_for, parse_report, record
 
 
 def test_qindex_graph6(capsys):
@@ -170,6 +170,12 @@ def test_jobs_below_one_is_a_usage_error(capsys):
     assert "--jobs: not an integer: 'two'" in capsys.readouterr().err
 
 
+def test_jobs_defaults_to_one_whatever_the_environment(monkeypatch):
+    monkeypatch.setenv("QEXT_JOBS", "2")
+    assert build_parser().parse_args(["search", "--n", "10", "--forbid", "5"]).jobs == 1
+    assert build_parser().parse_args(["suite", "--statements", "egp"]).jobs == 1
+
+
 def test_unknown_subcommand_and_flags(capsys):
     assert run(["nosuch"]) == 3
     assert run(["qindex", "--nosuch"]) == 3
@@ -199,6 +205,32 @@ def test_report_rejects_unknown_fields():
     bad_record["outcomes"] = [{"kind": "mystery"}]
     with pytest.raises(ValueError, match="unknown outcome kind"):
         parse_report(json.dumps(bad_record))
+
+
+def test_record_takes_given_fields_then_source_attributes():
+    class Source:
+        statement, status, lhs, rhs, note = "egp", "holds", 1.0, 2.0, ""
+        witness = (0, 1)
+
+    assert record("check", Source(), note="given") == {
+        "kind": "check", "statement": "egp", "status": "holds", "lhs": 1.0, "rhs": 2.0,
+        "witness": [0, 1], "note": "given",
+    }
+    bound = {"graph6": "@", "name": "das", "value": None, "relation": "upper_bound_on_q"}
+    assert "note" not in record("bound", **bound)
+    assert record("bound", **bound, note="n=1")["note"] == "n=1"
+    with pytest.raises(ValueError, match="unknown fields"):
+        record("spectral", graph6="@", params={})
+    with pytest.raises(AttributeError):
+        record("spectral", graph6="@")
+
+
+def test_kinds_table_is_consistent():
+    for fields, optional, columns in _KINDS.values():
+        assert not set(fields) & set(optional)
+        assert set(columns) <= set(_CSV_COLUMNS) - {"kind"}
+        named = {c for c in columns.values() if isinstance(c, str)}
+        assert named <= set(fields) | set(optional)
 
 
 def test_exit_code_mapping():

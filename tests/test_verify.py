@@ -221,6 +221,20 @@ def test_theorem1_construction_probe():
     assert theorem1_construction_probe(10, 2).status == "precondition_unmet"
 
 
+def test_theorem1_order_hypothesis_is_n_above_5k2():
+    # the paper states n > 5k^2, so 20 is the largest order excluded at k = 2
+    assert theorem1_construction_probe(21, 2).status == "holds"
+    assert check_statement("theorem1", complete(21), k=2).status == "holds"
+    assert check_statement("theorem1_corollary", complete(21), k=2).status == "holds"
+    assert [o.status for o in prop1_sandwich_check(21, 2)] == ["holds"] * 3
+    unmet = theorem1_construction_probe(20, 2)
+    assert (unmet.status, unmet.note) == ("precondition_unmet", "order 20 <= 20")
+    assert check_statement("theorem1", complete(20), k=2).status == "precondition_unmet"
+    assert prop1_sandwich_check(20, 2)[0].status == "precondition_unmet"
+    assert theorem1_construction_probe(46, 3).status == "holds"
+    assert theorem1_construction_probe(45, 3).status == "precondition_unmet"
+
+
 def test_prop1_sandwich_check():
     outcomes = prop1_sandwich_check(25, 2)
     assert [o.status for o in outcomes] == ["holds"] * 3
