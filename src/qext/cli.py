@@ -20,12 +20,7 @@ from .graph import Graph
 from .report import RunReport, exit_code_for, record, write_csv
 from .search import maximize_q_forbidden_cycles
 from .spectral import ConvergenceError, q_index
-from .verify import (
-    SUITE_STATEMENTS,
-    prop1_sandwich_check,
-    run_suite,
-    theorem1_construction_probe,
-)
+from .verify import CheckOutcome, prop1_sandwich_check, run_suite, theorem1_construction_probe
 
 
 class UsageError(Exception):
@@ -169,36 +164,27 @@ def _cmd_bounds(args: argparse.Namespace) -> list[dict[str, Any]]:
     return outcomes
 
 
-def _cmd_prop1(args: argparse.Namespace) -> list[dict[str, Any]]:
-    outcomes = []
-    for outcome in prop1_sandwich_check(args.n, args.k, tol=args.tol):
-        outcomes.append(outcome.as_record())
+def _print_checks(outcomes: list[CheckOutcome]) -> list[dict[str, Any]]:
+    for outcome in outcomes:
         print(
             f"{outcome.statement}: {outcome.status}"
             f" (lhs={outcome.lhs:.10g}, rhs={outcome.rhs:.10g}) {outcome.note}".rstrip()
         )
-    return outcomes
+    return [outcome.as_record() for outcome in outcomes]
+
+
+def _cmd_prop1(args: argparse.Namespace) -> list[dict[str, Any]]:
+    return _print_checks(prop1_sandwich_check(args.n, args.k, tol=args.tol))
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> list[dict[str, Any]]:
-    outcome = theorem1_construction_probe(args.n, args.k, tol=args.tol)
-    print(
-        f"{outcome.statement}: {outcome.status}"
-        f" (lhs={outcome.lhs:.10g}, rhs={outcome.rhs:.10g}) {outcome.note}".rstrip()
-    )
-    return [outcome.as_record()]
+    return _print_checks([theorem1_construction_probe(args.n, args.k, tol=args.tol)])
 
 
 def _cmd_suite(args: argparse.Namespace) -> list[dict[str, Any]]:
     statements = [s.strip() for s in args.statements.split(",") if s.strip()]
     if not statements:
         raise UsageError("--statements must name at least one tag")
-    for statement in statements:
-        if statement not in SUITE_STATEMENTS:
-            raise UsageError(
-                f"unknown suite statement {statement!r}; choose from "
-                f"{', '.join(SUITE_STATEMENTS)}"
-            )
     try:
         k_range = [int(tok) for tok in args.k.split(",") if tok.strip()]
     except ValueError as exc:

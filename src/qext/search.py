@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .enumeration import CANONICAL_MAX, canonical_code, write_graph6
+from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, write_graph6
 from .families import edgeless
 from .graph import Graph
 from .report import record
@@ -201,6 +201,8 @@ def maximize_q_forbidden_cycles(
     """
     if n < 3:
         raise ValueError(f"search requires n >= 3, got {n}")
+    if n > GRAPH6_MAX:  # restarts hand their graphs back as graph6
+        raise ValueError(f"search requires n <= {GRAPH6_MAX}, got {n}")
     forbidden_set = frozenset(int(l) for l in forbidden)
     if not forbidden_set or min(forbidden_set) < 3:
         raise ValueError("forbidden lengths must be a nonempty set of integers >= 3")

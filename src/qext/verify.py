@@ -5,7 +5,9 @@ holds / equality_case / violated / precondition_unmet / indeterminate with
 the numeric pair behind the verdict and, where applicable, a structural
 witness.  Hypothesis failures are always reported as precondition_unmet,
 never silently as holds; spectral thresholds go through certified
-comparisons and may come back indeterminate.
+comparisons and may come back indeterminate.  ``_STATEMENTS`` declares
+each statement once: its checker, the least k it accepts and its suite
+instances; every spectral threshold is decided by ``_threshold``.
 
 Statement tags
 --------------
@@ -33,11 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold
+from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
 from .enumeration import enumerate_nonisomorphic, write_graph6
-from .families import complete, corollary1_graph
+from .families import complete, corollary1_graph, s_nk, s_nk_plus
 from .graph import (
     Graph,
     blocks,
@@ -67,22 +69,8 @@ UNMET = "precondition_unmet"
 INDETERMINATE = "indeterminate"
 
 SPECTRAL_EQ_TOL = 1e-9
-
-SUITE_STATEMENTS = (
-    "egp",
-    "egc",
-    "kopylov_i",
-    "kopylov_ii",
-    "ore",
-    "ni",
-    "lemma1",
-    "lemma2",
-    "cor2",
-    "theorem1",
-    "theorem1_corollary",
-)
-
-STATEMENTS = SUITE_STATEMENTS + ("lemma3", "cor1")
+_TOL = 1e-10  # default q_index tolerance of every spectral check
+_STATUSES = (HOLDS, EQUALITY, VIOLATED, UNMET, INDETERMINATE)
 
 
 @dataclass
@@ -149,8 +137,6 @@ def is_complete_block_graph(g: Graph, k: int) -> bool:
     """
     if g.n == 0 or not is_connected(g):
         return False
-    if g.n == 1:
-        return True
     return all(_is_clique(g, blk, k) for blk in blocks(g))
 
 
@@ -179,6 +165,12 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 
 
 # --- individual checkers -----------------------------------------------------
+# Each takes (statement, g, k, params, node_budget); check_statement has
+# already checked k against the statement's minimum and that g is given.
+
+
+def _tol(params: dict[str, Any]) -> float:
+    return float(params.get("tol", _TOL))
 
 
 def _order_limit(k: int) -> int:
@@ -186,108 +178,110 @@ def _order_limit(k: int) -> int:
     return 5 * k * k
 
 
-def _require_k(params: dict[str, Any], minimum: int) -> int:
-    if "k" not in params:
-        raise ValueError("missing parameter 'k'")
-    k = int(params["k"])
-    if k < minimum:
-        raise ValueError(f"parameter k must be >= {minimum}, got {k}")
-    return k
+def _order_unmet(stmt: str, n: int, k: int) -> CheckOutcome | None:
+    """Lemma 3 and Corollaries 1 and 2 assume n >= 6k+13."""
+    least = 6 * k + 13
+    if n >= least:
+        return None
+    return CheckOutcome(stmt, UNMET, 0.0, float(n + 2 * k - 2), None, f"order {n} < {least}")
 
 
-def _check_egp(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 1)
+def _components_off_2k(g: Graph, k: int) -> list[tuple[tuple[int, ...], float, float]]:
+    """(vertices, e(H), (k-1)v(H)) for each component H of g whose order is
+    not 2k: Lemma 1 and Corollary 2 bound e(H) by (k-1)v(H) on these."""
+    return [
+        (comp, float(edges_within(g, mask_of(comp))), float((k - 1) * len(comp)))
+        for comp in components(g)
+        if len(comp) != 2 * k
+    ]
+
+
+def _threshold(g: Graph, threshold: float, tol: float) -> tuple[float, str]:
+    """q(g) and its certified verdict against ``threshold``: "lt", "eq"
+    (at or above it by at most SPECTRAL_EQ_TOL), "gt" or "indeterminate"."""
+    result = q_index(g, tol=tol)
+    cmp = certified_compare(result, threshold)
+    if cmp.verdict == "ge":
+        return result.q, "eq" if cmp.margin <= SPECTRAL_EQ_TOL else "gt"
+    return result.q, cmp.verdict
+
+
+def _bound(
+    stmt: str, lhs: float, rhs: float, at_equality: str = "", above: str = ""
+) -> CheckOutcome:
+    """Verdict on the bound lhs <= rhs once its hypothesis holds: holds
+    below it, equality_case at it, violated above it."""
+    if lhs < rhs:
+        return CheckOutcome(stmt, HOLDS, lhs, rhs)
+    if lhs == rhs:
+        return CheckOutcome(stmt, EQUALITY, lhs, rhs, None, at_equality)
+    return CheckOutcome(stmt, VIOLATED, lhs, rhs, None, above)
+
+
+def _check_egp(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+    lhs, rhs = g.m, k * g.n / 2
     witness = find_constrained_path(g, k + 2, node_budget=budget)
     if witness is not None:
+        return CheckOutcome(stmt, UNMET, lhs, rhs, witness, f"contains a path on {k + 2} vertices")
+    if 2 * g.m == k * g.n and not is_disjoint_cliques(g, k + 1):
         return CheckOutcome(
-            "egp", UNMET, g.m, k * g.n / 2, witness, f"contains a path on {k + 2} vertices"
+            stmt, VIOLATED, lhs, rhs, None, "equality without the disjoint-clique structure"
         )
-    lhs, rhs = g.m, k * g.n / 2
-    if 2 * g.m < k * g.n:
-        return CheckOutcome("egp", HOLDS, lhs, rhs)
-    if 2 * g.m == k * g.n:
-        if is_disjoint_cliques(g, k + 1):
-            return CheckOutcome("egp", EQUALITY, lhs, rhs, None, "disjoint cliques")
-        return CheckOutcome(
-            "egp", VIOLATED, lhs, rhs, None, "equality without the disjoint-clique structure"
-        )
-    return CheckOutcome("egp", VIOLATED, lhs, rhs)
+    return _bound(stmt, lhs, rhs, "disjoint cliques")
 
 
-def _check_egc(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 2)
+def _check_egc(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+    lhs, rhs = g.m, k * (g.n - 1) / 2
     witness = has_cycle_longer_than(g, k, node_budget=budget)
     if witness is not None:
         return CheckOutcome(
-            "egc",
-            UNMET,
-            g.m,
-            k * (g.n - 1) / 2,
-            witness,
-            f"contains a cycle on {len(witness)} > {k} vertices",
+            stmt, UNMET, lhs, rhs, witness, f"contains a cycle on {len(witness)} > {k} vertices"
         )
-    lhs, rhs = g.m, k * (g.n - 1) / 2
-    if 2 * g.m < k * (g.n - 1):
-        return CheckOutcome("egc", HOLDS, lhs, rhs)
-    if 2 * g.m == k * (g.n - 1):
-        if is_complete_block_graph(g, k):
-            note = "clique blocks"
-            if has_single_hub(g):
-                note += ", single hub"
-            return CheckOutcome("egc", EQUALITY, lhs, rhs, None, note)
+    if 2 * g.m != k * (g.n - 1):
+        return _bound(stmt, lhs, rhs)
+    if not is_complete_block_graph(g, k):
         return CheckOutcome(
-            "egc", VIOLATED, lhs, rhs, None, "equality without the clique-block structure"
+            stmt, VIOLATED, lhs, rhs, None, "equality without the clique-block structure"
         )
-    return CheckOutcome("egc", VIOLATED, lhs, rhs)
+    hub = ", single hub" if has_single_hub(g) else ""
+    return CheckOutcome(stmt, EQUALITY, lhs, rhs, None, "clique blocks" + hub)
 
 
 def _check_kopylov(
-    g: Graph, params: dict[str, Any], budget: int, variant: str
+    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
 ) -> CheckOutcome:
-    k = _require_k(params, 1)
-    if variant == "kopylov_i":
-        min_n, order, bound = 2 * k + 2, 2 * k + 2, kopylov_i_value(g.n, k)
+    # kopylov_i forbids paths on 2k+2 vertices, kopylov_ii on 2k+3; each
+    # needs at least that many vertices
+    if stmt == "kopylov_i":
+        order, bound = 2 * k + 2, kopylov_i_value(g.n, k)
     else:
-        min_n, order, bound = 2 * k + 3, 2 * k + 3, kopylov_ii_value(g.n, k)
+        order, bound = 2 * k + 3, kopylov_ii_value(g.n, k)
+    rhs = float(bound)
     if not is_connected(g):
-        return CheckOutcome(variant, UNMET, g.m, float(bound), None, "not connected")
-    if g.n < min_n:
-        return CheckOutcome(
-            variant, UNMET, g.m, float(bound), None, f"order {g.n} < {min_n}"
-        )
+        return CheckOutcome(stmt, UNMET, g.m, rhs, None, "not connected")
+    if g.n < order:
+        return CheckOutcome(stmt, UNMET, g.m, rhs, None, f"order {g.n} < {order}")
     witness = find_constrained_path(g, order, node_budget=budget)
     if witness is not None:
-        return CheckOutcome(
-            variant,
-            UNMET,
-            g.m,
-            float(bound),
-            witness,
-            f"contains a path on {order} vertices",
-        )
-    if g.m < bound:
-        return CheckOutcome(variant, HOLDS, g.m, float(bound))
-    if g.m == bound:
-        return CheckOutcome(variant, EQUALITY, g.m, float(bound))
-    return CheckOutcome(variant, VIOLATED, g.m, float(bound))
+        return CheckOutcome(stmt, UNMET, g.m, rhs, witness, f"contains a path on {order} vertices")
+    return _bound(stmt, g.m, rhs)
 
 
-def _check_ore(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
+def _check_ore(stmt: str, g: Graph, k: None, params: dict[str, Any], budget: int) -> CheckOutcome:
     if g.n < 3:
-        return CheckOutcome("ore", UNMET, g.m, 0.0, None, "order < 3")
+        return CheckOutcome(stmt, UNMET, g.m, 0.0, None, "order < 3")
     threshold = ore_edge_threshold(g.n)
     if g.m <= threshold:
         return CheckOutcome(
-            "ore", UNMET, g.m, float(threshold), None, "edge count not above threshold"
+            stmt, UNMET, g.m, float(threshold), None, "edge count not above threshold"
         )
     witness = is_hamiltonian(g, node_budget=budget)
     if witness is not None:
-        return CheckOutcome("ore", HOLDS, g.m, float(threshold), witness)
-    return CheckOutcome("ore", VIOLATED, g.m, float(threshold), None, "no Hamiltonian cycle")
+        return CheckOutcome(stmt, HOLDS, g.m, float(threshold), witness)
+    return CheckOutcome(stmt, VIOLATED, g.m, float(threshold), None, "no Hamiltonian cycle")
 
 
-def _check_ni(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 1)
+def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
     if "a" not in params:
         raise ValueError("missing parameter 'a' (vertex set A of the partition)")
     a_vertices = sorted(set(int(v) for v in params["a"]))
@@ -305,50 +299,43 @@ def _check_ni(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
     lhs = 2 * edges_within(g, a_mask) + edges_between(g, a_mask, b_mask)
     rhs = (2 * k - 1) * size_a + k * size_b
     if lhs <= rhs:
-        return CheckOutcome("ni", UNMET, lhs, rhs, None, "weighted edge count not above threshold")
+        return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
     witness = find_constrained_path(
         g, 2 * k + 1, EndpointConstraint.ends_in(a_vertices), node_budget=budget
     )
     if witness is not None:
-        return CheckOutcome("ni", HOLDS, lhs, rhs, witness)
+        return CheckOutcome(stmt, HOLDS, lhs, rhs, witness)
     return CheckOutcome(
-        "ni", VIOLATED, lhs, rhs, None, f"no path on {2 * k + 1} vertices with both ends in A"
+        stmt, VIOLATED, lhs, rhs, None, f"no path on {2 * k + 1} vertices with both ends in A"
     )
 
 
-def _check_lemma1(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 1)
+def _check_lemma1(
+    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
+) -> CheckOutcome:
     witness = find_constrained_path(g, 2 * k + 1, node_budget=budget)
     if witness is not None:
         return CheckOutcome(
-            "lemma1", UNMET, 0.0, 0.0, witness, f"contains a path on {2 * k + 1} vertices"
+            stmt, UNMET, 0.0, 0.0, witness, f"contains a path on {2 * k + 1} vertices"
         )
-    worst: tuple[float, float] = (0.0, 0.0)
-    worst_gap = float("-inf")
-    for comp in components(g):
-        sub = g.induced(comp)
-        if sub.n == 2 * k:
-            continue
-        lhs, rhs = float(sub.m), float((k - 1) * sub.n)
+    rows = _components_off_2k(g, k)
+    for comp, lhs, rhs in rows:
         if lhs > rhs:
             return CheckOutcome(
-                "lemma1",
+                stmt,
                 VIOLATED,
                 lhs,
                 rhs,
                 comp,
-                f"component of order {sub.n} with {sub.m} edges",
+                f"component of order {len(comp)} with {int(lhs)} edges",
             )
-        if lhs - rhs > worst_gap:
-            worst_gap = lhs - rhs
-            worst = (lhs, rhs)
-    if worst_gap == float("-inf"):
-        return CheckOutcome("lemma1", HOLDS, 0.0, 0.0, None, "all components have order 2k")
-    return CheckOutcome("lemma1", HOLDS, worst[0], worst[1])
+    if not rows:
+        return CheckOutcome(stmt, HOLDS, 0.0, 0.0, None, "all components have order 2k")
+    _, lhs, rhs = max(rows, key=lambda row: row[1] - row[2])
+    return CheckOutcome(stmt, HOLDS, lhs, rhs)
 
 
-def _check_lemma2(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 1)
+def _check_lemma2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
     if "v" not in params:
         raise ValueError("missing parameter 'v'")
     v = int(params["v"])
@@ -359,7 +346,7 @@ def _check_lemma2(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome
     )
     if witness is not None:
         return CheckOutcome(
-            "lemma2",
+            stmt,
             UNMET,
             0.0,
             0.0,
@@ -368,21 +355,14 @@ def _check_lemma2(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome
         )
     lhs = float(2 * g.m - g.degrees[v])
     rhs = float((2 * k - 1) * (g.n - 1))
-    if lhs < rhs:
-        return CheckOutcome("lemma2", HOLDS, lhs, rhs)
-    if lhs == rhs:
-        return CheckOutcome("lemma2", EQUALITY, lhs, rhs)
-    if matches_lemma2_exception(g, k, v):
-        return CheckOutcome(
-            "lemma2", HOLDS, lhs, rhs, None, "exceptional clique-plus-pendant family"
-        )
-    return CheckOutcome(
-        "lemma2", VIOLATED, lhs, rhs, None, "bound exceeded outside the exceptional family"
-    )
+    if lhs > rhs and matches_lemma2_exception(g, k, v):
+        return CheckOutcome(stmt, HOLDS, lhs, rhs, None, "exceptional clique-plus-pendant family")
+    return _bound(stmt, lhs, rhs, above="bound exceeded outside the exceptional family")
 
 
-def _check_lemma3(g_unused: Graph | None, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 2)
+def _check_lemma3(
+    stmt: str, g_unused: None, k: int, params: dict[str, Any], budget: int
+) -> CheckOutcome:
     if "h" not in params or "p" not in params:
         raise ValueError("lemma3 requires parameters 'h' (graph) and 'p'")
     h: Graph = params["h"]
@@ -399,169 +379,167 @@ def _check_lemma3(g_unused: Graph | None, params: dict[str, Any], budget: int) -
     for block in f_blocks:
         if block.n != 2 * k:
             raise ValueError(f"every block must have order {2 * k}, got {block.n}")
-    tol = float(params.get("tol", 1e-10))
-    m = h.n
-    n = 2 * k * p + m
-    if m < 1:
-        raise ValueError("h must be nonempty")
+    tol = _tol(params)
+    n = 2 * k * p + h.n
     for a in attachment:
         if not 0 <= a < 2 * k * p:
             raise ValueError(f"attachment index {a} outside the block range")
     threshold_g = float(n + 2 * k - 2)
-    if n < 6 * k + 13:
-        return CheckOutcome(
-            "lemma3", UNMET, 0.0, threshold_g, None, f"order {n} < {6 * k + 13}"
-        )
-    threshold_h = m + 2 * k - 2 + 6.0 * p * k / (n + 3)
-    rh = q_index(h, tol=tol)
-    hyp = certified_compare(rh, threshold_h)
-    hypothesis_equality = False
-    if hyp.verdict == "indeterminate":
-        return CheckOutcome(
-            "lemma3", INDETERMINATE, rh.q, threshold_h, None, "hypothesis not certifiable"
-        )
-    if hyp.verdict == "ge":
-        if hyp.margin <= SPECTRAL_EQ_TOL:
-            hypothesis_equality = True
-        else:
-            return CheckOutcome(
-                "lemma3", UNMET, rh.q, threshold_h, None, "hypothesis bound on q(h) fails"
-            )
-    w_global = 2 * k * p + w
+    unmet = _order_unmet(stmt, n, k)
+    if unmet:
+        return unmet
+    threshold_h = h.n + 2 * k - 2 + 6.0 * p * k / (n + 3)
+    q, hypothesis = _threshold(h, threshold_h, tol)
+    if hypothesis == "indeterminate":
+        return CheckOutcome(stmt, INDETERMINATE, q, threshold_h, None, "hypothesis not certifiable")
+    if hypothesis == "gt":
+        return CheckOutcome(stmt, UNMET, q, threshold_h, None, "hypothesis bound on q(h) fails")
     base = disjoint_union(list(f_blocks) + [h])
-    edges = list(base.edges()) + [(a, w_global) for a in attachment]
-    assembled = build_graph(n, edges)
-    rg = q_index(assembled, tol=tol)
-    conclusion = certified_compare(rg, threshold_g)
-    if conclusion.verdict == "lt":
-        return CheckOutcome("lemma3", HOLDS, rg.q, threshold_g)
-    if conclusion.verdict == "indeterminate":
-        return CheckOutcome(
-            "lemma3", INDETERMINATE, rg.q, threshold_g, None, "conclusion not certifiable"
-        )
-    if conclusion.margin <= SPECTRAL_EQ_TOL:
-        note = "equality" + (
-            ", hypothesis also at equality" if hypothesis_equality else ""
-        )
-        return CheckOutcome("lemma3", EQUALITY, rg.q, threshold_g, None, note)
-    return CheckOutcome("lemma3", VIOLATED, rg.q, threshold_g)
+    edges = list(base.edges()) + [(a, 2 * k * p + w) for a in attachment]
+    q, conclusion = _threshold(build_graph(n, edges), threshold_g, tol)
+    if conclusion == "lt":
+        return CheckOutcome(stmt, HOLDS, q, threshold_g)
+    if conclusion == "indeterminate":
+        return CheckOutcome(stmt, INDETERMINATE, q, threshold_g, None, "conclusion not certifiable")
+    if conclusion == "eq":
+        note = "equality" + (", hypothesis also at equality" if hypothesis == "eq" else "")
+        return CheckOutcome(stmt, EQUALITY, q, threshold_g, None, note)
+    return CheckOutcome(stmt, VIOLATED, q, threshold_g)
 
 
-def _check_cor1(g_unused: Graph | None, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 2)
+def _q_strictly_below(stmt: str, g: Graph, k: int, tol: float) -> CheckOutcome:
+    """The corollaries' conclusion q(g) < n+2k-2, certified."""
+    threshold = float(g.n + 2 * k - 2)
+    q, verdict = _threshold(g, threshold, tol)
+    if verdict == "lt":
+        return CheckOutcome(stmt, HOLDS, q, threshold)
+    if verdict == "indeterminate":
+        return CheckOutcome(stmt, INDETERMINATE, q, threshold, None, "not certifiable")
+    return CheckOutcome(stmt, VIOLATED, q, threshold)
+
+
+def _check_cor1(
+    stmt: str, g_unused: None, k: int, params: dict[str, Any], budget: int
+) -> CheckOutcome:
     if "p" not in params:
         raise ValueError("missing parameter 'p'")
     p = int(params["p"])
-    tol = float(params.get("tol", 1e-10))
+    tol = _tol(params)
     g = corollary1_graph(k, p)
-    n = g.n
-    threshold = float(n + 2 * k - 2)
-    if n < 6 * k + 13:
-        return CheckOutcome(
-            "cor1", UNMET, 0.0, threshold, None, f"order {n} < {6 * k + 13}"
-        )
-    result = q_index(g, tol=tol)
-    cmp = certified_compare(result, threshold)
-    if cmp.verdict == "lt":
-        return CheckOutcome("cor1", HOLDS, result.q, threshold)
-    if cmp.verdict == "indeterminate":
-        return CheckOutcome(
-            "cor1", INDETERMINATE, result.q, threshold, None, "not certifiable"
-        )
-    return CheckOutcome("cor1", VIOLATED, result.q, threshold)
+    return _order_unmet(stmt, g.n, k) or _q_strictly_below(stmt, g, k, tol)
 
 
-def _check_cor2(g: Graph, params: dict[str, Any], budget: int) -> CheckOutcome:
-    k = _require_k(params, 2)
+def _check_cor2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
     if "w" not in params:
         raise ValueError("missing parameter 'w'")
     w = int(params["w"])
     if not 0 <= w < g.n:
         raise ValueError(f"vertex w={w} out of range")
-    tol = float(params.get("tol", 1e-10))
-    n = g.n
-    threshold = float(n + 2 * k - 2)
-    if n < 6 * k + 13:
-        return CheckOutcome(
-            "cor2", UNMET, 0.0, threshold, None, f"order {n} < {6 * k + 13}"
-        )
-    rest = [v for v in range(n) if v != w]
-    reduced = g.induced(rest)
-    for comp in components(reduced):
-        sub = reduced.induced(comp)
-        if sub.n == 2 * k:
-            continue
-        if sub.m > (k - 1) * sub.n:
-            original = tuple(rest[v] for v in comp)
+    tol = _tol(params)
+    unmet = _order_unmet(stmt, g.n, k)
+    if unmet:
+        return unmet
+    rest = [v for v in range(g.n) if v != w]
+    for comp, lhs, rhs in _components_off_2k(g.induced(rest), k):
+        if lhs > rhs:
             return CheckOutcome(
-                "cor2",
+                stmt,
                 UNMET,
-                float(sub.m),
-                float((k - 1) * sub.n),
-                original,
+                lhs,
+                rhs,
+                tuple(rest[v] for v in comp),
                 "component condition on G - w fails",
             )
-    result = q_index(g, tol=tol)
-    cmp = certified_compare(result, threshold)
-    if cmp.verdict == "lt":
-        return CheckOutcome("cor2", HOLDS, result.q, threshold)
-    if cmp.verdict == "indeterminate":
-        return CheckOutcome(
-            "cor2", INDETERMINATE, result.q, threshold, None, "not certifiable"
-        )
-    return CheckOutcome("cor2", VIOLATED, result.q, threshold)
+    return _q_strictly_below(stmt, g, k, tol)
 
 
 def _check_theorem1(
-    g: Graph, params: dict[str, Any], budget: int, all_lengths: bool
+    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
 ) -> CheckOutcome:
-    stmt = "theorem1_corollary" if all_lengths else "theorem1"
-    k = _require_k(params, 2)
-    tol = float(params.get("tol", 1e-10))
+    tol = _tol(params)
     n = g.n
     threshold = float(n + 2 * k - 2)
     if n <= _order_limit(k):
-        return CheckOutcome(
-            stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}"
-        )
-    result = q_index(g, tol=tol)
-    cmp = certified_compare(result, threshold)
-    if cmp.verdict == "lt":
-        return CheckOutcome(
-            stmt, UNMET, result.q, threshold, None, "q below the threshold"
-        )
-    if cmp.verdict == "indeterminate":
-        return CheckOutcome(
-            stmt, INDETERMINATE, result.q, threshold, None, "hypothesis not certifiable"
-        )
-    lengths = range(3, 2 * k + 3) if all_lengths else (2 * k + 1, 2 * k + 2)
-    first_witness: tuple[int, ...] | None = None
+        return CheckOutcome(stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}")
+    q, verdict = _threshold(g, threshold, tol)
+    if verdict == "lt":
+        return CheckOutcome(stmt, UNMET, q, threshold, None, "q below the threshold")
+    if verdict == "indeterminate":
+        return CheckOutcome(stmt, INDETERMINATE, q, threshold, None, "hypothesis not certifiable")
+    # theorem1 asks for cycles on 2k+1 and 2k+2 vertices, its corollary for
+    # every order 3..2k+2
+    lengths = range(3, 2 * k + 3) if stmt == "theorem1_corollary" else (2 * k + 1, 2 * k + 2)
+    witnesses = []
     for length in lengths:
         witness = find_cycle_of_length(g, length, node_budget=budget)
         if witness is None:
-            return CheckOutcome(
-                stmt, VIOLATED, result.q, threshold, None, f"no cycle on {length} vertices"
-            )
-        if first_witness is None:
-            first_witness = witness
-    return CheckOutcome(stmt, HOLDS, result.q, threshold, first_witness)
+            return CheckOutcome(stmt, VIOLATED, q, threshold, None, f"no cycle on {length} vertices")
+        witnesses.append(witness)
+    return CheckOutcome(stmt, HOLDS, q, threshold, witnesses[0])
 
 
-_CHECKERS = {
-    "egp": _check_egp,
-    "egc": _check_egc,
-    "kopylov_i": lambda g, p, b: _check_kopylov(g, p, b, "kopylov_i"),
-    "kopylov_ii": lambda g, p, b: _check_kopylov(g, p, b, "kopylov_ii"),
-    "ore": _check_ore,
-    "ni": _check_ni,
-    "lemma1": _check_lemma1,
-    "lemma2": _check_lemma2,
-    "lemma3": _check_lemma3,
-    "cor1": _check_cor1,
-    "cor2": _check_cor2,
-    "theorem1": lambda g, p, b: _check_theorem1(g, p, b, False),
-    "theorem1_corollary": lambda g, p, b: _check_theorem1(g, p, b, True),
+# --- suite instances ----------------------------------------------------------
+# Each returns the parameter sets one statement is checked on for one graph,
+# k by k: (g, ks, graph_index, seed, ni_sample) -> list of params.
+
+
+def _no_params(*_: Any) -> list[dict[str, Any]]:
+    return [{}]
+
+
+def _k_only(g: Graph, ks: Sequence[int], *_: Any) -> list[dict[str, Any]]:
+    return [{"k": k} for k in ks]
+
+
+def _each_vertex(name: str):
+    def instances(g: Graph, ks: Sequence[int], *_: Any) -> list[dict[str, Any]]:
+        return [{"k": k, name: v} for k in ks for v in range(g.n)]
+
+    return instances
+
+
+def _ni_partitions(
+    g: Graph, ks: Sequence[int], graph_index: int, seed: int, ni_sample: int
+) -> list[dict[str, Any]]:
+    """Every vertex set A through 6 vertices, a seeded sample above; the
+    same sets for every k."""
+    n = g.n
+    if n <= 6:
+        masks: Iterable[int] = range(1 << n)
+    else:
+        rng = random.Random(seed * 1_000_003 + graph_index)
+        masks = sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
+    sets = [[v for v in range(n) if mask >> v & 1] for mask in masks]
+    return [{"k": k, "a": a} for k in ks for a in sets]
+
+
+class _Statement(NamedTuple):
+    check: Callable[..., CheckOutcome]
+    min_k: int | None
+    instances: Callable[..., list[dict[str, Any]]] | None
+
+
+# Every statement, declared once, in STATEMENTS order: its checker, the least
+# k it accepts (None: it takes no k) and its suite instances (None: the
+# checker builds its own graph, so it takes none and runs in no suite).
+_STATEMENTS: dict[str, _Statement] = {
+    "egp": _Statement(_check_egp, 1, _k_only),
+    "egc": _Statement(_check_egc, 2, _k_only),
+    "kopylov_i": _Statement(_check_kopylov, 1, _k_only),
+    "kopylov_ii": _Statement(_check_kopylov, 1, _k_only),
+    "ore": _Statement(_check_ore, None, _no_params),
+    "ni": _Statement(_check_ni, 1, _ni_partitions),
+    "lemma1": _Statement(_check_lemma1, 1, _k_only),
+    "lemma2": _Statement(_check_lemma2, 1, _each_vertex("v")),
+    "cor2": _Statement(_check_cor2, 2, _each_vertex("w")),
+    "theorem1": _Statement(_check_theorem1, 2, _k_only),
+    "theorem1_corollary": _Statement(_check_theorem1, 2, _k_only),
+    "lemma3": _Statement(_check_lemma3, 2, None),
+    "cor1": _Statement(_check_cor1, 2, None),
 }
+
+STATEMENTS = tuple(_STATEMENTS)
+SUITE_STATEMENTS = tuple(s for s, spec in _STATEMENTS.items() if spec.instances)
 
 
 def check_statement(
@@ -573,27 +551,33 @@ def check_statement(
     """Evaluate one statement on one instance.
 
     ``lemma3`` and ``cor1`` build their own graph from parameters and ignore
-    ``g``; every other statement requires it.
+    ``g``; every other statement requires it.  ``k`` is checked here against
+    the statement's minimum in ``_STATEMENTS``.
     """
-    if statement not in _CHECKERS:
+    spec = _STATEMENTS.get(statement)
+    if spec is None:
         raise ValueError(
-            f"unknown statement {statement!r}; known: {', '.join(sorted(_CHECKERS))}"
+            f"unknown statement {statement!r}; known: {', '.join(sorted(_STATEMENTS))}"
         )
-    if statement not in ("lemma3", "cor1") and g is None:
+    if spec.instances and g is None:
         raise ValueError(f"statement {statement!r} requires a graph")
-    return _CHECKERS[statement](g, params, node_budget)
+    k = None
+    if spec.min_k is not None:
+        if "k" not in params:
+            raise ValueError("missing parameter 'k'")
+        k = int(params["k"])
+        if k < spec.min_k:
+            raise ValueError(f"parameter k must be >= {spec.min_k}, got {k}")
+    return spec.check(statement, g, k, params, node_budget)
 
 
-def prop1_sandwich_check(n: int, k: int, tol: float = 1e-10) -> list[CheckOutcome]:
+def prop1_sandwich_check(n: int, k: int, tol: float = _TOL) -> list[CheckOutcome]:
     """Certified check of the strict chain
     lower(n,k) < q(s_nk) < q(s_nk_plus) < upper(n,k).
 
     Returns one outcome per strict inequality, or a single
     precondition_unmet outcome when k < 2 or n <= 5k^2.
     """
-    from .bounds import prop1_sandwich
-    from .families import s_nk, s_nk_plus
-
     if k < 2 or n <= _order_limit(k):
         return [
             CheckOutcome(
@@ -624,7 +608,7 @@ def prop1_sandwich_check(n: int, k: int, tol: float = 1e-10) -> list[CheckOutcom
     return outcomes
 
 
-def theorem1_construction_probe(n: int, k: int, tol: float = 1e-10) -> CheckOutcome:
+def theorem1_construction_probe(n: int, k: int, tol: float = _TOL) -> CheckOutcome:
     """Check the threshold's consistency on the extremal candidates.
 
     Verifies (certified) that both split-graph candidates stay strictly
@@ -640,20 +624,17 @@ def theorem1_construction_probe(n: int, k: int, tol: float = 1e-10) -> CheckOutc
         return CheckOutcome(
             stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}"
         )
-    from .families import s_nk, s_nk_plus
-
     worst_q = 0.0
     for label, graph in (("s_nk", s_nk(n, k)), ("s_nk_plus", s_nk_plus(n, k))):
-        result = q_index(graph, tol=tol)
-        worst_q = max(worst_q, result.q)
-        cmp = certified_compare(result, threshold)
-        if cmp.verdict == "indeterminate":
+        q, verdict = _threshold(graph, threshold, tol)
+        worst_q = max(worst_q, q)
+        if verdict == "indeterminate":
             return CheckOutcome(
-                stmt, INDETERMINATE, result.q, threshold, None, f"{label} not certifiable"
+                stmt, INDETERMINATE, q, threshold, None, f"{label} not certifiable"
             )
-        if cmp.verdict == "ge":
+        if verdict != "lt":
             return CheckOutcome(
-                stmt, VIOLATED, result.q, threshold, None, f"{label} reaches the threshold"
+                stmt, VIOLATED, q, threshold, None, f"{label} reaches the threshold"
             )
     return CheckOutcome(
         stmt, HOLDS, worst_q, threshold, None, "candidates below threshold; complete graph pancyclic to 2k+2"
@@ -670,13 +651,6 @@ def _graph_token(g: Graph) -> str:
         return repr(g)
 
 
-def _ni_masks(n: int, graph_index: int, seed: int, sample: int) -> list[int]:
-    if n <= 6:
-        return list(range(1 << n))
-    rng = random.Random(seed * 1_000_003 + graph_index)
-    return sorted(rng.sample(range(1 << n), min(sample, 1 << n)))
-
-
 def _instances_for(
     g: Graph,
     graph_index: int,
@@ -684,34 +658,20 @@ def _instances_for(
     k_range: Sequence[int],
     seed: int,
     ni_sample: int,
-) -> Iterable[dict[str, Any]]:
-    if statement == "ore":
-        yield {}
-        return
-    for k in k_range:
-        if statement in ("egc", "cor2", "theorem1", "theorem1_corollary") and k < 2:
-            continue
-        if k < 1:
-            continue
-        if statement == "lemma2":
-            for v in range(g.n):
-                yield {"k": k, "v": v}
-        elif statement == "cor2":
-            for w in range(g.n):
-                yield {"k": k, "w": w}
-        elif statement == "ni":
-            for mask in _ni_masks(g.n, graph_index, seed, ni_sample):
-                yield {"k": k, "a": [v for v in range(g.n) if mask >> v & 1]}
-        else:
-            yield {"k": k}
+) -> list[dict[str, Any]]:
+    """The statement's suite instances on g, for each k it accepts."""
+    _, least, instances = _STATEMENTS[statement]
+    ks = k_range if least is None else [k for k in k_range if k >= least]
+    return instances(g, ks, graph_index, seed, ni_sample)
+
+
+def _tallies(statements: Sequence[str]) -> dict[str, dict[str, int]]:
+    return {s: dict.fromkeys(_STATUSES, 0) for s in statements}
 
 
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
     graphs, start_index, statements, k_range, seed, ni_sample, node_budget = payload
-    tallies: dict[str, dict[str, int]] = {
-        s: {HOLDS: 0, EQUALITY: 0, VIOLATED: 0, UNMET: 0, INDETERMINATE: 0}
-        for s in statements
-    }
+    tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
     for offset, g in enumerate(graphs):
         graph_index = start_index + offset
@@ -724,11 +684,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
                         {
                             "statement": statement,
                             "graph6": _graph_token(g),
-                            "params": {
-                                key: value
-                                for key, value in params.items()
-                                if not isinstance(value, Graph)
-                            },
+                            "params": params,
                             "lhs": outcome.lhs,
                             "rhs": outcome.rhs,
                         }
@@ -755,7 +711,7 @@ def run_suite(
     for statement in statements:
         if statement not in SUITE_STATEMENTS:
             raise ValueError(
-                f"statement {statement!r} cannot run in a suite; allowed: "
+                f"unknown suite statement {statement!r}; choose from "
                 f"{', '.join(SUITE_STATEMENTS)}"
             )
     ks = sorted(set(int(k) for k in k_range))
@@ -789,21 +745,14 @@ def run_suite(
     else:
         partials = [_run_chunk(p) for p in payloads]
 
-    by_statement: dict[str, dict[str, int]] = {
-        s: {HOLDS: 0, EQUALITY: 0, VIOLATED: 0, UNMET: 0, INDETERMINATE: 0}
-        for s in statements
-    }
+    by_statement = _tallies(statements)
     violating: list[dict[str, Any]] = []
     for tallies, chunk_violating in partials:
         for statement, counts in tallies.items():
             for status, count in counts.items():
                 by_statement[statement][status] += count
         violating.extend(chunk_violating)
-
-    totals = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0, UNMET: 0, INDETERMINATE: 0}
-    for counts in by_statement.values():
-        for status, count in counts.items():
-            totals[status] += count
+    totals = {status: sum(c[status] for c in by_statement.values()) for status in _STATUSES}
     return SuiteReport(
         statements=tuple(statements),
         instances=sum(totals.values()),
@@ -813,5 +762,5 @@ def run_suite(
         precondition_unmet=totals[UNMET],
         indeterminate=totals[INDETERMINATE],
         violating=violating,
-        by_statement={s: dict(c) for s, c in by_statement.items()},
+        by_statement=by_statement,
     )

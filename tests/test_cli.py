@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qext import search
 from qext.cli import build_parser, run
 from qext.enumeration import parse_graph6, write_graph6
 from qext.families import edgeless, s_nk
@@ -159,6 +160,18 @@ def test_search_cli(tmp_path, capsys):
 
 def test_search_bad_seed_construction(capsys):
     assert run(["search", "--n", "10", "--forbid", "5", "--seed-construction", "x"]) == 3
+
+
+def test_search_above_graph6_orders_fails_before_searching(monkeypatch, capsys):
+    # results travel as graph6, which stops at 62 vertices
+    def restart(payload):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(search, "_restart_worker", restart)
+    assert run(["search", "--n", "63", "--forbid", "5"]) == 3
+    assert "search requires n <= 62, got 63" in capsys.readouterr().err
+    assert run(["search", "--n", "63", "--forbid", "5", "--seed-construction", "s_nk:2"]) == 3
+    assert "search requires n <= 62, got 63" in capsys.readouterr().err
 
 
 def test_jobs_below_one_is_a_usage_error(capsys):

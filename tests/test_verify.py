@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,10 @@ from qext.families import (
 from qext.graph import build_graph, components, disjoint_union, is_connected
 from qext.subgraphs import has_cycle_longer_than
 from qext.verify import (
+    _STATEMENTS,
+    STATEMENTS,
+    SUITE_STATEMENTS,
+    _instances_for,
     check_statement,
     is_disjoint_cliques,
     matches_lemma2_exception,
@@ -314,7 +319,7 @@ def test_suite_corpus_input():
 
 
 def test_suite_argument_validation():
-    with pytest.raises(ValueError, match="cannot run in a suite"):
+    with pytest.raises(ValueError, match="unknown suite statement 'cor1'; choose from "):
         run_suite(["cor1"], n_max=4)
     with pytest.raises(ValueError, match="n_max"):
         run_suite(["egp"])
@@ -379,3 +384,56 @@ def test_outcome_record_shape():
     assert set(record) == {
         "kind", "statement", "status", "lhs", "rhs", "witness", "note",
     }
+
+
+# --- the statement table --------------------------------------------------------
+
+
+def _valid_params(statement):
+    """A graph and the non-k parameters that make ``statement`` well posed."""
+    extra = {
+        "ni": {"a": [0, 1]},
+        "lemma2": {"v": 0},
+        "cor2": {"w": 0},
+        "lemma3": {"h": complete(3), "p": 1},
+        "cor1": {"p": 1},
+    }.get(statement, {})
+    return complete(6), extra
+
+
+def test_statement_table_orders_and_suite_subset():
+    assert tuple(_STATEMENTS) == STATEMENTS
+    assert SUITE_STATEMENTS == (
+        "egp", "egc", "kopylov_i", "kopylov_ii", "ore", "ni", "lemma1", "lemma2",
+        "cor2", "theorem1", "theorem1_corollary",
+    )
+    assert STATEMENTS == SUITE_STATEMENTS + ("lemma3", "cor1")
+    with_instances = tuple(s for s, spec in _STATEMENTS.items() if spec.instances is not None)
+    assert with_instances == SUITE_STATEMENTS
+
+
+@pytest.mark.parametrize("statement", STATEMENTS)
+def test_minimum_k_is_rejected_one_below(statement):
+    g, extra = _valid_params(statement)
+    least = _STATEMENTS[statement].min_k
+    if least is None:
+        # ore takes no k, so any k passes through unread
+        assert check_statement(statement, g, k=-7, **extra).statement == statement
+        return
+    message = f"parameter k must be >= {least}, got {least - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_statement(statement, g, k=least - 1, **extra)
+    assert check_statement(statement, g, k=least, **extra).statement == statement
+
+
+@pytest.mark.parametrize("statement", SUITE_STATEMENTS)
+def test_suite_instances_respect_the_table(statement):
+    least = _STATEMENTS[statement].min_k
+    for index, g in enumerate([complete(1), cycle(5), path(7), complete(8)]):
+        instances = list(_instances_for(g, index, statement, (-1, 0, 1, 2, 3), 4, 6))
+        if least is None:
+            assert instances == [{}]
+            continue
+        assert {params["k"] for params in instances} == set(range(least, 4))
+        for params in instances:
+            check_statement(statement, g, **params)
