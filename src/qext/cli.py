@@ -20,6 +20,7 @@ from .graph import Graph
 from .report import RunReport, exit_code_for, record, write_csv
 from .search import maximize_q_forbidden_cycles
 from .spectral import ConvergenceError, q_index
+from .subgraphs import SearchBudgetExceeded
 from .verify import CheckOutcome, prop1_sandwich_check, run_suite, theorem1_construction_probe
 
 
@@ -281,7 +282,7 @@ def run(argv: Sequence[str]) -> int:
         return 3
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, OSError, ConvergenceError) as exc:
+    except (ValueError, OSError, ConvergenceError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - started

@@ -1,18 +1,29 @@
-"""Exact backtracking search for paths and cycles of prescribed order.
+"""Exact search for paths and cycles of prescribed order.
 
 "Order" always counts vertices: a path of order k has k vertices and k-1
 edges, a cycle of order k has k vertices and k edges.  Absence answers are
-exact (full backtracking within the node budget); running out of budget
-raises :class:`SearchBudgetExceeded`, which is distinct from absence.
+exact; running out of node budget raises :class:`SearchBudgetExceeded`,
+which is distinct from absence.
 
-One engine, :func:`_first_path`, does every search: it returns the first
+Graphs on at most ``_TABLE_MAX`` = 8 vertices get a path table, built once
+per graph by a Held–Karp subset DP over the bitset rows and kept in a small
+cache keyed by the rows.  For each order r and start u it holds the mask of
+vertices that end a path on r vertices from u, and for each length l the
+mask of vertices that are the smallest vertex of some l-cycle.  On these
+graphs absence is read off the table, and a search runs only from the first
+start or anchor the table proves, never stepping to a vertex with no path of
+the remaining order into the end mask.  Larger graphs, and cycles through
+a given edge, use the backtracking search alone.
+
+One engine, :func:`_first_path`, builds every witness: it returns the first
 simple path from a given start whose interior lies in one bitmask and
 whose last vertex lies in another.  A constrained path, a cycle of given
 length (anchored at its smallest vertex) and a cycle through an edge are
 each a choice of those masks.  Vertices are tried in ascending index, so
-witnesses are deterministic.  The last vertex is picked straight from the
-end mask, so the node budget counts only vertices that can still end the
-path and a given budget reaches at least as far as a search that also
+witnesses are deterministic and the same with or without the table.  The
+last vertex is picked straight from the end mask.  The node budget counts
+only the vertices this search places, so an absence the table proves costs
+nothing, and a given budget reaches at least as far as a search that also
 visits dead-end leaves.  Every positive answer is re-checked by an
 independent validator before it is returned.
 """
@@ -20,11 +31,15 @@ independent validator before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph, _bits, mask_of
 
 DEFAULT_NODE_BUDGET = 10**8
+
+_TABLE_MAX = 8  # graphs up to this order get a path table (2^n subsets)
+_BITS = tuple(tuple(_bits(mask)) for mask in range(1 << _TABLE_MAX))  # set bits of each mask
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -67,11 +82,15 @@ UNCONSTRAINED = EndpointConstraint.none()
 
 def is_path_witness(g: Graph, vertices: tuple[int, ...]) -> bool:
     """Distinct vertices with consecutive adjacency."""
-    if len(set(vertices)) != len(vertices):
-        return False
-    if any(not 0 <= v < g.n for v in vertices):
-        return False
-    return all(g.has_edge(a, b) for a, b in zip(vertices, vertices[1:]))
+    n, rows = g.n, g.rows
+    seen = 0
+    allowed = -1  # the first vertex may be any vertex
+    for v in vertices:
+        if not 0 <= v < n or seen >> v & 1 or not allowed >> v & 1:
+            return False
+        seen |= 1 << v
+        allowed = rows[v]
+    return True
 
 
 def is_cycle_witness(g: Graph, vertices: tuple[int, ...]) -> bool:
@@ -86,6 +105,48 @@ def _check_witness(ok: bool, kind: str, vertices: tuple[int, ...]) -> None:
         raise RuntimeError(f"internal error: invalid {kind} witness {vertices}")
 
 
+class _PathTable(NamedTuple):
+    ends: tuple[tuple[int, ...], ...]  # [r][u]: vertices that end a path on r vertices from u
+    cycles: tuple[int, ...]  # [l]: vertices that are the smallest of some l-cycle
+    first: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # (r, u): first path, its nodes
+
+
+@lru_cache(maxsize=8)
+def _path_table(rows: tuple[int, ...]) -> _PathTable:
+    """Held–Karp over the subsets S of a graph with at most ``_TABLE_MAX``
+    vertices: ``tails[S][v]`` is the mask of vertices u such that some path
+    with vertex set S runs from u to v.  Paths are undirected, so it is
+    also the mask of the ends of those paths from v."""
+    n = len(rows)
+    tails: list[list[int] | None] = [None] * (1 << n)
+    ends = [[0] * n for _ in range(n + 1)]
+    cycles = [0] * (n + 1)
+    for v in range(n):
+        tails[1 << v] = [1 << v if w == v else 0 for w in range(n)]
+        ends[1][v] = 1 << v
+    for s in range(3, 1 << n):
+        members = _BITS[s]
+        order = len(members)
+        if order < 2:
+            continue
+        here = [0] * n
+        for v in members:
+            before = tails[s ^ (1 << v)]
+            if before is not None:  # some path spans the rest
+                starts = 0
+                for w in _BITS[rows[v] & s]:
+                    starts |= before[w]
+                here[v] = starts
+                ends[order][v] |= starts
+        if any(here):
+            tails[s] = here
+            low = members[0]
+            # a path through S from S's smallest vertex back to a neighbour
+            if order > 2 and here[low] & rows[low]:
+                cycles[order] |= 1 << low
+    return _PathTable(tuple(map(tuple, ends)), tuple(cycles), {})
+
+
 def _first_path(
     rows: tuple[int, ...],
     start: int,
@@ -93,6 +154,7 @@ def _first_path(
     inner: int,
     last: int,
     budget: list,
+    reach: Sequence[Sequence[int]] | None = None,
 ) -> tuple[int, ...] | None:
     """First path on ``order`` vertices from ``start`` in ascending DFS order.
 
@@ -100,7 +162,10 @@ def _first_path(
     ``last``; the start is the caller's choice and is not checked.
     ``budget`` is a ``[nodes_left, message]`` pair shared by the caller's
     searches: each vertex placed on the path costs one node, and
-    :class:`SearchBudgetExceeded` carries the message.
+    :class:`SearchBudgetExceeded` carries the message.  Given a path
+    table's ``ends``, the search skips every step to a vertex from which
+    no path of the remaining order reaches ``last``; such a step can never
+    succeed, so the first path found is the same.
     """
     path: list[int] = []
 
@@ -117,6 +182,8 @@ def _first_path(
         else:
             nxt = rows[v] & inner & ~visited
         for w in _bits(nxt):
+            if reach is not None and not reach[remaining][w] & last:
+                continue
             if extend(w, visited | (1 << w), remaining - 1):
                 return True
         path.pop()
@@ -144,19 +211,53 @@ def find_constrained_path(
         return None
     ends = constraint.mask(n)
     budget = [node_budget, f"path search exceeded node budget {node_budget}"]
-    for start in _bits(ends):
-        witness = _first_path(g.rows, start, order, -1, ends, budget)
-        if witness is not None:
-            _check_witness(
-                is_path_witness(g, witness)
-                and len(witness) == order
-                and ends >> witness[0] & 1
-                and ends >> witness[-1] & 1,
-                "path",
-                witness,
-            )
-            return witness
-    return None
+    if n <= _TABLE_MAX:
+        witness = _tabled_path(g.rows, order, ends, budget)
+    else:
+        witness = None
+        for start in _bits(ends):
+            witness = _first_path(g.rows, start, order, -1, ends, budget)
+            if witness is not None:
+                break
+    if witness is not None:
+        _check_witness(
+            is_path_witness(g, witness)
+            and len(witness) == order
+            and ends >> witness[0] & 1
+            and ends >> witness[-1] & 1,
+            "path",
+            witness,
+        )
+    return witness
+
+
+def _tabled_path(
+    rows: tuple[int, ...], order: int, ends: int, budget: list
+) -> tuple[int, ...] | None:
+    """The same path read off the graph's path table.
+
+    Absence costs no search, and the search runs only from the first start
+    the table proves.  The first path from that start with any end is kept
+    with the nodes it took.  When it ends in ``ends``, nothing before it
+    does, so it is the answer; it is reused only within the budget, so the
+    answer never depends on what the cache holds.
+    """
+    table = _path_table(rows)
+    reach = table.ends[order]
+    for start in _BITS[ends]:
+        if reach[start] & ends:
+            break
+    else:
+        return None
+    key = (order, start)
+    if key not in table.first:
+        free = [DEFAULT_NODE_BUDGET, ""]
+        path = _first_path(rows, start, order, -1, -1, free, table.ends)
+        table.first[key] = (path, DEFAULT_NODE_BUDGET - free[0])
+    path, cost = table.first[key]
+    if ends >> path[-1] & 1 and cost <= budget[0]:
+        return path
+    return _first_path(rows, start, order, -1, ends, budget, table.ends)
 
 
 def find_cycle_of_length(
@@ -172,10 +273,14 @@ def find_cycle_of_length(
         return None
     rows = g.rows
     budget = [node_budget, f"cycle search exceeded node budget {node_budget}"]
-    for anchor in range(n):
+    anchors, reach = range(n), None
+    if n <= _TABLE_MAX:
+        table = _path_table(rows)
+        anchors, reach = _BITS[table.cycles[length]][:1], table.ends
+    for anchor in anchors:
         # every cycle is found from its smallest vertex; larger ones only
         above = ~((1 << (anchor + 1)) - 1)
-        witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget)
+        witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget, reach)
         if witness is not None:
             _check_witness(
                 is_cycle_witness(g, witness) and len(witness) == length,

@@ -46,7 +46,6 @@ from .graph import (
     build_graph,
     components,
     disjoint_union,
-    edges_between,
     edges_within,
     is_connected,
     mask_of,
@@ -284,24 +283,24 @@ def _check_ore(stmt: str, g: Graph, k: None, params: dict[str, Any], budget: int
 def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
     if "a" not in params:
         raise ValueError("missing parameter 'a' (vertex set A of the partition)")
-    a_vertices = sorted(set(int(v) for v in params["a"]))
+    a_vertices = sorted(set(map(int, params["a"])))
+    # 2e(A) + e(A,B) counts each edge at its ends in A: the degree sum over A
+    lhs = a_mask = 0
     for v in a_vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"partition vertex {v} out of range")
+        lhs += g.degrees[v]
+        a_mask |= 1 << v
     if "b" in params and params["b"] is not None:
         b_vertices = sorted(set(int(v) for v in params["b"]))
         if sorted(a_vertices + b_vertices) != list(range(g.n)):
             raise ValueError("(a, b) must partition the vertex set")
-    a_mask = mask_of(a_vertices)
-    b_mask = ((1 << g.n) - 1) & ~a_mask
     size_a = len(a_vertices)
-    size_b = g.n - size_a
-    lhs = 2 * edges_within(g, a_mask) + edges_between(g, a_mask, b_mask)
-    rhs = (2 * k - 1) * size_a + k * size_b
+    rhs = (2 * k - 1) * size_a + k * (g.n - size_a)
     if lhs <= rhs:
         return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
     witness = find_constrained_path(
-        g, 2 * k + 1, EndpointConstraint.ends_in(a_vertices), node_budget=budget
+        g, 2 * k + 1, EndpointConstraint(members=a_mask), node_budget=budget
     )
     if witness is not None:
         return CheckOutcome(stmt, HOLDS, lhs, rhs, witness)
@@ -715,6 +714,12 @@ def run_suite(
                 f"{', '.join(SUITE_STATEMENTS)}"
             )
     ks = sorted(set(int(k) for k in k_range))
+    for statement in statements:
+        least = _STATEMENTS[statement].min_k
+        if least is not None and not any(k >= least for k in ks):
+            raise ValueError(
+                f"suite statement {statement!r} needs some k >= {least}, got k in {ks}"
+            )
     if corpus is not None:
         graphs = list(corpus)
     else:

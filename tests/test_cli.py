@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from qext import search
+from qext import cli, search
 from qext.cli import build_parser, run
 from qext.enumeration import parse_graph6, write_graph6
 from qext.families import edgeless, s_nk
 from qext.report import _CSV_COLUMNS, _KINDS, RunReport, exit_code_for, parse_report, record
+from qext.subgraphs import SearchBudgetExceeded
 
 
 def test_qindex_graph6(capsys):
@@ -125,6 +126,18 @@ def test_suite_with_corpus(tmp_path, capsys):
 def test_suite_rejects_unknown_statement(capsys):
     assert run(["suite", "--statements", "egp,cor1", "--nmax", "4"]) == 3
     assert "unknown suite statement 'cor1'" in capsys.readouterr().err
+
+
+def test_search_budget_exceeded_is_a_runtime_error(monkeypatch, capsys):
+    # exit 1 means "violation found"; running out of search budget is exit 3
+    def exhausted(*args, **kwargs):
+        raise SearchBudgetExceeded("path search exceeded node budget 5")
+
+    monkeypatch.setattr(cli, "run_suite", exhausted)
+    assert run(["suite", "--statements", "egp", "--nmax", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: path search exceeded node budget 5\n"
+    assert captured.out == ""
 
 
 def test_search_cli(tmp_path, capsys):

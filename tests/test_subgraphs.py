@@ -2,10 +2,13 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qext import subgraphs
 from qext.enumeration import enumerate_nonisomorphic
 from qext.families import complete, cycle, kite_pendant, path, s_nk, star
-from qext.graph import _bits, build_graph
+from qext.graph import _bits, build_graph, disjoint_union
 from qext.subgraphs import (
     EndpointConstraint,
     SearchBudgetExceeded,
@@ -150,6 +153,70 @@ def assert_engine_matches_oracle(g, masks):
                 expect, nodes = slow_cycle_through_edge(g, length, u, v)
                 assert find_cycle_through_edge(g, length, u, v) == expect
                 assert find_cycle_through_edge(g, length, u, v, nodes) == expect
+
+
+# --- path table against the DFS-only oracle -----------------------------------
+# Graphs with n <= subgraphs._TABLE_MAX answer from the path table, larger
+# ones search alone; the slow oracle above searches from every start or
+# anchor on both sides.
+
+
+@st.composite
+def graphs_up_to_9(draw):
+    n = draw(st.sampled_from(range(1, 10)))
+    density = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    return random_graph(n, density, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_up_to_9(), st.integers(1, 511), st.integers(0, 8))
+def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
+    n = g.n
+    members &= (1 << n) - 1
+    cases = [(EndpointConstraint.none(), lambda x: True)]
+    if members:
+        vertices = [x for x in range(n) if members >> x & 1]
+        cases.append((EndpointConstraint.ends_in(vertices), lambda x: members >> x & 1))
+    v = avoided % n
+    cases.append((EndpointConstraint.ends_avoid(v), lambda x: x != v))
+    for order in range(1, n + 1):
+        for constraint, ok in cases:
+            expect, _ = slow_constrained_path(g, order, ok)
+            assert find_constrained_path(g, order, constraint) == expect
+            if expect is None and n <= subgraphs._TABLE_MAX:
+                assert find_constrained_path(g, order, constraint, node_budget=1) is None
+    for length in range(3, n + 1):
+        expect, _ = slow_cycle_of_length(g, length)
+        assert find_cycle_of_length(g, length) == expect
+        if expect is None and n <= subgraphs._TABLE_MAX:
+            assert find_cycle_of_length(g, length, node_budget=1) is None
+
+
+def test_table_proves_absence_without_a_node():
+    # n = 8, within the table: no Hamiltonian path or cycle, no node spent
+    g = disjoint_union([complete(4), complete(4)])
+    assert find_constrained_path(g, 5, node_budget=0) is None
+    assert find_cycle_of_length(g, 5, node_budget=0) is None
+    assert has_cycle_longer_than(g, 4, node_budget=0) is None
+    # n = 9, above it: the same absence is a search and the budget runs out
+    h = disjoint_union([complete(4), complete(5)])
+    with pytest.raises(SearchBudgetExceeded):
+        find_constrained_path(h, 6, node_budget=1)
+
+
+def test_kept_paths_never_outrun_the_budget():
+    # the first path from a start is kept per graph; a call whose budget
+    # could not have found it must still run out, cached or not
+    g = complete(7)
+    assert find_constrained_path(g, 7) == tuple(range(7))
+    with pytest.raises(SearchBudgetExceeded):
+        find_constrained_path(g, 7, node_budget=6)
+    assert find_constrained_path(g, 7, node_budget=7) == tuple(range(7))
+    # a kept path that ends outside the end mask is not the answer
+    ends_odd = EndpointConstraint(members=0b1010101)
+    assert find_constrained_path(g, 7, ends_odd) == (0, 1, 2, 3, 4, 5, 6)
+    ends_low = EndpointConstraint(members=0b11)
+    assert find_constrained_path(g, 7, ends_low) == (0, 2, 3, 4, 5, 6, 1)
 
 
 def test_engine_matches_slow_oracle_all_graphs_small():

@@ -1,5 +1,7 @@
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +327,30 @@ def test_suite_argument_validation():
         run_suite(["egp"])
     with pytest.raises(ValueError, match="native enumeration"):
         run_suite(["egp"], n_max=12)
+
+
+def test_suite_statement_without_admissible_k_is_rejected():
+    # a statement whose least k lies above every given k would run no instances
+    with pytest.raises(ValueError, match=r"statement 'ni' needs some k >= 1, got k in \[0\]"):
+        run_suite(["ni"], n_max=3, k_range=[0])
+    with pytest.raises(ValueError, match=r"statement 'egc' needs some k >= 2, got k in \[1\]"):
+        run_suite(["egp", "egc"], n_max=5, k_range=[1])
+    with pytest.raises(ValueError, match="'cor2' needs some k >= 2"):
+        run_suite(["ore", "cor2"], corpus=[complete(3)], k_range=[])
+    # one admissible k is enough; ore takes no k at all
+    assert run_suite(["egc"], n_max=4, k_range=[1, 2]).instances > 0
+    assert run_suite(["ore"], n_max=4, k_range=[]).instances > 0
+
+
+# records of the full suite at n <= 7, written from the commit before the
+# path table, with the DFS alone; n = 7 is where ni samples its vertex sets
+SUITE_N7 = Path(__file__).parent / "fixtures" / "suite_n7.json"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_n7_records_are_golden(seed):
+    record = run_suite(SUITE_STATEMENTS, n_max=7, k_range=(1, 2, 3), seed=seed).as_record()
+    assert json.loads(json.dumps(record)) == json.loads(SUITE_N7.read_text())[str(seed)]
 
 
 def test_checkers_are_deterministic():
