@@ -239,8 +239,9 @@ def _tabled_path(
     Absence costs no search, and the search runs only from the first start
     the table proves.  The first path from that start with any end is kept
     with the nodes it took.  When it ends in ``ends``, nothing before it
-    does, so it is the answer; it is reused only within the budget, so the
-    answer never depends on what the cache holds.
+    does, so it is the answer, and the search for it with ``ends`` would
+    visit a subset of those nodes.  It is reused only when they fit the
+    budget, so the answer never depends on what the cache holds.
     """
     table = _path_table(rows)
     reach = table.ends[order]
