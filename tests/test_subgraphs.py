@@ -212,7 +212,7 @@ def test_kept_paths_never_outrun_the_budget():
     with pytest.raises(SearchBudgetExceeded):
         find_constrained_path(g, 7, node_budget=6)
     assert find_constrained_path(g, 7, node_budget=7) == tuple(range(7))
-    # a kept path that ends outside the end mask is not the answer
+    # reused when it ends in the end mask, searched again when it does not
     ends_odd = EndpointConstraint(members=0b1010101)
     assert find_constrained_path(g, 7, ends_odd) == (0, 1, 2, 3, 4, 5, 6)
     ends_low = EndpointConstraint(members=0b11)
