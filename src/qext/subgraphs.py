@@ -15,6 +15,10 @@ start or anchor the table proves, never stepping to a vertex with no path of
 the remaining order into the end mask.  Larger graphs, and cycles through
 a given edge, use the backtracking search alone.
 
+:func:`has_path` and :func:`has_cycle` answer presence without a witness:
+on table graphs straight from the table, with no node spent, and above it
+by the same search as the witness builders.
+
 One engine, :func:`_first_path`, builds every witness: it returns the first
 simple path from a given start whose interior lies in one bitmask and
 whose last vertex lies in another.  A constrained path, a cycle of given
@@ -24,8 +28,8 @@ witnesses are deterministic and the same with or without the table.  The
 last vertex is picked straight from the end mask.  The node budget counts
 only the vertices this search places, so an absence the table proves costs
 nothing, and a given budget reaches at least as far as a search that also
-visits dead-end leaves.  Every positive answer is re-checked by an
-independent validator before it is returned.
+visits dead-end leaves.  Every witness is re-checked by an independent
+validator before it is returned.
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ def _check_witness(ok: bool, kind: str, vertices: tuple[int, ...]) -> None:
 class _PathTable(NamedTuple):
     ends: tuple[tuple[int, ...], ...]  # [r][u]: vertices that end a path on r vertices from u
     cycles: tuple[int, ...]  # [l]: vertices that are the smallest of some l-cycle
-    first: dict[tuple[int, int], tuple[tuple[int, ...], int]]  # (r, u): first path, its nodes
 
 
 @lru_cache(maxsize=8)
@@ -144,7 +147,7 @@ def _path_table(rows: tuple[int, ...]) -> _PathTable:
             # a path through S from S's smallest vertex back to a neighbour
             if order > 2 and here[low] & rows[low]:
                 cycles[order] |= 1 << low
-    return _PathTable(tuple(map(tuple, ends)), tuple(cycles), {})
+    return _PathTable(tuple(map(tuple, ends)), tuple(cycles))
 
 
 def _first_path(
@@ -204,21 +207,8 @@ def find_constrained_path(
     order 1 is a single vertex, which must satisfy the constraint as both
     endpoints.
     """
-    if order < 1:
-        raise ValueError(f"path order must be >= 1, got {order}")
-    n = g.n
-    if order > n:
-        return None
-    ends = constraint.mask(n)
-    budget = [node_budget, f"path search exceeded node budget {node_budget}"]
-    if n <= _TABLE_MAX:
-        witness = _tabled_path(g.rows, order, ends, budget)
-    else:
-        witness = None
-        for start in _bits(ends):
-            witness = _first_path(g.rows, start, order, -1, ends, budget)
-            if witness is not None:
-                break
+    ends = constraint.mask(g.n)
+    witness = _path_search(g, order, ends, node_budget)
     if witness is not None:
         _check_witness(
             is_path_witness(g, witness)
@@ -231,34 +221,48 @@ def find_constrained_path(
     return witness
 
 
-def _tabled_path(
-    rows: tuple[int, ...], order: int, ends: int, budget: list
-) -> tuple[int, ...] | None:
-    """The same path read off the graph's path table.
+def has_path(
+    g: Graph, order: int, ends_mask: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> bool:
+    """Whether some simple path on ``order`` vertices has both ends in the
+    bitmask ``ends_mask`` (-1: anywhere); no witness is built."""
+    n = g.n
+    ends = ends_mask & ((1 << n) - 1)
+    if n <= _TABLE_MAX and 1 <= order <= n:
+        return _table_start(g.rows, order, ends) is not None
+    return _path_search(g, order, ends, node_budget) is not None
 
-    Absence costs no search, and the search runs only from the first start
-    the table proves.  The first path from that start with any end is kept
-    with the nodes it took.  When it ends in ``ends``, nothing before it
-    does, so it is the answer, and the search for it with ``ends`` would
-    visit a subset of those nodes.  It is reused only when they fit the
-    budget, so the answer never depends on what the cache holds.
-    """
-    table = _path_table(rows)
-    reach = table.ends[order]
+
+def _path_search(g: Graph, order: int, ends: int, node_budget: int) -> tuple[int, ...] | None:
+    """First path on ``order`` vertices from a start in ``ends`` to an end in
+    ``ends``, unvalidated.  On a table graph the search runs only from the
+    first start the table proves."""
+    if order < 1:
+        raise ValueError(f"path order must be >= 1, got {order}")
+    n, rows = g.n, g.rows
+    if order > n:
+        return None
+    budget = [node_budget, f"path search exceeded node budget {node_budget}"]
+    if n <= _TABLE_MAX:
+        start = _table_start(rows, order, ends)
+        if start is None:
+            return None
+        return _first_path(rows, start, order, -1, ends, budget, _path_table(rows).ends)
+    for start in _bits(ends):
+        witness = _first_path(rows, start, order, -1, ends, budget)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _table_start(rows: tuple[int, ...], order: int, ends: int) -> int | None:
+    """The first vertex of ``ends`` that starts a path on ``order`` vertices
+    ending in ``ends``, read off the path table; None when there is none."""
+    reach = _path_table(rows).ends[order]
     for start in _BITS[ends]:
         if reach[start] & ends:
-            break
-    else:
-        return None
-    key = (order, start)
-    if key not in table.first:
-        free = [DEFAULT_NODE_BUDGET, ""]
-        path = _first_path(rows, start, order, -1, -1, free, table.ends)
-        table.first[key] = (path, DEFAULT_NODE_BUDGET - free[0])
-    path, cost = table.first[key]
-    if ends >> path[-1] & 1 and cost <= budget[0]:
-        return path
-    return _first_path(rows, start, order, -1, ends, budget, table.ends)
+            return start
+    return None
 
 
 def find_cycle_of_length(
@@ -267,6 +271,26 @@ def find_cycle_of_length(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...] | None:
     """First cycle with ``length`` vertices, anchored at its minimum vertex."""
+    witness = _cycle_search(g, length, node_budget)
+    if witness is not None:
+        _check_witness(
+            is_cycle_witness(g, witness) and len(witness) == length,
+            "cycle",
+            witness,
+        )
+    return witness
+
+
+def has_cycle(g: Graph, length: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """Whether some cycle has ``length`` vertices; no witness is built."""
+    n = g.n
+    if n <= _TABLE_MAX and 3 <= length <= n:
+        return _path_table(g.rows).cycles[length] != 0
+    return _cycle_search(g, length, node_budget) is not None
+
+
+def _cycle_search(g: Graph, length: int, node_budget: int) -> tuple[int, ...] | None:
+    """First cycle on ``length`` vertices from its smallest vertex, unvalidated."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     n = g.n
@@ -283,11 +307,6 @@ def find_cycle_of_length(
         above = ~((1 << (anchor + 1)) - 1)
         witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget, reach)
         if witness is not None:
-            _check_witness(
-                is_cycle_witness(g, witness) and len(witness) == length,
-                "cycle",
-                witness,
-            )
             return witness
     return None
 

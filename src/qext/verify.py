@@ -7,7 +7,9 @@ witness.  Hypothesis failures are always reported as precondition_unmet,
 never silently as holds; spectral thresholds go through certified
 comparisons and may come back indeterminate.  ``_STATEMENTS`` declares
 each statement once: its checker, the least k it accepts and its suite
-instances; every spectral threshold is decided by ``_threshold``.
+sweep, which tallies all of the statement's instances on one graph from
+presence queries, building no witness; every spectral threshold is decided
+by ``_threshold``.
 
 Statement tags
 --------------
@@ -34,14 +36,15 @@ theorem1_corollary   same hypothesis  =>  cycles of every order 3..2k+2
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
 from .enumeration import enumerate_nonisomorphic, write_graph6
 from .families import complete, corollary1_graph, s_nk, s_nk_plus
 from .graph import (
     Graph,
+    _bits,
     blocks,
     build_graph,
     components,
@@ -57,7 +60,9 @@ from .subgraphs import (
     EndpointConstraint,
     find_constrained_path,
     find_cycle_of_length,
+    has_cycle,
     has_cycle_longer_than,
+    has_path,
     is_hamiltonian,
 )
 
@@ -166,6 +171,10 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 # --- individual checkers -----------------------------------------------------
 # Each takes (statement, g, k, params, node_budget); check_statement has
 # already checked k against the statement's minimum and that g is given.
+# What a checker shares with its suite sweep (its hypothesis, sides and
+# status rule) sits in the helpers beside it.  The checker hands them the
+# witness it searched for; the sweep asks has_path / has_cycle instead and
+# hands them nothing when the answer is no.
 
 
 def _tol(params: dict[str, Any]) -> float:
@@ -177,9 +186,13 @@ def _order_limit(k: int) -> int:
     return 5 * k * k
 
 
-def _order_unmet(stmt: str, n: int, k: int) -> CheckOutcome | None:
+def _order_least(k: int) -> int:
     """Lemma 3 and Corollaries 1 and 2 assume n >= 6k+13."""
-    least = 6 * k + 13
+    return 6 * k + 13
+
+
+def _order_unmet(stmt: str, n: int, k: int) -> CheckOutcome | None:
+    least = _order_least(k)
     if n >= least:
         return None
     return CheckOutcome(stmt, UNMET, 0.0, float(n + 2 * k - 2), None, f"order {n} < {least}")
@@ -217,9 +230,9 @@ def _bound(
     return CheckOutcome(stmt, VIOLATED, lhs, rhs, None, above)
 
 
-def _check_egp(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+def _egp_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> CheckOutcome:
+    """egp given the path on k+2 vertices found, if any."""
     lhs, rhs = g.m, k * g.n / 2
-    witness = find_constrained_path(g, k + 2, node_budget=budget)
     if witness is not None:
         return CheckOutcome(stmt, UNMET, lhs, rhs, witness, f"contains a path on {k + 2} vertices")
     if 2 * g.m == k * g.n and not is_disjoint_cliques(g, k + 1):
@@ -229,9 +242,13 @@ def _check_egp(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int)
     return _bound(stmt, lhs, rhs, "disjoint cliques")
 
 
-def _check_egc(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+def _check_egp(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+    return _egp_outcome(stmt, g, k, find_constrained_path(g, k + 2, node_budget=budget))
+
+
+def _egc_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> CheckOutcome:
+    """egc given the cycle on more than k vertices found, if any."""
     lhs, rhs = g.m, k * (g.n - 1) / 2
-    witness = has_cycle_longer_than(g, k, node_budget=budget)
     if witness is not None:
         return CheckOutcome(
             stmt, UNMET, lhs, rhs, witness, f"contains a cycle on {len(witness)} > {k} vertices"
@@ -246,45 +263,78 @@ def _check_egc(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int)
     return CheckOutcome(stmt, EQUALITY, lhs, rhs, None, "clique blocks" + hub)
 
 
-def _check_kopylov(
-    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
-) -> CheckOutcome:
+def _check_egc(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+    return _egc_outcome(stmt, g, k, has_cycle_longer_than(g, k, node_budget=budget))
+
+
+def _kopylov_hypothesis(stmt: str, g: Graph, k: int) -> tuple[int, float, str]:
+    """The order of the forbidden path, the edge bound, and the note of the
+    hypothesis that fails before any search ("" when none does)."""
     # kopylov_i forbids paths on 2k+2 vertices, kopylov_ii on 2k+3; each
     # needs at least that many vertices
     if stmt == "kopylov_i":
         order, bound = 2 * k + 2, kopylov_i_value(g.n, k)
     else:
         order, bound = 2 * k + 3, kopylov_ii_value(g.n, k)
-    rhs = float(bound)
     if not is_connected(g):
-        return CheckOutcome(stmt, UNMET, g.m, rhs, None, "not connected")
-    if g.n < order:
-        return CheckOutcome(stmt, UNMET, g.m, rhs, None, f"order {g.n} < {order}")
+        return order, float(bound), "not connected"
+    return order, float(bound), f"order {g.n} < {order}" if g.n < order else ""
+
+
+def _check_kopylov(
+    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
+) -> CheckOutcome:
+    order, rhs, unmet = _kopylov_hypothesis(stmt, g, k)
+    if unmet:
+        return CheckOutcome(stmt, UNMET, g.m, rhs, None, unmet)
     witness = find_constrained_path(g, order, node_budget=budget)
     if witness is not None:
         return CheckOutcome(stmt, UNMET, g.m, rhs, witness, f"contains a path on {order} vertices")
     return _bound(stmt, g.m, rhs)
 
 
-def _check_ore(stmt: str, g: Graph, k: None, params: dict[str, Any], budget: int) -> CheckOutcome:
+def _ore_hypothesis(stmt: str, g: Graph) -> tuple[float, CheckOutcome | None]:
+    """Ore's edge threshold, and the outcome when g does not exceed it."""
     if g.n < 3:
-        return CheckOutcome(stmt, UNMET, g.m, 0.0, None, "order < 3")
-    threshold = ore_edge_threshold(g.n)
+        return 0.0, CheckOutcome(stmt, UNMET, g.m, 0.0, None, "order < 3")
+    threshold = float(ore_edge_threshold(g.n))
     if g.m <= threshold:
-        return CheckOutcome(
-            stmt, UNMET, g.m, float(threshold), None, "edge count not above threshold"
+        return threshold, CheckOutcome(
+            stmt, UNMET, g.m, threshold, None, "edge count not above threshold"
         )
+    return threshold, None
+
+
+def _check_ore(stmt: str, g: Graph, k: None, params: dict[str, Any], budget: int) -> CheckOutcome:
+    threshold, unmet = _ore_hypothesis(stmt, g)
+    if unmet:
+        return unmet
     witness = is_hamiltonian(g, node_budget=budget)
     if witness is not None:
-        return CheckOutcome(stmt, HOLDS, g.m, float(threshold), witness)
-    return CheckOutcome(stmt, VIOLATED, g.m, float(threshold), None, "no Hamiltonian cycle")
+        return CheckOutcome(stmt, HOLDS, g.m, threshold, witness)
+    return CheckOutcome(stmt, VIOLATED, g.m, threshold, None, "no Hamiltonian cycle")
+
+
+def _ni_rhs(n: int, k: int, size_a: int) -> int:
+    """(2k-1)|A| + k|B|; the left side 2e(A) + e(A,B) counts each edge at
+    its ends in A, so it is the degree sum over A."""
+    return (2 * k - 1) * size_a + k * (n - size_a)
+
+
+def _degree_sums(degrees: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """The degree sum over each vertex set, given as a mask."""
+    if len(degrees) > 8:
+        return [sum(degrees[v] for v in _bits(mask)) for mask in masks]
+    sums = [0]  # over every subset, doubling the list with each vertex
+    for d in degrees:
+        sums += [s + d for s in sums]
+    return [sums[mask] for mask in masks]
 
 
 def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
     if "a" not in params:
         raise ValueError("missing parameter 'a' (vertex set A of the partition)")
     a_vertices = sorted(set(map(int, params["a"])))
-    # 2e(A) + e(A,B) counts each edge at its ends in A: the degree sum over A
     lhs = a_mask = 0
     for v in a_vertices:
         if not 0 <= v < g.n:
@@ -295,8 +345,7 @@ def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) 
         b_vertices = sorted(set(int(v) for v in params["b"]))
         if sorted(a_vertices + b_vertices) != list(range(g.n)):
             raise ValueError("(a, b) must partition the vertex set")
-    size_a = len(a_vertices)
-    rhs = (2 * k - 1) * size_a + k * (g.n - size_a)
+    rhs = _ni_rhs(g.n, k, len(a_vertices))
     if lhs <= rhs:
         return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
     witness = find_constrained_path(
@@ -309,10 +358,8 @@ def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) 
     )
 
 
-def _check_lemma1(
-    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
-) -> CheckOutcome:
-    witness = find_constrained_path(g, 2 * k + 1, node_budget=budget)
+def _lemma1_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> CheckOutcome:
+    """lemma1 given the path on 2k+1 vertices found, if any."""
     if witness is not None:
         return CheckOutcome(
             stmt, UNMET, 0.0, 0.0, witness, f"contains a path on {2 * k + 1} vertices"
@@ -334,15 +381,17 @@ def _check_lemma1(
     return CheckOutcome(stmt, HOLDS, lhs, rhs)
 
 
-def _check_lemma2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
-    if "v" not in params:
-        raise ValueError("missing parameter 'v'")
-    v = int(params["v"])
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex v={v} out of range")
-    witness = find_constrained_path(
-        g, 2 * k + 1, EndpointConstraint.ends_avoid(v), node_budget=budget
-    )
+def _check_lemma1(
+    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
+) -> CheckOutcome:
+    return _lemma1_outcome(stmt, g, k, find_constrained_path(g, 2 * k + 1, node_budget=budget))
+
+
+def _lemma2_outcome(
+    stmt: str, g: Graph, k: int, v: int, witness: tuple | None = None
+) -> CheckOutcome:
+    """lemma2 given the path on 2k+1 vertices avoiding v at both ends found,
+    if any."""
     if witness is not None:
         return CheckOutcome(
             stmt,
@@ -357,6 +406,18 @@ def _check_lemma2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: i
     if lhs > rhs and matches_lemma2_exception(g, k, v):
         return CheckOutcome(stmt, HOLDS, lhs, rhs, None, "exceptional clique-plus-pendant family")
     return _bound(stmt, lhs, rhs, above="bound exceeded outside the exceptional family")
+
+
+def _check_lemma2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+    if "v" not in params:
+        raise ValueError("missing parameter 'v'")
+    v = int(params["v"])
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex v={v} out of range")
+    witness = find_constrained_path(
+        g, 2 * k + 1, EndpointConstraint.ends_avoid(v), node_budget=budget
+    )
+    return _lemma2_outcome(stmt, g, k, v, witness)
 
 
 def _check_lemma3(
@@ -428,13 +489,7 @@ def _check_cor1(
     return _order_unmet(stmt, g.n, k) or _q_strictly_below(stmt, g, k, tol)
 
 
-def _check_cor2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
-    if "w" not in params:
-        raise ValueError("missing parameter 'w'")
-    w = int(params["w"])
-    if not 0 <= w < g.n:
-        raise ValueError(f"vertex w={w} out of range")
-    tol = _tol(params)
+def _cor2_outcome(stmt: str, g: Graph, k: int, w: int, tol: float) -> CheckOutcome:
     unmet = _order_unmet(stmt, g.n, k)
     if unmet:
         return unmet
@@ -452,10 +507,18 @@ def _check_cor2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
     return _q_strictly_below(stmt, g, k, tol)
 
 
-def _check_theorem1(
-    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
-) -> CheckOutcome:
-    tol = _tol(params)
+def _check_cor2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
+    if "w" not in params:
+        raise ValueError("missing parameter 'w'")
+    w = int(params["w"])
+    if not 0 <= w < g.n:
+        raise ValueError(f"vertex w={w} out of range")
+    return _cor2_outcome(stmt, g, k, w, _tol(params))
+
+
+def _theorem1_hypothesis(stmt: str, g: Graph, k: int, tol: float) -> CheckOutcome:
+    """The outcome when q >= n+2k-2 with n > 5k^2 fails or cannot be
+    certified; otherwise a holds outcome for the cycles to decide."""
     n = g.n
     threshold = float(n + 2 * k - 2)
     if n <= _order_limit(k):
@@ -465,80 +528,186 @@ def _check_theorem1(
         return CheckOutcome(stmt, UNMET, q, threshold, None, "q below the threshold")
     if verdict == "indeterminate":
         return CheckOutcome(stmt, INDETERMINATE, q, threshold, None, "hypothesis not certifiable")
-    # theorem1 asks for cycles on 2k+1 and 2k+2 vertices, its corollary for
-    # every order 3..2k+2
-    lengths = range(3, 2 * k + 3) if stmt == "theorem1_corollary" else (2 * k + 1, 2 * k + 2)
+    return CheckOutcome(stmt, HOLDS, q, threshold)
+
+
+def _cycle_lengths(stmt: str, k: int) -> Sequence[int]:
+    """theorem1 asks for cycles on 2k+1 and 2k+2 vertices, its corollary
+    for every order 3..2k+2."""
+    return range(3, 2 * k + 3) if stmt == "theorem1_corollary" else (2 * k + 1, 2 * k + 2)
+
+
+def _check_theorem1(
+    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
+) -> CheckOutcome:
+    outcome = _theorem1_hypothesis(stmt, g, k, _tol(params))
+    if outcome.status != HOLDS:
+        return outcome
     witnesses = []
-    for length in lengths:
+    for length in _cycle_lengths(stmt, k):
         witness = find_cycle_of_length(g, length, node_budget=budget)
         if witness is None:
-            return CheckOutcome(stmt, VIOLATED, q, threshold, None, f"no cycle on {length} vertices")
+            return replace(outcome, status=VIOLATED, note=f"no cycle on {length} vertices")
         witnesses.append(witness)
-    return CheckOutcome(stmt, HOLDS, q, threshold, witnesses[0])
+    return replace(outcome, witness=witnesses[0])
 
 
-# --- suite instances ----------------------------------------------------------
-# Each returns the parameter sets one statement is checked on for one graph,
-# k by k: (g, ks, graph_index, seed, ni_sample) -> list of params.
+# --- suite sweeps ---------------------------------------------------------------
+# Each tallies every suite instance of one statement on one graph into
+# ``counts`` and yields (params, lhs, rhs) for each violated one, in
+# instance order: k by k, and within a k vertex by vertex or set by set.
+# Presence comes from has_path / has_cycle, which build no witness.  The
+# per-instance rules that _each_k and _each_vertex run return None for
+# precondition_unmet, the common case, and the outcome otherwise.
 
 
-def _no_params(*_: Any) -> list[dict[str, Any]]:
-    return [{}]
+class _SweepRun(NamedTuple):
+    """What a sweep reads besides the graph: the node budget of each search
+    and what seeds ni's sample of vertex sets."""
+
+    budget: int
+    seed: int
+    graph_index: int
+    ni_sample: int
 
 
-def _k_only(g: Graph, ks: Sequence[int], *_: Any) -> list[dict[str, Any]]:
-    return [{"k": k} for k in ks]
+_Violation = tuple[dict[str, Any], float, float]
+_Sweep = Callable[[str, Graph, Sequence[int], dict[str, int], _SweepRun], Iterator[_Violation]]
 
 
-def _each_vertex(name: str):
-    def instances(g: Graph, ks: Sequence[int], *_: Any) -> list[dict[str, Any]]:
-        return [{"k": k, name: v} for k in ks for v in range(g.n)]
+def _each_k(rule: Callable[[str, Graph, int, int], CheckOutcome | None]) -> _Sweep:
+    """The sweep over instances {"k": k} of rule(stmt, g, k, budget)."""
 
-    return instances
+    def sweep(stmt, g, ks, counts, run):
+        for k in ks:
+            outcome = rule(stmt, g, k, run.budget)
+            status = UNMET if outcome is None else outcome.status
+            counts[status] += 1
+            if status == VIOLATED:
+                yield {"k": k}, outcome.lhs, outcome.rhs
+
+    return sweep
 
 
-def _ni_partitions(
-    g: Graph, ks: Sequence[int], graph_index: int, seed: int, ni_sample: int
-) -> list[dict[str, Any]]:
-    """Every vertex set A through 6 vertices, a seeded sample above; the
-    same sets for every k."""
+def _each_vertex(name: str, rule: Callable[..., CheckOutcome | None]) -> _Sweep:
+    """The sweep over instances {"k": k, name: v} of rule(stmt, g, k, v, budget)."""
+
+    def sweep(stmt, g, ks, counts, run):
+        for k in ks:
+            for v in range(g.n):
+                outcome = rule(stmt, g, k, v, run.budget)
+                status = UNMET if outcome is None else outcome.status
+                counts[status] += 1
+                if status == VIOLATED:
+                    yield {"k": k, name: v}, outcome.lhs, outcome.rhs
+
+    return sweep
+
+
+def _egp(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
+    return None if has_path(g, k + 2, -1, budget) else _egp_outcome(stmt, g, k)
+
+
+def _egc(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
+    if any(has_cycle(g, l, budget) for l in range(max(k + 1, 3), g.n + 1)):
+        return None
+    return _egc_outcome(stmt, g, k)
+
+
+def _kopylov(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
+    order, rhs, unmet = _kopylov_hypothesis(stmt, g, k)
+    if unmet or has_path(g, order, -1, budget):
+        return None
+    return _bound(stmt, g.m, rhs)
+
+
+def _lemma1(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
+    return None if has_path(g, 2 * k + 1, -1, budget) else _lemma1_outcome(stmt, g, k)
+
+
+def _lemma2(stmt: str, g: Graph, k: int, v: int, budget: int) -> CheckOutcome | None:
+    return None if has_path(g, 2 * k + 1, ~(1 << v), budget) else _lemma2_outcome(stmt, g, k, v)
+
+
+def _cor2(stmt: str, g: Graph, k: int, w: int, budget: int) -> CheckOutcome | None:
+    return None if g.n < _order_least(k) else _cor2_outcome(stmt, g, k, w, _TOL)
+
+
+def _theorem1(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
+    if g.n <= _order_limit(k):
+        return None
+    outcome = _theorem1_hypothesis(stmt, g, k, _TOL)
+    if outcome.status != HOLDS or all(has_cycle(g, l, budget) for l in _cycle_lengths(stmt, k)):
+        return outcome
+    return replace(outcome, status=VIOLATED)
+
+
+def _sweep_ore(stmt, g, ks, counts, run):
+    """The one instance {} of ore."""
+    threshold, unmet = _ore_hypothesis(stmt, g)
+    if unmet:
+        counts[UNMET] += 1
+    elif has_cycle(g, g.n, run.budget):
+        counts[HOLDS] += 1
+    else:
+        counts[VIOLATED] += 1
+        yield {}, g.m, threshold
+
+
+def _sweep_ni(stmt, g, ks, counts, run):
+    """Instances {"k": k, "a": A}: every vertex set A through 6 vertices, a
+    seeded sample above; the same sets for every k."""
     n = g.n
     if n <= 6:
-        masks: Iterable[int] = range(1 << n)
+        masks: Sequence[int] = range(1 << n)
     else:
-        rng = random.Random(seed * 1_000_003 + graph_index)
-        masks = sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
-    sets = [[v for v in range(n) if mask >> v & 1] for mask in masks]
-    return [{"k": k, "a": a} for k in ks for a in sets]
+        rng = random.Random(run.seed * 1_000_003 + run.graph_index)
+        masks = sorted(rng.sample(range(1 << n), min(run.ni_sample, 1 << n)))
+    sets = list(zip(masks, _degree_sums(g.degrees, masks), [m.bit_count() for m in masks]))
+    unmet = holds = 0
+    for k in ks:
+        rhs_of = [_ni_rhs(n, k, size) for size in range(n + 1)]
+        order = 2 * k + 1
+        for mask, lhs, size in sets:
+            rhs = rhs_of[size]
+            if lhs <= rhs:
+                unmet += 1
+            elif has_path(g, order, mask, run.budget):
+                holds += 1
+            else:
+                counts[VIOLATED] += 1
+                yield {"k": k, "a": list(_bits(mask))}, lhs, rhs
+    counts[UNMET] += unmet
+    counts[HOLDS] += holds
 
 
 class _Statement(NamedTuple):
     check: Callable[..., CheckOutcome]
     min_k: int | None
-    instances: Callable[..., list[dict[str, Any]]] | None
+    sweep: _Sweep | None
 
 
 # Every statement, declared once, in STATEMENTS order: its checker, the least
-# k it accepts (None: it takes no k) and its suite instances (None: the
-# checker builds its own graph, so it takes none and runs in no suite).
+# k it accepts (None: it takes no k) and its suite sweep (None: the checker
+# builds its own graph, so it takes no graph and runs in no suite).
 _STATEMENTS: dict[str, _Statement] = {
-    "egp": _Statement(_check_egp, 1, _k_only),
-    "egc": _Statement(_check_egc, 2, _k_only),
-    "kopylov_i": _Statement(_check_kopylov, 1, _k_only),
-    "kopylov_ii": _Statement(_check_kopylov, 1, _k_only),
-    "ore": _Statement(_check_ore, None, _no_params),
-    "ni": _Statement(_check_ni, 1, _ni_partitions),
-    "lemma1": _Statement(_check_lemma1, 1, _k_only),
-    "lemma2": _Statement(_check_lemma2, 1, _each_vertex("v")),
-    "cor2": _Statement(_check_cor2, 2, _each_vertex("w")),
-    "theorem1": _Statement(_check_theorem1, 2, _k_only),
-    "theorem1_corollary": _Statement(_check_theorem1, 2, _k_only),
+    "egp": _Statement(_check_egp, 1, _each_k(_egp)),
+    "egc": _Statement(_check_egc, 2, _each_k(_egc)),
+    "kopylov_i": _Statement(_check_kopylov, 1, _each_k(_kopylov)),
+    "kopylov_ii": _Statement(_check_kopylov, 1, _each_k(_kopylov)),
+    "ore": _Statement(_check_ore, None, _sweep_ore),
+    "ni": _Statement(_check_ni, 1, _sweep_ni),
+    "lemma1": _Statement(_check_lemma1, 1, _each_k(_lemma1)),
+    "lemma2": _Statement(_check_lemma2, 1, _each_vertex("v", _lemma2)),
+    "cor2": _Statement(_check_cor2, 2, _each_vertex("w", _cor2)),
+    "theorem1": _Statement(_check_theorem1, 2, _each_k(_theorem1)),
+    "theorem1_corollary": _Statement(_check_theorem1, 2, _each_k(_theorem1)),
     "lemma3": _Statement(_check_lemma3, 2, None),
     "cor1": _Statement(_check_cor1, 2, None),
 }
 
 STATEMENTS = tuple(_STATEMENTS)
-SUITE_STATEMENTS = tuple(s for s, spec in _STATEMENTS.items() if spec.instances)
+SUITE_STATEMENTS = tuple(s for s, spec in _STATEMENTS.items() if spec.sweep)
 
 
 def check_statement(
@@ -558,7 +727,7 @@ def check_statement(
         raise ValueError(
             f"unknown statement {statement!r}; known: {', '.join(sorted(_STATEMENTS))}"
         )
-    if spec.instances and g is None:
+    if spec.sweep and g is None:
         raise ValueError(f"statement {statement!r} requires a graph")
     k = None
     if spec.min_k is not None:
@@ -650,20 +819,6 @@ def _graph_token(g: Graph) -> str:
         return repr(g)
 
 
-def _instances_for(
-    g: Graph,
-    graph_index: int,
-    statement: str,
-    k_range: Sequence[int],
-    seed: int,
-    ni_sample: int,
-) -> list[dict[str, Any]]:
-    """The statement's suite instances on g, for each k it accepts."""
-    _, least, instances = _STATEMENTS[statement]
-    ks = k_range if least is None else [k for k in k_range if k >= least]
-    return instances(g, ks, graph_index, seed, ni_sample)
-
-
 def _tallies(statements: Sequence[str]) -> dict[str, dict[str, int]]:
     return {s: dict.fromkeys(_STATUSES, 0) for s in statements}
 
@@ -672,22 +827,24 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     graphs, start_index, statements, k_range, seed, ni_sample, node_budget = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
+    sweeps = []
+    for statement in statements:
+        _, least, sweep = _STATEMENTS[statement]
+        ks = k_range if least is None else [k for k in k_range if k >= least]
+        sweeps.append((statement, sweep, ks, tallies[statement]))
     for offset, g in enumerate(graphs):
-        graph_index = start_index + offset
-        for statement in statements:
-            for params in _instances_for(g, graph_index, statement, k_range, seed, ni_sample):
-                outcome = check_statement(statement, g, node_budget=node_budget, **params)
-                tallies[statement][outcome.status] += 1
-                if outcome.status == VIOLATED:
-                    violating.append(
-                        {
-                            "statement": statement,
-                            "graph6": _graph_token(g),
-                            "params": params,
-                            "lhs": outcome.lhs,
-                            "rhs": outcome.rhs,
-                        }
-                    )
+        run = _SweepRun(node_budget, seed, start_index + offset, ni_sample)
+        for statement, sweep, ks, counts in sweeps:
+            for params, lhs, rhs in sweep(statement, g, ks, counts, run):
+                violating.append(
+                    {
+                        "statement": statement,
+                        "graph6": _graph_token(g),
+                        "params": params,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                    }
+                )
     return tallies, violating
 
 
@@ -705,8 +862,10 @@ def run_suite(
 
     Without a corpus, graphs are the exhaustive isomorph-free catalog for
     every order 1..n_max.  Aggregation is deterministic in canonical order
-    regardless of the worker count.
+    regardless of the worker count.  A statement or k given twice runs
+    once, in the order of its first occurrence.
     """
+    statements = tuple(dict.fromkeys(statements))
     for statement in statements:
         if statement not in SUITE_STATEMENTS:
             raise ValueError(
@@ -734,7 +893,7 @@ def run_suite(
         (
             graphs[i : i + chunk_size],
             i,
-            tuple(statements),
+            statements,
             tuple(ks),
             seed,
             ni_sample,
@@ -759,7 +918,7 @@ def run_suite(
         violating.extend(chunk_violating)
     totals = {status: sum(c[status] for c in by_statement.values()) for status in _STATUSES}
     return SuiteReport(
-        statements=tuple(statements),
+        statements=statements,
         instances=sum(totals.values()),
         holds=totals[HOLDS],
         equality=totals[EQUALITY],

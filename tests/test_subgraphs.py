@@ -15,7 +15,9 @@ from qext.subgraphs import (
     find_constrained_path,
     find_cycle_of_length,
     find_cycle_through_edge,
+    has_cycle,
     has_cycle_longer_than,
+    has_path,
     is_cycle_witness,
     is_hamiltonian,
     is_path_witness,
@@ -183,11 +185,14 @@ def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
         for constraint, ok in cases:
             expect, _ = slow_constrained_path(g, order, ok)
             assert find_constrained_path(g, order, constraint) == expect
+            ends = constraint.members & ~constraint.avoid
+            assert has_path(g, order, ends) == (expect is not None)
             if expect is None and n <= subgraphs._TABLE_MAX:
                 assert find_constrained_path(g, order, constraint, node_budget=1) is None
     for length in range(3, n + 1):
         expect, _ = slow_cycle_of_length(g, length)
         assert find_cycle_of_length(g, length) == expect
+        assert has_cycle(g, length) == (expect is not None)
         if expect is None and n <= subgraphs._TABLE_MAX:
             assert find_cycle_of_length(g, length, node_budget=1) is None
 
@@ -202,6 +207,28 @@ def test_table_proves_absence_without_a_node():
     h = disjoint_union([complete(4), complete(5)])
     with pytest.raises(SearchBudgetExceeded):
         find_constrained_path(h, 6, node_budget=1)
+
+
+def test_presence_spends_no_node_on_table_graphs():
+    # n = 8 reads presence off the table; n = 9 searches within the budget
+    for n in (8, 9):
+        g = complete(n)
+        if n <= subgraphs._TABLE_MAX:
+            assert has_path(g, n, -1, node_budget=0)
+            assert has_cycle(g, n, node_budget=0)
+        else:
+            with pytest.raises(SearchBudgetExceeded):
+                has_path(g, n, -1, node_budget=n - 1)
+            with pytest.raises(SearchBudgetExceeded):
+                has_cycle(g, n, node_budget=n - 1)
+            assert has_path(g, n, -1, node_budget=n) and has_cycle(g, n, node_budget=n)
+        assert not has_path(g, n + 1, -1) and not has_cycle(g, n + 1)
+        assert not has_path(g, 2, 1)  # both ends in {0}: only order 1 fits
+        assert has_path(g, 1, 1) and not has_path(g, 1, 0)
+        with pytest.raises(ValueError, match="path order"):
+            has_path(g, 0, -1)
+        with pytest.raises(ValueError, match="cycle length"):
+            has_cycle(g, 2)
 
 
 def test_kept_paths_never_outrun_the_budget():

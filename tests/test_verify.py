@@ -1,10 +1,14 @@
 import json
 import random
 import re
+from contextlib import ExitStack
 from pathlib import Path
+from typing import Iterable
+from unittest import mock
 
 import pytest
 
+from qext import verify
 from qext.enumeration import canonical_code, enumerate_nonisomorphic
 from qext.families import (
     complete,
@@ -22,7 +26,6 @@ from qext.verify import (
     _STATEMENTS,
     STATEMENTS,
     SUITE_STATEMENTS,
-    _instances_for,
     check_statement,
     is_disjoint_cliques,
     matches_lemma2_exception,
@@ -30,6 +33,8 @@ from qext.verify import (
     run_suite,
     theorem1_construction_probe,
 )
+
+from conftest import random_graph
 
 
 # --- single-statement examples ------------------------------------------------
@@ -342,6 +347,18 @@ def test_suite_statement_without_admissible_k_is_rejected():
     assert run_suite(["ore"], n_max=4, k_range=[]).instances > 0
 
 
+def test_suite_counts_a_repeated_statement_once():
+    # like a repeated k, a repeated statement adds no instances
+    once = run_suite(["egp"], n_max=4, k_range=[1])
+    assert once.instances == 18
+    assert run_suite(["egp", "egp"], n_max=4, k_range=[1]) == once
+    assert run_suite(["egp"], n_max=4, k_range=[1, 1]) == once
+    mixed = run_suite(["lemma1", "egp", "lemma1", "egp"], n_max=4, k_range=[1, 2])
+    assert mixed.statements == ("lemma1", "egp")
+    assert list(mixed.by_statement) == ["lemma1", "egp"]
+    assert mixed == run_suite(["lemma1", "egp"], n_max=4, k_range=[1, 2])
+
+
 # records of the full suite at n <= 7, written from the commit before the
 # path table, with the DFS alone; n = 7 is where ni samples its vertex sets
 SUITE_N7 = Path(__file__).parent / "fixtures" / "suite_n7.json"
@@ -434,7 +451,7 @@ def test_statement_table_orders_and_suite_subset():
         "cor2", "theorem1", "theorem1_corollary",
     )
     assert STATEMENTS == SUITE_STATEMENTS + ("lemma3", "cor1")
-    with_instances = tuple(s for s, spec in _STATEMENTS.items() if spec.instances is not None)
+    with_instances = tuple(s for s, spec in _STATEMENTS.items() if spec.sweep is not None)
     assert with_instances == SUITE_STATEMENTS
 
 
@@ -450,6 +467,121 @@ def test_minimum_k_is_rejected_one_below(statement):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check_statement(statement, g, k=least - 1, **extra)
     assert check_statement(statement, g, k=least, **extra).statement == statement
+
+
+# --- the per-instance suite loop the sweeps replace ------------------------------
+# One params dict and one check_statement call per instance, as run_suite ran
+# before each statement got a per-graph sweep; the sweeps must tally the same
+# statuses and report the same violations in the same order.
+
+
+def _no_params(*_):
+    return [{}]
+
+
+def _k_only(g, ks, *_):
+    return [{"k": k} for k in ks]
+
+
+def _each_vertex(name):
+    def instances(g, ks, *_):
+        return [{"k": k, name: v} for k in ks for v in range(g.n)]
+
+    return instances
+
+
+def _ni_partitions(g, ks, graph_index, seed, ni_sample):
+    n = g.n
+    if n <= 6:
+        masks: Iterable[int] = range(1 << n)
+    else:
+        rng = random.Random(seed * 1_000_003 + graph_index)
+        masks = sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
+    sets = [[v for v in range(n) if mask >> v & 1] for mask in masks]
+    return [{"k": k, "a": a} for k in ks for a in sets]
+
+
+REFERENCE_INSTANCES = {
+    "egp": _k_only,
+    "egc": _k_only,
+    "kopylov_i": _k_only,
+    "kopylov_ii": _k_only,
+    "ore": _no_params,
+    "ni": _ni_partitions,
+    "lemma1": _k_only,
+    "lemma2": _each_vertex("v"),
+    "cor2": _each_vertex("w"),
+    "theorem1": _k_only,
+    "theorem1_corollary": _k_only,
+}
+
+
+def _instances_for(g, graph_index, statement, k_range, seed, ni_sample):
+    least = _STATEMENTS[statement].min_k
+    ks = k_range if least is None else [k for k in k_range if k >= least]
+    return REFERENCE_INSTANCES[statement](g, ks, graph_index, seed, ni_sample)
+
+
+def reference_suite(statements, graphs, k_range, seed=0, ni_sample=50):
+    """(by_statement, violating) of the per-instance loop."""
+    ks = sorted(set(k_range))
+    by_statement = {s: dict.fromkeys(verify._STATUSES, 0) for s in statements}
+    violating = []
+    for index, g in enumerate(graphs):
+        for statement in statements:
+            for params in _instances_for(g, index, statement, ks, seed, ni_sample):
+                outcome = check_statement(statement, g, **params)
+                by_statement[statement][outcome.status] += 1
+                if outcome.status == "violated":
+                    violating.append({
+                        "statement": statement, "graph6": verify._graph_token(g),
+                        "params": params, "lhs": outcome.lhs, "rhs": outcome.rhs,
+                    })
+    return by_statement, violating
+
+
+def assert_sweeps_match_reference(graphs, k_range, seed=0):
+    report = run_suite(SUITE_STATEMENTS, corpus=graphs, k_range=k_range, seed=seed)
+    by_statement, violating = reference_suite(SUITE_STATEMENTS, graphs, k_range, seed)
+    assert report.by_statement == by_statement
+    # the same params, in the same order, with lhs and rhs of the same type
+    assert len(report.violating) == len(violating)
+    for got, expect in zip(report.violating, violating):
+        assert json.dumps(got) == json.dumps(expect)
+    return report
+
+
+def test_sweeps_match_per_instance_checks_small():
+    graphs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
+    assert_sweeps_match_reference(graphs, (1, 2, 3, 4))
+
+
+def test_sweeps_match_per_instance_checks_across_the_table_cutoff():
+    # n = 9 and 10 answer presence by search rather than from the path table;
+    # K_22 meets theorem1's hypothesis and the star cor2's order hypothesis
+    rng = random.Random(17)
+    graphs = [random_graph(n, p, rng) for n in range(7, 11) for p in (0.2, 0.45, 0.7)]
+    report = assert_sweeps_match_reference(graphs + [complete(22), star(26)], (1, 2, 3), seed=5)
+    assert report.by_statement["theorem1"]["holds"] == 1
+    assert report.by_statement["cor2"]["holds"] == 26
+
+
+def test_sweeps_match_per_instance_checks_when_nothing_is_found():
+    # with every search finding nothing, hypotheses hold and bounds break,
+    # so violations (their params, order, lhs and rhs) are compared
+    witnesses = ("find_constrained_path", "has_cycle_longer_than", "is_hamiltonian",
+                 "find_cycle_of_length")
+    graphs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)] + [complete(22)]
+    with ExitStack() as stack:
+        for name in witnesses:
+            stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: None))
+        for name in ("has_path", "has_cycle"):
+            stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: False))
+        report = assert_sweeps_match_reference(graphs, (1, 2, 3))
+    assert {v["statement"] for v in report.violating} == {
+        "egp", "egc", "kopylov_i", "kopylov_ii", "ore", "ni", "lemma1", "lemma2",
+        "theorem1", "theorem1_corollary",
+    }
 
 
 @pytest.mark.parametrize("statement", SUITE_STATEMENTS)

@@ -228,7 +228,7 @@ def _cases() -> dict:
     cases["suite/violations"] = _patched(
         lambda: _outcome(run_suite, ["egp", "ni", "lemma2", "kopylov_i"], n_max=4,
                          k_range=(1, 2)),
-        None, ("find_constrained_path",))
+        None, ("find_constrained_path", "has_path"))
     # unreachable branches: searches that find nothing
     no_path = ("find_constrained_path",)
     for label, statement, g, params, nothing in [
