@@ -15,9 +15,9 @@ start or anchor the table proves, never stepping to a vertex with no path of
 the remaining order into the end mask.  Larger graphs, and cycles through
 a given edge, use the backtracking search alone.
 
-:func:`has_path` and :func:`has_cycle` answer presence without a witness:
-on table graphs straight from the table, with no node spent, and above it
-by the same search as the witness builders.
+:func:`has_path`, :func:`has_cycle` and :func:`has_cycle_longer` answer
+presence without a witness: on table graphs straight from the table, with
+no node spent, and above it by the same search as the witness builders.
 
 One engine, :func:`_first_path`, builds every witness: it returns the first
 simple path from a given start whose interior lies in one bitmask and
@@ -350,14 +350,24 @@ def is_hamiltonian(
     return find_cycle_of_length(g, g.n, node_budget=node_budget)
 
 
+def _lengths_above(g: Graph, length: int) -> range:
+    """The cycle lengths in g that exceed ``length``, shortest first."""
+    return range(max(length + 1, 3), g.n + 1)
+
+
 def has_cycle_longer_than(
     g: Graph,
     length: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...] | None:
     """Witness for any cycle with more than ``length`` vertices, or None."""
-    for l in range(max(length + 1, 3), g.n + 1):
+    for l in _lengths_above(g, length):
         witness = find_cycle_of_length(g, l, node_budget=node_budget)
         if witness is not None:
             return witness
     return None
+
+
+def has_cycle_longer(g: Graph, length: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """Whether some cycle has more than ``length`` vertices; no witness is built."""
+    return any(has_cycle(g, l, node_budget) for l in _lengths_above(g, length))

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
@@ -61,6 +62,7 @@ from .subgraphs import (
     find_constrained_path,
     find_cycle_of_length,
     has_cycle,
+    has_cycle_longer,
     has_cycle_longer_than,
     has_path,
     is_hamiltonian,
@@ -186,13 +188,9 @@ def _order_limit(k: int) -> int:
     return 5 * k * k
 
 
-def _order_least(k: int) -> int:
-    """Lemma 3 and Corollaries 1 and 2 assume n >= 6k+13."""
-    return 6 * k + 13
-
-
 def _order_unmet(stmt: str, n: int, k: int) -> CheckOutcome | None:
-    least = _order_least(k)
+    """Lemma 3 and Corollaries 1 and 2 assume n >= 6k+13."""
+    least = 6 * k + 13
     if n >= least:
         return None
     return CheckOutcome(stmt, UNMET, 0.0, float(n + 2 * k - 2), None, f"order {n} < {least}")
@@ -305,14 +303,20 @@ def _ore_hypothesis(stmt: str, g: Graph) -> tuple[float, CheckOutcome | None]:
     return threshold, None
 
 
+def _ore_status(found: object) -> str:
+    """ore's status once g has more edges than the threshold: holds exactly
+    when a Hamiltonian cycle was found."""
+    return HOLDS if found else VIOLATED
+
+
 def _check_ore(stmt: str, g: Graph, k: None, params: dict[str, Any], budget: int) -> CheckOutcome:
     threshold, unmet = _ore_hypothesis(stmt, g)
     if unmet:
         return unmet
     witness = is_hamiltonian(g, node_budget=budget)
-    if witness is not None:
-        return CheckOutcome(stmt, HOLDS, g.m, threshold, witness)
-    return CheckOutcome(stmt, VIOLATED, g.m, threshold, None, "no Hamiltonian cycle")
+    status = _ore_status(witness)
+    note = "no Hamiltonian cycle" if status == VIOLATED else ""
+    return CheckOutcome(stmt, status, g.m, threshold, witness, note)
 
 
 def _ni_rhs(n: int, k: int, size_a: int) -> int:
@@ -321,14 +325,20 @@ def _ni_rhs(n: int, k: int, size_a: int) -> int:
     return (2 * k - 1) * size_a + k * (n - size_a)
 
 
-def _degree_sums(degrees: Sequence[int], masks: Iterable[int]) -> list[int]:
-    """The degree sum over each vertex set, given as a mask."""
-    if len(degrees) > 8:
-        return [sum(degrees[v] for v in _bits(mask)) for mask in masks]
-    sums = [0]  # over every subset, doubling the list with each vertex
-    for d in degrees:
-        sums += [s + d for s in sums]
-    return [sums[mask] for mask in masks]
+def _ni_met(
+    n: int, k: int, sets: Iterable[tuple[int, int, int]], search: Callable[[int], Any]
+) -> Iterator[tuple[int, int, int, str, Any]]:
+    """ni's status rule over vertex sets A, each given as (mask, degree sum,
+    |A|).  A set is precondition_unmet unless its degree sum lhs exceeds
+    rhs.  For each set where it does, in order, this yields (mask, lhs, rhs,
+    status, found); the status is holds exactly when ``search(mask)`` finds
+    a path on 2k+1 vertices with both ends in A, and violated otherwise."""
+    rhs_of = [_ni_rhs(n, k, size) for size in range(n + 1)]
+    for mask, lhs, size in sets:
+        rhs = rhs_of[size]
+        if lhs > rhs:
+            found = search(mask)
+            yield mask, lhs, rhs, (HOLDS if found else VIOLATED), found
 
 
 def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
@@ -345,17 +355,17 @@ def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) 
         b_vertices = sorted(set(int(v) for v in params["b"]))
         if sorted(a_vertices + b_vertices) != list(range(g.n)):
             raise ValueError("(a, b) must partition the vertex set")
+
+    def search(mask: int) -> tuple[int, ...] | None:
+        return find_constrained_path(
+            g, 2 * k + 1, EndpointConstraint(members=mask), node_budget=budget
+        )
+
     rhs = _ni_rhs(g.n, k, len(a_vertices))
-    if lhs <= rhs:
-        return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
-    witness = find_constrained_path(
-        g, 2 * k + 1, EndpointConstraint(members=a_mask), node_budget=budget
-    )
-    if witness is not None:
-        return CheckOutcome(stmt, HOLDS, lhs, rhs, witness)
-    return CheckOutcome(
-        stmt, VIOLATED, lhs, rhs, None, f"no path on {2 * k + 1} vertices with both ends in A"
-    )
+    for _, _, _, status, witness in _ni_met(g.n, k, [(a_mask, lhs, len(a_vertices))], search):
+        note = f"no path on {2 * k + 1} vertices with both ends in A" if status == VIOLATED else ""
+        return CheckOutcome(stmt, status, lhs, rhs, witness, note)
+    return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
 
 
 def _lemma1_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> CheckOutcome:
@@ -557,30 +567,19 @@ def _check_theorem1(
 # ``counts`` and yields (params, lhs, rhs) for each violated one, in
 # instance order: k by k, and within a k vertex by vertex or set by set.
 # Presence comes from has_path / has_cycle, which build no witness.  The
-# per-instance rules that _each_k and _each_vertex run return None for
-# precondition_unmet, the common case, and the outcome otherwise.
-
-
-class _SweepRun(NamedTuple):
-    """What a sweep reads besides the graph: the node budget of each search
-    and what seeds ni's sample of vertex sets."""
-
-    budget: int
-    seed: int
-    graph_index: int
-    ni_sample: int
-
+# per-instance rules that _each_k and _each_vertex run may return None for
+# precondition_unmet, the common case, and return the outcome otherwise.
 
 _Violation = tuple[dict[str, Any], float, float]
-_Sweep = Callable[[str, Graph, Sequence[int], dict[str, int], _SweepRun], Iterator[_Violation]]
+_Sweep = Callable[[str, Graph, Sequence[int], dict[str, int], int], Iterator[_Violation]]
 
 
 def _each_k(rule: Callable[[str, Graph, int, int], CheckOutcome | None]) -> _Sweep:
     """The sweep over instances {"k": k} of rule(stmt, g, k, budget)."""
 
-    def sweep(stmt, g, ks, counts, run):
+    def sweep(stmt, g, ks, counts, budget):
         for k in ks:
-            outcome = rule(stmt, g, k, run.budget)
+            outcome = rule(stmt, g, k, budget)
             status = UNMET if outcome is None else outcome.status
             counts[status] += 1
             if status == VIOLATED:
@@ -592,10 +591,10 @@ def _each_k(rule: Callable[[str, Graph, int, int], CheckOutcome | None]) -> _Swe
 def _each_vertex(name: str, rule: Callable[..., CheckOutcome | None]) -> _Sweep:
     """The sweep over instances {"k": k, name: v} of rule(stmt, g, k, v, budget)."""
 
-    def sweep(stmt, g, ks, counts, run):
+    def sweep(stmt, g, ks, counts, budget):
         for k in ks:
             for v in range(g.n):
-                outcome = rule(stmt, g, k, v, run.budget)
+                outcome = rule(stmt, g, k, v, budget)
                 status = UNMET if outcome is None else outcome.status
                 counts[status] += 1
                 if status == VIOLATED:
@@ -609,9 +608,7 @@ def _egp(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
 
 
 def _egc(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
-    if any(has_cycle(g, l, budget) for l in range(max(k + 1, 3), g.n + 1)):
-        return None
-    return _egc_outcome(stmt, g, k)
+    return None if has_cycle_longer(g, k, budget) else _egc_outcome(stmt, g, k)
 
 
 def _kopylov(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
@@ -629,62 +626,55 @@ def _lemma2(stmt: str, g: Graph, k: int, v: int, budget: int) -> CheckOutcome | 
     return None if has_path(g, 2 * k + 1, ~(1 << v), budget) else _lemma2_outcome(stmt, g, k, v)
 
 
-def _cor2(stmt: str, g: Graph, k: int, w: int, budget: int) -> CheckOutcome | None:
-    return None if g.n < _order_least(k) else _cor2_outcome(stmt, g, k, w, _TOL)
+def _cor2(stmt: str, g: Graph, k: int, w: int, budget: int) -> CheckOutcome:
+    return _cor2_outcome(stmt, g, k, w, _TOL)
 
 
-def _theorem1(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
-    if g.n <= _order_limit(k):
-        return None
+def _theorem1(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome:
     outcome = _theorem1_hypothesis(stmt, g, k, _TOL)
     if outcome.status != HOLDS or all(has_cycle(g, l, budget) for l in _cycle_lengths(stmt, k)):
         return outcome
     return replace(outcome, status=VIOLATED)
 
 
-def _sweep_ore(stmt, g, ks, counts, run):
+def _sweep_ore(stmt, g, ks, counts, budget):
     """The one instance {} of ore."""
     threshold, unmet = _ore_hypothesis(stmt, g)
-    if unmet:
-        counts[UNMET] += 1
-    elif has_cycle(g, g.n, run.budget):
-        counts[HOLDS] += 1
-    else:
-        counts[VIOLATED] += 1
+    status = UNMET if unmet else _ore_status(has_cycle(g, g.n, budget))
+    counts[status] += 1
+    if status == VIOLATED:
         yield {}, g.m, threshold
 
 
-def _sweep_ni(stmt, g, ks, counts, run):
-    """Instances {"k": k, "a": A}: every vertex set A through 6 vertices, a
-    seeded sample above; the same sets for every k."""
-    n = g.n
+def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
+    """ni's vertex sets A, as masks: every set through 6 vertices; above, a
+    sorted sample of ``ni_sample`` sets drawn by ``random.Random(rng_seed)``."""
     if n <= 6:
-        masks: Sequence[int] = range(1 << n)
-    else:
-        rng = random.Random(run.seed * 1_000_003 + run.graph_index)
-        masks = sorted(rng.sample(range(1 << n), min(run.ni_sample, 1 << n)))
-    sets = list(zip(masks, _degree_sums(g.degrees, masks), [m.bit_count() for m in masks]))
-    unmet = holds = 0
+        return range(1 << n)
+    rng = random.Random(rng_seed)
+    return sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
+
+
+def _sweep_ni(stmt, g, ks, counts, budget, masks):
+    """Instances {"k": k, "a": A} for every vertex set A in ``masks``; the
+    same sets for every k."""
+    n, degrees = g.n, g.degrees
+    sets = [(mask, sum(degrees[v] for v in _bits(mask)), mask.bit_count()) for mask in masks]
     for k in ks:
-        rhs_of = [_ni_rhs(n, k, size) for size in range(n + 1)]
-        order = 2 * k + 1
-        for mask, lhs, size in sets:
-            rhs = rhs_of[size]
-            if lhs <= rhs:
-                unmet += 1
-            elif has_path(g, order, mask, run.budget):
-                holds += 1
-            else:
-                counts[VIOLATED] += 1
+        met = 0
+        search = partial(has_path, g, 2 * k + 1, node_budget=budget)
+        for mask, lhs, rhs, status, _ in _ni_met(n, k, sets, search):
+            met += 1
+            counts[status] += 1
+            if status == VIOLATED:
                 yield {"k": k, "a": list(_bits(mask))}, lhs, rhs
-    counts[UNMET] += unmet
-    counts[HOLDS] += holds
+        counts[UNMET] += len(sets) - met
 
 
 class _Statement(NamedTuple):
     check: Callable[..., CheckOutcome]
     min_k: int | None
-    sweep: _Sweep | None
+    sweep: Callable[..., Iterator[_Violation]] | None
 
 
 # Every statement, declared once, in STATEMENTS order: its checker, the least
@@ -833,9 +823,13 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         ks = k_range if least is None else [k for k in k_range if k >= least]
         sweeps.append((statement, sweep, ks, tallies[statement]))
     for offset, g in enumerate(graphs):
-        run = _SweepRun(node_budget, seed, start_index + offset, ni_sample)
         for statement, sweep, ks, counts in sweeps:
-            for params, lhs, rhs in sweep(statement, g, ks, counts, run):
+            if sweep is _sweep_ni:  # the one sweep that samples, seeded per graph
+                masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
+                violations = _sweep_ni(statement, g, ks, counts, node_budget, masks)
+            else:
+                violations = sweep(statement, g, ks, counts, node_budget)
+            for params, lhs, rhs in violations:
                 violating.append(
                     {
                         "statement": statement,

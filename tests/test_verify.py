@@ -575,7 +575,7 @@ def test_sweeps_match_per_instance_checks_when_nothing_is_found():
     with ExitStack() as stack:
         for name in witnesses:
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: None))
-        for name in ("has_path", "has_cycle"):
+        for name in ("has_path", "has_cycle", "has_cycle_longer"):
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: False))
         report = assert_sweeps_match_reference(graphs, (1, 2, 3))
     assert {v["statement"] for v in report.violating} == {
@@ -586,12 +586,14 @@ def test_sweeps_match_per_instance_checks_when_nothing_is_found():
 
 @pytest.mark.parametrize("statement", SUITE_STATEMENTS)
 def test_suite_instances_respect_the_table(statement):
+    # run_suite drops each k below the statement's least k and runs the rest;
+    # ore takes no k and runs once per graph whatever k_range holds
+    graphs = [complete(1), cycle(5), path(7), complete(8)]
+    report = run_suite([statement], corpus=graphs, k_range=(-1, 0, 1, 2, 3), seed=4, ni_sample=6)
     least = _STATEMENTS[statement].min_k
-    for index, g in enumerate([complete(1), cycle(5), path(7), complete(8)]):
-        instances = list(_instances_for(g, index, statement, (-1, 0, 1, 2, 3), 4, 6))
-        if least is None:
-            assert instances == [{}]
-            continue
-        assert {params["k"] for params in instances} == set(range(least, 4))
-        for params in instances:
-            check_statement(statement, g, **params)
+    admissible = (0,) if least is None else range(least, 4)
+    by_statement, violating = reference_suite([statement], graphs, admissible, 4, 6)
+    assert report.by_statement == by_statement
+    assert report.violating == violating
+    if least is None:
+        assert report.instances == len(graphs)
