@@ -1,15 +1,17 @@
 """Mechanical checkers turning bound statements into pass/fail verdicts.
 
-Each checker evaluates one statement on a concrete instance and reports
-holds / equality_case / violated / precondition_unmet / indeterminate with
-the numeric pair behind the verdict and, where applicable, a structural
-witness.  Hypothesis failures are always reported as precondition_unmet,
-never silently as holds; spectral thresholds go through certified
-comparisons and may come back indeterminate.  ``_STATEMENTS`` declares
-each statement once: its checker, the least k it accepts and its suite
-sweep, which tallies all of the statement's instances on one graph from
-presence queries, building no witness; every spectral threshold is decided
-by ``_threshold``.
+Each statement is decided by one rule, which evaluates it on a concrete
+instance and reports holds / equality_case / violated / precondition_unmet
+/ indeterminate with the numeric pair behind the verdict and, where
+applicable, a structural witness.  Hypothesis failures are always reported
+as precondition_unmet, never silently as holds; spectral thresholds go
+through certified comparisons and may come back indeterminate, and every
+one of them is decided by ``_threshold``.  ``_STATEMENTS`` declares each
+statement once: its rule, the least k it accepts, the name of its own
+parameter and whether it runs in suites.  The same rule serves
+``check_statement``, which hands it searches that build witnesses, and
+``run_suite``, which hands it presence queries that build none and keeps
+only the status, lhs and rhs.
 
 Statement tags
 --------------
@@ -36,9 +38,8 @@ theorem1_corollary   same hypothesis  =>  cycles of every order 3..2k+2
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
 from .enumeration import enumerate_nonisomorphic, write_graph6
@@ -57,15 +58,14 @@ from .graph import (
 from .report import record
 from .spectral import certified_compare, q_index
 from .subgraphs import (
+    _BITS,
+    _TABLE_MAX,
     DEFAULT_NODE_BUDGET,
     EndpointConstraint,
     find_constrained_path,
     find_cycle_of_length,
     has_cycle,
-    has_cycle_longer,
-    has_cycle_longer_than,
     has_path,
-    is_hamiltonian,
 )
 
 HOLDS = "holds"
@@ -170,17 +170,30 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
     )
 
 
-# --- individual checkers -----------------------------------------------------
-# Each takes (statement, g, k, params, node_budget); check_statement has
+# --- rules -------------------------------------------------------------------
+# One rule per statement: rule(stmt, g, k, x, find, budget) -> CheckOutcome.
+# x is the instance's own parameter: lemma2's v, cor2's w, ni's vertex set A
+# as (mask, degree sum, |A|), check_statement's params for lemma3 and cor1
+# (which build their own graph), and None otherwise.  check_statement has
 # already checked k against the statement's minimum and that g is given.
-# What a checker shares with its suite sweep (its hypothesis, sides and
-# status rule) sits in the helpers beside it.  The checker hands them the
-# witness it searched for; the sweep asks has_path / has_cycle instead and
-# hands them nothing when the answer is no.
 
 
-def _tol(params: dict[str, Any]) -> float:
-    return float(params.get("tol", _TOL))
+class _Search(NamedTuple):
+    """How a rule asks its questions: a path on ``order`` vertices with both
+    ends in ``ends_mask``, a cycle on ``length`` vertices, and the q_index
+    tolerance of its spectral thresholds.  check_statement passes witness
+    builders (a witness or None) and the given tol, run_suite presence
+    queries (True or False) and the default tol; a rule reads only whether
+    the answer is truthy, and keeps it as the witness."""
+
+    path: Callable[[Graph, int, int, int], Any]  # (g, order, ends_mask, budget)
+    cycle: Callable[[Graph, int, int], Any]  # (g, length, budget)
+    tol: float = _TOL
+
+
+def _path_witness(g: Graph, order: int, ends_mask: int, budget: int) -> tuple[int, ...] | None:
+    """The first path on ``order`` vertices with both ends in ``ends_mask``."""
+    return find_constrained_path(g, order, EndpointConstraint(members=ends_mask), budget)
 
 
 def _order_limit(k: int) -> int:
@@ -228,10 +241,10 @@ def _bound(
     return CheckOutcome(stmt, VIOLATED, lhs, rhs, None, above)
 
 
-def _egp_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> CheckOutcome:
-    """egp given the path on k+2 vertices found, if any."""
+def _egp(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
     lhs, rhs = g.m, k * g.n / 2
-    if witness is not None:
+    witness = find.path(g, k + 2, -1, budget)
+    if witness:
         return CheckOutcome(stmt, UNMET, lhs, rhs, witness, f"contains a path on {k + 2} vertices")
     if 2 * g.m == k * g.n and not is_disjoint_cliques(g, k + 1):
         return CheckOutcome(
@@ -240,17 +253,16 @@ def _egp_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> C
     return _bound(stmt, lhs, rhs, "disjoint cliques")
 
 
-def _check_egp(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
-    return _egp_outcome(stmt, g, k, find_constrained_path(g, k + 2, node_budget=budget))
-
-
-def _egc_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> CheckOutcome:
-    """egc given the cycle on more than k vertices found, if any."""
+def _egc(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
     lhs, rhs = g.m, k * (g.n - 1) / 2
-    if witness is not None:
-        return CheckOutcome(
-            stmt, UNMET, lhs, rhs, witness, f"contains a cycle on {len(witness)} > {k} vertices"
-        )
+    if g.n == 0:  # the bound k(n-1)/2 assumes a vertex
+        return CheckOutcome(stmt, UNMET, lhs, rhs, None, "order 0")
+    for length in range(max(k + 1, 3), g.n + 1):
+        witness = find.cycle(g, length, budget)
+        if witness:
+            return CheckOutcome(
+                stmt, UNMET, lhs, rhs, witness, f"contains a cycle on {length} > {k} vertices"
+            )
     if 2 * g.m != k * (g.n - 1):
         return _bound(stmt, lhs, rhs)
     if not is_complete_block_graph(g, k):
@@ -261,156 +273,92 @@ def _egc_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> C
     return CheckOutcome(stmt, EQUALITY, lhs, rhs, None, "clique blocks" + hub)
 
 
-def _check_egc(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
-    return _egc_outcome(stmt, g, k, has_cycle_longer_than(g, k, node_budget=budget))
-
-
-def _kopylov_hypothesis(stmt: str, g: Graph, k: int) -> tuple[int, float, str]:
-    """The order of the forbidden path, the edge bound, and the note of the
-    hypothesis that fails before any search ("" when none does)."""
+def _kopylov(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
     # kopylov_i forbids paths on 2k+2 vertices, kopylov_ii on 2k+3; each
     # needs at least that many vertices
     if stmt == "kopylov_i":
-        order, bound = 2 * k + 2, kopylov_i_value(g.n, k)
+        order, rhs = 2 * k + 2, float(kopylov_i_value(g.n, k))
     else:
-        order, bound = 2 * k + 3, kopylov_ii_value(g.n, k)
+        order, rhs = 2 * k + 3, float(kopylov_ii_value(g.n, k))
     if not is_connected(g):
-        return order, float(bound), "not connected"
-    return order, float(bound), f"order {g.n} < {order}" if g.n < order else ""
-
-
-def _check_kopylov(
-    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
-) -> CheckOutcome:
-    order, rhs, unmet = _kopylov_hypothesis(stmt, g, k)
-    if unmet:
-        return CheckOutcome(stmt, UNMET, g.m, rhs, None, unmet)
-    witness = find_constrained_path(g, order, node_budget=budget)
-    if witness is not None:
+        return CheckOutcome(stmt, UNMET, g.m, rhs, None, "not connected")
+    if g.n < order:
+        return CheckOutcome(stmt, UNMET, g.m, rhs, None, f"order {g.n} < {order}")
+    witness = find.path(g, order, -1, budget)
+    if witness:
         return CheckOutcome(stmt, UNMET, g.m, rhs, witness, f"contains a path on {order} vertices")
     return _bound(stmt, g.m, rhs)
 
 
-def _ore_hypothesis(stmt: str, g: Graph) -> tuple[float, CheckOutcome | None]:
-    """Ore's edge threshold, and the outcome when g does not exceed it."""
+def _ore(stmt: str, g: Graph, k: None, x: None, find: _Search, budget: int) -> CheckOutcome:
     if g.n < 3:
-        return 0.0, CheckOutcome(stmt, UNMET, g.m, 0.0, None, "order < 3")
+        return CheckOutcome(stmt, UNMET, g.m, 0.0, None, "order < 3")
     threshold = float(ore_edge_threshold(g.n))
     if g.m <= threshold:
-        return threshold, CheckOutcome(
-            stmt, UNMET, g.m, threshold, None, "edge count not above threshold"
-        )
-    return threshold, None
+        return CheckOutcome(stmt, UNMET, g.m, threshold, None, "edge count not above threshold")
+    witness = find.cycle(g, g.n, budget)
+    if witness:
+        return CheckOutcome(stmt, HOLDS, g.m, threshold, witness)
+    return CheckOutcome(stmt, VIOLATED, g.m, threshold, None, "no Hamiltonian cycle")
 
 
-def _ore_status(found: object) -> str:
-    """ore's status once g has more edges than the threshold: holds exactly
-    when a Hamiltonian cycle was found."""
-    return HOLDS if found else VIOLATED
+def _ni_sets(g: Graph, masks: Iterable[int]) -> list[tuple[int, int, int]]:
+    """Each vertex set A in ``masks`` as (mask, degree sum, |A|).  The degree
+    sum over A counts each edge at its ends in A, so it is 2e(A)+e(A,B)."""
+    degree = g.degrees.__getitem__
+    # a table graph's masks index the precomputed bit lists
+    bits = _BITS.__getitem__ if g.n <= _TABLE_MAX else _bits
+    return [(mask, sum(map(degree, bits(mask))), mask.bit_count()) for mask in masks]
 
 
-def _check_ore(stmt: str, g: Graph, k: None, params: dict[str, Any], budget: int) -> CheckOutcome:
-    threshold, unmet = _ore_hypothesis(stmt, g)
-    if unmet:
-        return unmet
-    witness = is_hamiltonian(g, node_budget=budget)
-    status = _ore_status(witness)
-    note = "no Hamiltonian cycle" if status == VIOLATED else ""
-    return CheckOutcome(stmt, status, g.m, threshold, witness, note)
+def _ni_rhs(n: int, k: int, size: int) -> int:
+    """(2k-1)|A| + k|B| for a set A of ``size`` vertices."""
+    return (2 * k - 1) * size + k * (n - size)
 
 
-def _ni_rhs(n: int, k: int, size_a: int) -> int:
-    """(2k-1)|A| + k|B|; the left side 2e(A) + e(A,B) counts each edge at
-    its ends in A, so it is the degree sum over A."""
-    return (2 * k - 1) * size_a + k * (n - size_a)
+def _ni_met(n: int, k: int, sets: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The sets A on which ``_ni`` is not precondition_unmet: their degree
+    sum exceeds ``_ni_rhs``.  The suite calls the rule on these only."""
+    rhs = [_ni_rhs(n, k, size) for size in range(n + 1)]
+    return [a for a in sets if a[1] > rhs[a[2]]]
 
 
-def _ni_met(
-    n: int, k: int, sets: Iterable[tuple[int, int, int]], search: Callable[[int], Any]
-) -> Iterator[tuple[int, int, int, str, Any]]:
-    """ni's status rule over vertex sets A, each given as (mask, degree sum,
-    |A|).  A set is precondition_unmet unless its degree sum lhs exceeds
-    rhs.  For each set where it does, in order, this yields (mask, lhs, rhs,
-    status, found); the status is holds exactly when ``search(mask)`` finds
-    a path on 2k+1 vertices with both ends in A, and violated otherwise."""
-    rhs_of = [_ni_rhs(n, k, size) for size in range(n + 1)]
-    for mask, lhs, size in sets:
-        rhs = rhs_of[size]
-        if lhs > rhs:
-            found = search(mask)
-            yield mask, lhs, rhs, (HOLDS if found else VIOLATED), found
+def _ni(
+    stmt: str, g: Graph, k: int, a: tuple[int, int, int], find: _Search, budget: int
+) -> CheckOutcome:
+    mask, lhs, size = a
+    rhs = _ni_rhs(g.n, k, size)
+    if lhs <= rhs:
+        return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
+    witness = find.path(g, 2 * k + 1, mask, budget)
+    if witness:
+        return CheckOutcome(stmt, HOLDS, lhs, rhs, witness)
+    note = f"no path on {2 * k + 1} vertices with both ends in A"
+    return CheckOutcome(stmt, VIOLATED, lhs, rhs, None, note)
 
 
-def _check_ni(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
-    if "a" not in params:
-        raise ValueError("missing parameter 'a' (vertex set A of the partition)")
-    a_vertices = sorted(set(map(int, params["a"])))
-    lhs = a_mask = 0
-    for v in a_vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"partition vertex {v} out of range")
-        lhs += g.degrees[v]
-        a_mask |= 1 << v
-    if "b" in params and params["b"] is not None:
-        b_vertices = sorted(set(int(v) for v in params["b"]))
-        if sorted(a_vertices + b_vertices) != list(range(g.n)):
-            raise ValueError("(a, b) must partition the vertex set")
-
-    def search(mask: int) -> tuple[int, ...] | None:
-        return find_constrained_path(
-            g, 2 * k + 1, EndpointConstraint(members=mask), node_budget=budget
-        )
-
-    rhs = _ni_rhs(g.n, k, len(a_vertices))
-    for _, _, _, status, witness in _ni_met(g.n, k, [(a_mask, lhs, len(a_vertices))], search):
-        note = f"no path on {2 * k + 1} vertices with both ends in A" if status == VIOLATED else ""
-        return CheckOutcome(stmt, status, lhs, rhs, witness, note)
-    return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
-
-
-def _lemma1_outcome(stmt: str, g: Graph, k: int, witness: tuple | None = None) -> CheckOutcome:
-    """lemma1 given the path on 2k+1 vertices found, if any."""
-    if witness is not None:
+def _lemma1(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
+    witness = find.path(g, 2 * k + 1, -1, budget)
+    if witness:
         return CheckOutcome(
             stmt, UNMET, 0.0, 0.0, witness, f"contains a path on {2 * k + 1} vertices"
         )
     rows = _components_off_2k(g, k)
     for comp, lhs, rhs in rows:
         if lhs > rhs:
-            return CheckOutcome(
-                stmt,
-                VIOLATED,
-                lhs,
-                rhs,
-                comp,
-                f"component of order {len(comp)} with {int(lhs)} edges",
-            )
+            note = f"component of order {len(comp)} with {int(lhs)} edges"
+            return CheckOutcome(stmt, VIOLATED, lhs, rhs, comp, note)
     if not rows:
         return CheckOutcome(stmt, HOLDS, 0.0, 0.0, None, "all components have order 2k")
     _, lhs, rhs = max(rows, key=lambda row: row[1] - row[2])
     return CheckOutcome(stmt, HOLDS, lhs, rhs)
 
 
-def _check_lemma1(
-    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
-) -> CheckOutcome:
-    return _lemma1_outcome(stmt, g, k, find_constrained_path(g, 2 * k + 1, node_budget=budget))
-
-
-def _lemma2_outcome(
-    stmt: str, g: Graph, k: int, v: int, witness: tuple | None = None
-) -> CheckOutcome:
-    """lemma2 given the path on 2k+1 vertices avoiding v at both ends found,
-    if any."""
-    if witness is not None:
-        return CheckOutcome(
-            stmt,
-            UNMET,
-            0.0,
-            0.0,
-            witness,
-            f"contains a path on {2 * k + 1} vertices avoiding v at both ends",
-        )
+def _lemma2(stmt: str, g: Graph, k: int, v: int, find: _Search, budget: int) -> CheckOutcome:
+    witness = find.path(g, 2 * k + 1, ~(1 << v), budget)
+    if witness:
+        note = f"contains a path on {2 * k + 1} vertices avoiding v at both ends"
+        return CheckOutcome(stmt, UNMET, 0.0, 0.0, witness, note)
     lhs = float(2 * g.m - g.degrees[v])
     rhs = float((2 * k - 1) * (g.n - 1))
     if lhs > rhs and matches_lemma2_exception(g, k, v):
@@ -418,20 +366,8 @@ def _lemma2_outcome(
     return _bound(stmt, lhs, rhs, above="bound exceeded outside the exceptional family")
 
 
-def _check_lemma2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
-    if "v" not in params:
-        raise ValueError("missing parameter 'v'")
-    v = int(params["v"])
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex v={v} out of range")
-    witness = find_constrained_path(
-        g, 2 * k + 1, EndpointConstraint.ends_avoid(v), node_budget=budget
-    )
-    return _lemma2_outcome(stmt, g, k, v, witness)
-
-
-def _check_lemma3(
-    stmt: str, g_unused: None, k: int, params: dict[str, Any], budget: int
+def _lemma3(
+    stmt: str, g_unused: None, k: int, params: dict[str, Any], find: _Search, budget: int
 ) -> CheckOutcome:
     if "h" not in params or "p" not in params:
         raise ValueError("lemma3 requires parameters 'h' (graph) and 'p'")
@@ -449,7 +385,6 @@ def _check_lemma3(
     for block in f_blocks:
         if block.n != 2 * k:
             raise ValueError(f"every block must have order {2 * k}, got {block.n}")
-    tol = _tol(params)
     n = 2 * k * p + h.n
     for a in attachment:
         if not 0 <= a < 2 * k * p:
@@ -459,14 +394,14 @@ def _check_lemma3(
     if unmet:
         return unmet
     threshold_h = h.n + 2 * k - 2 + 6.0 * p * k / (n + 3)
-    q, hypothesis = _threshold(h, threshold_h, tol)
+    q, hypothesis = _threshold(h, threshold_h, find.tol)
     if hypothesis == "indeterminate":
         return CheckOutcome(stmt, INDETERMINATE, q, threshold_h, None, "hypothesis not certifiable")
     if hypothesis == "gt":
         return CheckOutcome(stmt, UNMET, q, threshold_h, None, "hypothesis bound on q(h) fails")
     base = disjoint_union(list(f_blocks) + [h])
     edges = list(base.edges()) + [(a, 2 * k * p + w) for a in attachment]
-    q, conclusion = _threshold(build_graph(n, edges), threshold_g, tol)
+    q, conclusion = _threshold(build_graph(n, edges), threshold_g, find.tol)
     if conclusion == "lt":
         return CheckOutcome(stmt, HOLDS, q, threshold_g)
     if conclusion == "indeterminate":
@@ -488,216 +423,103 @@ def _q_strictly_below(stmt: str, g: Graph, k: int, tol: float) -> CheckOutcome:
     return CheckOutcome(stmt, VIOLATED, q, threshold)
 
 
-def _check_cor1(
-    stmt: str, g_unused: None, k: int, params: dict[str, Any], budget: int
+def _cor1(
+    stmt: str, g_unused: None, k: int, params: dict[str, Any], find: _Search, budget: int
 ) -> CheckOutcome:
     if "p" not in params:
         raise ValueError("missing parameter 'p'")
-    p = int(params["p"])
-    tol = _tol(params)
-    g = corollary1_graph(k, p)
-    return _order_unmet(stmt, g.n, k) or _q_strictly_below(stmt, g, k, tol)
+    g = corollary1_graph(k, int(params["p"]))
+    return _order_unmet(stmt, g.n, k) or _q_strictly_below(stmt, g, k, find.tol)
 
 
-def _cor2_outcome(stmt: str, g: Graph, k: int, w: int, tol: float) -> CheckOutcome:
+def _cor2(stmt: str, g: Graph, k: int, w: int, find: _Search, budget: int) -> CheckOutcome:
     unmet = _order_unmet(stmt, g.n, k)
     if unmet:
         return unmet
     rest = [v for v in range(g.n) if v != w]
     for comp, lhs, rhs in _components_off_2k(g.induced(rest), k):
         if lhs > rhs:
-            return CheckOutcome(
-                stmt,
-                UNMET,
-                lhs,
-                rhs,
-                tuple(rest[v] for v in comp),
-                "component condition on G - w fails",
-            )
-    return _q_strictly_below(stmt, g, k, tol)
+            note = "component condition on G - w fails"
+            return CheckOutcome(stmt, UNMET, lhs, rhs, tuple(rest[v] for v in comp), note)
+    return _q_strictly_below(stmt, g, k, find.tol)
 
 
-def _check_cor2(stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int) -> CheckOutcome:
-    if "w" not in params:
-        raise ValueError("missing parameter 'w'")
-    w = int(params["w"])
-    if not 0 <= w < g.n:
-        raise ValueError(f"vertex w={w} out of range")
-    return _cor2_outcome(stmt, g, k, w, _tol(params))
-
-
-def _theorem1_hypothesis(stmt: str, g: Graph, k: int, tol: float) -> CheckOutcome:
-    """The outcome when q >= n+2k-2 with n > 5k^2 fails or cannot be
-    certified; otherwise a holds outcome for the cycles to decide."""
+def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
+    # theorem1 asks for cycles on 2k+1 and 2k+2 vertices, its corollary for
+    # every order 3..2k+2
     n = g.n
     threshold = float(n + 2 * k - 2)
     if n <= _order_limit(k):
         return CheckOutcome(stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}")
-    q, verdict = _threshold(g, threshold, tol)
+    q, verdict = _threshold(g, threshold, find.tol)
     if verdict == "lt":
         return CheckOutcome(stmt, UNMET, q, threshold, None, "q below the threshold")
     if verdict == "indeterminate":
         return CheckOutcome(stmt, INDETERMINATE, q, threshold, None, "hypothesis not certifiable")
-    return CheckOutcome(stmt, HOLDS, q, threshold)
-
-
-def _cycle_lengths(stmt: str, k: int) -> Sequence[int]:
-    """theorem1 asks for cycles on 2k+1 and 2k+2 vertices, its corollary
-    for every order 3..2k+2."""
-    return range(3, 2 * k + 3) if stmt == "theorem1_corollary" else (2 * k + 1, 2 * k + 2)
-
-
-def _check_theorem1(
-    stmt: str, g: Graph, k: int, params: dict[str, Any], budget: int
-) -> CheckOutcome:
-    outcome = _theorem1_hypothesis(stmt, g, k, _tol(params))
-    if outcome.status != HOLDS:
-        return outcome
-    witnesses = []
-    for length in _cycle_lengths(stmt, k):
-        witness = find_cycle_of_length(g, length, node_budget=budget)
-        if witness is None:
-            return replace(outcome, status=VIOLATED, note=f"no cycle on {length} vertices")
-        witnesses.append(witness)
-    return replace(outcome, witness=witnesses[0])
-
-
-# --- suite sweeps ---------------------------------------------------------------
-# Each tallies every suite instance of one statement on one graph into
-# ``counts`` and yields (params, lhs, rhs) for each violated one, in
-# instance order: k by k, and within a k vertex by vertex or set by set.
-# Presence comes from has_path / has_cycle, which build no witness.  The
-# per-instance rules that _each_k and _each_vertex run may return None for
-# precondition_unmet, the common case, and return the outcome otherwise.
-
-_Violation = tuple[dict[str, Any], float, float]
-_Sweep = Callable[[str, Graph, Sequence[int], dict[str, int], int], Iterator[_Violation]]
-
-
-def _each_k(rule: Callable[[str, Graph, int, int], CheckOutcome | None]) -> _Sweep:
-    """The sweep over instances {"k": k} of rule(stmt, g, k, budget)."""
-
-    def sweep(stmt, g, ks, counts, budget):
-        for k in ks:
-            outcome = rule(stmt, g, k, budget)
-            status = UNMET if outcome is None else outcome.status
-            counts[status] += 1
-            if status == VIOLATED:
-                yield {"k": k}, outcome.lhs, outcome.rhs
-
-    return sweep
-
-
-def _each_vertex(name: str, rule: Callable[..., CheckOutcome | None]) -> _Sweep:
-    """The sweep over instances {"k": k, name: v} of rule(stmt, g, k, v, budget)."""
-
-    def sweep(stmt, g, ks, counts, budget):
-        for k in ks:
-            for v in range(g.n):
-                outcome = rule(stmt, g, k, v, budget)
-                status = UNMET if outcome is None else outcome.status
-                counts[status] += 1
-                if status == VIOLATED:
-                    yield {"k": k, name: v}, outcome.lhs, outcome.rhs
-
-    return sweep
-
-
-def _egp(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
-    return None if has_path(g, k + 2, -1, budget) else _egp_outcome(stmt, g, k)
-
-
-def _egc(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
-    return None if has_cycle_longer(g, k, budget) else _egc_outcome(stmt, g, k)
-
-
-def _kopylov(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
-    order, rhs, unmet = _kopylov_hypothesis(stmt, g, k)
-    if unmet or has_path(g, order, -1, budget):
-        return None
-    return _bound(stmt, g.m, rhs)
-
-
-def _lemma1(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome | None:
-    return None if has_path(g, 2 * k + 1, -1, budget) else _lemma1_outcome(stmt, g, k)
-
-
-def _lemma2(stmt: str, g: Graph, k: int, v: int, budget: int) -> CheckOutcome | None:
-    return None if has_path(g, 2 * k + 1, ~(1 << v), budget) else _lemma2_outcome(stmt, g, k, v)
-
-
-def _cor2(stmt: str, g: Graph, k: int, w: int, budget: int) -> CheckOutcome:
-    return _cor2_outcome(stmt, g, k, w, _TOL)
-
-
-def _theorem1(stmt: str, g: Graph, k: int, budget: int) -> CheckOutcome:
-    outcome = _theorem1_hypothesis(stmt, g, k, _TOL)
-    if outcome.status != HOLDS or all(has_cycle(g, l, budget) for l in _cycle_lengths(stmt, k)):
-        return outcome
-    return replace(outcome, status=VIOLATED)
-
-
-def _sweep_ore(stmt, g, ks, counts, budget):
-    """The one instance {} of ore."""
-    threshold, unmet = _ore_hypothesis(stmt, g)
-    status = UNMET if unmet else _ore_status(has_cycle(g, g.n, budget))
-    counts[status] += 1
-    if status == VIOLATED:
-        yield {}, g.m, threshold
-
-
-def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
-    """ni's vertex sets A, as masks: every set through 6 vertices; above, a
-    sorted sample of ``ni_sample`` sets drawn by ``random.Random(rng_seed)``."""
-    if n <= 6:
-        return range(1 << n)
-    rng = random.Random(rng_seed)
-    return sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
-
-
-def _sweep_ni(stmt, g, ks, counts, budget, masks):
-    """Instances {"k": k, "a": A} for every vertex set A in ``masks``; the
-    same sets for every k."""
-    n, degrees = g.n, g.degrees
-    sets = [(mask, sum(degrees[v] for v in _bits(mask)), mask.bit_count()) for mask in masks]
-    for k in ks:
-        met = 0
-        search = partial(has_path, g, 2 * k + 1, node_budget=budget)
-        for mask, lhs, rhs, status, _ in _ni_met(n, k, sets, search):
-            met += 1
-            counts[status] += 1
-            if status == VIOLATED:
-                yield {"k": k, "a": list(_bits(mask))}, lhs, rhs
-        counts[UNMET] += len(sets) - met
+    lengths = range(3, 2 * k + 3) if stmt == "theorem1_corollary" else (2 * k + 1, 2 * k + 2)
+    first = None
+    for length in lengths:
+        witness = find.cycle(g, length, budget)
+        if not witness:
+            note = f"no cycle on {length} vertices"
+            return CheckOutcome(stmt, VIOLATED, q, threshold, None, note)
+        first = first or witness
+    return CheckOutcome(stmt, HOLDS, q, threshold, first)
 
 
 class _Statement(NamedTuple):
-    check: Callable[..., CheckOutcome]
+    rule: Callable[..., CheckOutcome]
     min_k: int | None
-    sweep: Callable[..., Iterator[_Violation]] | None
+    param: str | None
+    suite: bool
 
 
-# Every statement, declared once, in STATEMENTS order: its checker, the least
-# k it accepts (None: it takes no k) and its suite sweep (None: the checker
-# builds its own graph, so it takes no graph and runs in no suite).
+# Every statement, declared once, in STATEMENTS order: its rule, the least k
+# it accepts (None: it takes no k), the name of its own parameter x (None: it
+# has none) and whether it runs in suites (lemma3 and cor1 build their own
+# graph from their params, so they take no graph and run in no suite).
 _STATEMENTS: dict[str, _Statement] = {
-    "egp": _Statement(_check_egp, 1, _each_k(_egp)),
-    "egc": _Statement(_check_egc, 2, _each_k(_egc)),
-    "kopylov_i": _Statement(_check_kopylov, 1, _each_k(_kopylov)),
-    "kopylov_ii": _Statement(_check_kopylov, 1, _each_k(_kopylov)),
-    "ore": _Statement(_check_ore, None, _sweep_ore),
-    "ni": _Statement(_check_ni, 1, _sweep_ni),
-    "lemma1": _Statement(_check_lemma1, 1, _each_k(_lemma1)),
-    "lemma2": _Statement(_check_lemma2, 1, _each_vertex("v", _lemma2)),
-    "cor2": _Statement(_check_cor2, 2, _each_vertex("w", _cor2)),
-    "theorem1": _Statement(_check_theorem1, 2, _each_k(_theorem1)),
-    "theorem1_corollary": _Statement(_check_theorem1, 2, _each_k(_theorem1)),
-    "lemma3": _Statement(_check_lemma3, 2, None),
-    "cor1": _Statement(_check_cor1, 2, None),
+    "egp": _Statement(_egp, 1, None, True),
+    "egc": _Statement(_egc, 2, None, True),
+    "kopylov_i": _Statement(_kopylov, 1, None, True),
+    "kopylov_ii": _Statement(_kopylov, 1, None, True),
+    "ore": _Statement(_ore, None, None, True),
+    "ni": _Statement(_ni, 1, "a", True),
+    "lemma1": _Statement(_lemma1, 1, None, True),
+    "lemma2": _Statement(_lemma2, 1, "v", True),
+    "cor2": _Statement(_cor2, 2, "w", True),
+    "theorem1": _Statement(_theorem1, 2, None, True),
+    "theorem1_corollary": _Statement(_theorem1, 2, None, True),
+    "lemma3": _Statement(_lemma3, 2, None, False),
+    "cor1": _Statement(_cor1, 2, None, False),
 }
 
 STATEMENTS = tuple(_STATEMENTS)
-SUITE_STATEMENTS = tuple(s for s, spec in _STATEMENTS.items() if spec.sweep)
+SUITE_STATEMENTS = tuple(s for s, spec in _STATEMENTS.items() if spec.suite)
+
+
+def _param(name: str | None, g: Graph, params: dict[str, Any]) -> Any:
+    """The instance's own parameter x read from check_statement's params: a
+    vertex for "v" and "w", ni's set A as (mask, degree sum, |A|) for "a"."""
+    if name is None:
+        return None
+    if name not in params:
+        what = " (vertex set A of the partition)" if name == "a" else ""
+        raise ValueError(f"missing parameter '{name}'{what}")
+    if name != "a":
+        v = int(params[name])
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {name}={v} out of range")
+        return v
+    a_vertices = sorted(set(map(int, params["a"])))
+    for v in a_vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"partition vertex {v} out of range")
+    if params.get("b") is not None:
+        b_vertices = sorted(set(int(v) for v in params["b"]))
+        if sorted(a_vertices + b_vertices) != list(range(g.n)):
+            raise ValueError("(a, b) must partition the vertex set")
+    return _ni_sets(g, [mask_of(a_vertices)])[0]
 
 
 def check_statement(
@@ -717,7 +539,7 @@ def check_statement(
         raise ValueError(
             f"unknown statement {statement!r}; known: {', '.join(sorted(_STATEMENTS))}"
         )
-    if spec.sweep and g is None:
+    if spec.suite and g is None:
         raise ValueError(f"statement {statement!r} requires a graph")
     k = None
     if spec.min_k is not None:
@@ -726,7 +548,9 @@ def check_statement(
         k = int(params["k"])
         if k < spec.min_k:
             raise ValueError(f"parameter k must be >= {spec.min_k}, got {k}")
-    return spec.check(statement, g, k, params, node_budget)
+    x = _param(spec.param, g, params) if spec.suite else params
+    find = _Search(_path_witness, find_cycle_of_length, float(params.get("tol", _TOL)))
+    return spec.rule(statement, g, k, x, find, node_budget)
 
 
 def prop1_sandwich_check(n: int, k: int, tol: float = _TOL) -> list[CheckOutcome]:
@@ -813,32 +637,57 @@ def _tallies(statements: Sequence[str]) -> dict[str, dict[str, int]]:
     return {s: dict.fromkeys(_STATUSES, 0) for s in statements}
 
 
+def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
+    """ni's vertex sets A, as masks: every set through 6 vertices; above, a
+    sorted sample of ``ni_sample`` sets drawn by ``random.Random(rng_seed)``."""
+    if n <= 6:
+        return range(1 << n)
+    rng = random.Random(rng_seed)
+    return sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
+
+
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
+    """Every instance of every statement on each graph of the chunk, in
+    order: k by k, and within a k vertex by vertex or set by set.  Only the
+    violated instances get a params dict.  ni's sets are the same for every
+    k; the unmet ones are counted without a rule call."""
     graphs, start_index, statements, k_range, seed, ni_sample, node_budget = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
-    sweeps = []
+    find = _Search(has_path, has_cycle)
+    plan = []
     for statement in statements:
-        _, least, sweep = _STATEMENTS[statement]
-        ks = k_range if least is None else [k for k in k_range if k >= least]
-        sweeps.append((statement, sweep, ks, tallies[statement]))
+        rule, least, param, _ = _STATEMENTS[statement]
+        ks = (None,) if least is None else [k for k in k_range if k >= least]
+        plan.append((statement, rule, ks, param, tallies[statement]))
     for offset, g in enumerate(graphs):
-        for statement, sweep, ks, counts in sweeps:
-            if sweep is _sweep_ni:  # the one sweep that samples, seeded per graph
+        for statement, rule, ks, param, counts in plan:
+            if param == "a":  # ni samples its sets, seeded per graph
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
-                violations = _sweep_ni(statement, g, ks, counts, node_budget, masks)
-            else:
-                violations = sweep(statement, g, ks, counts, node_budget)
-            for params, lhs, rhs in violations:
-                violating.append(
-                    {
-                        "statement": statement,
-                        "graph6": _graph_token(g),
-                        "params": params,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-                )
+                sets = _ni_sets(g, masks)
+            for k in ks:
+                if param == "a":
+                    xs = _ni_met(g.n, k, sets)
+                    counts[UNMET] += len(sets) - len(xs)
+                else:
+                    xs = range(g.n) if param else (None,)
+                for x in xs:
+                    outcome = rule(statement, g, k, x, find, node_budget)
+                    counts[outcome.status] += 1
+                    if outcome.status != VIOLATED:
+                        continue
+                    params: dict[str, Any] = {} if k is None else {"k": k}
+                    if param:
+                        params[param] = list(_bits(x[0])) if param == "a" else x
+                    violating.append(
+                        {
+                            "statement": statement,
+                            "graph6": _graph_token(g),
+                            "params": params,
+                            "lhs": outcome.lhs,
+                            "rhs": outcome.rhs,
+                        }
+                    )
     return tallies, violating
 
 

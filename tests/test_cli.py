@@ -123,6 +123,14 @@ def test_suite_with_corpus(tmp_path, capsys):
     )
 
 
+def test_suite_egc_on_the_empty_graph_exits_zero(tmp_path, capsys):
+    # "?" is the graph on no vertices; egc's bound does not apply to it
+    corpus = tmp_path / "empty.g6"
+    corpus.write_text("?\n")
+    assert run(["suite", "--statements", "egc", "--corpus", str(corpus)]) == 0
+    assert "egc: holds=0 equality=0 violated=0 unmet=2" in capsys.readouterr().out
+
+
 def test_suite_rejects_unknown_statement(capsys):
     assert run(["suite", "--statements", "egp,cor1", "--nmax", "4"]) == 3
     assert "unknown suite statement 'cor1'" in capsys.readouterr().err

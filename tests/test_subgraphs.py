@@ -231,15 +231,17 @@ def test_presence_spends_no_node_on_table_graphs():
             has_cycle(g, 2)
 
 
-def test_kept_paths_never_outrun_the_budget():
-    # the first path from a start is kept per graph; a call whose budget
-    # could not have found it must still run out, cached or not
+def test_budgets_hold_on_table_graphs():
+    # K_7 has a path table, but a witness is still a search that spends one
+    # node per vertex placed: 6 nodes cannot place 7 vertices, even right
+    # after a call that found the path, and 7 nodes can
     g = complete(7)
     assert find_constrained_path(g, 7) == tuple(range(7))
     with pytest.raises(SearchBudgetExceeded):
         find_constrained_path(g, 7, node_budget=6)
     assert find_constrained_path(g, 7, node_budget=7) == tuple(range(7))
-    # reused when it ends in the end mask, searched again when it does not
+    # the end mask picks the path: (0, ..., 6) already ends in the even
+    # vertices, while ends {0, 1} take the first path from 0 that ends at 1
     ends_odd = EndpointConstraint(members=0b1010101)
     assert find_constrained_path(g, 7, ends_odd) == (0, 1, 2, 3, 4, 5, 6)
     ends_low = EndpointConstraint(members=0b11)

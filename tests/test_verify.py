@@ -313,9 +313,21 @@ def test_suite_ore_dense_instances():
 
 
 def test_suite_jobs_merge_is_deterministic():
-    serial = run_suite(["egp", "lemma2"], n_max=5, k_range=[1, 2])
-    parallel = run_suite(["egp", "lemma2"], n_max=5, k_range=[1, 2], jobs=2)
+    # every statement; n = 7 samples ni's vertex sets with a per-graph seed,
+    # which must not depend on how the graphs are split into chunks
+    serial = run_suite(SUITE_STATEMENTS, n_max=7, k_range=[1, 2, 3])
+    parallel = run_suite(SUITE_STATEMENTS, n_max=7, k_range=[1, 2, 3], jobs=2)
     assert serial == parallel
+
+
+def test_egc_is_unmet_on_the_empty_graph():
+    # the bound k(n-1)/2 assumes a vertex: at n = 0 it would read 0 > -k/2
+    empty = build_graph(0)
+    outcome = check_statement("egc", empty, k=2)
+    assert (outcome.status, outcome.note) == ("precondition_unmet", "order 0")
+    report = run_suite(["egc"], corpus=[empty], k_range=[2, 3])
+    assert report.by_statement["egc"]["precondition_unmet"] == 2
+    assert report.violated == 0
 
 
 def test_suite_corpus_input():
@@ -451,7 +463,7 @@ def test_statement_table_orders_and_suite_subset():
         "cor2", "theorem1", "theorem1_corollary",
     )
     assert STATEMENTS == SUITE_STATEMENTS + ("lemma3", "cor1")
-    with_instances = tuple(s for s, spec in _STATEMENTS.items() if spec.sweep is not None)
+    with_instances = tuple(s for s, spec in _STATEMENTS.items() if spec.suite)
     assert with_instances == SUITE_STATEMENTS
 
 
@@ -569,13 +581,12 @@ def test_sweeps_match_per_instance_checks_across_the_table_cutoff():
 def test_sweeps_match_per_instance_checks_when_nothing_is_found():
     # with every search finding nothing, hypotheses hold and bounds break,
     # so violations (their params, order, lhs and rhs) are compared
-    witnesses = ("find_constrained_path", "has_cycle_longer_than", "is_hamiltonian",
-                 "find_cycle_of_length")
+    witnesses = ("find_constrained_path", "find_cycle_of_length")
     graphs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)] + [complete(22)]
     with ExitStack() as stack:
         for name in witnesses:
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: None))
-        for name in ("has_path", "has_cycle", "has_cycle_longer"):
+        for name in ("has_path", "has_cycle"):
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: False))
         report = assert_sweeps_match_reference(graphs, (1, 2, 3))
     assert {v["statement"] for v in report.violating} == {

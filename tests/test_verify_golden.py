@@ -234,12 +234,12 @@ def _cases() -> dict:
     for label, statement, g, params, nothing in [
         ("egp/above", "egp", complete(5), {"k": 1}, no_path),
         ("egp/equal_unstructured", "egp", cycle(4), {"k": 2}, no_path),
-        ("egc/above", "egc", complete(5), {"k": 2}, ("has_cycle_longer_than",)),
+        ("egc/above", "egc", complete(5), {"k": 2}, ("find_cycle_of_length",)),
         ("egc/equal_unstructured", "egc", disjoint_union([complete(3), complete(1)]),
-         {"k": 2}, ("has_cycle_longer_than",)),
+         {"k": 2}, ("find_cycle_of_length",)),
         ("kopylov_i/above", "kopylov_i", complete(8), {"k": 1}, no_path),
         ("kopylov_ii/above", "kopylov_ii", complete(8), {"k": 1}, no_path),
-        ("ore/no_cycle", "ore", complete(5), {}, ("is_hamiltonian",)),
+        ("ore/no_cycle", "ore", complete(5), {}, ("find_cycle_of_length",)),
         ("ni/no_path", "ni", complete(3), {"k": 1, "a": [0, 1]}, no_path),
         ("lemma1/above", "lemma1", complete(5), {"k": 1}, no_path),
         ("lemma2/above", "lemma2", complete(5), {"k": 1, "v": 0}, no_path),
