@@ -58,8 +58,6 @@ from .graph import (
 from .report import record
 from .spectral import certified_compare, q_index
 from .subgraphs import (
-    _BITS,
-    _TABLE_MAX,
     DEFAULT_NODE_BUDGET,
     EndpointConstraint,
     find_constrained_path,
@@ -188,7 +186,7 @@ class _Search(NamedTuple):
 
     path: Callable[[Graph, int, int, int], Any]  # (g, order, ends_mask, budget)
     cycle: Callable[[Graph, int, int], Any]  # (g, length, budget)
-    tol: float = _TOL
+    tol: Any = _TOL  # as given; only _threshold parses it
 
 
 def _path_witness(g: Graph, order: int, ends_mask: int, budget: int) -> tuple[int, ...] | None:
@@ -219,10 +217,12 @@ def _components_off_2k(g: Graph, k: int) -> list[tuple[tuple[int, ...], float, f
     ]
 
 
-def _threshold(g: Graph, threshold: float, tol: float) -> tuple[float, str]:
+def _threshold(g: Graph, threshold: float, tol: Any) -> tuple[float, str]:
     """q(g) and its certified verdict against ``threshold``: "lt", "eq"
-    (at or above it by at most SPECTRAL_EQ_TOL), "gt" or "indeterminate"."""
-    result = q_index(g, tol=tol)
+    (at or above it by at most SPECTRAL_EQ_TOL), "gt" or "indeterminate".
+    ``tol`` is parsed here, so a statement that never reaches a spectral
+    threshold ignores it."""
+    result = q_index(g, tol=float(tol))
     cmp = certified_compare(result, threshold)
     if cmp.verdict == "ge":
         return result.q, "eq" if cmp.margin <= SPECTRAL_EQ_TOL else "gt"
@@ -306,9 +306,7 @@ def _ni_sets(g: Graph, masks: Iterable[int]) -> list[tuple[int, int, int]]:
     """Each vertex set A in ``masks`` as (mask, degree sum, |A|).  The degree
     sum over A counts each edge at its ends in A, so it is 2e(A)+e(A,B)."""
     degree = g.degrees.__getitem__
-    # a table graph's masks index the precomputed bit lists
-    bits = _BITS.__getitem__ if g.n <= _TABLE_MAX else _bits
-    return [(mask, sum(map(degree, bits(mask))), mask.bit_count()) for mask in masks]
+    return [(mask, sum(map(degree, _bits(mask))), mask.bit_count()) for mask in masks]
 
 
 def _ni_rhs(n: int, k: int, size: int) -> int:
@@ -318,7 +316,10 @@ def _ni_rhs(n: int, k: int, size: int) -> int:
 
 def _ni_met(n: int, k: int, sets: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """The sets A on which ``_ni`` is not precondition_unmet: their degree
-    sum exceeds ``_ni_rhs``.  The suite calls the rule on these only."""
+    sum exceeds ``_ni_rhs``.  The suite calls the rule on these only.
+    ``_ni`` repeats the comparison for check_statement's one set rather
+    than call this on a one-set list, which would cost every met set of
+    the suite a list and a call."""
     rhs = [_ni_rhs(n, k, size) for size in range(n + 1)]
     return [a for a in sets if a[1] > rhs[a[2]]]
 
@@ -412,7 +413,7 @@ def _lemma3(
     return CheckOutcome(stmt, VIOLATED, q, threshold_g)
 
 
-def _q_strictly_below(stmt: str, g: Graph, k: int, tol: float) -> CheckOutcome:
+def _q_strictly_below(stmt: str, g: Graph, k: int, tol: Any) -> CheckOutcome:
     """The corollaries' conclusion q(g) < n+2k-2, certified."""
     threshold = float(g.n + 2 * k - 2)
     q, verdict = _threshold(g, threshold, tol)
@@ -549,7 +550,7 @@ def check_statement(
         if k < spec.min_k:
             raise ValueError(f"parameter k must be >= {spec.min_k}, got {k}")
     x = _param(spec.param, g, params) if spec.suite else params
-    find = _Search(_path_witness, find_cycle_of_length, float(params.get("tol", _TOL)))
+    find = _Search(_path_witness, find_cycle_of_length, params.get("tol", _TOL))
     return spec.rule(statement, g, k, x, find, node_budget)
 
 
