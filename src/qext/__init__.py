@@ -15,7 +15,6 @@ from .bounds import (
     closed_form_snk,
     das_bound,
     edge_degree_bound,
-    formula_value,
     merris_bound,
     prop1_sandwich,
 )
@@ -63,12 +62,10 @@ from .spectral import (
     signless_laplacian,
 )
 from .subgraphs import (
-    EndpointConstraint,
     SearchBudgetExceeded,
     find_constrained_path,
     find_cycle_of_length,
     find_cycle_through_edge,
-    is_hamiltonian,
 )
 from .verify import (
     CheckOutcome,
@@ -86,7 +83,6 @@ __all__ = [
     "Comparison",
     "ConstructionSpec",
     "ConvergenceError",
-    "EndpointConstraint",
     "Graph",
     "RunReport",
     "SearchBudgetExceeded",
@@ -114,10 +110,8 @@ __all__ = [
     "find_constrained_path",
     "find_cycle_of_length",
     "find_cycle_through_edge",
-    "formula_value",
     "is_connected",
     "is_feasible",
-    "is_hamiltonian",
     "join",
     "kite_pendant",
     "lemma2_exception",

@@ -1,8 +1,7 @@
 """Closed-form bound formulas and graph-dependent upper bounds on the Q-index.
 
-Integral bounds (kopylov_i/ii, egp, egc, ore_threshold) are evaluated with
-exact integer arithmetic before conversion to float, so comparisons against
-integer edge counts stay exact.
+The edge-count bounds (kopylov_i/ii, ore_edge_threshold) are exact
+integers, so comparisons against integer edge counts stay exact.
 """
 
 from __future__ import annotations
@@ -96,35 +95,3 @@ def ore_edge_threshold(n: int) -> int:
         raise ValueError(f"ore threshold requires n >= 1, got {n}")
     return math.comb(n - 1, 2) + 1
 
-
-_REGISTRY = {
-    "closed_form_snk": (closed_form_snk, ("n", "k")),
-    "prop1_sandwich": (prop1_sandwich, ("n", "k")),
-    "kopylov_i": (lambda n, k: float(kopylov_i_value(n, k)), ("n", "k")),
-    "kopylov_ii": (lambda n, k: float(kopylov_ii_value(n, k)), ("n", "k")),
-    "egp": (lambda n, k: k * n / 2, ("n", "k")),
-    "egc": (lambda n, k: k * (n - 1) / 2, ("n", "k")),
-    "ore_threshold": (lambda n: float(ore_edge_threshold(n)), ("n",)),
-}
-
-FORMULA_IDS = tuple(sorted(_REGISTRY))
-
-
-def formula_value(formula_id: str, **params: int) -> float | tuple[float, float]:
-    """Evaluate a registered closed-form bound by tag.
-
-    Unknown tags and missing or extra parameters are rejected.
-    """
-    try:
-        fn, names = _REGISTRY[formula_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown formula {formula_id!r}; known: {', '.join(FORMULA_IDS)}"
-        ) from None
-    missing = [p for p in names if p not in params]
-    if missing:
-        raise ValueError(f"formula {formula_id!r} missing parameters {missing}")
-    extra = [p for p in params if p not in names]
-    if extra:
-        raise ValueError(f"formula {formula_id!r} got unexpected parameters {extra}")
-    return fn(**params)

@@ -2,9 +2,9 @@
 
 Adjacency is kept as one packed bit row (a Python int) per vertex, which
 makes neighborhood intersections, component sweeps and edge counting a
-handful of integer operations.  Graphs never mutate: edge toggles build a
-new instance that shares every unchanged row, so values are safe to pass
-between threads or worker processes.
+handful of integer operations.  Graphs never mutate: ``with_edge`` and
+``without_edge`` build a new instance that shares every unchanged row, so
+values are safe to pass between threads or worker processes.
 """
 
 from __future__ import annotations
@@ -54,17 +54,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def degree(self, u: int) -> int:
-        return self.degrees[u]
-
-    def neighbors_mask(self, u: int) -> int:
-        return self.rows[u]
-
     def neighbors(self, u: int) -> Iterator[int]:
         return _bits(self.rows[u])
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as pairs (u, v) with u < v, lexicographic order."""
@@ -90,11 +81,6 @@ class Graph:
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
         return Graph(self.n, tuple(rows))
-
-    def toggle_edge(self, u: int, v: int) -> "Graph":
-        if self.has_edge(u, v):
-            return self.without_edge(u, v)
-        return self.with_edge(u, v)
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced by ``vertices``, relabeled to 0..k-1 in sorted order."""

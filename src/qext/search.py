@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, write_graph6
+from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, parse_graph6, write_graph6
 from .families import edgeless
 from .graph import Graph
 from .report import record
@@ -138,8 +138,6 @@ def _climb(
 
 def _restart_worker(payload: tuple) -> tuple[int, str, int]:
     index, n, forbidden, budget, seed, seed_graph6, tol, node_budget = payload
-    from .enumeration import parse_graph6
-
     rng = random.Random(seed + index)
     forbidden = frozenset(forbidden)
     if index == 0 and seed_graph6 is not None:
@@ -227,8 +225,6 @@ def maximize_q_forbidden_cycles(
             raw = list(pool.map(_restart_worker, payloads))
     else:
         raw = [_restart_worker(p) for p in payloads]
-
-    from .enumeration import parse_graph6
 
     accepted_total = 0
     certified: list[tuple[Graph, float, float]] = []

@@ -34,11 +34,10 @@ validator before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .graph import Graph, _bits, mask_of
+from .graph import Graph, _bits, _check_pair
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -48,40 +47,6 @@ _BITS = tuple(tuple(_bits(mask)) for mask in range(1 << _TABLE_MAX))  # set bits
 
 class SearchBudgetExceeded(RuntimeError):
     """Node expansion cap hit before the search space was exhausted."""
-
-
-@dataclass(frozen=True)
-class EndpointConstraint:
-    """Endpoint restriction for path searches.
-
-    Both endpoints must lie in ``members`` and outside ``avoid`` (bitmasks);
-    an avoided vertex may still appear in the interior.
-    """
-
-    members: int = -1
-    avoid: int = 0
-
-    @classmethod
-    def none(cls) -> "EndpointConstraint":
-        return cls()
-
-    @classmethod
-    def ends_in(cls, vertices: Iterable[int]) -> "EndpointConstraint":
-        mask = mask_of(vertices)
-        if mask == 0:
-            raise ValueError("ends_in constraint requires a nonempty vertex set")
-        return cls(members=mask)
-
-    @classmethod
-    def ends_avoid(cls, vertex: int) -> "EndpointConstraint":
-        return cls(avoid=1 << vertex)
-
-    def mask(self, n: int) -> int:
-        """Allowed endpoints among the vertices 0..n-1."""
-        return self.members & ~self.avoid & ((1 << n) - 1)
-
-
-UNCONSTRAINED = EndpointConstraint.none()
 
 
 def is_path_witness(g: Graph, vertices: tuple[int, ...]) -> bool:
@@ -198,16 +163,16 @@ def _first_path(
 def find_constrained_path(
     g: Graph,
     order: int,
-    constraint: EndpointConstraint = UNCONSTRAINED,
+    ends_mask: int = -1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...] | None:
-    """First simple path with ``order`` vertices satisfying the constraint.
+    """First simple path on ``order`` vertices with both ends in the bitmask
+    ``ends_mask`` (-1: anywhere; bits at or above n are ignored).
 
     Returns the vertex sequence or None for exact absence.  A path of
-    order 1 is a single vertex, which must satisfy the constraint as both
-    endpoints.
+    order 1 is a single vertex, which must lie in the mask as both ends.
     """
-    ends = constraint.mask(g.n)
+    ends = ends_mask & ((1 << g.n) - 1)
     witness = _path_search(g, order, ends, node_budget)
     if witness is not None:
         _check_witness(
@@ -321,6 +286,7 @@ def find_cycle_through_edge(
     """First cycle of ``length`` vertices that uses the edge (u, v)."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
+    _check_pair(g.n, u, v)
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     if length > g.n:
@@ -338,26 +304,3 @@ def find_cycle_through_edge(
             witness,
         )
     return witness
-
-
-def is_hamiltonian(
-    g: Graph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[int, ...] | None:
-    """Spanning cycle witness or exact absence; requires n >= 3."""
-    if g.n < 3:
-        raise ValueError(f"Hamiltonian cycles need n >= 3, got n={g.n}")
-    return find_cycle_of_length(g, g.n, node_budget=node_budget)
-
-
-def has_cycle_longer_than(
-    g: Graph,
-    length: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[int, ...] | None:
-    """Witness for any cycle with more than ``length`` vertices, or None."""
-    for l in range(max(length + 1, 3), g.n + 1):
-        witness = find_cycle_of_length(g, l, node_budget=node_budget)
-        if witness is not None:
-            return witness
-    return None

@@ -59,7 +59,6 @@ from .report import record
 from .spectral import certified_compare, q_index
 from .subgraphs import (
     DEFAULT_NODE_BUDGET,
-    EndpointConstraint,
     find_constrained_path,
     find_cycle_of_length,
     has_cycle,
@@ -187,11 +186,6 @@ class _Search(NamedTuple):
     path: Callable[[Graph, int, int, int], Any]  # (g, order, ends_mask, budget)
     cycle: Callable[[Graph, int, int], Any]  # (g, length, budget)
     tol: Any = _TOL  # as given; only _threshold parses it
-
-
-def _path_witness(g: Graph, order: int, ends_mask: int, budget: int) -> tuple[int, ...] | None:
-    """The first path on ``order`` vertices with both ends in ``ends_mask``."""
-    return find_constrained_path(g, order, EndpointConstraint(members=ends_mask), budget)
 
 
 def _order_limit(k: int) -> int:
@@ -550,7 +544,7 @@ def check_statement(
         if k < spec.min_k:
             raise ValueError(f"parameter k must be >= {spec.min_k}, got {k}")
     x = _param(spec.param, g, params) if spec.suite else params
-    find = _Search(_path_witness, find_cycle_of_length, params.get("tol", _TOL))
+    find = _Search(find_constrained_path, find_cycle_of_length, params.get("tol", _TOL))
     return spec.rule(statement, g, k, x, find, node_budget)
 
 

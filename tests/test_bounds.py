@@ -7,7 +7,6 @@ from qext.bounds import (
     closed_form_snk,
     das_bound,
     edge_degree_bound,
-    formula_value,
     kopylov_i_value,
     kopylov_ii_value,
     merris_bound,
@@ -120,25 +119,10 @@ def test_ore_threshold():
     assert ore_edge_threshold(3) == 2
 
 
-def test_formula_registry():
-    assert formula_value("closed_form_snk", n=10, k=2) == closed_form_snk(10, 2)
-    assert formula_value("prop1_sandwich", n=25, k=2) == prop1_sandwich(25, 2)
-    assert formula_value("kopylov_ii", n=9, k=2) == 16.0
-    assert formula_value("egp", n=9, k=2) == 9.0
-    assert formula_value("egc", n=5, k=2) == 4.0
-    assert formula_value("ore_threshold", n=5) == 7.0
-    with pytest.raises(ValueError, match="unknown formula"):
-        formula_value("nosuch", n=1)
-    with pytest.raises(ValueError, match="missing parameters"):
-        formula_value("egp", n=9)
-    with pytest.raises(ValueError, match="unexpected parameters"):
-        formula_value("ore_threshold", n=5, k=2)
-
-
 def test_egp_equality_instance():
     # nine edges over three disjoint triangles attains the path-free maximum
     g = disjoint_union([complete(3)] * 3)
-    assert g.m == formula_value("egp", n=9, k=2)
+    assert g.m == 2 * 9 / 2  # the egp bound k*n/2 at n = 9, k = 2
 
 
 def test_bound_value_shape():

@@ -10,16 +10,13 @@ from qext.enumeration import enumerate_nonisomorphic
 from qext.families import complete, cycle, kite_pendant, path, s_nk, star
 from qext.graph import _bits, build_graph, disjoint_union
 from qext.subgraphs import (
-    EndpointConstraint,
     SearchBudgetExceeded,
     find_constrained_path,
     find_cycle_of_length,
     find_cycle_through_edge,
     has_cycle,
-    has_cycle_longer_than,
     has_path,
     is_cycle_witness,
-    is_hamiltonian,
     is_path_witness,
 )
 
@@ -130,22 +127,21 @@ def slow_cycle_through_edge(g, length, u, v):
 
 
 def constraint_cases(n, masks):
-    """(EndpointConstraint, predicate) pairs: none, avoid each v, ends_in masks."""
-    yield EndpointConstraint.none(), lambda x: True
+    """(ends mask, predicate) pairs: anywhere, avoid each v, the given masks."""
+    yield -1, lambda x: True
     for v in range(n):
-        yield EndpointConstraint.ends_avoid(v), lambda x, v=v: x != v
+        yield ~(1 << v), lambda x, v=v: x != v
     for mask in masks:
-        members = [i for i in range(n) if mask >> i & 1]
-        yield EndpointConstraint.ends_in(members), lambda x, mask=mask: mask >> x & 1
+        yield mask, lambda x, mask=mask: mask >> x & 1
 
 
 def assert_engine_matches_oracle(g, masks):
     """Same witness as the slow oracle, within the oracle's node count."""
     for order in range(1, g.n + 1):
-        for constraint, ok in constraint_cases(g.n, masks):
+        for ends, ok in constraint_cases(g.n, masks):
             expect, nodes = slow_constrained_path(g, order, ok)
-            assert find_constrained_path(g, order, constraint) == expect
-            assert find_constrained_path(g, order, constraint, nodes) == expect
+            assert find_constrained_path(g, order, ends) == expect
+            assert find_constrained_path(g, order, ends, nodes) == expect
     for length in range(3, g.n + 1):
         expect, nodes = slow_cycle_of_length(g, length)
         assert find_cycle_of_length(g, length) == expect
@@ -175,20 +171,18 @@ def graphs_up_to_9(draw):
 def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
     n = g.n
     members &= (1 << n) - 1
-    cases = [(EndpointConstraint.none(), lambda x: True)]
+    cases = [(-1, lambda x: True)]
     if members:
-        vertices = [x for x in range(n) if members >> x & 1]
-        cases.append((EndpointConstraint.ends_in(vertices), lambda x: members >> x & 1))
+        cases.append((members, lambda x: members >> x & 1))
     v = avoided % n
-    cases.append((EndpointConstraint.ends_avoid(v), lambda x: x != v))
+    cases.append((~(1 << v), lambda x: x != v))
     for order in range(1, n + 1):
-        for constraint, ok in cases:
+        for ends, ok in cases:
             expect, _ = slow_constrained_path(g, order, ok)
-            assert find_constrained_path(g, order, constraint) == expect
-            ends = constraint.members & ~constraint.avoid
+            assert find_constrained_path(g, order, ends) == expect
             assert has_path(g, order, ends) == (expect is not None)
             if expect is None and n <= subgraphs._TABLE_MAX:
-                assert find_constrained_path(g, order, constraint, node_budget=1) is None
+                assert find_constrained_path(g, order, ends, node_budget=1) is None
     for length in range(3, n + 1):
         expect, _ = slow_cycle_of_length(g, length)
         assert find_cycle_of_length(g, length) == expect
@@ -201,8 +195,8 @@ def test_table_proves_absence_without_a_node():
     # n = 8, within the table: no Hamiltonian path or cycle, no node spent
     g = disjoint_union([complete(4), complete(4)])
     assert find_constrained_path(g, 5, node_budget=0) is None
-    assert find_cycle_of_length(g, 5, node_budget=0) is None
-    assert has_cycle_longer_than(g, 4, node_budget=0) is None
+    for length in range(5, 9):
+        assert find_cycle_of_length(g, length, node_budget=0) is None
     # n = 9, above it: the same absence is a search and the budget runs out
     h = disjoint_union([complete(4), complete(5)])
     with pytest.raises(SearchBudgetExceeded):
@@ -242,10 +236,26 @@ def test_budgets_hold_on_table_graphs():
     assert find_constrained_path(g, 7, node_budget=7) == tuple(range(7))
     # the end mask picks the path: (0, ..., 6) already ends in the even
     # vertices, while ends {0, 1} take the first path from 0 that ends at 1
-    ends_odd = EndpointConstraint(members=0b1010101)
-    assert find_constrained_path(g, 7, ends_odd) == (0, 1, 2, 3, 4, 5, 6)
-    ends_low = EndpointConstraint(members=0b11)
-    assert find_constrained_path(g, 7, ends_low) == (0, 2, 3, 4, 5, 6, 1)
+    assert find_constrained_path(g, 7, 0b1010101) == (0, 1, 2, 3, 4, 5, 6)
+    assert find_constrained_path(g, 7, 0b11) == (0, 2, 3, 4, 5, 6, 1)
+
+
+def test_ends_mask_contract(petersen):
+    # an empty mask admits no path and costs no node; bits at or above n
+    # are ignored, so a mask with extra high bits finds the same witness
+    for g in (s_nk(8, 2), petersen):  # a table graph and a search graph
+        n = g.n
+        found = 0
+        for order in range(1, n + 1):
+            assert find_constrained_path(g, order, 0, node_budget=0) is None
+            assert not has_path(g, order, 0, node_budget=0)
+            for mask in (0b101, 0b110010, (1 << n) - 1):
+                expect = find_constrained_path(g, order, mask)
+                found += expect is not None
+                for high in (mask | 1 << n | 1 << (n + 7), mask | -1 << n):
+                    assert find_constrained_path(g, order, high) == expect
+                    assert has_path(g, order, high) == (expect is not None)
+        assert found
 
 
 def test_engine_matches_slow_oracle_all_graphs_small():
@@ -281,8 +291,7 @@ def test_path_examples():
     witness = find_constrained_path(s_nk(10, 2), 5)
     assert witness is not None and len(witness) == 5
     kite = kite_pendant(2)
-    avoid = EndpointConstraint.ends_avoid(4)
-    assert find_constrained_path(kite, 5, avoid) is None
+    assert find_constrained_path(kite, 5, ~(1 << 4)) is None
 
 
 def test_cycle_examples(petersen):
@@ -291,23 +300,27 @@ def test_cycle_examples(petersen):
     assert find_cycle_of_length(petersen, 3) is None
     assert find_cycle_of_length(petersen, 4) is None
     assert find_cycle_of_length(petersen, 5) is not None
+    # C_5 has a cycle longer than 4 but none longer than 5; P_6 has no cycle
+    assert find_cycle_of_length(cycle(5), 5) is not None
+    assert all(find_cycle_of_length(cycle(5), l) is None for l in range(3, 5))
+    assert all(find_cycle_of_length(path(6), l) is None for l in range(3, 7))
 
 
 def test_hamiltonian_examples():
-    assert is_hamiltonian(cycle(6)) is not None
-    assert is_hamiltonian(star(5)) is None
+    assert find_cycle_of_length(cycle(6), 6) is not None
+    assert find_cycle_of_length(star(5), 5) is None
     with pytest.raises(ValueError):
-        is_hamiltonian(complete(2))
+        find_cycle_of_length(complete(2), 2)
 
 
-def test_every_dense_five_vertex_graph_is_hamiltonian():
+def test_every_dense_five_vertex_graph_has_a_spanning_cycle():
     # all 45 labeled graphs on 5 vertices with 8 edges
     pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     count = 0
     for drop_a in range(len(pairs)):
         for drop_b in range(drop_a + 1, len(pairs)):
             edges = [p for i, p in enumerate(pairs) if i not in (drop_a, drop_b)]
-            assert is_hamiltonian(build_graph(5, edges)) is not None
+            assert find_cycle_of_length(build_graph(5, edges), 5) is not None
             count += 1
     assert count == 45
 
@@ -322,17 +335,12 @@ def test_oracle_agreement_all_graphs_small():
                     find_constrained_path(g, order) is not None
                 ) == brute_path_exists(g, order, lambda v: True)
                 for v in range(n):
-                    got = find_constrained_path(
-                        g, order, EndpointConstraint.ends_avoid(v)
-                    )
+                    got = find_constrained_path(g, order, ~(1 << v))
                     assert (got is not None) == brute_path_exists(
                         g, order, lambda x: x != v
                     )
                 for mask in range(1, 1 << n):
-                    members = [i for i in range(n) if mask >> i & 1]
-                    got = find_constrained_path(
-                        g, order, EndpointConstraint.ends_in(members)
-                    )
+                    got = find_constrained_path(g, order, mask)
                     assert (got is not None) == brute_path_exists(
                         g, order, lambda x: mask >> x & 1
                     )
@@ -353,11 +361,10 @@ def test_oracle_agreement_sampled_n7():
                 find_constrained_path(g, order) is not None
             ) == brute_path_exists(g, order, lambda v: True)
             v = rng.randrange(7)
-            got = find_constrained_path(g, order, EndpointConstraint.ends_avoid(v))
+            got = find_constrained_path(g, order, ~(1 << v))
             assert (got is not None) == brute_path_exists(g, order, lambda x: x != v)
             mask = rng.randrange(1, 1 << 7)
-            members = [i for i in range(7) if mask >> i & 1]
-            got = find_constrained_path(g, order, EndpointConstraint.ends_in(members))
+            got = find_constrained_path(g, order, mask)
             assert (got is not None) == brute_path_exists(
                 g, order, lambda x: mask >> x & 1
             )
@@ -420,11 +427,6 @@ def test_argument_validation():
         find_constrained_path(path(3), 0)
     with pytest.raises(ValueError):
         find_cycle_of_length(path(3), 2)
-    with pytest.raises(ValueError):
-        EndpointConstraint.ends_in([])
-
-
-def test_has_cycle_longer_than():
-    assert has_cycle_longer_than(cycle(5), 4) is not None
-    assert has_cycle_longer_than(cycle(5), 5) is None
-    assert has_cycle_longer_than(path(6), 2) is None
+    for u, v in ((5, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            find_cycle_through_edge(cycle(5), 3, u, v)

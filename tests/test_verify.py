@@ -21,7 +21,6 @@ from qext.families import (
     windmill,
 )
 from qext.graph import build_graph, components, disjoint_union, is_connected
-from qext.subgraphs import has_cycle_longer_than
 from qext.verify import (
     _STATEMENTS,
     STATEMENTS,
@@ -264,10 +263,6 @@ def test_unknown_statement_and_missing_params():
 
 
 # --- equality classification against independent predicates -------------------
-
-
-def brute_no_cycle_longer_than(g, k):
-    return has_cycle_longer_than(g, k) is None
 
 
 def test_egc_equality_set_matches_arithmetic():
