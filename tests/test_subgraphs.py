@@ -300,10 +300,6 @@ def test_cycle_examples(petersen):
     assert find_cycle_of_length(petersen, 3) is None
     assert find_cycle_of_length(petersen, 4) is None
     assert find_cycle_of_length(petersen, 5) is not None
-    # C_5 has a cycle longer than 4 but none longer than 5; P_6 has no cycle
-    assert find_cycle_of_length(cycle(5), 5) is not None
-    assert all(find_cycle_of_length(cycle(5), l) is None for l in range(3, 5))
-    assert all(find_cycle_of_length(path(6), l) is None for l in range(3, 7))
 
 
 def test_hamiltonian_examples():
@@ -430,3 +426,11 @@ def test_argument_validation():
     for u, v in ((5, 0), (-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="out of range"):
             find_cycle_through_edge(cycle(5), 3, u, v)
+
+
+def test_has_cycle_longer_than():
+    # C_5 has a cycle longer than 4 and only the one of length 5;
+    # P_6 has no cycle at all
+    assert find_cycle_of_length(cycle(5), 5) is not None
+    assert all(find_cycle_of_length(cycle(5), l) is None for l in range(3, 5))
+    assert all(find_cycle_of_length(path(6), l) is None for l in range(3, 7))
