@@ -18,6 +18,10 @@ followed by its neighbors, and a branch is cut as soon as its code prefix
 exceeds the best one found.  Among tied candidates only one vertex per twin
 class (N(u) - {v} = N(v) - {u}) is expanded: swapping two twins is an
 automorphism that fixes the partition.
+
+The catalogue grows by canonical augmentation with two prunes: one mask per
+orbit of the parent's twin swaps (automorphisms), and a new vertex that
+maximizes an isomorphism-invariant degree key (every graph has one).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graph import Graph, build_graph
+from .graph import Graph, _bits, _check_order, build_graph
 
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
@@ -42,22 +46,23 @@ def _min_code(rows: tuple[int, ...]) -> int:
         nonlocal best
         width = n - 1 - depth  # bits in the row of this position
         first, later = cells[0], cells[1:]
-        low_key: list[int] = []
+        low_key = 1 << 4 * len(cells)  # above every key
         tied: list[int] = []
         rest = first
         while rest:
             bit = rest & -rest
             rest ^= bit
             nb = rows[bit.bit_length() - 1]
-            key = [(nb & (first ^ bit)).bit_count()]
-            key += [(nb & c).bit_count() for c in later]
-            if not tied or key < low_key:
+            key = (nb & (first ^ bit)).bit_count()  # 4-bit counts (n - 1 < 16)
+            for c in later:
+                key = key << 4 | (nb & c).bit_count()
+            if key < low_key:
                 low_key, tied = key, [bit]
             elif key == low_key:
                 tied.append(bit)
-        row = (1 << low_key[0]) - 1
-        for c, a in zip(later, low_key[1:]):
-            row = row << c.bit_count() | ((1 << a) - 1)
+        row = 0
+        for i, c in enumerate(cells):  # key field i: the count in cell i
+            row = row << c.bit_count() | ((1 << (low_key >> 4 * (len(later) - i) & 15)) - 1)
         prefix = prefix << width | row
         remaining = width * (width - 1) // 2  # bits in the rows after this one
         if prefix > best >> remaining:
@@ -111,15 +116,16 @@ def canonical_form(g: Graph) -> bytes:
 
 def graph_from_code(n: int, code: int) -> Graph:
     """Rebuild the graph whose row-major upper-triangle bit string is ``code``."""
-    nbits = n * (n - 1) // 2
-    edges = []
-    pos = nbits - 1
+    _check_order(n)
+    rows = [0] * n
+    pos = n * (n - 1) // 2
     for u in range(n):
         for v in range(u + 1, n):
-            if code >> pos & 1:
-                edges.append((u, v))
             pos -= 1
-    return build_graph(n, edges)
+            if code >> pos & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -134,25 +140,44 @@ def _nonisomorphic_codes(n: int) -> tuple[int, ...]:
         # level[d]: the degree-d vertices, which joined to a new vertex of
         # degree d would outgrow it
         level = [sum(1 << u for u, du in enumerate(parent.degrees) if du == d) for d in range(n)]
+        # twin classes, by open (r) and closed (r | 1 << u) neighborhood
+        groups: dict[int, int] = {}
+        for u, r in enumerate(parent.rows):
+            for nbhd in (r, r | 1 << u):
+                groups[nbhd] = groups.get(nbhd, 0) | 1 << u
+        twins = [t for t in groups.values() if t & (t - 1)]
         for mask in range(new):
             d = mask.bit_count()
             if d < top or mask & level[d]:
                 continue
-            rows = tuple(r | new if mask >> u & 1 else r for u, r in enumerate(parent.rows))
+            # one mask per twin-swap orbit: no chosen twin above an unchosen one
+            if any(mask & t > ((rest := t & ~mask) & -rest or t) for t in twins):
+                continue
+            rows = tuple(r | new if mask >> u & 1 else r for u, r in enumerate(parent.rows)) + (mask,)
+            # no vertex of degree d may beat the new one (last) in the sum,
+            # then the square sum (below 2^10), of its neighbors' degrees
+            ties = level[d] & ~mask | level[d - 1] & mask
+            if ties:
+                deg = [r.bit_count() for r in rows]
+                keys = [sum(deg[w] << 10 | deg[w] ** 2 for w in _bits(rows[u])) for u in _bits(ties | new)]
+                if max(keys[:-1]) > keys[-1]:
+                    continue
             # uncached: the children would flood canonical_code's cache
-            seen.add(_min_code(rows + (mask,)))
+            seen.add(_min_code(rows))
     return tuple(sorted(seen))
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class on n vertices, canonical order.
 
-    Each class on n-1 vertices is extended by a new vertex with every
-    possible neighborhood, and a child is kept only if the new vertex has
-    maximum degree in it.  That loses no class: deleting a maximum-degree
-    vertex of any graph leaves a graph of some parent class.  Canonical
-    codes deduplicate the kept children, and representatives are yielded as
-    ``graph_from_code`` of each code in increasing code order.
+    Each class on n-1 vertices gets a new vertex joined to a mask.  A mask
+    must take the lowest vertices of each twin class (equal open or closed
+    neighborhoods; no vertex has both kinds of twin): twin swaps are parent
+    automorphisms, so each orbit keeps one mask.  The new vertex must lead
+    in (degree, neighbor degree sum, neighbor squared degree sum): the key
+    is invariant, so deleting a key-maximal vertex of any graph leaves a
+    parent class that regrows it.  Canonical codes deduplicate the kept
+    children, yielded as ``graph_from_code`` in increasing code order.
     """
     if not 1 <= n <= ENUMERATE_MAX:
         raise ValueError(f"native enumeration supports 1 <= n <= {ENUMERATE_MAX}, got {n}")

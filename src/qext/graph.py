@@ -111,16 +111,20 @@ def _check_pair(n: int, u: int, v: int) -> None:
         raise ValueError(f"self-loop ({u}, {u}) not allowed")
 
 
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds limit {MAX_VERTICES}")
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Build a graph on n vertices from unordered index pairs.
 
     Duplicate pairs are deduplicated silently; out-of-range indices and
     self-loops are rejected with a diagnostic.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds limit {MAX_VERTICES}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         _check_pair(n, u, v)
