@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, neighbor_degree_sum
+import numpy as np
+
+from .graph import Graph, _unpack
 
 
 @dataclass(frozen=True)
@@ -27,12 +29,11 @@ def merris_bound(g: Graph) -> BoundValue:
     """
     if g.m == 0:
         raise ValueError("merris bound undefined for edgeless graphs")
-    best = max(
-        g.degrees[u] + neighbor_degree_sum(g, u) / g.degrees[u]
-        for u in range(g.n)
-        if g.degrees[u] > 0
-    )
-    return BoundValue("merris", best, "upper_bound_on_q")
+    deg = np.array(g.degrees, dtype=np.int64)
+    sums = _unpack(g.rows, g.n) @ deg  # neighbor degree sums, exact integers
+    live = deg > 0
+    best = (deg[live] + sums[live] / deg[live]).max()
+    return BoundValue("merris", float(best), "upper_bound_on_q")
 
 
 def das_bound(g: Graph) -> BoundValue:
@@ -48,7 +49,8 @@ def edge_degree_bound(g: Graph) -> BoundValue:
     """max of d_u + d_v over edges (u, v)."""
     if g.m == 0:
         raise ValueError("edge-degree bound undefined for edgeless graphs")
-    best = max(g.degrees[u] + g.degrees[v] for u, v in g.edges())
+    deg = np.array(g.degrees, dtype=np.int64)
+    best = (_unpack(g.rows, g.n) * (deg[:, None] + deg)).max()
     return BoundValue("edge_degree", float(best), "upper_bound_on_q")
 
 

@@ -110,15 +110,15 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
         raise UsageError("give either --graph6 or --file, not both")
     if args.graph6:
         return [(token, parse_graph6(token)) for token in args.graph6]
+    # read as ASCII, any other byte as U+FFFD, which the parser reports by line
     if args.file:
-        with open(args.file) as handle:
+        with open(args.file, encoding="ascii", errors="replace") as handle:
             text = handle.read()
-        graphs = read_graph6_lines(text)
-        return [(write_graph6(g), g) for g in graphs]
-    if sys.stdin.isatty():
+    elif sys.stdin.isatty():
         raise UsageError("no input: pass --graph6, --file, or pipe graph6 lines on stdin")
-    graphs = read_graph6_lines(sys.stdin.read())
-    return [(write_graph6(g), g) for g in graphs]
+    else:
+        text = sys.stdin.buffer.read().decode("ascii", errors="replace")
+    return [(write_graph6(g), g) for g in read_graph6_lines(text)]
 
 
 def _cmd_qindex(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -192,7 +192,7 @@ def _cmd_suite(args: argparse.Namespace) -> list[dict[str, Any]]:
         raise UsageError(f"bad --k list: {exc}") from None
     corpus = None
     if args.corpus:
-        with open(args.corpus) as handle:
+        with open(args.corpus, encoding="ascii", errors="replace") as handle:
             corpus = read_graph6_lines(handle.read())
     elif args.nmax is None:
         raise UsageError("give --nmax or --corpus")

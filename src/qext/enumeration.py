@@ -29,7 +29,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graph import Graph, _bits, _check_order, build_graph
+import numpy as np
+
+from .graph import Graph, _bits, _check_order, _pack, _unpack
 
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
@@ -197,19 +199,11 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n > GRAPH6_MAX:
         raise ValueError(f"graph6 single-byte header supports n <= {GRAPH6_MAX}, got {n}")
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(n + 63)]
-    for pos in range(0, len(bits), 6):
-        group = 0
-        for b in bits[pos : pos + 6]:
-            group = group << 1 | b
-        chars.append(chr(group + 63))
-    return "".join(chars)
+    # the lower triangle in row-major order is the upper one in column order
+    bits = _unpack(g.rows, n)[np.tri(n, k=-1, dtype=bool)]
+    bits = np.concatenate((bits, np.zeros(-len(bits) % 6, dtype=np.uint8)))
+    groups = np.packbits(bits.reshape(-1, 6), axis=1) >> 2
+    return chr(n + 63) + (groups + 63).tobytes().decode("ascii")
 
 
 def parse_graph6(text: str | bytes) -> Graph:
@@ -224,31 +218,21 @@ def parse_graph6(text: str | bytes) -> Graph:
     for ch in text:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"graph6 character {ch!r} outside 63..126")
-    header = ord(text[0]) - 63
-    if header > GRAPH6_MAX:
+    n = ord(text[0]) - 63
+    if n > GRAPH6_MAX:
         raise ValueError("multi-byte graph6 order headers are not supported")
-    n = header
     nbits = n * (n - 1) // 2
     want = (nbits + 5) // 6
     payload = text[1:]
     if len(payload) != want:
-        raise ValueError(
-            f"graph6 payload for n={n} must be {want} bytes, got {len(payload)}"
-        )
-    bits: list[int] = []
-    for ch in payload:
-        group = ord(ch) - 63
-        bits.extend(group >> k & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        raise ValueError(f"graph6 payload for n={n} must be {want} bytes, got {len(payload)}")
+    groups = np.frombuffer(payload.encode("ascii"), dtype=np.uint8) - 63
+    bits = np.unpackbits(groups[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise ValueError("graph6 padding bits must be zero")
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return build_graph(n, edges)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    return Graph(n, _pack(adj | adj.T))
 
 
 def read_graph6_lines(text: str) -> list[Graph]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, build_graph, disjoint_union, join
+from .graph import Graph, _check_order, build_graph, disjoint_union, join
 
 
 @dataclass
@@ -29,7 +29,9 @@ class ConstructionSpec:
 
 
 def complete(n: int) -> Graph:
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    _check_order(n)
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ 1 << u for u in range(n)))
 
 
 def edgeless(n: int) -> Graph:

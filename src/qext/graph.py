@@ -4,7 +4,8 @@ Adjacency is kept as one packed bit row (a Python int) per vertex, which
 makes neighborhood intersections, component sweeps and edge counting a
 handful of integer operations.  Graphs never mutate: ``with_edge`` and
 ``without_edge`` build a new instance that shares every unchanged row, so
-values are safe to pass between threads or worker processes.
+values are safe to pass between threads or worker processes.  Dense 0/1
+matrices come from ``_unpack`` and go back through ``_pack``: numpy bit packing.
 """
 
 from __future__ import annotations
@@ -97,11 +98,22 @@ class Graph:
         return Graph(len(verts), tuple(rows))
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u in range(self.n):
-            for v in _bits(self.rows[u]):
-                a[u, v] = 1.0
-        return a
+        """Fresh, writable float64 0/1 matrix; callers may write into it."""
+        return _unpack(self.rows, self.n).astype(np.float64)
+
+
+def _unpack(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """Bit rows as a len(rows) x n ``uint8`` 0/1 matrix: bit v of rows[u] at [u, v]."""
+    width = (n + 7) // 8
+    data = b"".join(r.to_bytes(width, "little") for r in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
+
+
+def _pack(adj: np.ndarray) -> tuple[int, ...]:
+    """Inverse of ``_unpack``: one int per row of a 0/1 matrix."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row, "little") for row in packed)
 
 
 def _check_pair(n: int, u: int, v: int) -> None:

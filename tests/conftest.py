@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from qext.graph import Graph, build_graph
 
@@ -10,6 +11,14 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+@st.composite
+def graphs(draw, max_n: int) -> Graph:
+    """Graphs of order 0..max_n: ``random_graph`` at a drawn density and seed."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    return random_graph(n, p, random.Random(draw(st.integers(0, 2**32 - 1))))
 
 
 @pytest.fixture

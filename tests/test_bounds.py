@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,22 @@ from qext.graph import (
 )
 from qext.spectral import q_index
 
+from conftest import random_graph
+
+
+def loop_merris(g):
+    """Slow oracle: the Merris maximum, one vertex and one neighbor at a time."""
+    return max(
+        g.degrees[u] + sum(g.degrees[v] for v in g.neighbors(u)) / g.degrees[u]
+        for u in range(g.n)
+        if g.degrees[u] > 0
+    )
+
+
+def loop_edge_degree(g):
+    """Slow oracle: the edge-degree maximum over the edge list."""
+    return float(max(g.degrees[u] + g.degrees[v] for u, v in g.edges()))
+
 
 def test_merris_examples():
     assert merris_bound(cycle(5)).value == pytest.approx(4.0)
@@ -48,6 +65,27 @@ def test_edge_degree_examples():
     assert edge_degree_bound(s_nk(10, 2)).value == 18
     with pytest.raises(ValueError):
         edge_degree_bound(edgeless(2))
+
+
+def test_bounds_match_loop_oracles():
+    rng = random.Random(17)
+    small = [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+    large = [random_graph(rng.randrange(2, 513), rng.random(), rng) for _ in range(40)]
+    for g in small + large + [complete(512), s_nk(512, 5)]:
+        if g.m == 0:
+            continue
+        for bound, oracle in ((merris_bound, loop_merris), (edge_degree_bound, loop_edge_degree)):
+            value = bound(g).value
+            assert type(value) is float and repr(value) == repr(oracle(g))
+
+
+def test_bound_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="merris bound undefined for edgeless graphs"):
+        merris_bound(edgeless(3))
+    with pytest.raises(ValueError, match="edge-degree bound undefined for edgeless graphs"):
+        edge_degree_bound(edgeless(0))
+    with pytest.raises(ValueError, match="das bound needs n >= 2, got n=1"):
+        das_bound(complete(1))
 
 
 def test_bounds_dominate_q_enumerated():

@@ -292,6 +292,23 @@ def test_module_entry_point():
 def test_stdin_input(monkeypatch, capsys):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"Bw\n")))
     assert run(["qindex"]) == 0
     assert "q=4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "corpus"])
+def test_non_ascii_graph6_input_names_its_line(tmp_path, monkeypatch, capsys, source):
+    import io
+
+    data = b"A_\n\xff\n"
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    argv = {
+        "file": ["qindex", "--file", str(path)],
+        "stdin": ["qindex"],
+        "corpus": ["suite", "--statements", "egp", "--corpus", str(path)],
+    }[source]
+    assert run(argv) == 3
+    assert "line 2: graph6 character" in capsys.readouterr().err

@@ -23,6 +23,8 @@ from qext.enumeration import (
 from qext.families import complete, cycle, edgeless, path, star
 from qext.graph import build_graph, disjoint_union, join
 
+from conftest import graphs, random_graph
+
 N8_CODES_SHA256 = "dcadbe6e773ef71781b0e6950c99589d3cdc1a8af2898923c1962081365e38b6"
 
 
@@ -335,6 +337,91 @@ def test_graph6_round_trip_larger_random():
         ]
         g = build_graph(n, edges)
         assert parse_graph6(write_graph6(g)) == g
+
+
+def loop_write_graph6(g):
+    """Slow oracle: graph6 written one pair and one 6-bit group at a time."""
+    bits = [1 if g.has_edge(i, j) else 0 for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    chars = [chr(g.n + 63)]
+    for pos in range(0, len(bits), 6):
+        group = 0
+        for b in bits[pos : pos + 6]:
+            group = group << 1 | b
+        chars.append(chr(group + 63))
+    return "".join(chars)
+
+
+def loop_parse_graph6(text):
+    """Slow oracle: the strict parser that built an edge list."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ValueError("graph6 data is not ASCII") from exc
+    if not text:
+        raise ValueError("empty graph6 string")
+    for ch in text:
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"graph6 character {ch!r} outside 63..126")
+    n = ord(text[0]) - 63
+    if n > 62:
+        raise ValueError("multi-byte graph6 order headers are not supported")
+    nbits = n * (n - 1) // 2
+    want = (nbits + 5) // 6
+    if len(text) - 1 != want:
+        raise ValueError(f"graph6 payload for n={n} must be {want} bytes, got {len(text) - 1}")
+    bits = [ord(ch) - 63 >> k & 1 for ch in text[1:] for k in range(5, -1, -1)]
+    if any(bits[nbits:]):
+        raise ValueError("graph6 padding bits must be zero")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return build_graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
+
+
+def test_graph6_matches_loop_oracle_on_every_small_graph():
+    for n in range(6):
+        for code in range(1 << n * (n - 1) // 2):
+            g = graph_from_code(n, code)
+            token = write_graph6(g)
+            assert token == loop_write_graph6(g)
+            assert parse_graph6(token) == loop_parse_graph6(token) == g
+
+
+def test_graph6_matches_loop_oracle_on_random_graphs():
+    rng = random.Random(13)
+    for n in [*range(63), *(rng.randrange(63) for _ in range(140))]:
+        g = random_graph(n, rng.choice([0.05, 0.3, 0.7, 1.0]), rng)
+        token = write_graph6(g)
+        assert token == loop_write_graph6(g)
+        assert parse_graph6(token) == loop_parse_graph6(token) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=62))
+def test_graph6_round_trip_property(g):
+    assert parse_graph6(write_graph6(g)) == g
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("", "empty"),
+        ("B\x1f", "outside 63..126"),
+        ("B\xff", "outside 63..126"),
+        (b"B\xff", "not ASCII"),
+        ("~??", "multi-byte"),
+        ("C~~", "payload"),
+        ("E", "payload"),
+        ("Bx", "padding"),
+        ("D~~", "padding"),
+    ],
+)
+def test_graph6_errors_match_loop_oracle(token, message):
+    with pytest.raises(ValueError, match=message) as got:
+        parse_graph6(token)
+    with pytest.raises(ValueError) as expected:
+        loop_parse_graph6(token)
+    assert str(got.value) == str(expected.value)
 
 
 def test_graph6_rejects_malformed():

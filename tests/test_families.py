@@ -19,7 +19,7 @@ from qext.families import (
     star,
     windmill,
 )
-from qext.graph import components, is_star
+from qext.graph import MAX_VERTICES, build_graph, components, is_star
 from qext.spectral import q_index
 from qext.subgraphs import find_cycle_of_length
 from qext.verify import check_statement
@@ -125,6 +125,23 @@ def test_generic_families():
     assert edgeless(4).m == 0
     with pytest.raises(ValueError):
         cycle(2)
+
+
+def edge_list_complete(n):
+    """Slow oracle: K_n from all C(n,2) pairs through ``build_graph``."""
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_complete_matches_edge_list_build():
+    for n in [*range(71), MAX_VERTICES]:
+        g, want = complete(n), edge_list_complete(n)
+        assert g == want and g.degrees == want.degrees and g.m == want.m
+    for n in (-1, MAX_VERTICES + 1):
+        with pytest.raises(ValueError) as got:
+            complete(n)
+        with pytest.raises(ValueError) as expected:
+            edge_list_complete(n)
+        assert str(got.value) == str(expected.value)
 
 
 def test_constraint_violations_name_the_parameter():

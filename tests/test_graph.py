@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qext.families import complete, cycle, edgeless, path, star
 from qext.graph import (
     MAX_VERTICES,
+    _pack,
+    _unpack,
     blocks,
     build_graph,
     components,
@@ -22,7 +26,19 @@ from qext.graph import (
     neighbor_degree_sum,
 )
 
-from conftest import random_graph
+from conftest import graphs, random_graph
+
+# orders on both sides of each byte boundary of a packed row, up to the limit
+BYTE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 62, 63, 64, 65, 127, 128, 129, 511, 512)
+
+
+def loop_adjacency_matrix(g):
+    """Slow oracle: the dense matrix filled one edge at a time."""
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            a[u, v] = 1.0
+    return a
 
 
 def test_build_graph_path():
@@ -191,3 +207,35 @@ def test_blocks_match_reference_on_random_graphs():
             for u, v in g.induced(blk).edges()
         ]
         assert len(edge_cover) == g.m
+
+
+@pytest.mark.parametrize("n", BYTE_EDGES)
+def test_adjacency_matrix_matches_loop_at_byte_widths(n):
+    rng = random.Random(n)
+    for g in (complete(n), edgeless(n), random_graph(n, 0.3, rng)):
+        assert np.array_equal(g.adjacency_matrix(), loop_adjacency_matrix(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=140))
+def test_adjacency_matrix_matches_loop(g):
+    assert np.array_equal(g.adjacency_matrix(), loop_adjacency_matrix(g))
+
+
+def test_adjacency_matrix_is_a_fresh_writable_float_array():
+    # signless_laplacian writes its diagonal into this array
+    for n in (9, 64):
+        g = cycle(n)
+        a = g.adjacency_matrix()
+        assert a.dtype == np.float64 and a.shape == (n, n)
+        assert a.flags.c_contiguous and a.flags.writeable
+        a[:] = 7.0
+        assert np.array_equal(g.adjacency_matrix(), loop_adjacency_matrix(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=140))
+def test_pack_inverts_unpack(g):
+    bits = _unpack(g.rows, g.n)
+    assert bits.dtype == np.uint8 and bits.shape == (g.n, g.n)
+    assert _pack(bits) == g.rows
