@@ -49,7 +49,6 @@ from .graph import (
     disjoint_union,
     is_connected,
     join,
-    neighbor_degree_sum,
 )
 from .report import RunReport, exit_code_for, parse_report, write_csv
 from .search import SearchResult, is_feasible, maximize_q_forbidden_cycles
@@ -117,7 +116,6 @@ __all__ = [
     "lemma2_exception",
     "maximize_q_forbidden_cycles",
     "merris_bound",
-    "neighbor_degree_sum",
     "parse_graph6",
     "parse_report",
     "path",

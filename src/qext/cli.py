@@ -118,7 +118,9 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
         raise UsageError("no input: pass --graph6, --file, or pipe graph6 lines on stdin")
     else:
         text = sys.stdin.buffer.read().decode("ascii", errors="replace")
-    return [(write_graph6(g), g) for g in read_graph6_lines(text)]
+    # the stripped lines read_graph6_lines parses: strict graph6 has one token per graph
+    graphs = read_graph6_lines(text)
+    return list(zip([t for t in map(str.strip, text.splitlines()) if t], graphs))
 
 
 def _cmd_qindex(args: argparse.Namespace) -> list[dict[str, Any]]:

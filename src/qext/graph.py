@@ -205,17 +205,6 @@ def is_connected(g: Graph) -> bool:
     return _closure(g.rows, 0) == (1 << g.n) - 1
 
 
-def neighbor_degree_sum(g: Graph, u: int) -> int:
-    """Sum of the degrees over the neighborhood of ``u``.
-
-    Equals twice the edge count inside the neighborhood plus the number of
-    edges leaving it, which tests verify by double counting.
-    """
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range for n={g.n}")
-    return sum(g.degrees[v] for v in _bits(g.rows[u]))
-
-
 def edges_within(g: Graph, mask: int) -> int:
     """Number of edges with both endpoints inside the bitmask ``mask``."""
     return sum((g.rows[v] & mask).bit_count() for v in _bits(mask)) // 2

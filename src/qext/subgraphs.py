@@ -5,19 +5,21 @@ edges, a cycle of order k has k vertices and k edges.  Absence answers are
 exact; running out of node budget raises :class:`SearchBudgetExceeded`,
 which is distinct from absence.
 
-Graphs on at most ``_TABLE_MAX`` = 8 vertices get a path table, built once
-per graph by a Held–Karp subset DP over the bitset rows and kept in a small
-cache keyed by the rows.  For each order r and start u it holds the mask of
-vertices that end a path on r vertices from u, and for each length l the
-mask of vertices that are the smallest vertex of some l-cycle.  On these
-graphs absence is read off the table, and a search runs only from the first
-start or anchor the table proves, never stepping to a vertex with no path of
-the remaining order into the end mask.  Larger graphs, and cycles through
-a given edge, use the backtracking search alone.
+Graphs on at most ``_TABLE_MAX`` = 8 vertices get a path table from a
+Held–Karp subset DP run in numpy over a batch of graphs of one order (one
+batch per suite chunk and order; a single graph is a batch of one, cached by
+its rows).  A table holds, for each order r and start u, the mask of
+vertices that end a path on r vertices from u; for each length l, the mask
+of vertices that are the smallest of some l-cycle; and ``spans[r]``, whose
+bit A says that some path on r vertices has both ends in the vertex set A.
+On these graphs absence is read off the table, and a search runs only from
+the first start or anchor the table proves, never stepping to a vertex with
+no path of the remaining order into the end mask.  Larger graphs, and
+cycles through a given edge, use the backtracking search alone.
 
 :func:`has_path` and :func:`has_cycle` answer presence without a witness:
-on table graphs straight from the table, with no node spent, and above it
-by the same search as the witness builders.
+on table graphs by one lookup in ``spans`` or ``cycles``, with no node
+spent, and above it by the same search as the witness builders.
 
 One engine, :func:`_first_path`, builds every witness: it returns the first
 simple path from a given start whose interior lies in one bitmask and
@@ -37,12 +39,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .graph import Graph, _bits, _check_pair
 
 DEFAULT_NODE_BUDGET = 10**8
 
-_TABLE_MAX = 8  # graphs up to this order get a path table (2^n subsets)
-_BITS = tuple(tuple(_bits(mask)) for mask in range(1 << _TABLE_MAX))  # set bits of each mask
+_TABLE_MAX = 8  # graphs up to this order get a path table (2^n subsets, 8-bit masks)
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -75,44 +78,78 @@ def _check_witness(ok: bool, kind: str, vertices: tuple[int, ...]) -> None:
 
 
 class _PathTable(NamedTuple):
-    ends: tuple[tuple[int, ...], ...]  # [r][u]: vertices that end a path on r vertices from u
-    cycles: tuple[int, ...]  # [l]: vertices that are the smallest of some l-cycle
+    ends: bytes  # [8r + u]: vertices that end a path on r vertices from u
+    cycles: Sequence[int]  # [l]: vertices that are the smallest of some l-cycle
+    spans: Sequence[int]  # [r]: bit A set when some path on r vertices has both ends in A
+
+
+@lru_cache(maxsize=None)
+def _table_index(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """For order n, built on first use: the subsets of each size, ascending,
+    and for each vertex set A its ordered pairs (u, v) as bits 8u + v."""
+    layers = [np.array([s for s in range(1 << n) if s.bit_count() == r]) for r in range(n + 1)]
+    inside = [sum(a << 8 * u for u in _bits(a)) for a in range(1 << n)]
+    return layers, np.array(inside, dtype="<u8")
+
+
+def _path_tables(rows_list: Sequence[tuple[int, ...]]) -> list[_PathTable | None]:
+    """The path table of each graph with at most ``_TABLE_MAX`` vertices
+    (None for larger ones), built in one batch per order."""
+    tables: dict[int, _PathTable] = {}
+    for n in sorted({len(rows) for rows in rows_list if len(rows) <= _TABLE_MAX}):
+        where = [i for i, rows in enumerate(rows_list) if len(rows) == n]
+        tables.update(zip(where, _held_karp([rows_list[i] for i in where], n)))
+    return [tables.get(i) for i in range(len(rows_list))]
+
+
+def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[_PathTable]:
+    """The path tables of graphs of one order n <= ``_TABLE_MAX``: Held–Karp
+    over the subsets S, one size at a time, in numpy over every graph at once,
+    keeping only the previous size's layer.  ``layer[S, v, g]`` masks the u
+    such that some path of graph g on the vertex set S runs from u to v, so
+    (paths being undirected) the ends of those paths from v."""
+    layers, inside = _table_index(n)
+    count = len(rows_list)
+    rows = np.array(rows_list, dtype=np.uint8).reshape(count, n).T  # [v, g]
+    # [v, w, g]: 0xFF where vw is an edge of graph g, else 0
+    edge = np.uint8(0) - np.unpackbits(rows[:, None], axis=1, bitorder="little")[:, :n]
+    ends = np.zeros((count, n + 1, 8), dtype=np.uint8)  # [g, r, u], u padded to 8
+    cycles = np.zeros((n + 1, count), dtype=np.uint8)
+    for r in range(1, n + 1):
+        subsets = layers[r]
+        layer = np.zeros((len(subsets), n, count), dtype=np.uint8)
+        for v in range(n):
+            at = np.flatnonzero(subsets >> v & 1)
+            if r == 1:
+                layer[at, v] = 1 << v
+                continue
+            # a path on S ending at v is one on S - v ending at a neighbour of v
+            before = last[np.searchsorted(layers[r - 1], subsets[at] ^ 1 << v)]
+            layer[at, v] = np.bitwise_or.reduce(before & edge[v], axis=1)
+            if r > 2:  # a cycle: a path on S from its smallest vertex v back to a neighbour
+                low = at[subsets[at] & (1 << v) - 1 == 0]
+                cycles[r] |= np.any(layer[low, v] & rows[v] != 0, axis=0).astype(np.uint8) << v
+        ends[:, r, :n] = np.bitwise_or.reduce(layer, axis=0).T
+        last = layer
+    pairs = ends.view("<u8")[..., 0]  # [g, r]: bit 8u + v set for a u..v path on r vertices
+    width = ((1 << n) + 7) // 8
+    spans = np.empty((count, n + 1, width), dtype=np.uint8)
+    for r in range(n + 1):
+        spans[:, r] = np.packbits(pairs[:, r, None] & inside != 0, axis=1, bitorder="little")
+    data, step = spans.tobytes(), (n + 1) * width
+    spans_of = [
+        [int.from_bytes(data[at : at + width], "little") for at in range(start, start + step, width)]
+        for start in range(0, count * step, step)
+    ]
+    data, step = ends.tobytes(), 8 * (n + 1)
+    ends_of = [data[start : start + step] for start in range(0, count * step, step)]
+    return list(map(_PathTable, ends_of, cycles.T.tolist(), spans_of))
 
 
 @lru_cache(maxsize=8)
 def _path_table(rows: tuple[int, ...]) -> _PathTable:
-    """Held–Karp over the subsets S of a graph with at most ``_TABLE_MAX``
-    vertices: ``tails[S][v]`` is the mask of vertices u such that some path
-    with vertex set S runs from u to v.  Paths are undirected, so it is
-    also the mask of the ends of those paths from v."""
-    n = len(rows)
-    tails: list[list[int] | None] = [None] * (1 << n)
-    ends = [[0] * n for _ in range(n + 1)]
-    cycles = [0] * (n + 1)
-    for v in range(n):
-        tails[1 << v] = [1 << v if w == v else 0 for w in range(n)]
-        ends[1][v] = 1 << v
-    for s in range(3, 1 << n):
-        members = _BITS[s]
-        order = len(members)
-        if order < 2:
-            continue
-        here = [0] * n
-        for v in members:
-            before = tails[s ^ (1 << v)]
-            if before is not None:  # some path spans the rest
-                starts = 0
-                for w in _BITS[rows[v] & s]:
-                    starts |= before[w]
-                here[v] = starts
-                ends[order][v] |= starts
-        if any(here):
-            tails[s] = here
-            low = members[0]
-            # a path through S from S's smallest vertex back to a neighbour
-            if order > 2 and here[low] & rows[low]:
-                cycles[order] |= 1 << low
-    return _PathTable(tuple(map(tuple, ends)), tuple(cycles))
+    """The path table of one graph with at most ``_TABLE_MAX`` vertices."""
+    return _held_karp([rows], len(rows))[0]
 
 
 def _first_path(
@@ -122,7 +159,7 @@ def _first_path(
     inner: int,
     last: int,
     budget: list,
-    reach: Sequence[Sequence[int]] | None = None,
+    reach: bytes | None = None,
 ) -> tuple[int, ...] | None:
     """First path on ``order`` vertices from ``start`` in ascending DFS order.
 
@@ -150,7 +187,7 @@ def _first_path(
         else:
             nxt = rows[v] & inner & ~visited
         for w in _bits(nxt):
-            if reach is not None and not reach[remaining][w] & last:
+            if reach is not None and not reach[8 * remaining + w] & last:
                 continue
             if extend(w, visited | (1 << w), remaining - 1):
                 return True
@@ -194,7 +231,7 @@ def has_path(
     n = g.n
     ends = ends_mask & ((1 << n) - 1)
     if n <= _TABLE_MAX and 1 <= order <= n:
-        return _table_start(g.rows, order, ends) is not None
+        return bool(_path_table(g.rows).spans[order] >> ends & 1)
     return _path_search(g, order, ends, node_budget) is not None
 
 
@@ -208,25 +245,14 @@ def _path_search(g: Graph, order: int, ends: int, node_budget: int) -> tuple[int
     if order > n:
         return None
     budget = [node_budget, f"path search exceeded node budget {node_budget}"]
+    starts, reach = _bits(ends), None
     if n <= _TABLE_MAX:
-        start = _table_start(rows, order, ends)
-        if start is None:
-            return None
-        return _first_path(rows, start, order, -1, ends, budget, _path_table(rows).ends)
-    for start in _bits(ends):
-        witness = _first_path(rows, start, order, -1, ends, budget)
+        reach = _path_table(rows).ends
+        starts = [start for start in _bits(ends) if reach[8 * order + start] & ends][:1]
+    for start in starts:
+        witness = _first_path(rows, start, order, -1, ends, budget, reach)
         if witness is not None:
             return witness
-    return None
-
-
-def _table_start(rows: tuple[int, ...], order: int, ends: int) -> int | None:
-    """The first vertex of ``ends`` that starts a path on ``order`` vertices
-    ending in ``ends``, read off the path table; None when there is none."""
-    reach = _path_table(rows).ends[order]
-    for start in _BITS[ends]:
-        if reach[start] & ends:
-            return start
     return None
 
 
@@ -266,7 +292,7 @@ def _cycle_search(g: Graph, length: int, node_budget: int) -> tuple[int, ...] | 
     anchors, reach = range(n), None
     if n <= _TABLE_MAX:
         table = _path_table(rows)
-        anchors, reach = _BITS[table.cycles[length]][:1], table.ends
+        anchors, reach = list(_bits(table.cycles[length]))[:1], table.ends
     for anchor in anchors:
         # every cycle is found from its smallest vertex; larger ones only
         above = ~((1 << (anchor + 1)) - 1)

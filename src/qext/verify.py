@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
 from .enumeration import enumerate_nonisomorphic, write_graph6
@@ -47,6 +49,7 @@ from .families import complete, corollary1_graph, s_nk, s_nk_plus
 from .graph import (
     Graph,
     _bits,
+    _unpack,
     blocks,
     build_graph,
     components,
@@ -59,6 +62,8 @@ from .report import record
 from .spectral import certified_compare, q_index
 from .subgraphs import (
     DEFAULT_NODE_BUDGET,
+    _path_tables,
+    _PathTable,
     find_constrained_path,
     find_cycle_of_length,
     has_cycle,
@@ -74,6 +79,7 @@ INDETERMINATE = "indeterminate"
 SPECTRAL_EQ_TOL = 1e-9
 _TOL = 1e-10  # default q_index tolerance of every spectral check
 _STATUSES = (HOLDS, EQUALITY, VIOLATED, UNMET, INDETERMINATE)
+_CHUNK_SIZE = 256  # graphs per _run_chunk call, whose path tables are built at once
 
 
 @dataclass
@@ -296,11 +302,11 @@ def _ore(stmt: str, g: Graph, k: None, x: None, find: _Search, budget: int) -> C
     return CheckOutcome(stmt, VIOLATED, g.m, threshold, None, "no Hamiltonian cycle")
 
 
-def _ni_sets(g: Graph, masks: Iterable[int]) -> list[tuple[int, int, int]]:
+def _ni_sets(g: Graph, masks: Sequence[int]) -> list[tuple[int, int, int]]:
     """Each vertex set A in ``masks`` as (mask, degree sum, |A|).  The degree
     sum over A counts each edge at its ends in A, so it is 2e(A)+e(A,B)."""
-    degree = g.degrees.__getitem__
-    return [(mask, sum(map(degree, _bits(mask))), mask.bit_count()) for mask in masks]
+    sums = (_unpack(masks, g.n) @ np.array(g.degrees, dtype=np.int64)).tolist()
+    return [(mask, total, mask.bit_count()) for mask, total in zip(masks, sums)]
 
 
 def _ni_rhs(n: int, k: int, size: int) -> int:
@@ -641,6 +647,15 @@ def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
     return sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
 
 
+def _table_queries(n: int, table: _PathTable) -> _Search:
+    """Presence read off a path table: one bit of ``spans`` or ``cycles``."""
+    full, spans, cycles = (1 << n) - 1, table.spans, table.cycles
+    return _Search(
+        lambda g, order, ends_mask, budget: order <= n and spans[order] >> (ends_mask & full) & 1,
+        lambda g, length, budget: length <= n and cycles[length] != 0,
+    )
+
+
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
     """Every instance of every statement on each graph of the chunk, in
     order: k by k, and within a k vertex by vertex or set by set.  Only the
@@ -649,13 +664,14 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     graphs, start_index, statements, k_range, seed, ni_sample, node_budget = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
-    find = _Search(has_path, has_cycle)
+    tables = _path_tables([g.rows for g in graphs])
     plan = []
     for statement in statements:
         rule, least, param, _ = _STATEMENTS[statement]
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         plan.append((statement, rule, ks, param, tallies[statement]))
-    for offset, g in enumerate(graphs):
+    for offset, (g, table) in enumerate(zip(graphs, tables)):
+        find = _Search(has_path, has_cycle) if table is None else _table_queries(g.n, table)
         for statement, rule, ks, param, counts in plan:
             if param == "a":  # ni samples its sets, seeded per graph
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
@@ -726,10 +742,9 @@ def run_suite(
             raise ValueError(f"native enumeration needs 1 <= n_max <= 8, got {n_max}")
         graphs = [g for n in range(1, n_max + 1) for g in enumerate_nonisomorphic(n)]
 
-    chunk_size = 32
     payloads = [
         (
-            graphs[i : i + chunk_size],
+            graphs[i : i + _CHUNK_SIZE],
             i,
             statements,
             tuple(ks),
@@ -737,7 +752,7 @@ def run_suite(
             ni_sample,
             node_budget,
         )
-        for i in range(0, len(graphs), chunk_size)
+        for i in range(0, len(graphs), _CHUNK_SIZE)
     ]
     if jobs > 1 and len(payloads) > 1:
         import concurrent.futures

@@ -27,6 +27,25 @@ def test_qindex_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["qindex", "bounds"])
+def test_file_input_reports_its_own_tokens_without_re_encoding(tmp_path, monkeypatch, capsys, command):
+    # each graph is reported under its stripped input line; graph6 is strict,
+    # so that is the token write_graph6 would give, and it is never called
+    path = tmp_path / "graphs.g6"
+    path.write_text("  Bw \n\nC~\n")
+
+    def refuse(g):
+        raise AssertionError("input graphs must not be re-encoded")
+
+    monkeypatch.setattr(cli, "write_graph6", refuse)
+    out_path = tmp_path / "report.json"
+    assert run([command, "--file", str(path), "--out", str(out_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["Bw", "C~"]
+    spectral = [r for r in parse_report(out_path.read_text()).outcomes if r["kind"] == "spectral"]
+    assert [r["graph6"] for r in spectral] == ["Bw", "C~"]
+
+
+@pytest.mark.parametrize("command", ["qindex", "bounds"])
 def test_repeated_graph6_reports_every_token(tmp_path, capsys, command):
     out_path = tmp_path / "report.json"
     assert run([command, "--graph6", "D~{", "--graph6", "Cl", "--out", str(out_path)]) == 0

@@ -14,7 +14,6 @@ from qext.graph import (
     components,
     disjoint_union,
     edges_between,
-    edges_within,
     is_bipartite,
     is_complete,
     is_connected,
@@ -23,7 +22,6 @@ from qext.graph import (
     is_star,
     join,
     mask_of,
-    neighbor_degree_sum,
 )
 
 from conftest import graphs, random_graph
@@ -129,28 +127,6 @@ def test_components_order_and_partition():
             assert is_connected(sub)
             others = mask_of(set(range(g.n)) - set(comp))
             assert edges_between(g, mask_of(comp), others) == 0
-
-
-def test_neighbor_degree_sum_examples():
-    assert neighbor_degree_sum(path(3), 1) == 2
-    assert neighbor_degree_sum(complete(4), 0) == 9
-    assert neighbor_degree_sum(star(5), 0) == 4
-    with pytest.raises(ValueError):
-        neighbor_degree_sum(path(3), 3)
-
-
-def test_neighbor_degree_sum_identity_exhaustive():
-    # sum of neighbor degrees = 2 e(N(u)) + e(N(u), rest), all graphs n <= 7
-    from qext.enumeration import enumerate_nonisomorphic
-
-    for n in range(1, 8):
-        for g in enumerate_nonisomorphic(n):
-            full = (1 << n) - 1
-            for u in range(n):
-                nbhd = g.rows[u]
-                lhs = neighbor_degree_sum(g, u)
-                rhs = 2 * edges_within(g, nbhd) + edges_between(g, nbhd, full & ~nbhd)
-                assert lhs == rhs
 
 
 def test_graphs_are_immutable_under_toggles():

@@ -191,6 +191,98 @@ def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
             assert find_cycle_of_length(g, length, node_budget=1) is None
 
 
+# --- batched path tables against the per-graph loop ----------------------------
+
+
+def loop_path_table(rows):
+    """The per-graph Held–Karp loop that ``_held_karp`` replaced: ``tails[S][v]``
+    is the mask of vertices u such that some path with vertex set S runs from
+    u to v.  Returns (ends, cycles) as tuples of tuples and a tuple."""
+    n = len(rows)
+    tails = [None] * (1 << n)
+    ends = [[0] * n for _ in range(n + 1)]
+    cycles = [0] * (n + 1)
+    for v in range(n):
+        tails[1 << v] = [1 << v if w == v else 0 for w in range(n)]
+        ends[1][v] = 1 << v
+    for s in range(3, 1 << n):
+        members = list(_bits(s))
+        order = len(members)
+        if order < 2:
+            continue
+        here = [0] * n
+        for v in members:
+            before = tails[s ^ (1 << v)]
+            if before is not None:
+                starts = 0
+                for w in _bits(rows[v] & s):
+                    starts |= before[w]
+                here[v] = starts
+                ends[order][v] |= starts
+        if any(here):
+            tails[s] = here
+            low = members[0]
+            if order > 2 and here[low] & rows[low]:
+                cycles[order] |= 1 << low
+    return tuple(map(tuple, ends)), tuple(cycles)
+
+
+def assert_tables_match_loop(graphs):
+    """One ``_path_tables`` call over all of ``graphs``, checked graph by graph."""
+    tables = subgraphs._path_tables([g.rows for g in graphs])
+    assert len(tables) == len(graphs)
+    for g, table in zip(graphs, tables):
+        if g.n > subgraphs._TABLE_MAX:
+            assert table is None
+            continue
+        ends, cycles = loop_path_table(g.rows)
+        assert tuple(tuple(table.ends[8 * r : 8 * r + g.n]) for r in range(g.n + 1)) == ends
+        assert tuple(table.cycles) == cycles
+        assert len(table.spans) == g.n + 1
+
+
+def test_batched_tables_match_loop_every_graph_up_to_7():
+    # one mixed-order batch: n = 0, every graph with n <= 7, and one n = 9 graph
+    graphs = [build_graph(0)] + [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+    assert_tables_match_loop(graphs[::-1] + [complete(9)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.builds(random_graph, st.just(8), st.sampled_from([0.2, 0.4, 0.6, 0.8]), st.randoms()),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_batched_tables_match_loop_n8(graphs):
+    assert_tables_match_loop(graphs)
+
+
+def brute_spans(g):
+    """spans[r] by brute force: the end pairs of every path on r vertices,
+    then for each vertex set A whether some pair lies inside A."""
+    spans = [0] * (g.n + 1)
+    for order in range(1, g.n + 1):
+        pairs = {
+            1 << seq[0] | 1 << seq[-1]
+            for seq in permutations(range(g.n), order)
+            if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+        }
+        for a in range(1 << g.n):
+            if any(pair & a == pair for pair in pairs):
+                spans[order] |= 1 << a
+    return spans
+
+
+def test_spans_match_brute_force_for_every_end_mask():
+    rng = random.Random(88)
+    graphs = [build_graph(0)] + [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
+    graphs += [random_graph(n, p, rng) for n in (7, 8) for p in (0.3, 0.6)]
+    for g, table in zip(graphs, subgraphs._path_tables([g.rows for g in graphs])):
+        assert list(table.spans) == brute_spans(g)
+
+
 def test_table_proves_absence_without_a_node():
     # n = 8, within the table: no Hamiltonian path or cycle, no node spent
     g = disjoint_union([complete(4), complete(4)])

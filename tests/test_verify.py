@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from qext import verify
+from qext import subgraphs, verify
 from qext.enumeration import canonical_code, enumerate_nonisomorphic
 from qext.families import (
     complete,
@@ -315,6 +315,30 @@ def test_suite_jobs_merge_is_deterministic():
     assert serial == parallel
 
 
+def test_suite_builds_one_table_batch_per_chunk_and_order(monkeypatch):
+    # the path tables of a chunk are built in one batch per order, never
+    # one graph at a time
+    batches = []
+    build = subgraphs._held_karp
+
+    def counted(rows_list, n):
+        batches.append((n, len(rows_list)))
+        return build(rows_list, n)
+
+    def per_graph(rows):
+        raise AssertionError("run_suite built a path table for one graph")
+
+    monkeypatch.setattr(subgraphs, "_held_karp", counted)
+    monkeypatch.setattr(subgraphs, "_path_table", per_graph)
+    report = run_suite(["egp", "egc", "ni"], n_max=7, k_range=[2])
+    assert report.violated == 0
+    orders = [g.n for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+    size = verify._CHUNK_SIZE
+    chunks = [orders[i : i + size] for i in range(0, len(orders), size)]
+    assert batches == [(n, chunk.count(n)) for chunk in chunks for n in sorted(set(chunk))]
+    assert len(batches) == 11 and sum(count for _, count in batches) == len(orders) == 1252
+
+
 def test_egc_is_unmet_on_the_empty_graph():
     # the bound k(n-1)/2 assumes a vertex: at n = 0 it would read 0 > -k/2
     empty = build_graph(0)
@@ -598,6 +622,8 @@ def test_sweeps_match_per_instance_checks_when_nothing_is_found():
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: None))
         for name in ("has_path", "has_cycle"):
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: False))
+        # with no path tables, the suite asks has_path and has_cycle on every graph
+        stack.enter_context(mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)))
         report = assert_sweeps_match_reference(graphs, (1, 2, 3))
     assert {v["statement"] for v in report.violating} == {
         "egp", "egc", "kopylov_i", "kopylov_ii", "ore", "ni", "lemma1", "lemma2",

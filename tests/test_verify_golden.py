@@ -117,7 +117,8 @@ def _stub_q(values):
 
 def _patched(fn, q=None, finds_nothing=()):
     """Run ``fn`` with ``verify.q_index`` stubbed and the named searches
-    returning None."""
+    returning None.  run_suite answers from path tables where it has them,
+    so a stubbed has_path also takes its tables away."""
 
     def run():
         with ExitStack() as stack:
@@ -126,6 +127,10 @@ def _patched(fn, q=None, finds_nothing=()):
             for name in finds_nothing:
                 stack.enter_context(
                     mock.patch.object(verify, name, lambda *a, **kw: None)
+                )
+            if "has_path" in finds_nothing:
+                stack.enter_context(
+                    mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows))
                 )
             return fn()
 
