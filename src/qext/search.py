@@ -1,20 +1,20 @@
 """Stochastic maximization of the Q-index over graphs avoiding given cycle
 lengths.
 
-Hill climbing with random restarts.  Each restart starts from a random
-maximal feasible graph (or, for restart 0, from a given seed graph) and
-draws one vertex pair per budget step.  Only additions are evaluated; a
-drawn edge is skipped, because a removal never raises the Q-index
-(Q(G-e) <= Q(G) entrywise, hence q(G-e) <= q(G) by Perron-Frobenius).
-An addition is rejected when it closes a forbidden cycle (only cycles
-through the new edge need searching), and such a pair is remembered as
-blocked: the graph only gains edges, so the cycle persists.  A feasible
-addition is accepted when it strictly raises the power-iteration estimate.
-From a random maximal start every pair is an edge or blocked, so its climb
-costs no search at all.  Identical arguments always produce identical
-results: restart r uses the derived seed ``seed + r`` and the merge orders
-candidates by value with a canonical tiebreak, independent of completion
-order.
+Random restarts, with a hill climb from a given seed graph.  Each restart
+builds a random maximal feasible graph: it tries every vertex pair once,
+in random order, and keeps the addition unless it closes a forbidden
+cycle (only cycles through the new edge need searching).  The graph only
+gains edges, so a cycle that blocks a pair persists, and every pair ends
+up an edge or blocked.  A removal never raises the Q-index (Q(G-e) <=
+Q(G) entrywise, hence q(G-e) <= q(G) by Perron-Frobenius), so no climb
+could improve such a start, and none is run.  When a seed graph is given,
+restart 0 climbs from it instead: it draws one vertex pair per budget
+step, skips edges and pairs known to be blocked, and accepts a feasible
+addition when it strictly raises the power-iteration estimate.
+Identical arguments always produce identical results: restart r uses the
+derived seed ``seed + r`` and the merge orders candidates by value with a
+canonical tiebreak, independent of completion order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, parse_graph6, write_graph6
+from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, write_graph6
 from .families import edgeless
 from .graph import Graph
 from .report import record
@@ -72,8 +72,6 @@ def _addition_allowed(
 
 
 def _estimate(g: Graph, tol: float) -> float:
-    if g.n == 0:
-        return 0.0
     try:
         return q_index(g, tol=tol, method="power").q
     except ConvergenceError as exc:
@@ -84,24 +82,20 @@ def _estimate(g: Graph, tol: float) -> float:
 
 def _random_feasible(
     n: int, forbidden: frozenset[int], rng: random.Random, node_budget: int
-) -> tuple[Graph, set[tuple[int, int]]]:
-    """Random maximal feasible graph and the pairs whose addition was rejected."""
+) -> Graph:
+    """Random maximal feasible graph: every pair is tried once, in random order."""
     g = edgeless(n)
-    blocked: set[tuple[int, int]] = set()
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     for u, v in pairs:
         candidate = g.with_edge(u, v)
         if _addition_allowed(candidate, u, v, forbidden, node_budget):
             g = candidate
-        else:
-            blocked.add((u, v))
-    return g, blocked
+    return g
 
 
 def _climb(
     start: Graph,
-    blocked: set[tuple[int, int]],
     forbidden: frozenset[int],
     budget: int,
     rng: random.Random,
@@ -110,13 +104,13 @@ def _climb(
 ) -> tuple[Graph, int]:
     """Accept feasible additions that strictly raise the estimate.
 
-    Drawn edges and ``blocked`` pairs are skipped; a pair found to close a
-    forbidden cycle joins ``blocked``.  The start is estimated lazily.
+    Drawn edges and blocked pairs are skipped; a pair found to close a
+    forbidden cycle is blocked from then on.
     """
     n = start.n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    current = start
-    current_q: float | None = None
+    blocked: set[tuple[int, int]] = set()
+    current, current_q = start, _estimate(start, tol)
     accepted = 0
     for _ in range(budget):
         u, v = pairs[rng.randrange(len(pairs))]
@@ -127,8 +121,6 @@ def _climb(
         if not _addition_allowed(candidate, u, v, forbidden, node_budget):
             blocked.add((u, v))
             continue
-        if current_q is None:
-            current_q = _estimate(current, tol)
         candidate_q = _estimate(candidate, tol)
         if candidate_q > current_q:
             current, current_q = candidate, candidate_q
@@ -136,16 +128,13 @@ def _climb(
     return current, accepted
 
 
-def _restart_worker(payload: tuple) -> tuple[int, str, int]:
-    index, n, forbidden, budget, seed, seed_graph6, tol, node_budget = payload
+def _restart_worker(payload: tuple) -> tuple[Graph, int]:
+    index, n, forbidden, budget, seed, seed_graph, tol, node_budget = payload
     rng = random.Random(seed + index)
     forbidden = frozenset(forbidden)
-    if index == 0 and seed_graph6 is not None:
-        start, blocked = parse_graph6(seed_graph6), set()
-    else:
-        start, blocked = _random_feasible(n, forbidden, rng, node_budget)
-    best, accepted = _climb(start, blocked, forbidden, budget, rng, tol, node_budget)
-    return index, write_graph6(best), accepted
+    if index == 0 and seed_graph is not None:
+        return _climb(seed_graph, forbidden, budget, rng, tol, node_budget)
+    return _random_feasible(n, forbidden, rng, node_budget), 0
 
 
 def _merge_key(g: Graph, value: float) -> tuple:
@@ -188,34 +177,34 @@ def maximize_q_forbidden_cycles(
 ) -> SearchResult:
     """Best graph found on n vertices with no cycle of a forbidden length.
 
-    ``budget`` counts vertex pairs drawn per restart; a drawn pair that is
-    already an edge or known to close a forbidden cycle is skipped without
-    evaluation, so from a random maximal start the climb accepts nothing
-    and costs next to nothing.  When ``seed_graph``
-    is given it must be feasible; restart 0 climbs from it, so the result
-    value never falls below the seed's.  The returned graph is re-verified
+    Every restart returns a random maximal feasible graph, except that
+    restart 0 climbs from ``seed_graph`` when one is given.  ``budget``
+    counts the vertex pairs that climb draws; a drawn pair that is already
+    an edge or known to close a forbidden cycle is skipped without
+    evaluation.  The seed graph must be feasible, and the result value
+    never falls below the seed's.  The returned graph is re-verified
     feasible from scratch and its Q-index re-certified with the dense
     engine.
     """
     if n < 3:
         raise ValueError(f"search requires n >= 3, got {n}")
-    if n > GRAPH6_MAX:  # restarts hand their graphs back as graph6
+    if n > GRAPH6_MAX:  # the result record carries the graph as graph6
         raise ValueError(f"search requires n <= {GRAPH6_MAX}, got {n}")
     forbidden_set = frozenset(int(l) for l in forbidden)
     if not forbidden_set or min(forbidden_set) < 3:
         raise ValueError("forbidden lengths must be a nonempty set of integers >= 3")
     if budget < 1 or restarts < 1:
         raise ValueError("budget and restarts must be >= 1")
-    seed_graph6 = None
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if seed_graph is not None:
         if seed_graph.n != n:
             raise ValueError(f"seed graph has order {seed_graph.n}, expected {n}")
         if not is_feasible(seed_graph, forbidden_set, node_budget):
             raise ValueError("seed graph contains a forbidden cycle")
-        seed_graph6 = write_graph6(seed_graph)
 
     payloads = [
-        (r, n, tuple(sorted(forbidden_set)), budget, seed, seed_graph6, tol, node_budget)
+        (r, n, tuple(sorted(forbidden_set)), budget, seed, seed_graph, tol, node_budget)
         for r in range(restarts)
     ]
     if jobs > 1 and restarts > 1:
@@ -228,9 +217,8 @@ def maximize_q_forbidden_cycles(
 
     accepted_total = 0
     certified: list[tuple[Graph, float, float]] = []
-    for _, graph6, accepted in sorted(raw):
+    for g, accepted in raw:
         accepted_total += accepted
-        g = parse_graph6(graph6)
         result = q_index(g)
         certified.append((g, result.q, result.residual))
 

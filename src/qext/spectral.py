@@ -159,7 +159,7 @@ def q_index(
     """
     if g.n == 0:
         raise ValueError("Q-index undefined for the empty graph")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     mat = signless_laplacian(g)
     if method == "auto" and g.n <= DENSE_MAX:

@@ -37,7 +37,7 @@ validator before it is returned.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,6 +233,16 @@ def has_path(
     if n <= _TABLE_MAX and 1 <= order <= n:
         return bool(_path_table(g.rows).spans[order] >> ends & 1)
     return _path_search(g, order, ends, node_budget) is not None
+
+
+def _table_queries(n: int, table: _PathTable) -> tuple[Callable[..., Any], Callable[..., Any]]:
+    """Presence read off a path table, shaped as :func:`has_path` and
+    :func:`has_cycle`: one bit of ``spans`` or ``cycles``."""
+    full, spans, cycles = (1 << n) - 1, table.spans, table.cycles
+    return (
+        lambda g, order, ends_mask, budget: order <= n and spans[order] >> (ends_mask & full) & 1,
+        lambda g, length, budget: length <= n and cycles[length] != 0,
+    )
 
 
 def _path_search(g: Graph, order: int, ends: int, node_budget: int) -> tuple[int, ...] | None:

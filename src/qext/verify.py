@@ -63,7 +63,7 @@ from .spectral import certified_compare, q_index
 from .subgraphs import (
     DEFAULT_NODE_BUDGET,
     _path_tables,
-    _PathTable,
+    _table_queries,
     find_constrained_path,
     find_cycle_of_length,
     has_cycle,
@@ -647,15 +647,6 @@ def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
     return sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
 
 
-def _table_queries(n: int, table: _PathTable) -> _Search:
-    """Presence read off a path table: one bit of ``spans`` or ``cycles``."""
-    full, spans, cycles = (1 << n) - 1, table.spans, table.cycles
-    return _Search(
-        lambda g, order, ends_mask, budget: order <= n and spans[order] >> (ends_mask & full) & 1,
-        lambda g, length, budget: length <= n and cycles[length] != 0,
-    )
-
-
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
     """Every instance of every statement on each graph of the chunk, in
     order: k by k, and within a k vertex by vertex or set by set.  Only the
@@ -671,7 +662,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         plan.append((statement, rule, ks, param, tallies[statement]))
     for offset, (g, table) in enumerate(zip(graphs, tables)):
-        find = _Search(has_path, has_cycle) if table is None else _table_queries(g.n, table)
+        find = _Search(has_path, has_cycle) if table is None else _Search(*_table_queries(g.n, table))
         for statement, rule, ks, param, counts in plan:
             if param == "a":  # ni samples its sets, seeded per graph
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)

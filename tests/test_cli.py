@@ -18,6 +18,11 @@ def test_qindex_graph6(capsys):
     assert "q=6" in out
 
 
+def test_qindex_rejects_a_nan_tolerance(capsys):
+    assert run(["qindex", "--graph6", "Bw", "--tol", "nan"]) == 3
+    assert "tolerance must be positive, got nan" in capsys.readouterr().err
+
+
 def test_qindex_file(tmp_path, capsys):
     path = tmp_path / "graphs.g6"
     path.write_text("Bw\nC~\n")
@@ -203,7 +208,7 @@ def test_search_bad_seed_construction(capsys):
 
 
 def test_search_above_graph6_orders_fails_before_searching(monkeypatch, capsys):
-    # results travel as graph6, which stops at 62 vertices
+    # the result record carries the graph as graph6, which stops at 62 vertices
     def restart(payload):
         raise AssertionError("a restart ran")
 

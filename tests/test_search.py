@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -54,9 +55,12 @@ def test_determinism():
 
 
 def test_jobs_do_not_change_the_result():
-    serial = maximize_q_forbidden_cycles(6, {4}, budget=60, restarts=4, seed=2)
-    parallel = maximize_q_forbidden_cycles(6, {4}, budget=60, restarts=4, seed=2, jobs=2)
-    assert serial == parallel
+    # restarts take their seed graph and hand back their results as Graph objects
+    for n, seed_graph in [(6, None), (9, path(9))]:
+        kwargs = dict(budget=60, restarts=4, seed=2, seed_graph=seed_graph)
+        serial = maximize_q_forbidden_cycles(n, {4}, **kwargs)
+        parallel = maximize_q_forbidden_cycles(n, {4}, jobs=2, **kwargs)
+        assert serial == parallel
 
 
 def test_matched_family_tag():
@@ -86,6 +90,9 @@ def test_rejects_bad_arguments():
         maximize_q_forbidden_cycles(4, {3}, seed_graph=complete(4))
     with pytest.raises(ValueError, match="order"):
         maximize_q_forbidden_cycles(6, {3}, seed_graph=complete(4))
+    for tol in (-1.0, math.nan):  # only a seeded climb would pass tol on to q_index
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            maximize_q_forbidden_cycles(6, {3}, tol=tol)
 
 
 def test_result_record():
@@ -121,19 +128,22 @@ def _slow_climb(start, forbidden, budget, rng, tol, node_budget):
 def _both_climbs(monkeypatch, *args, **kwargs):
     fast = maximize_q_forbidden_cycles(*args, **kwargs)
     with monkeypatch.context() as patch:
-        patch.setattr(
-            search, "_climb", lambda start, blocked, *rest: _slow_climb(start, *rest)
-        )
+        patch.setattr(search, "_climb", _slow_climb)
         slow = maximize_q_forbidden_cycles(*args, **kwargs)
     return fast, slow
 
 
 @pytest.mark.parametrize("forbidden", [{3}, {4}, {5}, {3, 5}])
-@pytest.mark.parametrize("n", range(6, 17))
-def test_climb_matches_slow_climb_from_random_starts(monkeypatch, n, forbidden):
-    for seed in range(3):
-        fast, slow = _both_climbs(monkeypatch, n, forbidden, budget=120, restarts=2, seed=seed)
-        assert fast == slow
+@pytest.mark.parametrize("n", [*range(6, 17), 24])
+def test_climb_matches_slow_climb_from_random_starts(n, forbidden):
+    # a random restart returns its maximal start without climbing; the
+    # reference climb, which also tries removals, improves on it nowhere
+    for index in range(3):
+        payload = (index, n, tuple(forbidden), 120, 0, None, 1e-8, DEFAULT_NODE_BUDGET)
+        rng = random.Random(index)
+        start = search._random_feasible(n, frozenset(forbidden), rng, DEFAULT_NODE_BUDGET)
+        slow = _slow_climb(start, frozenset(forbidden), 120, rng, 1e-8, DEFAULT_NODE_BUDGET)
+        assert search._restart_worker(payload) == slow == (start, 0)
 
 
 @pytest.mark.parametrize(
@@ -167,9 +177,6 @@ def test_climb_matches_slow_climb_from_seed_graphs(monkeypatch, seed_graph, forb
 
 @pytest.mark.parametrize("n", [10, 16, 24])
 def test_climb_from_maximal_start_evaluates_nothing(monkeypatch, n):
-    forbidden = frozenset({5})
-    rng = random.Random(n)
-    start, blocked = search._random_feasible(n, forbidden, rng, DEFAULT_NODE_BUDGET)
     calls = Counter()
 
     def counted(name):
@@ -182,12 +189,15 @@ def test_climb_from_maximal_start_evaluates_nothing(monkeypatch, n):
         monkeypatch.setattr(search, name, wrapper)
 
     counted("q_index")
-    counted("find_cycle_through_edge")
-    best, accepted = search._climb(
-        start, blocked, forbidden, 400, rng, 1e-8, DEFAULT_NODE_BUDGET
-    )
-    assert (best, accepted) == (start, 0)
+    counted("_climb")
+    for index in range(3):  # restart 0 too, when no seed graph is given
+        payload = (index, n, (5,), 400, n, None, 1e-8, DEFAULT_NODE_BUDGET)
+        _, accepted = search._restart_worker(payload)
+        assert accepted == 0
     assert calls == Counter()
+    seeded = (0, n, (5,), 400, n, path(n), 1e-8, DEFAULT_NODE_BUDGET)
+    search._restart_worker(seeded)
+    assert calls["_climb"] == 1 and calls["q_index"] > 0
 
 
 def test_climb_searches_each_blocked_pair_once(monkeypatch):
@@ -203,7 +213,7 @@ def test_climb_searches_each_blocked_pair_once(monkeypatch):
     monkeypatch.setattr(search, "find_cycle_through_edge", recording)
     forbidden = frozenset({3, 5})
     _, accepted = search._climb(
-        edgeless(12), set(), forbidden, 400, random.Random(0), 1e-8, DEFAULT_NODE_BUDGET
+        edgeless(12), forbidden, 400, random.Random(0), 1e-8, DEFAULT_NODE_BUDGET
     )
     assert accepted > 0 and found
     assert max(found.values()) == 1

@@ -73,6 +73,8 @@ def test_q_index_rejects_bad_input():
         q_index(build_graph(0))
     with pytest.raises(ValueError):
         q_index(path(3), tol=0.0)
+    with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+        q_index(path(3), tol=float("nan"))
     with pytest.raises(ValueError):
         q_index(path(3), method="nosuch")
 
