@@ -54,7 +54,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("qindex", parents=[], help="Q-index of graph6 inputs")
     p.add_argument("--graph6", action="append", help="a graph6 token; repeat for more")
     p.add_argument("--file", help="file with one graph6 token per line")
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
 
     p = sub.add_parser("construct", help="emit a named family as graph6")
@@ -68,19 +67,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="evaluate q plus the upper bounds on inputs")
     p.add_argument("--graph6", action="append", help="a graph6 token; repeat for more")
     p.add_argument("--file", help="file with one graph6 token per line")
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
 
     p = sub.add_parser("prop1", help="certified sandwich check for the split family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
 
     p = sub.add_parser("theorem1", help="construction probe at the q threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
 
     p = sub.add_parser("suite", help="run statement checkers over enumerated graphs")
@@ -126,7 +122,7 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
 def _cmd_qindex(args: argparse.Namespace) -> list[dict[str, Any]]:
     outcomes = []
     for token, g in _input_graphs(args):
-        result = q_index(g, tol=args.tol)
+        result = q_index(g)
         outcomes.append(record("spectral", result, graph6=token))
         print(f"{token} q={result.q:.12g} residual={result.residual:.3g} method={result.method}")
     return outcomes
@@ -147,7 +143,7 @@ def _cmd_construct(args: argparse.Namespace) -> list[dict[str, Any]]:
 def _cmd_bounds(args: argparse.Namespace) -> list[dict[str, Any]]:
     outcomes: list[dict[str, Any]] = []
     for token, g in _input_graphs(args):
-        result = q_index(g, tol=args.tol)
+        result = q_index(g)
         outcomes.append(record("spectral", result, graph6=token))
         values = []
         for fn in (merris_bound, das_bound, edge_degree_bound):
@@ -177,11 +173,11 @@ def _print_checks(outcomes: list[CheckOutcome]) -> list[dict[str, Any]]:
 
 
 def _cmd_prop1(args: argparse.Namespace) -> list[dict[str, Any]]:
-    return _print_checks(prop1_sandwich_check(args.n, args.k, tol=args.tol))
+    return _print_checks(prop1_sandwich_check(args.n, args.k))
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> list[dict[str, Any]]:
-    return _print_checks([theorem1_construction_probe(args.n, args.k, tol=args.tol)])
+    return _print_checks([theorem1_construction_probe(args.n, args.k)])
 
 
 def _cmd_suite(args: argparse.Namespace) -> list[dict[str, Any]]:

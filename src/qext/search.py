@@ -11,7 +11,8 @@ Q(G) entrywise, hence q(G-e) <= q(G) by Perron-Frobenius), so no climb
 could improve such a start, and none is run.  When a seed graph is given,
 restart 0 climbs from it instead: it draws one vertex pair per budget
 step, skips edges and pairs known to be blocked, and accepts a feasible
-addition when it strictly raises the power-iteration estimate.
+addition when it strictly raises the Q-index, computed by the same
+dense engine that certifies the result.
 Identical arguments always produce identical results: restart r uses the
 derived seed ``seed + r`` and the merge orders candidates by value with a
 canonical tiebreak, independent of completion order.
@@ -27,7 +28,7 @@ from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, write_graph6
 from .families import edgeless
 from .graph import Graph
 from .report import record
-from .spectral import ConvergenceError, q_index
+from .spectral import q_index
 from .subgraphs import (
     DEFAULT_NODE_BUDGET,
     find_cycle_of_length,
@@ -71,15 +72,6 @@ def _addition_allowed(
     return True
 
 
-def _estimate(g: Graph, tol: float) -> float:
-    try:
-        return q_index(g, tol=tol, method="power").q
-    except ConvergenceError as exc:
-        # acceptance decisions may use the best estimate; the final result
-        # is re-certified with the dense engine
-        return exc.best.q
-
-
 def _random_feasible(
     n: int, forbidden: frozenset[int], rng: random.Random, node_budget: int
 ) -> Graph:
@@ -99,10 +91,9 @@ def _climb(
     forbidden: frozenset[int],
     budget: int,
     rng: random.Random,
-    tol: float,
     node_budget: int,
 ) -> tuple[Graph, int]:
-    """Accept feasible additions that strictly raise the estimate.
+    """Accept feasible additions that strictly raise q.
 
     Drawn edges and blocked pairs are skipped; a pair found to close a
     forbidden cycle is blocked from then on.
@@ -110,7 +101,7 @@ def _climb(
     n = start.n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     blocked: set[tuple[int, int]] = set()
-    current, current_q = start, _estimate(start, tol)
+    current, current_q = start, q_index(start).q
     accepted = 0
     for _ in range(budget):
         u, v = pairs[rng.randrange(len(pairs))]
@@ -121,7 +112,7 @@ def _climb(
         if not _addition_allowed(candidate, u, v, forbidden, node_budget):
             blocked.add((u, v))
             continue
-        candidate_q = _estimate(candidate, tol)
+        candidate_q = q_index(candidate).q
         if candidate_q > current_q:
             current, current_q = candidate, candidate_q
             accepted += 1
@@ -129,11 +120,11 @@ def _climb(
 
 
 def _restart_worker(payload: tuple) -> tuple[Graph, int]:
-    index, n, forbidden, budget, seed, seed_graph, tol, node_budget = payload
+    index, n, forbidden, budget, seed, seed_graph, node_budget = payload
     rng = random.Random(seed + index)
     forbidden = frozenset(forbidden)
     if index == 0 and seed_graph is not None:
-        return _climb(seed_graph, forbidden, budget, rng, tol, node_budget)
+        return _climb(seed_graph, forbidden, budget, rng, node_budget)
     return _random_feasible(n, forbidden, rng, node_budget), 0
 
 
@@ -172,7 +163,6 @@ def maximize_q_forbidden_cycles(
     seed: int = 0,
     seed_graph: Graph | None = None,
     jobs: int = 1,
-    tol: float = 1e-8,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
     """Best graph found on n vertices with no cycle of a forbidden length.
@@ -195,8 +185,6 @@ def maximize_q_forbidden_cycles(
         raise ValueError("forbidden lengths must be a nonempty set of integers >= 3")
     if budget < 1 or restarts < 1:
         raise ValueError("budget and restarts must be >= 1")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if seed_graph is not None:
         if seed_graph.n != n:
             raise ValueError(f"seed graph has order {seed_graph.n}, expected {n}")
@@ -204,7 +192,7 @@ def maximize_q_forbidden_cycles(
             raise ValueError("seed graph contains a forbidden cycle")
 
     payloads = [
-        (r, n, tuple(sorted(forbidden_set)), budget, seed, seed_graph, tol, node_budget)
+        (r, n, tuple(sorted(forbidden_set)), budget, seed, seed_graph, node_budget)
         for r in range(restarts)
     ]
     if jobs > 1 and restarts > 1:

@@ -3,13 +3,15 @@
 Every estimate carries an explicitly computed residual ||Qx - qx||_2, and
 threshold tests go through :func:`certified_compare`, which refuses to
 classify a comparison when the threshold falls inside the residual
-interval.  Three engines are available: a dense symmetric eigensolver, the
-default through 64 vertices and the cross-check oracle in tests; the
-equitable-partition quotient, the default above that; and deterministic
-power iteration, the fallback when colour refinement ends with more than
-64 cells.  The quotient's spectrum holds every main eigenvalue of Q, and
-the Q-index is one, since its Perron vector has a positive sum (Godsil &
-Royle, *Algebraic Graph Theory*, ch. 9).
+interval.  An estimate is returned only when that residual is at most
+1e-10 * max(1, q), a constant rather than a setting.  Three engines are
+available: a dense symmetric eigensolver, the default through 64
+vertices and the cross-check oracle in tests; the equitable-partition
+quotient, the default above that; and deterministic power iteration, the
+fallback when colour refinement ends with more than 64 cells.  The
+quotient's spectrum holds every main eigenvalue of Q, and the Q-index is
+one, since its Perron vector has a positive sum (Godsil & Royle,
+*Algebraic Graph Theory*, ch. 9).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .graph import Graph, _bits
 
 DENSE_MAX = 64
+_TOL = 1e-10  # residual bound, relative to max(1, q), of every returned estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +68,7 @@ def _start_vector(n: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _power(q: np.ndarray, tol: float, max_iterations: int) -> SpectralResult:
+def _power(q: np.ndarray, max_iterations: int) -> SpectralResult:
     n = q.shape[0]
     x = _start_vector(n)
     rho = 0.0
@@ -75,11 +78,11 @@ def _power(q: np.ndarray, tol: float, max_iterations: int) -> SpectralResult:
         rho = float(x @ y)
         # y = 0 (edgeless graph) passes this test with rho = res = 0
         res = float(np.linalg.norm(y - rho * x))
-        if res <= tol * max(1.0, rho):
+        if res <= _TOL * max(1.0, rho):
             return SpectralResult(rho, x, res, it, "power")
         x = y / float(np.linalg.norm(y))
     raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iterations} iterations"
+        f"power iteration did not reach tol={_TOL} in {max_iterations} iterations"
         f" (residual {res:.3e})",
         SpectralResult(rho, x, res, max_iterations, "power"),
     )
@@ -141,45 +144,39 @@ def _quotient(g: Graph, mat: np.ndarray) -> SpectralResult | None:
     return SpectralResult(top, x, res, 0, "quotient")
 
 
-def q_index(
-    g: Graph,
-    tol: float = 1e-10,
-    method: str = "auto",
-    max_iterations: int | None = None,
-) -> SpectralResult:
+def q_index(g: Graph, method: str = "auto", max_iterations: int | None = None) -> SpectralResult:
     """Largest signless-Laplacian eigenvalue with residual certificate.
 
     ``method`` is "auto", "dense", or "power".  Auto is dense for n <= 64;
     above that it returns the equitable quotient's top eigenpair (method
     "quotient", 0 iterations, residual against the full Q) and falls back
     to power iteration when refinement ends with more than 64 cells or
-    that residual misses tol.  The power engine stops once
-    ||Qx - qx|| <= tol * max(1, q) and fails loudly with the best estimate
-    when its iteration cap (default 100n + 10000) runs out.
+    that residual exceeds 1e-10 * max(1, q).  Dense fails loudly when its
+    residual exceeds that bound.  The power engine stops once
+    ||Qx - qx|| <= 1e-10 * max(1, q) and fails loudly with the best
+    estimate when its iteration cap (default 100n + 10000) runs out.
     """
     if g.n == 0:
         raise ValueError("Q-index undefined for the empty graph")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     mat = signless_laplacian(g)
     if method == "auto" and g.n <= DENSE_MAX:
         method = "dense"
     elif method == "auto":
         result = _quotient(g, mat)
-        if result is not None and result.residual <= tol * max(1.0, result.q):
+        if result is not None and result.residual <= _TOL * max(1.0, result.q):
             return result
         method = "power"
     if method == "dense":
         result = _dense(mat)
-        if result.residual > tol * max(1.0, result.q):
+        if result.residual > _TOL * max(1.0, result.q):
             raise ConvergenceError(
-                f"dense solve residual {result.residual:.3e} exceeds tol={tol}",
+                f"dense solve residual {result.residual:.3e} exceeds tol={_TOL}",
                 result,
             )
         return result
     if method == "power":
         cap = max_iterations if max_iterations is not None else 100 * g.n + 10000
-        return _power(mat, tol, cap)
+        return _power(mat, cap)
     raise ValueError(f"unknown method {method!r}")
 
 

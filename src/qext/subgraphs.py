@@ -240,8 +240,8 @@ def _table_queries(n: int, table: _PathTable) -> tuple[Callable[..., Any], Calla
     :func:`has_cycle`: one bit of ``spans`` or ``cycles``."""
     full, spans, cycles = (1 << n) - 1, table.spans, table.cycles
     return (
-        lambda g, order, ends_mask, budget: order <= n and spans[order] >> (ends_mask & full) & 1,
-        lambda g, length, budget: length <= n and cycles[length] != 0,
+        lambda g, order, ends_mask: order <= n and spans[order] >> (ends_mask & full) & 1,
+        lambda g, length: length <= n and cycles[length] != 0,
     )
 
 

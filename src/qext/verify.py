@@ -61,7 +61,6 @@ from .graph import (
 from .report import record
 from .spectral import certified_compare, q_index
 from .subgraphs import (
-    DEFAULT_NODE_BUDGET,
     _path_tables,
     _table_queries,
     find_constrained_path,
@@ -77,7 +76,6 @@ UNMET = "precondition_unmet"
 INDETERMINATE = "indeterminate"
 
 SPECTRAL_EQ_TOL = 1e-9
-_TOL = 1e-10  # default q_index tolerance of every spectral check
 _STATUSES = (HOLDS, EQUALITY, VIOLATED, UNMET, INDETERMINATE)
 _CHUNK_SIZE = 256  # graphs per _run_chunk call, whose path tables are built at once
 
@@ -174,7 +172,7 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 
 
 # --- rules -------------------------------------------------------------------
-# One rule per statement: rule(stmt, g, k, x, find, budget) -> CheckOutcome.
+# One rule per statement: rule(stmt, g, k, x, find) -> CheckOutcome.
 # x is the instance's own parameter: lemma2's v, cor2's w, ni's vertex set A
 # as (mask, degree sum, |A|), check_statement's params for lemma3 and cor1
 # (which build their own graph), and None otherwise.  check_statement has
@@ -183,15 +181,13 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 
 class _Search(NamedTuple):
     """How a rule asks its questions: a path on ``order`` vertices with both
-    ends in ``ends_mask``, a cycle on ``length`` vertices, and the q_index
-    tolerance of its spectral thresholds.  check_statement passes witness
-    builders (a witness or None) and the given tol, run_suite presence
-    queries (True or False) and the default tol; a rule reads only whether
-    the answer is truthy, and keeps it as the witness."""
+    ends in ``ends_mask``, and a cycle on ``length`` vertices, each within
+    the default node budget.  check_statement passes witness builders (a
+    witness or None), run_suite presence queries (True or False); a rule
+    reads only whether the answer is truthy, and keeps it as the witness."""
 
-    path: Callable[[Graph, int, int, int], Any]  # (g, order, ends_mask, budget)
-    cycle: Callable[[Graph, int, int], Any]  # (g, length, budget)
-    tol: Any = _TOL  # as given; only _threshold parses it
+    path: Callable[[Graph, int, int], Any]  # (g, order, ends_mask)
+    cycle: Callable[[Graph, int], Any]  # (g, length)
 
 
 def _order_limit(k: int) -> int:
@@ -217,12 +213,11 @@ def _components_off_2k(g: Graph, k: int) -> list[tuple[tuple[int, ...], float, f
     ]
 
 
-def _threshold(g: Graph, threshold: float, tol: Any) -> tuple[float, str]:
+def _threshold(g: Graph, threshold: float) -> tuple[float, str]:
     """q(g) and its certified verdict against ``threshold``: "lt", "eq"
-    (at or above it by at most SPECTRAL_EQ_TOL), "gt" or "indeterminate".
-    ``tol`` is parsed here, so a statement that never reaches a spectral
-    threshold ignores it."""
-    result = q_index(g, tol=float(tol))
+    (at or above it by at most SPECTRAL_EQ_TOL), "gt" or "indeterminate",
+    from q_index's residual certificate."""
+    result = q_index(g)
     cmp = certified_compare(result, threshold)
     if cmp.verdict == "ge":
         return result.q, "eq" if cmp.margin <= SPECTRAL_EQ_TOL else "gt"
@@ -241,9 +236,9 @@ def _bound(
     return CheckOutcome(stmt, VIOLATED, lhs, rhs, None, above)
 
 
-def _egp(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
+def _egp(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
     lhs, rhs = g.m, k * g.n / 2
-    witness = find.path(g, k + 2, -1, budget)
+    witness = find.path(g, k + 2, -1)
     if witness:
         return CheckOutcome(stmt, UNMET, lhs, rhs, witness, f"contains a path on {k + 2} vertices")
     if 2 * g.m == k * g.n and not is_disjoint_cliques(g, k + 1):
@@ -253,12 +248,12 @@ def _egp(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> Ch
     return _bound(stmt, lhs, rhs, "disjoint cliques")
 
 
-def _egc(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
+def _egc(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
     lhs, rhs = g.m, k * (g.n - 1) / 2
     if g.n == 0:  # the bound k(n-1)/2 assumes a vertex
         return CheckOutcome(stmt, UNMET, lhs, rhs, None, "order 0")
     for length in range(max(k + 1, 3), g.n + 1):
-        witness = find.cycle(g, length, budget)
+        witness = find.cycle(g, length)
         if witness:
             return CheckOutcome(
                 stmt, UNMET, lhs, rhs, witness, f"contains a cycle on {length} > {k} vertices"
@@ -273,7 +268,7 @@ def _egc(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> Ch
     return CheckOutcome(stmt, EQUALITY, lhs, rhs, None, "clique blocks" + hub)
 
 
-def _kopylov(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
+def _kopylov(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
     # kopylov_i forbids paths on 2k+2 vertices, kopylov_ii on 2k+3; each
     # needs at least that many vertices
     if stmt == "kopylov_i":
@@ -284,19 +279,19 @@ def _kopylov(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -
         return CheckOutcome(stmt, UNMET, g.m, rhs, None, "not connected")
     if g.n < order:
         return CheckOutcome(stmt, UNMET, g.m, rhs, None, f"order {g.n} < {order}")
-    witness = find.path(g, order, -1, budget)
+    witness = find.path(g, order, -1)
     if witness:
         return CheckOutcome(stmt, UNMET, g.m, rhs, witness, f"contains a path on {order} vertices")
     return _bound(stmt, g.m, rhs)
 
 
-def _ore(stmt: str, g: Graph, k: None, x: None, find: _Search, budget: int) -> CheckOutcome:
+def _ore(stmt: str, g: Graph, k: None, x: None, find: _Search) -> CheckOutcome:
     if g.n < 3:
         return CheckOutcome(stmt, UNMET, g.m, 0.0, None, "order < 3")
     threshold = float(ore_edge_threshold(g.n))
     if g.m <= threshold:
         return CheckOutcome(stmt, UNMET, g.m, threshold, None, "edge count not above threshold")
-    witness = find.cycle(g, g.n, budget)
+    witness = find.cycle(g, g.n)
     if witness:
         return CheckOutcome(stmt, HOLDS, g.m, threshold, witness)
     return CheckOutcome(stmt, VIOLATED, g.m, threshold, None, "no Hamiltonian cycle")
@@ -324,22 +319,20 @@ def _ni_met(n: int, k: int, sets: Sequence[tuple[int, int, int]]) -> list[tuple[
     return [a for a in sets if a[1] > rhs[a[2]]]
 
 
-def _ni(
-    stmt: str, g: Graph, k: int, a: tuple[int, int, int], find: _Search, budget: int
-) -> CheckOutcome:
+def _ni(stmt: str, g: Graph, k: int, a: tuple[int, int, int], find: _Search) -> CheckOutcome:
     mask, lhs, size = a
     rhs = _ni_rhs(g.n, k, size)
     if lhs <= rhs:
         return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
-    witness = find.path(g, 2 * k + 1, mask, budget)
+    witness = find.path(g, 2 * k + 1, mask)
     if witness:
         return CheckOutcome(stmt, HOLDS, lhs, rhs, witness)
     note = f"no path on {2 * k + 1} vertices with both ends in A"
     return CheckOutcome(stmt, VIOLATED, lhs, rhs, None, note)
 
 
-def _lemma1(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
-    witness = find.path(g, 2 * k + 1, -1, budget)
+def _lemma1(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
+    witness = find.path(g, 2 * k + 1, -1)
     if witness:
         return CheckOutcome(
             stmt, UNMET, 0.0, 0.0, witness, f"contains a path on {2 * k + 1} vertices"
@@ -355,8 +348,8 @@ def _lemma1(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) ->
     return CheckOutcome(stmt, HOLDS, lhs, rhs)
 
 
-def _lemma2(stmt: str, g: Graph, k: int, v: int, find: _Search, budget: int) -> CheckOutcome:
-    witness = find.path(g, 2 * k + 1, ~(1 << v), budget)
+def _lemma2(stmt: str, g: Graph, k: int, v: int, find: _Search) -> CheckOutcome:
+    witness = find.path(g, 2 * k + 1, ~(1 << v))
     if witness:
         note = f"contains a path on {2 * k + 1} vertices avoiding v at both ends"
         return CheckOutcome(stmt, UNMET, 0.0, 0.0, witness, note)
@@ -368,7 +361,7 @@ def _lemma2(stmt: str, g: Graph, k: int, v: int, find: _Search, budget: int) -> 
 
 
 def _lemma3(
-    stmt: str, g_unused: None, k: int, params: dict[str, Any], find: _Search, budget: int
+    stmt: str, g_unused: None, k: int, params: dict[str, Any], find: _Search
 ) -> CheckOutcome:
     if "h" not in params or "p" not in params:
         raise ValueError("lemma3 requires parameters 'h' (graph) and 'p'")
@@ -395,14 +388,14 @@ def _lemma3(
     if unmet:
         return unmet
     threshold_h = h.n + 2 * k - 2 + 6.0 * p * k / (n + 3)
-    q, hypothesis = _threshold(h, threshold_h, find.tol)
+    q, hypothesis = _threshold(h, threshold_h)
     if hypothesis == "indeterminate":
         return CheckOutcome(stmt, INDETERMINATE, q, threshold_h, None, "hypothesis not certifiable")
     if hypothesis == "gt":
         return CheckOutcome(stmt, UNMET, q, threshold_h, None, "hypothesis bound on q(h) fails")
     base = disjoint_union(list(f_blocks) + [h])
     edges = list(base.edges()) + [(a, 2 * k * p + w) for a in attachment]
-    q, conclusion = _threshold(build_graph(n, edges), threshold_g, find.tol)
+    q, conclusion = _threshold(build_graph(n, edges), threshold_g)
     if conclusion == "lt":
         return CheckOutcome(stmt, HOLDS, q, threshold_g)
     if conclusion == "indeterminate":
@@ -413,10 +406,10 @@ def _lemma3(
     return CheckOutcome(stmt, VIOLATED, q, threshold_g)
 
 
-def _q_strictly_below(stmt: str, g: Graph, k: int, tol: Any) -> CheckOutcome:
+def _q_strictly_below(stmt: str, g: Graph, k: int) -> CheckOutcome:
     """The corollaries' conclusion q(g) < n+2k-2, certified."""
     threshold = float(g.n + 2 * k - 2)
-    q, verdict = _threshold(g, threshold, tol)
+    q, verdict = _threshold(g, threshold)
     if verdict == "lt":
         return CheckOutcome(stmt, HOLDS, q, threshold)
     if verdict == "indeterminate":
@@ -424,16 +417,14 @@ def _q_strictly_below(stmt: str, g: Graph, k: int, tol: Any) -> CheckOutcome:
     return CheckOutcome(stmt, VIOLATED, q, threshold)
 
 
-def _cor1(
-    stmt: str, g_unused: None, k: int, params: dict[str, Any], find: _Search, budget: int
-) -> CheckOutcome:
+def _cor1(stmt: str, g_unused: None, k: int, params: dict[str, Any], find: _Search) -> CheckOutcome:
     if "p" not in params:
         raise ValueError("missing parameter 'p'")
     g = corollary1_graph(k, int(params["p"]))
-    return _order_unmet(stmt, g.n, k) or _q_strictly_below(stmt, g, k, find.tol)
+    return _order_unmet(stmt, g.n, k) or _q_strictly_below(stmt, g, k)
 
 
-def _cor2(stmt: str, g: Graph, k: int, w: int, find: _Search, budget: int) -> CheckOutcome:
+def _cor2(stmt: str, g: Graph, k: int, w: int, find: _Search) -> CheckOutcome:
     unmet = _order_unmet(stmt, g.n, k)
     if unmet:
         return unmet
@@ -442,17 +433,17 @@ def _cor2(stmt: str, g: Graph, k: int, w: int, find: _Search, budget: int) -> Ch
         if lhs > rhs:
             note = "component condition on G - w fails"
             return CheckOutcome(stmt, UNMET, lhs, rhs, tuple(rest[v] for v in comp), note)
-    return _q_strictly_below(stmt, g, k, find.tol)
+    return _q_strictly_below(stmt, g, k)
 
 
-def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) -> CheckOutcome:
+def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
     # theorem1 asks for cycles on 2k+1 and 2k+2 vertices, its corollary for
     # every order 3..2k+2
     n = g.n
     threshold = float(n + 2 * k - 2)
     if n <= _order_limit(k):
         return CheckOutcome(stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}")
-    q, verdict = _threshold(g, threshold, find.tol)
+    q, verdict = _threshold(g, threshold)
     if verdict == "lt":
         return CheckOutcome(stmt, UNMET, q, threshold, None, "q below the threshold")
     if verdict == "indeterminate":
@@ -460,7 +451,7 @@ def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search, budget: int) 
     lengths = range(3, 2 * k + 3) if stmt == "theorem1_corollary" else (2 * k + 1, 2 * k + 2)
     first = None
     for length in lengths:
-        witness = find.cycle(g, length, budget)
+        witness = find.cycle(g, length)
         if not witness:
             note = f"no cycle on {length} vertices"
             return CheckOutcome(stmt, VIOLATED, q, threshold, None, note)
@@ -523,17 +514,15 @@ def _param(name: str | None, g: Graph, params: dict[str, Any]) -> Any:
     return _ni_sets(g, [mask_of(a_vertices)])[0]
 
 
-def check_statement(
-    statement: str,
-    g: Graph | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    **params: Any,
-) -> CheckOutcome:
+def check_statement(statement: str, g: Graph | None = None, **params: Any) -> CheckOutcome:
     """Evaluate one statement on one instance.
 
     ``lemma3`` and ``cor1`` build their own graph from parameters and ignore
     ``g``; every other statement requires it.  ``k`` is checked here against
-    the statement's minimum in ``_STATEMENTS``.
+    the statement's minimum in ``_STATEMENTS``.  Parameters a statement does
+    not read are ignored, not rejected: ``ore`` ignores ``k``, and a stray
+    ``tol`` or ``node_budget`` is ignored too, since no verdict takes a
+    tolerance and every search runs within ``subgraphs.DEFAULT_NODE_BUDGET``.
     """
     spec = _STATEMENTS.get(statement)
     if spec is None:
@@ -550,11 +539,11 @@ def check_statement(
         if k < spec.min_k:
             raise ValueError(f"parameter k must be >= {spec.min_k}, got {k}")
     x = _param(spec.param, g, params) if spec.suite else params
-    find = _Search(find_constrained_path, find_cycle_of_length, params.get("tol", _TOL))
-    return spec.rule(statement, g, k, x, find, node_budget)
+    find = _Search(find_constrained_path, find_cycle_of_length)
+    return spec.rule(statement, g, k, x, find)
 
 
-def prop1_sandwich_check(n: int, k: int, tol: float = _TOL) -> list[CheckOutcome]:
+def prop1_sandwich_check(n: int, k: int) -> list[CheckOutcome]:
     """Certified check of the strict chain
     lower(n,k) < q(s_nk) < q(s_nk_plus) < upper(n,k).
 
@@ -573,8 +562,8 @@ def prop1_sandwich_check(n: int, k: int, tol: float = _TOL) -> list[CheckOutcome
             )
         ]
     lower, upper = prop1_sandwich(n, k)
-    rs = q_index(s_nk(n, k), tol=tol)
-    rsp = q_index(s_nk_plus(n, k), tol=tol)
+    rs = q_index(s_nk(n, k))
+    rsp = q_index(s_nk_plus(n, k))
     outcomes = []
 
     def strict(statement: str, lhs: float, lhs_err: float, rhs: float, rhs_err: float) -> CheckOutcome:
@@ -591,7 +580,7 @@ def prop1_sandwich_check(n: int, k: int, tol: float = _TOL) -> list[CheckOutcome
     return outcomes
 
 
-def theorem1_construction_probe(n: int, k: int, tol: float = _TOL) -> CheckOutcome:
+def theorem1_construction_probe(n: int, k: int) -> CheckOutcome:
     """Check the threshold's consistency on the extremal candidates.
 
     Verifies (certified) that both split-graph candidates stay strictly
@@ -609,7 +598,7 @@ def theorem1_construction_probe(n: int, k: int, tol: float = _TOL) -> CheckOutco
         )
     worst_q = 0.0
     for label, graph in (("s_nk", s_nk(n, k)), ("s_nk_plus", s_nk_plus(n, k))):
-        q, verdict = _threshold(graph, threshold, tol)
+        q, verdict = _threshold(graph, threshold)
         worst_q = max(worst_q, q)
         if verdict == "indeterminate":
             return CheckOutcome(
@@ -652,7 +641,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     order: k by k, and within a k vertex by vertex or set by set.  Only the
     violated instances get a params dict.  ni's sets are the same for every
     k; the unmet ones are counted without a rule call."""
-    graphs, start_index, statements, k_range, seed, ni_sample, node_budget = payload
+    graphs, start_index, statements, k_range, seed, ni_sample = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
     tables = _path_tables([g.rows for g in graphs])
@@ -674,7 +663,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
                 else:
                     xs = range(g.n) if param else (None,)
                 for x in xs:
-                    outcome = rule(statement, g, k, x, find, node_budget)
+                    outcome = rule(statement, g, k, x, find)
                     counts[outcome.status] += 1
                     if outcome.status != VIOLATED:
                         continue
@@ -701,7 +690,6 @@ def run_suite(
     ni_sample: int = 50,
     seed: int = 0,
     jobs: int = 1,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SuiteReport:
     """Apply statements to every enumerated (or supplied) graph instance.
 
@@ -734,15 +722,7 @@ def run_suite(
         graphs = [g for n in range(1, n_max + 1) for g in enumerate_nonisomorphic(n)]
 
     payloads = [
-        (
-            graphs[i : i + _CHUNK_SIZE],
-            i,
-            statements,
-            tuple(ks),
-            seed,
-            ni_sample,
-            node_budget,
-        )
+        (graphs[i : i + _CHUNK_SIZE], i, statements, tuple(ks), seed, ni_sample)
         for i in range(0, len(graphs), _CHUNK_SIZE)
     ]
     if jobs > 1 and len(payloads) > 1:

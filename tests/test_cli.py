@@ -18,9 +18,22 @@ def test_qindex_graph6(capsys):
     assert "q=6" in out
 
 
-def test_qindex_rejects_a_nan_tolerance(capsys):
-    assert run(["qindex", "--graph6", "Bw", "--tol", "nan"]) == 3
-    assert "tolerance must be positive, got nan" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qindex", "--graph6", "C~"],
+        ["bounds", "--graph6", "C~"],
+        ["prop1", "--n", "25", "--k", "2"],
+        ["theorem1", "--n", "25", "--k", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tol_flag_is_a_usage_error(capsys, argv):
+    # every certified verdict uses one fixed residual bound: --tol is not a flag
+    assert run(argv + ["--tol", "1e-8"]) == 3
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --tol 1e-8" in captured.err and "usage: qext" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_qindex_file(tmp_path, capsys):

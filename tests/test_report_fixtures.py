@@ -7,13 +7,15 @@ compares its exit code and both reports with the checked-in files.
 (1e-9 absolute near zero, for residuals), because eigensolver output
 varies with the BLAS build; everything else must match exactly.
 
-Regenerate the fixtures with ``PYTHONPATH=src python tests/test_report_fixtures.py``.
+Regenerate the fixtures with ``PYTHONPATH=src python tests/test_report_fixtures.py``,
+or only some of them by naming their cases: ``... test_report_fixtures.py qindex bounds``.
 """
 
 import csv
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,10 @@ def test_float_comparison_is_tolerant_only_for_floats():
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    cases = sys.argv[1:] or list(CASES)
+    unknown = [case for case in cases if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown case {', '.join(unknown)}; choose from {', '.join(CASES)}")
+    for case in cases:
         _, report, _ = _run_case(case, FIXTURES)
         (FIXTURES / f"{case}.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")

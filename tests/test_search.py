@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 
@@ -9,8 +8,8 @@ from hypothesis import strategies as st
 from qext import search
 from qext.bounds import closed_form_snk
 from qext.enumeration import enumerate_nonisomorphic, graph_from_code
-from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus
-from qext.search import _addition_allowed, _estimate, is_feasible, maximize_q_forbidden_cycles
+from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
+from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
 from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
 
@@ -90,9 +89,6 @@ def test_rejects_bad_arguments():
         maximize_q_forbidden_cycles(4, {3}, seed_graph=complete(4))
     with pytest.raises(ValueError, match="order"):
         maximize_q_forbidden_cycles(6, {3}, seed_graph=complete(4))
-    for tol in (-1.0, math.nan):  # only a seeded climb would pass tol on to q_index
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            maximize_q_forbidden_cycles(6, {3}, tol=tol)
 
 
 def test_result_record():
@@ -103,12 +99,12 @@ def test_result_record():
     assert isinstance(record["near_ties"], list)
 
 
-def _slow_climb(start, forbidden, budget, rng, tol, node_budget):
+def _slow_climb(start, forbidden, budget, rng, node_budget):
     # reference climb: toggles both ways and evaluates every feasible move
     n = start.n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     current = start
-    current_q = _estimate(current, tol)
+    current_q = q_index(current).q
     accepted = 0
     for _ in range(budget):
         u, v = pairs[rng.randrange(len(pairs))]
@@ -118,7 +114,7 @@ def _slow_climb(start, forbidden, budget, rng, tol, node_budget):
             candidate = current.with_edge(u, v)
             if not _addition_allowed(candidate, u, v, forbidden, node_budget):
                 continue
-        candidate_q = _estimate(candidate, tol)
+        candidate_q = q_index(candidate).q
         if candidate_q > current_q:
             current, current_q = candidate, candidate_q
             accepted += 1
@@ -139,10 +135,10 @@ def test_climb_matches_slow_climb_from_random_starts(n, forbidden):
     # a random restart returns its maximal start without climbing; the
     # reference climb, which also tries removals, improves on it nowhere
     for index in range(3):
-        payload = (index, n, tuple(forbidden), 120, 0, None, 1e-8, DEFAULT_NODE_BUDGET)
+        payload = (index, n, tuple(forbidden), 120, 0, None, DEFAULT_NODE_BUDGET)
         rng = random.Random(index)
         start = search._random_feasible(n, frozenset(forbidden), rng, DEFAULT_NODE_BUDGET)
-        slow = _slow_climb(start, frozenset(forbidden), 120, rng, 1e-8, DEFAULT_NODE_BUDGET)
+        slow = _slow_climb(start, frozenset(forbidden), 120, rng, DEFAULT_NODE_BUDGET)
         assert search._restart_worker(payload) == slow == (start, 0)
 
 
@@ -175,6 +171,44 @@ def test_climb_matches_slow_climb_from_seed_graphs(monkeypatch, seed_graph, forb
         assert fast.accepted_moves > 0
 
 
+def _accept_all_climb(start, forbidden, budget, rng, node_budget):
+    # reference climb: draws pairs as _climb does and accepts every feasible
+    # non-edge without computing q
+    n = start.n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    current, accepted = start, 0
+    for _ in range(budget):
+        u, v = pairs[rng.randrange(len(pairs))]
+        if current.has_edge(u, v):
+            continue
+        candidate = current.with_edge(u, v)
+        if _addition_allowed(candidate, u, v, forbidden, node_budget):
+            current, accepted = candidate, accepted + 1
+    return current, accepted
+
+
+@pytest.mark.parametrize("forbidden", [{3}, {4}, {5}, {6}, {3, 5}, {4, 5}])
+def test_climb_from_connected_seed_accepts_every_feasible_addition(forbidden):
+    # adding an edge to a connected graph strictly raises q (Perron-Frobenius),
+    # so from a connected seed the climb never rejects a feasible addition
+    forbidden = frozenset(forbidden)
+    accepted = 0
+    for n in range(6, 31):
+        for seed_graph in (path(n), cycle(n), star(n), s_nk(n, 2)):
+            if not is_feasible(seed_graph, forbidden):
+                continue
+            for seed in (0, 1):
+                climbed = search._climb(
+                    seed_graph, forbidden, 60, random.Random(seed), DEFAULT_NODE_BUDGET
+                )
+                reference = _accept_all_climb(
+                    seed_graph, forbidden, 60, random.Random(seed), DEFAULT_NODE_BUDGET
+                )
+                assert climbed == reference
+                accepted += climbed[1]
+    assert accepted > 0
+
+
 @pytest.mark.parametrize("n", [10, 16, 24])
 def test_climb_from_maximal_start_evaluates_nothing(monkeypatch, n):
     calls = Counter()
@@ -191,11 +225,11 @@ def test_climb_from_maximal_start_evaluates_nothing(monkeypatch, n):
     counted("q_index")
     counted("_climb")
     for index in range(3):  # restart 0 too, when no seed graph is given
-        payload = (index, n, (5,), 400, n, None, 1e-8, DEFAULT_NODE_BUDGET)
+        payload = (index, n, (5,), 400, n, None, DEFAULT_NODE_BUDGET)
         _, accepted = search._restart_worker(payload)
         assert accepted == 0
     assert calls == Counter()
-    seeded = (0, n, (5,), 400, n, path(n), 1e-8, DEFAULT_NODE_BUDGET)
+    seeded = (0, n, (5,), 400, n, path(n), DEFAULT_NODE_BUDGET)
     search._restart_worker(seeded)
     assert calls["_climb"] == 1 and calls["q_index"] > 0
 
@@ -213,7 +247,7 @@ def test_climb_searches_each_blocked_pair_once(monkeypatch):
     monkeypatch.setattr(search, "find_cycle_through_edge", recording)
     forbidden = frozenset({3, 5})
     _, accepted = search._climb(
-        edgeless(12), forbidden, 400, random.Random(0), 1e-8, DEFAULT_NODE_BUDGET
+        edgeless(12), forbidden, 400, random.Random(0), DEFAULT_NODE_BUDGET
     )
     assert accepted > 0 and found
     assert max(found.values()) == 1

@@ -349,21 +349,6 @@ def test_egc_is_unmet_on_the_empty_graph():
     assert report.violated == 0
 
 
-def test_tol_is_parsed_only_at_a_spectral_threshold():
-    # a statement with no spectral threshold ignores tol; one that reaches
-    # its threshold rejects a malformed tol
-    for statement in ("egp", "egc", "kopylov_i", "kopylov_ii", "ore", "lemma1"):
-        outcome = check_statement(statement, complete(4), k=2, tol="not a number")
-        assert outcome == check_statement(statement, complete(4), k=2)
-    assert check_statement("lemma2", complete(4), k=1, v=0, tol=None).status == "precondition_unmet"
-    assert check_statement("ni", complete(4), k=1, a=[0, 1], tol=None).status == "holds"
-    with pytest.raises(ValueError):
-        check_statement("theorem1", complete(21), k=2, tol="not a number")
-    with pytest.raises(TypeError):
-        check_statement("cor1", k=2, p=5, tol=None)
-    assert check_statement("theorem1", complete(21), k=2, tol="1e-10").status == "holds"
-
-
 def test_suite_corpus_input():
     graphs = [complete(4), cycle(5), star(6)]
     report = run_suite(["egp"], corpus=graphs, k_range=[1, 2])

@@ -108,7 +108,7 @@ def _stub_q(values):
     """A q_index returning the given (q, residual) pairs in call order."""
     pending = list(values)
 
-    def q_index(g, tol=1e-10, **_):
+    def q_index(g, **_):
         q, residual = pending.pop(0)
         return SpectralResult(float(q), np.zeros(g.n), float(residual), 0, "stub")
 
@@ -199,7 +199,7 @@ def _cases() -> dict:
     # spectral checkers on real graphs
     cases["cor1/5"] = _check("cor1", k=2, p=5)
     cases["cor1/2"] = _check("cor1", k=2, p=2)
-    cases["cor1/k3"] = _check("cor1", k=3, p=4, tol=1e-8)
+    cases["cor1/k3"] = _check("cor1", k=3, p=4)
     cases["cor2/star"] = _check("cor2", star(30), k=2, w=0)
     cases["cor2/s_nk"] = _check("cor2", s_nk(30, 2), k=2, w=0)
     cases["cor2/s_nk_leaf"] = _check("cor2", s_nk(30, 2), k=2, w=29)
