@@ -3,7 +3,7 @@
 The package builds the named extremal graph families, computes Q-indices
 with certified residual intervals, checks the edge/eigenvalue statements
 behind the forbidden-cycle threshold on exhaustively enumerated small
-graphs, and probes the extremal conjecture with a seeded hill-climb
+graphs, and probes the extremal conjecture with a seeded random
 search.  See the CLI (``qext --help`` or ``python -m qext``) for the
 command surface.
 """

@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="maximize q under forbidden cycle lengths")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", required=True, help="comma-separated cycle lengths")
-    p.add_argument("--budget", type=int, default=400, help="pairs the seed graph's climb draws")
+    p.add_argument("--budget", type=int, default=400, help="pairs drawn to grow the seed graph")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed-construction", help="family:k seed, e.g. s_nk:2")

@@ -1,18 +1,19 @@
 """Stochastic maximization of the Q-index over graphs avoiding given cycle
 lengths.
 
-Random restarts, with a hill climb from a given seed graph.  Each restart
-builds a random maximal feasible graph: it tries every vertex pair once,
-in random order, and keeps the addition unless it closes a forbidden
-cycle (only cycles through the new edge need searching).  The graph only
-gains edges, so a cycle that blocks a pair persists, and every pair ends
-up an edge or blocked.  A removal never raises the Q-index (Q(G-e) <=
-Q(G) entrywise, hence q(G-e) <= q(G) by Perron-Frobenius), so no climb
-could improve such a start, and none is run.  When a seed graph is given,
-restart 0 climbs from it instead: it draws one vertex pair per budget
-step, skips edges and pairs known to be blocked, and accepts a feasible
-addition when it strictly raises the Q-index, computed by the same
-dense engine that certifies the result.
+Every restart grows a graph one vertex pair at a time, keeping each
+addition that closes no forbidden cycle (only cycles through the new edge
+need searching).  The graph only gains edges, so a cycle that blocks a
+pair persists and the pair is never searched again.  A random restart
+grows the edgeless graph over every pair once, in random order, into a
+random maximal feasible graph; a removal never raises the Q-index (Q(G-e)
+<= Q(G) entrywise, hence q(G-e) <= q(G) by Perron-Frobenius), so no move
+could improve it.  When a seed graph is given, restart 0 grows it instead
+over one randomly drawn pair per budget step.  The seed must be
+connected, and adding an edge to a connected graph strictly raises the
+Q-index (its Q is irreducible), so every feasible drawn addition is kept
+and the Q-index is computed only once per restart, when the results are
+merged.
 Identical arguments always produce identical results: restart r uses the
 derived seed ``seed + r`` and the merge orders candidates by value with a
 canonical tiebreak, independent of completion order.
@@ -26,7 +27,7 @@ from typing import Any, Iterable
 
 from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, write_graph6
 from .families import edgeless
-from .graph import Graph
+from .graph import Graph, edges_within, is_connected
 from .report import record
 from .spectral import q_index
 from .subgraphs import (
@@ -72,60 +73,37 @@ def _addition_allowed(
     return True
 
 
-def _random_feasible(
-    n: int, forbidden: frozenset[int], rng: random.Random, node_budget: int
-) -> Graph:
-    """Random maximal feasible graph: every pair is tried once, in random order."""
-    g = edgeless(n)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
+def _grow(
+    g: Graph, pairs: Iterable[tuple[int, int]], forbidden: frozenset[int], node_budget: int
+) -> tuple[Graph, int]:
+    """Add each pair in turn unless it is an edge or closes a forbidden cycle.
+
+    A pair found to close a forbidden cycle is blocked from then on.
+    Returns the grown graph and the number of edges added.
+    """
+    blocked: set[tuple[int, int]] = set()
+    added = 0
     for u, v in pairs:
+        if (u, v) in blocked or g.has_edge(u, v):
+            continue
         candidate = g.with_edge(u, v)
         if _addition_allowed(candidate, u, v, forbidden, node_budget):
-            g = candidate
-    return g
-
-
-def _climb(
-    start: Graph,
-    forbidden: frozenset[int],
-    budget: int,
-    rng: random.Random,
-    node_budget: int,
-) -> tuple[Graph, int]:
-    """Accept feasible additions that strictly raise q.
-
-    Drawn edges and blocked pairs are skipped; a pair found to close a
-    forbidden cycle is blocked from then on.
-    """
-    n = start.n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    blocked: set[tuple[int, int]] = set()
-    current, current_q = start, q_index(start).q
-    accepted = 0
-    for _ in range(budget):
-        u, v = pairs[rng.randrange(len(pairs))]
-        # blocked is valid only while no removal is ever accepted: a swap move must clear it
-        if (u, v) in blocked or current.has_edge(u, v):
-            continue
-        candidate = current.with_edge(u, v)
-        if not _addition_allowed(candidate, u, v, forbidden, node_budget):
+            g, added = candidate, added + 1
+        else:
             blocked.add((u, v))
-            continue
-        candidate_q = q_index(candidate).q
-        if candidate_q > current_q:
-            current, current_q = candidate, candidate_q
-            accepted += 1
-    return current, accepted
+    return g, added
 
 
 def _restart_worker(payload: tuple) -> tuple[Graph, int]:
     index, n, forbidden, budget, seed, seed_graph, node_budget = payload
     rng = random.Random(seed + index)
     forbidden = frozenset(forbidden)
-    if index == 0 and seed_graph is not None:
-        return _climb(seed_graph, forbidden, budget, rng, node_budget)
-    return _random_feasible(n, forbidden, rng, node_budget), 0
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if seed_graph is not None:
+        draws = (pairs[rng.randrange(len(pairs))] for _ in range(budget))
+        return _grow(seed_graph, draws, forbidden, node_budget)
+    rng.shuffle(pairs)
+    return _grow(edgeless(n), pairs, forbidden, node_budget)[0], 0
 
 
 def _merge_key(g: Graph, value: float) -> tuple:
@@ -137,22 +115,15 @@ def _merge_key(g: Graph, value: float) -> tuple:
 def _match_family(g: Graph) -> str | None:
     """Exact structural match against the two split-graph families.
 
-    A graph is s_nk iff its degree-(n-1) vertices leave an independent
-    rest, and s_nk_plus iff the rest spans exactly one edge while still
-    being dominated.
+    With k the number of degree-(n-1) vertices, 1 <= k < n, a graph is
+    s_nk iff the rest is independent, and s_nk_plus iff the rest spans
+    exactly one edge.
     """
     n = g.n
-    dominators = [v for v in range(n) if g.degrees[v] == n - 1]
-    k = len(dominators)
-    if not 1 <= k < n:
+    rest = sum(1 << v for v in range(n) if g.degrees[v] < n - 1)
+    if not 1 <= n - rest.bit_count() < n:
         return None
-    rest = [v for v in range(n) if g.degrees[v] < n - 1]
-    inside = sum(1 for u in rest for v in rest if u < v and g.has_edge(u, v))
-    if inside == 0:
-        return "s_nk"
-    if inside == 1 and all(g.degrees[v] in (k, k + 1) for v in rest):
-        return "s_nk_plus"
-    return None
+    return {0: "s_nk", 1: "s_nk_plus"}.get(edges_within(g, rest))
 
 
 def maximize_q_forbidden_cycles(
@@ -168,13 +139,13 @@ def maximize_q_forbidden_cycles(
     """Best graph found on n vertices with no cycle of a forbidden length.
 
     Every restart returns a random maximal feasible graph, except that
-    restart 0 climbs from ``seed_graph`` when one is given.  ``budget``
-    counts the vertex pairs that climb draws; a drawn pair that is already
-    an edge or known to close a forbidden cycle is skipped without
-    evaluation.  The seed graph must be feasible, and the result value
-    never falls below the seed's.  The returned graph is re-verified
-    feasible from scratch and its Q-index re-certified with the dense
-    engine.
+    restart 0 grows ``seed_graph`` when one is given.  ``budget`` counts
+    the vertex pairs it draws, and it keeps every drawn pair that is not
+    an edge and closes no forbidden cycle: each such addition strictly
+    raises q, because the seed graph must be connected (a disconnected one
+    is rejected).  The seed graph must also be feasible, and the result
+    value never falls below the seed's.  The returned graph is re-verified
+    feasible from scratch and its Q-index certified with the dense engine.
     """
     if n < 3:
         raise ValueError(f"search requires n >= 3, got {n}")
@@ -188,11 +159,14 @@ def maximize_q_forbidden_cycles(
     if seed_graph is not None:
         if seed_graph.n != n:
             raise ValueError(f"seed graph has order {seed_graph.n}, expected {n}")
+        if not is_connected(seed_graph):
+            raise ValueError("seed graph must be connected")
         if not is_feasible(seed_graph, forbidden_set, node_budget):
             raise ValueError("seed graph contains a forbidden cycle")
 
+    forbidden_key = tuple(sorted(forbidden_set))
     payloads = [
-        (r, n, tuple(sorted(forbidden_set)), budget, seed, seed_graph, node_budget)
+        (r, n, forbidden_key, budget, seed, seed_graph if r == 0 else None, node_budget)
         for r in range(restarts)
     ]
     if jobs > 1 and restarts > 1:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from qext import search
 from qext.bounds import closed_form_snk
-from qext.enumeration import enumerate_nonisomorphic, graph_from_code
+from qext.enumeration import canonical_code, enumerate_nonisomorphic, graph_from_code
 from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
+from qext.graph import disjoint_union
 from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
 from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
@@ -71,6 +72,21 @@ def test_matched_family_tag():
     assert result.best == s_nk(10, 2)
 
 
+def test_matched_family_tag_is_exact_up_to_order_8():
+    # the tag names a family exactly when the graph is isomorphic to one of
+    # its members: s_nk(n, k) for k <= n - 2 (k = n - 1 is complete) and
+    # s_nk_plus(n, k) for k <= n - 3 (at k = n - 2 it is complete too)
+    tags = Counter()
+    for n in range(1, 9):
+        members = {canonical_code(s_nk(n, k)): "s_nk" for k in range(1, n - 1)}
+        members.update({canonical_code(s_nk_plus(n, k)): "s_nk_plus" for k in range(1, n - 2)})
+        for g in enumerate_nonisomorphic(n):
+            tag = search._match_family(g)
+            assert tag == members.get(canonical_code(g))
+            tags[tag] += 1
+    assert tags == Counter({None: 13_562, "s_nk": 21, "s_nk_plus": 15})
+
+
 def test_interval_width_bounded_by_residual():
     result = maximize_q_forbidden_cycles(6, {3}, budget=30, restarts=2, seed=0)
     r = q_index(result.best)
@@ -89,6 +105,9 @@ def test_rejects_bad_arguments():
         maximize_q_forbidden_cycles(4, {3}, seed_graph=complete(4))
     with pytest.raises(ValueError, match="order"):
         maximize_q_forbidden_cycles(6, {3}, seed_graph=complete(4))
+    for seed_graph in (edgeless(8), disjoint_union([path(4), path(4)])):
+        with pytest.raises(ValueError, match="connected"):
+            maximize_q_forbidden_cycles(8, {3}, seed_graph=seed_graph)
 
 
 def test_result_record():
@@ -121,33 +140,26 @@ def _slow_climb(start, forbidden, budget, rng, node_budget):
     return current, accepted
 
 
-def _both_climbs(monkeypatch, *args, **kwargs):
-    fast = maximize_q_forbidden_cycles(*args, **kwargs)
-    with monkeypatch.context() as patch:
-        patch.setattr(search, "_climb", _slow_climb)
-        slow = maximize_q_forbidden_cycles(*args, **kwargs)
-    return fast, slow
-
-
 @pytest.mark.parametrize("forbidden", [{3}, {4}, {5}, {3, 5}])
 @pytest.mark.parametrize("n", [*range(6, 17), 24])
 def test_climb_matches_slow_climb_from_random_starts(n, forbidden):
     # a random restart returns its maximal start without climbing; the
     # reference climb, which also tries removals, improves on it nowhere
+    forbidden = frozenset(forbidden)
     for index in range(3):
         payload = (index, n, tuple(forbidden), 120, 0, None, DEFAULT_NODE_BUDGET)
-        rng = random.Random(index)
-        start = search._random_feasible(n, frozenset(forbidden), rng, DEFAULT_NODE_BUDGET)
-        slow = _slow_climb(start, frozenset(forbidden), 120, rng, DEFAULT_NODE_BUDGET)
-        assert search._restart_worker(payload) == slow == (start, 0)
+        start, accepted = search._restart_worker(payload)
+        assert accepted == 0 and is_feasible(start, forbidden)
+        slow = _slow_climb(start, forbidden, 120, random.Random(index), DEFAULT_NODE_BUDGET)
+        assert slow == (start, 0)
 
 
 @pytest.mark.parametrize(
     "seed_graph, forbidden",
     [
-        (edgeless(8), {3}),
-        (edgeless(10), {5}),
-        (edgeless(12), {3, 5}),
+        (star(10), {4}),
+        (s_nk_plus(16, 2), {7}),
+        (star(24), {4, 5}),
         (path(9), {4}),
         (path(11), {5}),
         (path(12), {3, 5}),
@@ -156,24 +168,21 @@ def test_climb_matches_slow_climb_from_random_starts(n, forbidden):
         (cycle(12), {4}),
     ],
 )
-def test_climb_matches_slow_climb_from_seed_graphs(monkeypatch, seed_graph, forbidden):
+def test_climb_matches_slow_climb_from_seed_graphs(seed_graph, forbidden):
+    # from a connected seed, restart 0 keeps exactly the moves that the
+    # q-comparing reference climb, which also tries removals, accepts
+    forbidden = frozenset(forbidden)
     for seed in range(3):
-        fast, slow = _both_climbs(
-            monkeypatch,
-            seed_graph.n,
-            forbidden,
-            budget=200,
-            restarts=2,
-            seed=seed,
-            seed_graph=seed_graph,
-        )
-        assert fast == slow
-        assert fast.accepted_moves > 0
+        payload = (0, seed_graph.n, tuple(forbidden), 200, seed, seed_graph, DEFAULT_NODE_BUDGET)
+        grown = search._restart_worker(payload)
+        slow = _slow_climb(seed_graph, forbidden, 200, random.Random(seed), DEFAULT_NODE_BUDGET)
+        assert grown == slow
+        assert grown[1] > 0
 
 
 def _accept_all_climb(start, forbidden, budget, rng, node_budget):
-    # reference climb: draws pairs as _climb does and accepts every feasible
-    # non-edge without computing q
+    # reference climb: draws pairs as restart 0 does and accepts every
+    # feasible non-edge without computing q
     n = start.n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     current, accepted = start, 0
@@ -190,7 +199,7 @@ def _accept_all_climb(start, forbidden, budget, rng, node_budget):
 @pytest.mark.parametrize("forbidden", [{3}, {4}, {5}, {6}, {3, 5}, {4, 5}])
 def test_climb_from_connected_seed_accepts_every_feasible_addition(forbidden):
     # adding an edge to a connected graph strictly raises q (Perron-Frobenius),
-    # so from a connected seed the climb never rejects a feasible addition
+    # so from a connected seed restart 0 keeps every feasible addition
     forbidden = frozenset(forbidden)
     accepted = 0
     for n in range(6, 31):
@@ -198,40 +207,37 @@ def test_climb_from_connected_seed_accepts_every_feasible_addition(forbidden):
             if not is_feasible(seed_graph, forbidden):
                 continue
             for seed in (0, 1):
-                climbed = search._climb(
-                    seed_graph, forbidden, 60, random.Random(seed), DEFAULT_NODE_BUDGET
-                )
+                payload = (0, n, tuple(forbidden), 60, seed, seed_graph, DEFAULT_NODE_BUDGET)
+                grown = search._restart_worker(payload)
                 reference = _accept_all_climb(
                     seed_graph, forbidden, 60, random.Random(seed), DEFAULT_NODE_BUDGET
                 )
-                assert climbed == reference
-                accepted += climbed[1]
+                assert grown == reference
+                accepted += grown[1]
     assert accepted > 0
 
 
 @pytest.mark.parametrize("n", [10, 16, 24])
 def test_climb_from_maximal_start_evaluates_nothing(monkeypatch, n):
+    # no restart computes q: only the merge does, once per restart
     calls = Counter()
+    original = search.q_index
 
-    def counted(name):
-        original = getattr(search, name)
+    def counted(*args, **kwargs):
+        calls["q_index"] += 1
+        return original(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(search, name, wrapper)
-
-    counted("q_index")
-    counted("_climb")
+    monkeypatch.setattr(search, "q_index", counted)
     for index in range(3):  # restart 0 too, when no seed graph is given
         payload = (index, n, (5,), 400, n, None, DEFAULT_NODE_BUDGET)
         _, accepted = search._restart_worker(payload)
         assert accepted == 0
-    assert calls == Counter()
     seeded = (0, n, (5,), 400, n, path(n), DEFAULT_NODE_BUDGET)
-    search._restart_worker(seeded)
-    assert calls["_climb"] == 1 and calls["q_index"] > 0
+    _, accepted = search._restart_worker(seeded)
+    assert accepted > 0
+    assert calls == Counter()
+    maximize_q_forbidden_cycles(n, {5}, budget=400, restarts=3, seed=n, seed_graph=path(n))
+    assert calls["q_index"] == 3
 
 
 def test_climb_searches_each_blocked_pair_once(monkeypatch):
@@ -245,10 +251,8 @@ def test_climb_searches_each_blocked_pair_once(monkeypatch):
         return witness
 
     monkeypatch.setattr(search, "find_cycle_through_edge", recording)
-    forbidden = frozenset({3, 5})
-    _, accepted = search._climb(
-        edgeless(12), forbidden, 400, random.Random(0), DEFAULT_NODE_BUDGET
-    )
+    payload = (0, 12, (3, 5), 400, 0, path(12), DEFAULT_NODE_BUDGET)
+    _, accepted = search._restart_worker(payload)
     assert accepted > 0 and found
     assert max(found.values()) == 1
 
