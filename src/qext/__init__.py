@@ -27,7 +27,6 @@ from .enumeration import (
     write_graph6,
 )
 from .families import (
-    ConstructionSpec,
     build_construction,
     complete,
     corollary1_graph,
@@ -80,7 +79,6 @@ __all__ = [
     "BoundValue",
     "CheckOutcome",
     "Comparison",
-    "ConstructionSpec",
     "ConvergenceError",
     "Graph",
     "RunReport",

@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 from .bounds import das_bound, edge_degree_bound, merris_bound
 from .enumeration import parse_graph6, read_graph6_lines, write_graph6
-from .families import FAMILY_NAMES, ConstructionSpec, build_construction, s_nk, s_nk_plus
+from .families import FAMILY_NAMES, build_construction
 from .graph import Graph
 from .report import RunReport, exit_code_for, record, write_csv
 from .search import maximize_q_forbidden_cycles
@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="maximize q under forbidden cycle lengths")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", required=True, help="comma-separated cycle lengths")
-    p.add_argument("--budget", type=int, default=400, help="pairs drawn to grow the seed graph")
+    p.add_argument("--budget", type=int, help="pairs drawn to grow the --seed-construction graph")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed-construction", help="family:k seed, e.g. s_nk:2")
@@ -134,7 +134,7 @@ def _cmd_construct(args: argparse.Namespace) -> list[dict[str, Any]]:
         for name in ("n", "k", "p", "copies")
         if getattr(args, name) is not None
     }
-    g = build_construction(ConstructionSpec(args.family, params))
+    g = build_construction(args.family, params)
     token = write_graph6(g)
     print(token)
     return [record("construct", g, family=args.family, params=params, graph6=token)]
@@ -221,11 +221,7 @@ def _parse_seed_construction(text: str, n: int) -> Graph:
         k = int(k_text)
     except ValueError:
         raise UsageError("--seed-construction must look like s_nk:2") from None
-    if family == "s_nk":
-        return s_nk(n, k)
-    if family == "s_nk_plus":
-        return s_nk_plus(n, k)
-    raise UsageError("--seed-construction family must be s_nk or s_nk_plus")
+    return build_construction(family, {"n": n, "k": k})
 
 
 def _cmd_search(args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -233,13 +229,17 @@ def _cmd_search(args: argparse.Namespace) -> list[dict[str, Any]]:
         forbidden = {int(tok) for tok in args.forbid.split(",") if tok.strip()}
     except ValueError as exc:
         raise UsageError(f"bad --forbid list: {exc}") from None
-    seed_graph = None
+    seed_graph, grow = None, {}
     if args.seed_construction:
         seed_graph = _parse_seed_construction(args.seed_construction, args.n)
+    if args.budget is not None:
+        if seed_graph is None:
+            raise UsageError("--budget grows the seed graph: it needs --seed-construction")
+        grow["budget"] = args.budget
     result = maximize_q_forbidden_cycles(
         args.n,
         forbidden,
-        budget=args.budget,
+        **grow,
         restarts=args.restarts,
         seed=args.seed,
         seed_graph=seed_graph,

@@ -17,15 +17,7 @@ Labeling contracts (stable across runs, so witnesses are reproducible):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import Graph, _check_order, build_graph, disjoint_union, join
-
-
-@dataclass
-class ConstructionSpec:
-    family: str
-    params: dict[str, int] = field(default_factory=dict)
 
 
 def complete(n: int) -> Graph:
@@ -134,18 +126,16 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
-def build_construction(spec: ConstructionSpec) -> Graph:
+def build_construction(family: str, params: dict[str, int]) -> Graph:
     """Build the named family member; rejects unknown families and bad params."""
     try:
-        fn, names = _FAMILIES[spec.family]
+        fn, names = _FAMILIES[family]
     except KeyError:
-        raise ValueError(
-            f"unknown family {spec.family!r}; known: {', '.join(FAMILY_NAMES)}"
-        ) from None
-    missing = [p for p in names if p not in spec.params]
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}") from None
+    missing = [p for p in names if p not in params]
     if missing:
-        raise ValueError(f"family {spec.family!r} missing parameters {missing}")
-    extra = [p for p in spec.params if p not in names]
+        raise ValueError(f"family {family!r} missing parameters {missing}")
+    extra = [p for p in params if p not in names]
     if extra:
-        raise ValueError(f"family {spec.family!r} got unexpected parameters {extra}")
-    return fn(**{p: spec.params[p] for p in names})
+        raise ValueError(f"family {family!r} got unexpected parameters {extra}")
+    return fn(**{p: params[p] for p in names})

@@ -17,9 +17,8 @@ the first start or anchor the table proves, never stepping to a vertex with
 no path of the remaining order into the end mask.  Larger graphs, and
 cycles through a given edge, use the backtracking search alone.
 
-:func:`has_path` and :func:`has_cycle` answer presence without a witness:
-on table graphs by one lookup in ``spans`` or ``cycles``, with no node
-spent, and above it by the same search as the witness builders.
+:func:`_table_queries` answers presence without a witness on table
+graphs: one lookup in ``spans`` or ``cycles``, with no node spent.
 
 One engine, :func:`_first_path`, builds every witness: it returns the first
 simple path from a given start whose interior lies in one bitmask and
@@ -208,52 +207,15 @@ def find_constrained_path(
 
     Returns the vertex sequence or None for exact absence.  A path of
     order 1 is a single vertex, which must lie in the mask as both ends.
+    On a table graph the search runs only from the first start the table
+    proves.
     """
-    ends = ends_mask & ((1 << g.n) - 1)
-    witness = _path_search(g, order, ends, node_budget)
-    if witness is not None:
-        _check_witness(
-            is_path_witness(g, witness)
-            and len(witness) == order
-            and ends >> witness[0] & 1
-            and ends >> witness[-1] & 1,
-            "path",
-            witness,
-        )
-    return witness
-
-
-def has_path(
-    g: Graph, order: int, ends_mask: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
-    """Whether some simple path on ``order`` vertices has both ends in the
-    bitmask ``ends_mask`` (-1: anywhere); no witness is built."""
-    n = g.n
-    ends = ends_mask & ((1 << n) - 1)
-    if n <= _TABLE_MAX and 1 <= order <= n:
-        return bool(_path_table(g.rows).spans[order] >> ends & 1)
-    return _path_search(g, order, ends, node_budget) is not None
-
-
-def _table_queries(n: int, table: _PathTable) -> tuple[Callable[..., Any], Callable[..., Any]]:
-    """Presence read off a path table, shaped as :func:`has_path` and
-    :func:`has_cycle`: one bit of ``spans`` or ``cycles``."""
-    full, spans, cycles = (1 << n) - 1, table.spans, table.cycles
-    return (
-        lambda g, order, ends_mask: order <= n and spans[order] >> (ends_mask & full) & 1,
-        lambda g, length: length <= n and cycles[length] != 0,
-    )
-
-
-def _path_search(g: Graph, order: int, ends: int, node_budget: int) -> tuple[int, ...] | None:
-    """First path on ``order`` vertices from a start in ``ends`` to an end in
-    ``ends``, unvalidated.  On a table graph the search runs only from the
-    first start the table proves."""
     if order < 1:
         raise ValueError(f"path order must be >= 1, got {order}")
     n, rows = g.n, g.rows
     if order > n:
         return None
+    ends = ends_mask & ((1 << n) - 1)
     budget = [node_budget, f"path search exceeded node budget {node_budget}"]
     starts, reach = _bits(ends), None
     if n <= _TABLE_MAX:
@@ -262,8 +224,27 @@ def _path_search(g: Graph, order: int, ends: int, node_budget: int) -> tuple[int
     for start in starts:
         witness = _first_path(rows, start, order, -1, ends, budget, reach)
         if witness is not None:
+            _check_witness(
+                is_path_witness(g, witness)
+                and len(witness) == order
+                and ends >> witness[0] & 1
+                and ends >> witness[-1] & 1,
+                "path",
+                witness,
+            )
             return witness
     return None
+
+
+def _table_queries(n: int, table: _PathTable) -> tuple[Callable[..., Any], Callable[..., Any]]:
+    """Presence read off a path table, shaped as :func:`find_constrained_path`
+    and :func:`find_cycle_of_length` without their node budget: one bit of
+    ``spans`` or ``cycles``, truthy exactly when they return a witness."""
+    full, spans, cycles = (1 << n) - 1, table.spans, table.cycles
+    return (
+        lambda g, order, ends_mask: order <= n and spans[order] >> (ends_mask & full) & 1,
+        lambda g, length: length <= n and cycles[length] != 0,
+    )
 
 
 def find_cycle_of_length(
@@ -272,32 +253,11 @@ def find_cycle_of_length(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...] | None:
     """First cycle with ``length`` vertices, anchored at its minimum vertex."""
-    witness = _cycle_search(g, length, node_budget)
-    if witness is not None:
-        _check_witness(
-            is_cycle_witness(g, witness) and len(witness) == length,
-            "cycle",
-            witness,
-        )
-    return witness
-
-
-def has_cycle(g: Graph, length: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Whether some cycle has ``length`` vertices; no witness is built."""
-    n = g.n
-    if n <= _TABLE_MAX and 3 <= length <= n:
-        return _path_table(g.rows).cycles[length] != 0
-    return _cycle_search(g, length, node_budget) is not None
-
-
-def _cycle_search(g: Graph, length: int, node_budget: int) -> tuple[int, ...] | None:
-    """First cycle on ``length`` vertices from its smallest vertex, unvalidated."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
-    n = g.n
+    n, rows = g.n, g.rows
     if length > n:
         return None
-    rows = g.rows
     budget = [node_budget, f"cycle search exceeded node budget {node_budget}"]
     anchors, reach = range(n), None
     if n <= _TABLE_MAX:
@@ -308,6 +268,11 @@ def _cycle_search(g: Graph, length: int, node_budget: int) -> tuple[int, ...] | 
         above = ~((1 << (anchor + 1)) - 1)
         witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget, reach)
         if witness is not None:
+            _check_witness(
+                is_cycle_witness(g, witness) and len(witness) == length,
+                "cycle",
+                witness,
+            )
             return witness
     return None
 

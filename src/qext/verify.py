@@ -10,8 +10,9 @@ one of them is decided by ``_threshold``.  ``_STATEMENTS`` declares each
 statement once: its rule, the least k it accepts, the name of its own
 parameter and whether it runs in suites.  The same rule serves
 ``check_statement``, which hands it searches that build witnesses, and
-``run_suite``, which hands it presence queries that build none and keeps
-only the status, lhs and rhs.
+``run_suite``, which keeps only the status, lhs and rhs and hands it
+presence read off a path table on graphs up to 8 vertices, the same
+witness searches above.
 
 Statement tags
 --------------
@@ -65,8 +66,6 @@ from .subgraphs import (
     _table_queries,
     find_constrained_path,
     find_cycle_of_length,
-    has_cycle,
-    has_path,
 )
 
 HOLDS = "holds"
@@ -78,6 +77,7 @@ INDETERMINATE = "indeterminate"
 SPECTRAL_EQ_TOL = 1e-9
 _STATUSES = (HOLDS, EQUALITY, VIOLATED, UNMET, INDETERMINATE)
 _CHUNK_SIZE = 256  # graphs per _run_chunk call, whose path tables are built at once
+_NI_SAMPLE = 50  # ni's vertex sets sampled per suite graph above 6 vertices
 
 
 @dataclass
@@ -182,9 +182,11 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 class _Search(NamedTuple):
     """How a rule asks its questions: a path on ``order`` vertices with both
     ends in ``ends_mask``, and a cycle on ``length`` vertices, each within
-    the default node budget.  check_statement passes witness builders (a
-    witness or None), run_suite presence queries (True or False); a rule
-    reads only whether the answer is truthy, and keeps it as the witness."""
+    the default node budget.  Either the witness builders
+    find_constrained_path and find_cycle_of_length (a witness or None), or
+    on a graph with a path table the presence bits of _table_queries, which
+    are truthy exactly when a witness exists; a rule reads only whether the
+    answer is truthy, and keeps it as the witness."""
 
     path: Callable[[Graph, int, int], Any]  # (g, order, ends_mask)
     cycle: Callable[[Graph, int], Any]  # (g, length)
@@ -650,8 +652,10 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         rule, least, param, _ = _STATEMENTS[statement]
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         plan.append((statement, rule, ks, param, tallies[statement]))
+    # read from the module at call time, so that stubs and tracers see each call
+    witnesses = _Search(find_constrained_path, find_cycle_of_length)
     for offset, (g, table) in enumerate(zip(graphs, tables)):
-        find = _Search(has_path, has_cycle) if table is None else _Search(*_table_queries(g.n, table))
+        find = witnesses if table is None else _Search(*_table_queries(g.n, table))
         for statement, rule, ks, param, counts in plan:
             if param == "a":  # ni samples its sets, seeded per graph
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
@@ -687,7 +691,6 @@ def run_suite(
     n_max: int | None = None,
     k_range: Sequence[int] = (1, 2, 3),
     corpus: Sequence[Graph] | None = None,
-    ni_sample: int = 50,
     seed: int = 0,
     jobs: int = 1,
 ) -> SuiteReport:
@@ -722,7 +725,7 @@ def run_suite(
         graphs = [g for n in range(1, n_max + 1) for g in enumerate_nonisomorphic(n)]
 
     payloads = [
-        (graphs[i : i + _CHUNK_SIZE], i, statements, tuple(ks), seed, ni_sample)
+        (graphs[i : i + _CHUNK_SIZE], i, statements, tuple(ks), seed, _NI_SAMPLE)
         for i in range(0, len(graphs), _CHUNK_SIZE)
     ]
     if jobs > 1 and len(payloads) > 1:

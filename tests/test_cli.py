@@ -220,6 +220,18 @@ def test_search_bad_seed_construction(capsys):
     assert run(["search", "--n", "10", "--forbid", "5", "--seed-construction", "x"]) == 3
 
 
+def test_search_budget_without_seed_is_a_usage_error(monkeypatch, capsys):
+    # random restarts try every pair once, so only a seed graph reads --budget
+    def restart(payload):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(search, "_restart_worker", restart)
+    assert run(["search", "--n", "10", "--forbid", "5", "--budget", "100"]) == 3
+    captured = capsys.readouterr()
+    assert "--budget grows the seed graph: it needs --seed-construction" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_search_above_graph6_orders_fails_before_searching(monkeypatch, capsys):
     # the result record carries the graph as graph6, which stops at 62 vertices
     def restart(payload):

@@ -5,7 +5,6 @@ import pytest
 from qext.bounds import closed_form_snk
 from qext.enumeration import canonical_code
 from qext.families import (
-    ConstructionSpec,
     build_construction,
     complete,
     corollary1_graph,
@@ -158,12 +157,11 @@ def test_constraint_violations_name_the_parameter():
 
 
 def test_build_construction_dispatch():
-    spec = ConstructionSpec("s_nk_plus", {"n": 10, "k": 2})
-    assert build_construction(spec) == s_nk_plus(10, 2)
-    assert build_construction(ConstructionSpec("complete", {"n": 5})) == complete(5)
+    assert build_construction("s_nk_plus", {"n": 10, "k": 2}) == s_nk_plus(10, 2)
+    assert build_construction("complete", {"n": 5}) == complete(5)
     with pytest.raises(ValueError, match="unknown family"):
-        build_construction(ConstructionSpec("frucht", {}))
+        build_construction("frucht", {})
     with pytest.raises(ValueError, match="missing parameters"):
-        build_construction(ConstructionSpec("s_nk", {"n": 5}))
+        build_construction("s_nk", {"n": 5})
     with pytest.raises(ValueError, match="unexpected parameters"):
-        build_construction(ConstructionSpec("complete", {"n": 5, "k": 2}))
+        build_construction("complete", {"n": 5, "k": 2})

@@ -49,8 +49,7 @@ CASES = {
         0,
     ),
     "search_forbid": (
-        ["search", "--n", "10", "--forbid", "4,5", "--budget", "100", "--restarts", "3",
-         "--seed", "1"],
+        ["search", "--n", "10", "--forbid", "4,5", "--restarts", "3", "--seed", "1"],
         0,
     ),
 }

@@ -14,8 +14,6 @@ from qext.subgraphs import (
     find_constrained_path,
     find_cycle_of_length,
     find_cycle_through_edge,
-    has_cycle,
-    has_path,
     is_cycle_witness,
     is_path_witness,
 )
@@ -180,13 +178,11 @@ def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
         for ends, ok in cases:
             expect, _ = slow_constrained_path(g, order, ok)
             assert find_constrained_path(g, order, ends) == expect
-            assert has_path(g, order, ends) == (expect is not None)
             if expect is None and n <= subgraphs._TABLE_MAX:
                 assert find_constrained_path(g, order, ends, node_budget=1) is None
     for length in range(3, n + 1):
         expect, _ = slow_cycle_of_length(g, length)
         assert find_cycle_of_length(g, length) == expect
-        assert has_cycle(g, length) == (expect is not None)
         if expect is None and n <= subgraphs._TABLE_MAX:
             assert find_cycle_of_length(g, length, node_budget=1) is None
 
@@ -296,25 +292,17 @@ def test_table_proves_absence_without_a_node():
 
 
 def test_presence_spends_no_node_on_table_graphs():
-    # n = 8 reads presence off the table; n = 9 searches within the budget
-    for n in (8, 9):
-        g = complete(n)
-        if n <= subgraphs._TABLE_MAX:
-            assert has_path(g, n, -1, node_budget=0)
-            assert has_cycle(g, n, node_budget=0)
-        else:
-            with pytest.raises(SearchBudgetExceeded):
-                has_path(g, n, -1, node_budget=n - 1)
-            with pytest.raises(SearchBudgetExceeded):
-                has_cycle(g, n, node_budget=n - 1)
-            assert has_path(g, n, -1, node_budget=n) and has_cycle(g, n, node_budget=n)
-        assert not has_path(g, n + 1, -1) and not has_cycle(g, n + 1)
-        assert not has_path(g, 2, 1)  # both ends in {0}: only order 1 fits
-        assert has_path(g, 1, 1) and not has_path(g, 1, 0)
-        with pytest.raises(ValueError, match="path order"):
-            has_path(g, 0, -1)
-        with pytest.raises(ValueError, match="cycle length"):
-            has_cycle(g, 2)
+    # the suite reads presence on n = 8 off the path table, with no search
+    g = complete(8)
+    path_bit, cycle_bit = subgraphs._table_queries(8, subgraphs._path_tables([g.rows])[0])
+    assert path_bit(g, 8, -1) and cycle_bit(g, 8)
+    assert not path_bit(g, 9, -1) and not cycle_bit(g, 9)
+    assert not path_bit(g, 2, 1)  # both ends in {0}: only order 1 fits
+    assert path_bit(g, 1, 1) and not path_bit(g, 1, 0)
+    with pytest.raises(ValueError, match="path order"):
+        find_constrained_path(g, 0, -1)
+    with pytest.raises(ValueError, match="cycle length"):
+        find_cycle_of_length(g, 2)
 
 
 def test_budgets_hold_on_table_graphs():
@@ -340,13 +328,11 @@ def test_ends_mask_contract(petersen):
         found = 0
         for order in range(1, n + 1):
             assert find_constrained_path(g, order, 0, node_budget=0) is None
-            assert not has_path(g, order, 0, node_budget=0)
             for mask in (0b101, 0b110010, (1 << n) - 1):
                 expect = find_constrained_path(g, order, mask)
                 found += expect is not None
                 for high in (mask | 1 << n | 1 << (n + 7), mask | -1 << n):
                     assert find_constrained_path(g, order, high) == expect
-                    assert has_path(g, order, high) == (expect is not None)
         assert found
 
 

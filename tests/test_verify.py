@@ -605,9 +605,7 @@ def test_sweeps_match_per_instance_checks_when_nothing_is_found():
     with ExitStack() as stack:
         for name in witnesses:
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: None))
-        for name in ("has_path", "has_cycle"):
-            stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: False))
-        # with no path tables, the suite asks has_path and has_cycle on every graph
+        # with no path tables, the suite asks the stubbed searches on every graph
         stack.enter_context(mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)))
         report = assert_sweeps_match_reference(graphs, (1, 2, 3))
     assert {v["statement"] for v in report.violating} == {
@@ -616,12 +614,29 @@ def test_sweeps_match_per_instance_checks_when_nothing_is_found():
     }
 
 
+def test_suite_builds_witnesses_only_above_the_table(monkeypatch):
+    # graphs up to 8 vertices answer from their path table; larger ones ask
+    # the same witness searches as check_statement, which count each call
+    orders = []
+    for name in ("find_constrained_path", "find_cycle_of_length"):
+        def counted(g, *args, search=getattr(verify, name)):
+            orders.append(g.n)
+            return search(g, *args)
+
+        monkeypatch.setattr(verify, name, counted)
+    graphs = [cycle(5), path(8), complete(8), path(10), cycle(11), complete(22)]
+    report = run_suite(SUITE_STATEMENTS, corpus=graphs, k_range=(1, 2, 3))
+    assert report.violated == 0
+    assert set(orders) == {10, 11, 22}
+
+
 @pytest.mark.parametrize("statement", SUITE_STATEMENTS)
-def test_suite_instances_respect_the_table(statement):
+def test_suite_instances_respect_the_table(statement, monkeypatch):
     # run_suite drops each k below the statement's least k and runs the rest;
     # ore takes no k and runs once per graph whatever k_range holds
     graphs = [complete(1), cycle(5), path(7), complete(8)]
-    report = run_suite([statement], corpus=graphs, k_range=(-1, 0, 1, 2, 3), seed=4, ni_sample=6)
+    monkeypatch.setattr(verify, "_NI_SAMPLE", 6)
+    report = run_suite([statement], corpus=graphs, k_range=(-1, 0, 1, 2, 3), seed=4)
     least = _STATEMENTS[statement].min_k
     admissible = (0,) if least is None else range(least, 4)
     by_statement, violating = reference_suite([statement], graphs, admissible, 4, 6)

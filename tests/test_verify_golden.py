@@ -118,7 +118,7 @@ def _stub_q(values):
 def _patched(fn, q=None, finds_nothing=()):
     """Run ``fn`` with ``verify.q_index`` stubbed and the named searches
     returning None.  run_suite answers from path tables where it has them,
-    so a stubbed has_path also takes its tables away."""
+    so a stubbed find_constrained_path also takes its tables away."""
 
     def run():
         with ExitStack() as stack:
@@ -128,7 +128,7 @@ def _patched(fn, q=None, finds_nothing=()):
                 stack.enter_context(
                     mock.patch.object(verify, name, lambda *a, **kw: None)
                 )
-            if "has_path" in finds_nothing:
+            if "find_constrained_path" in finds_nothing:
                 stack.enter_context(
                     mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows))
                 )
@@ -227,13 +227,12 @@ def _cases() -> dict:
     # suites: every statement and k, sampled ni vertex sets, and violations
     cases["suite/n5"] = lambda: _outcome(
         run_suite, SUITE_STATEMENTS, n_max=5, k_range=(3, 0, 1, 2, 1), seed=1)
-    cases["suite/ni_sampled"] = lambda: _outcome(
-        run_suite, ["ni"], corpus=[cycle(7), complete(8)], k_range=(1, 2), seed=3,
-        ni_sample=5)
+    cases["suite/ni_sampled"] = mock.patch.object(verify, "_NI_SAMPLE", 5)(lambda: _outcome(
+        run_suite, ["ni"], corpus=[cycle(7), complete(8)], k_range=(1, 2), seed=3))
     cases["suite/violations"] = _patched(
         lambda: _outcome(run_suite, ["egp", "ni", "lemma2", "kopylov_i"], n_max=4,
                          k_range=(1, 2)),
-        None, ("find_constrained_path", "has_path"))
+        None, ("find_constrained_path",))
     # unreachable branches: searches that find nothing
     no_path = ("find_constrained_path",)
     for label, statement, g, params, nothing in [
