@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, help="pairs drawn to grow the --seed-construction graph")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-construction", help="family:k seed, e.g. s_nk:2")
+    p.add_argument("--seed-construction", help="seed s_nk:k or s_nk_plus:k, e.g. s_nk:2")
     p.add_argument("--jobs", type=_jobs, default=1)
     add_common(p)
 
@@ -221,6 +221,8 @@ def _parse_seed_construction(text: str, n: int) -> Graph:
         k = int(k_text)
     except ValueError:
         raise UsageError("--seed-construction must look like s_nk:2") from None
+    if family not in ("s_nk", "s_nk_plus"):
+        raise UsageError(f"--seed-construction family must be s_nk or s_nk_plus, got {family!r}")
     return build_construction(family, {"n": n, "k": k})
 
 

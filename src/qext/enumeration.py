@@ -3,21 +3,25 @@
 The canonical code is the exact lexicographic minimum, over all n! vertex
 relabelings, of the upper-triangle adjacency bit string in row-major pair
 order, read as an integer with the pair (0,1) as its MSB.  It is found by a
-branch-and-bound over the bitset rows rather than a scan of the relabelings
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998;
-McKay & Piperno, "Practical graph isomorphism II", J. Symb. Comp. 60, 2014).
+branch-and-bound over ordered partitions (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998; McKay & Piperno, "Practical graph
+isomorphism II", J. Symb. Comp. 60, 2014), one level at a time for a whole
+batch of graphs in numpy.
 
-Positions 0, 1, ... are filled in order.  The vertices still to place carry
-an ordered partition whose cells occupy consecutive runs of positions, so
-the vertex at the next position comes from the first cell.  Placing v there
-writes, for each cell (first the rest of the first cell, then the later
-cells in order) of size s holding a neighbors of v, the bits 0^(s-a) 1^a;
-candidate rows thus compare as their neighbor-count tuples.  Only minimal
-candidates are expanded, each cell is split into the non-neighbors of v
-followed by its neighbors, and a branch is cut as soon as its code prefix
-exceeds the best one found.  Among tied candidates only one vertex per twin
-class (N(u) - {v} = N(v) - {u}) is expanded: swapping two twins is an
-automorphism that fixes the partition.
+Positions 0, 1, ... are filled in order.  A search node keeps the vertices
+still to place as an ordered partition whose cells occupy consecutive runs
+of positions, so the next vertex comes from the first cell.  Placing v
+writes, for each cell (the rest of the first, then the later ones) of size
+s holding a neighbors of v, the bits 0^(s-a) 1^a: rows compare as neighbor
+counts, packed 4 bits per cell into a key.  Each cell then splits into the
+non-neighbors of v followed by its neighbors.  Of all (node, candidate)
+pairs of one level, only those whose key equals their graph's least key
+survive.  This is exact: a graph's surviving nodes wrote the same prefix,
+so they share cell sizes, their rows compare as their keys, and each code
+under a larger row exceeds the minimum; so every leaf left spells it.  It
+cuts at least what a depth-first cut against the best leaf so far does.  A
+node expands only the lowest of its surviving twins (equal open or closed
+neighborhoods): swapping twins is an automorphism that fixes the partition.
 
 The catalogue grows by canonical augmentation with two prunes: one mask per
 orbit of the parent's twin swaps (automorphisms), and a new vertex that
@@ -27,71 +31,62 @@ maximizes an isomorphism-invariant degree key (every graph has one).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _bits, _check_order, _pack, _unpack
+from .graph import Graph, _check_order, _pack, _twins, _unpack
 
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
+_POP = np.array([x.bit_count() for x in range(1 << CANONICAL_MAX)], dtype=np.uint8)  # row popcounts
+_ROWS_CHUNK = 512  # graphs labelled at once: larger chunks cost memory
+_PARENTS_CHUNK = 32  # parents augmented at once, likewise
 
 
-def _min_code(rows: tuple[int, ...]) -> int:
-    """Canonical code of the graph with bitset adjacency ``rows``; uncached."""
-    n = len(rows)
-    if n <= 1:
-        return 0
-    best = 1 << n * (n - 1) // 2  # above every code until the first leaf
+def _level(rows, twins, graph, cells, order, depth):
+    """Place vertex ``depth`` in each node: node i searches ``graph[i]``
+    (nondecreasing) with cells ``cells[i]`` (bitmasks, empty ones last)."""
+    n = rows.shape[1]
+    bit = np.int16(1) << np.arange(n, dtype=np.int16)
+    node, v = np.nonzero(cells[:, :1] & bit)  # candidates: the first cell
+    g, nb = graph[node], rows[graph[node], v]
+    parts = cells[node]
+    parts[:, 0] ^= bit[v]
+    key = _POP[parts & nb[:, None]] @ 16 ** np.arange(n - 1, -1, -1)
+    low = np.full(len(rows), 16**n)
+    np.minimum.at(low, g, key)
+    tied = key == low[g]  # exact: see the module docstring
+    ties = np.zeros(len(cells), dtype=np.int16)
+    np.bitwise_or.at(ties, node[tied], bit[v[tied]])
+    keep = np.flatnonzero(tied & (twins[g, v] & ties[node] & bit[v] - 1 == 0))  # lowest tied twins
+    node, v, nb, parts = node[keep], v[keep], nb[keep, None], parts[keep]
+    split = np.stack((parts & ~nb, parts & nb), axis=2).reshape(len(keep), 2 * n)
+    cells = np.take_along_axis(split, np.argsort(split == 0, axis=1, kind="stable")[:, :n], axis=1)
+    order = order[node]
+    order[:, depth] = v
+    return graph[node], cells, order
 
-    def expand(depth: int, cells: list[int], prefix: int) -> None:
-        nonlocal best
-        width = n - 1 - depth  # bits in the row of this position
-        first, later = cells[0], cells[1:]
-        low_key = 1 << 4 * len(cells)  # above every key
-        tied: list[int] = []
-        rest = first
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            nb = rows[bit.bit_length() - 1]
-            key = (nb & (first ^ bit)).bit_count()  # 4-bit counts (n - 1 < 16)
-            for c in later:
-                key = key << 4 | (nb & c).bit_count()
-            if key < low_key:
-                low_key, tied = key, [bit]
-            elif key == low_key:
-                tied.append(bit)
-        row = 0
-        for i, c in enumerate(cells):  # key field i: the count in cell i
-            row = row << c.bit_count() | ((1 << (low_key >> 4 * (len(later) - i) & 15)) - 1)
-        prefix = prefix << width | row
-        remaining = width * (width - 1) // 2  # bits in the rows after this one
-        if prefix > best >> remaining:
-            return
-        if width == 1:
-            if prefix < best:
-                best = prefix
-            return
-        # twins share an open (non-adjacent) or a closed (adjacent)
-        # neighborhood; no open neighborhood equals a closed one
-        seen: set[int] = set()
-        for bit in tied:
-            nb = rows[bit.bit_length() - 1]
-            if nb in seen or nb | bit in seen:
-                continue
-            seen.update((nb, nb | bit))
-            refined = []
-            for c in [first ^ bit] + later:
-                out = c & ~nb
-                if out:
-                    refined.append(out)
-                if c & nb:
-                    refined.append(c & nb)
-            expand(depth + 1, refined, prefix)
 
-    expand(0, [(1 << n) - 1], 0)
-    return best
+def _min_codes(rows: np.ndarray) -> np.ndarray:
+    """Canonical codes (``uint64``) of the graphs with bit rows ``rows`` [m, n]."""
+    m, n = rows.shape
+    codes = np.zeros(m, dtype=np.uint64)
+    iu, ju = np.triu_indices(n, 1)
+    weight = np.uint64(1) << np.arange(len(iu) - 1, -1, -1, dtype=np.uint64)
+    for at in range(0, m if n > 1 else 0, _ROWS_CHUNK):  # below 2 vertices every code is 0
+        chunk = rows[at : at + _ROWS_CHUNK].astype(np.int16)
+        graph, order = np.arange(len(chunk)), np.zeros_like(chunk, dtype=np.int8)
+        cells = np.zeros_like(chunk)
+        cells[:, 0] = (1 << n) - 1
+        twins = _twins(chunk)
+        for depth in range(n - 1):
+            graph, cells, order = _level(chunk, twins, graph, cells, order, depth)
+        order = order[np.diff(graph, prepend=-1) > 0]  # each graph's first leaf
+        order[:, -1] = n * (n - 1) // 2 - order.sum(1)  # the vertex left over
+        placed = chunk[np.arange(len(chunk))[:, None], order]
+        codes[at : at + len(chunk)] = (placed[:, iu] >> order[:, ju] & 1).astype(np.uint64) @ weight
+    return codes
 
 
 @lru_cache(maxsize=16384)
@@ -103,70 +98,63 @@ def canonical_code(g: Graph) -> int:
     """
     if g.n > CANONICAL_MAX:
         raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX}, got {g.n}")
-    return _min_code(g.rows)
+    return int(_min_codes(np.array([g.rows], dtype=np.int64))[0])
 
 
 def canonical_form(g: Graph) -> bytes:
     """Order byte followed by the canonical bit string packed MSB-first."""
-    n = g.n
-    code = canonical_code(g)
-    nbits = n * (n - 1) // 2
+    nbits = g.n * (g.n - 1) // 2
     nbytes = (nbits + 7) // 8
-    packed = (code << (8 * nbytes - nbits)).to_bytes(nbytes, "big") if nbytes else b""
-    return bytes([n]) + packed
+    return bytes([g.n]) + (canonical_code(g) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+
+
+def _graphs(n: int, codes: Sequence[int]) -> list[Graph]:
+    """Decode in-range row-major codes, all in one numpy pass."""
+    nbits = n * (n - 1) // 2
+    width = (nbits + 7) // 8
+    data = np.frombuffer(b"".join(code.to_bytes(width, "big") for code in codes), dtype=np.uint8)
+    adj = np.zeros((len(codes), n, n), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(len(codes), width), axis=1)[:, 8 * width - nbits :]
+    adj[(slice(None), *np.triu_indices(n, 1))] = bits
+    rows = _pack((adj | adj.transpose(0, 2, 1)).reshape(len(codes) * n, n))
+    return [Graph(n, rows[i * n : i * n + n]) for i in range(len(codes))]
 
 
 def graph_from_code(n: int, code: int) -> Graph:
     """Rebuild the graph whose row-major upper-triangle bit string is ``code``."""
     _check_order(n)
-    rows = [0] * n
-    pos = n * (n - 1) // 2
-    for u in range(n):
-        for v in range(u + 1, n):
-            pos -= 1
-            if code >> pos & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    if not 0 <= code < 1 << n * (n - 1) // 2:
+        raise ValueError(f"code {code} out of range for n={n}: need 0 <= code < 2^{n * (n - 1) // 2}")
+    return _graphs(n, [code])[0]
 
 
 @lru_cache(maxsize=None)
 def _nonisomorphic_codes(n: int) -> tuple[int, ...]:
     if n == 1:
         return (0,)
-    new = 1 << (n - 1)
-    seen: set[int] = set()
-    for pcode in _nonisomorphic_codes(n - 1):
-        parent = graph_from_code(n - 1, pcode)
-        top = max(parent.degrees)
-        # level[d]: the degree-d vertices, which joined to a new vertex of
-        # degree d would outgrow it
-        level = [sum(1 << u for u, du in enumerate(parent.degrees) if du == d) for d in range(n)]
-        # twin classes, by open (r) and closed (r | 1 << u) neighborhood
-        groups: dict[int, int] = {}
-        for u, r in enumerate(parent.rows):
-            for nbhd in (r, r | 1 << u):
-                groups[nbhd] = groups.get(nbhd, 0) | 1 << u
-        twins = [t for t in groups.values() if t & (t - 1)]
-        for mask in range(new):
-            d = mask.bit_count()
-            if d < top or mask & level[d]:
-                continue
-            # one mask per twin-swap orbit: no chosen twin above an unchosen one
-            if any(mask & t > ((rest := t & ~mask) & -rest or t) for t in twins):
-                continue
-            rows = tuple(r | new if mask >> u & 1 else r for u, r in enumerate(parent.rows)) + (mask,)
-            # no vertex of degree d may beat the new one (last) in the sum,
-            # then the square sum (below 2^10), of its neighbors' degrees
-            ties = level[d] & ~mask | level[d - 1] & mask
-            if ties:
-                deg = [r.bit_count() for r in rows]
-                keys = [sum(deg[w] << 10 | deg[w] ** 2 for w in _bits(rows[u])) for u in _bits(ties | new)]
-                if max(keys[:-1]) > keys[-1]:
-                    continue
-            # uncached: the children would flood canonical_code's cache
-            seen.add(_min_code(rows))
-    return tuple(sorted(seen))
+    bit = 1 << np.arange(n - 1)
+    masks = np.arange(1 << (n - 1))  # the new vertex's neighbors
+    degree = _POP[masks]
+    parents = np.array([g.rows for g in _graphs(n - 1, _nonisomorphic_codes(n - 1))])
+    found = []
+    for at in range(0, len(parents), _PARENTS_CHUNK):
+        rows = parents[at : at + _PARENTS_CHUNK]
+        deg = _POP[rows]
+        # level[p, d]: parent p's degree-d vertices; joined to a new degree-d vertex, they outgrow it
+        level = (deg[:, None, :] == np.arange(n)[:, None]) @ bit
+        keep = (degree >= deg.max(1)[:, None]) & (level[:, degree] & masks == 0)
+        # one mask per twin-swap orbit: each chosen vertex's lower twins are chosen
+        lower = np.where(masks[:, None] & bit, (_twins(rows) & bit - 1)[:, None, :], 0)
+        keep &= np.bitwise_or.reduce(lower, axis=2) & ~masks == 0
+        p, mask = np.nonzero(keep)
+        child = np.concatenate((rows[p] | np.where(mask[:, None] & bit, 1 << n - 1, 0), mask[:, None]), 1)
+        # no vertex may beat the new one (last) in (degree, the sum, then
+        # the square sum (below 2^10), of its neighbors' degrees)
+        deg = _POP[child].astype(np.int64)
+        weight = deg << 10 | deg**2
+        key = deg << 20 | sum((child >> w & 1) * weight[:, w, None] for w in range(n))
+        found.append(_min_codes(child[key[:, :-1].max(1) <= key[:, -1]]))
+    return tuple(sorted(set(np.concatenate(found).tolist())))
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
@@ -183,8 +171,9 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     """
     if not 1 <= n <= ENUMERATE_MAX:
         raise ValueError(f"native enumeration supports 1 <= n <= {ENUMERATE_MAX}, got {n}")
-    for code in _nonisomorphic_codes(n):
-        yield graph_from_code(n, code)
+    codes = _nonisomorphic_codes(n)
+    for at in range(0, len(codes), _ROWS_CHUNK):
+        yield from _graphs(n, codes[at : at + _ROWS_CHUNK])
 
 
 # --- graph6 ----------------------------------------------------------------

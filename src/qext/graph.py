@@ -116,6 +116,15 @@ def _pack(adj: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row, "little") for row in packed)
 
 
+def _twins(rows: np.ndarray) -> np.ndarray:
+    """Twin classes of stacked bit rows [..., n]: bit w of entry u says u and
+    w have equal open or equal closed neighborhoods (u is its own twin)."""
+    bit = 1 << np.arange(rows.shape[-1])
+    closed = rows | bit
+    same = (rows[..., :, None] == rows[..., None, :]) | (closed[..., :, None] == closed[..., None, :])
+    return same @ bit
+
+
 def _check_pair(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")

@@ -220,6 +220,15 @@ def test_search_bad_seed_construction(capsys):
     assert run(["search", "--n", "10", "--forbid", "5", "--seed-construction", "x"]) == 3
 
 
+@pytest.mark.parametrize("family", ["frucht", "complete", "windmill"])
+def test_search_seed_family_must_take_n_and_k(family, capsys):
+    # only s_nk and s_nk_plus are built from (n, k)
+    assert run(["search", "--n", "10", "--forbid", "5", "--seed-construction", f"{family}:2"]) == 3
+    captured = capsys.readouterr()
+    assert f"family must be s_nk or s_nk_plus, got '{family}'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_search_budget_without_seed_is_a_usage_error(monkeypatch, capsys):
     # random restarts try every pair once, so only a seed graph reads --budget
     def restart(payload):

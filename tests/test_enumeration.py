@@ -2,9 +2,9 @@ import collections
 import hashlib
 import itertools
 import random
-import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -54,13 +54,14 @@ def brute_code(g):
     return min(map(code, itertools.permutations(range(g.n))))
 
 
+def label(graphs):
+    """Canonical codes of graphs on one order, labelled in one batch."""
+    return enumeration._min_codes(np.array([g.rows for g in graphs], dtype=np.int64)).tolist()
+
+
 def brute_codes_all_labeled(n):
     """Independent oracle: canonical-dedup every labeled graph on n vertices."""
-    codes = set()
-    nbits = n * (n - 1) // 2
-    for mask in range(1 << nbits):
-        codes.add(canonical_code(graph_from_code(n, mask)))
-    return codes
+    return set(label(enumeration._graphs(n, range(1 << n * (n - 1) // 2))))
 
 
 def test_canonical_form_relabel_invariance_examples():
@@ -79,11 +80,13 @@ def test_canonical_form_random_relabelings():
     rng = random.Random(2)
     for n in range(1, 7):
         for g in enumerate_nonisomorphic(n):
-            base = canonical_form(g)
+            relabelled = []
             for _ in range(100):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert canonical_form(relabel(g, perm)) == base
+                relabelled.append(relabel(g, perm))
+            assert canonical_form(relabelled[0]) == canonical_form(g)
+            assert set(label(relabelled)) == {canonical_code(g)}
 
 
 def test_canonical_form_layout():
@@ -130,39 +133,47 @@ def cold_catalogue():
 
 
 def test_augmentation_prunes_cut_canonical_labelling(monkeypatch, cold_catalogue):
-    # twin-orbit and invariant pruning leave 1,428 labellings at n = 7;
-    # without either prune there are 2,690
-    calls = collections.Counter()
-    label = enumeration._min_code
+    # twin-orbit and invariant pruning hand 1,428 children to the labelling
+    # at n = 7; without either prune there are 2,690
+    rows = collections.Counter()
+    min_codes = enumeration._min_codes
 
-    def counted(rows):
-        calls[len(rows)] += 1
-        return label(rows)
+    def counted(batch):
+        rows[batch.shape[1]] += len(batch)
+        return min_codes(batch)
 
-    monkeypatch.setattr(enumeration, "_min_code", counted)
+    monkeypatch.setattr(enumeration, "_min_codes", counted)
     assert len(enumeration._nonisomorphic_codes(7)) == 1044
-    assert calls[7] < 1600
+    assert rows[7] == 1428
 
 
-def test_prefix_prune_bounds_the_search_tree():
-    # 9,857 expand frames over the n = 7 catalogue; 12,042 without the
-    # cut of a branch whose prefix exceeds the best code
+def test_prefix_prune_bounds_the_search_tree(monkeypatch):
+    # 9,857 search nodes over the n = 7 catalogue; 14,492 when each node
+    # keeps its own least keys instead of its graph's
     catalogue = list(enumerate_nonisomorphic(7))
-    uncached = canonical_code.__wrapped__
-    frames = 0
+    level = enumeration._level
+    nodes = 0
 
-    def profile(frame, event, arg):
-        nonlocal frames
-        if event == "call" and frame.f_code.co_name == "expand":
-            frames += 1
+    def counted(rows, twins, graph, *state):
+        nonlocal nodes
+        nodes += len(graph)
+        return level(rows, twins, graph, *state)
 
-    sys.setprofile(profile)
-    try:
-        for g in catalogue:
-            uncached(g)
-    finally:
-        sys.setprofile(None)
-    assert frames <= 10_500
+    monkeypatch.setattr(enumeration, "_level", counted)
+    label(catalogue)
+    assert nodes <= 10_500
+
+
+def test_batches_label_each_graph_as_alone():
+    # a shuffled batch of relabelled graphs that straddles a chunk boundary
+    rng = random.Random(5)
+    catalogue = list(enumerate_nonisomorphic(6))
+    batch = []
+    for _ in range(enumeration._ROWS_CHUNK + 40):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        batch.append(relabel(rng.choice(catalogue), perm))
+    assert label(batch) == [label([g])[0] for g in batch]
 
 
 def test_enumeration_matches_labeled_dedup_oracle():
@@ -229,7 +240,7 @@ def reference_min_code(rows):
 
 
 def test_packed_keys_fit_their_fields():
-    # _min_code packs neighbor counts (at most n - 1) into 4 bits each, and
+    # _min_codes packs neighbor counts (at most n - 1) into 4 bits each, and
     # the augmentation packs a sum of squared degrees (at most (n - 1)^3)
     # below bit 10
     assert CANONICAL_MAX < 16
@@ -253,7 +264,7 @@ def graphs_2_10(draw):
 @example(complete(10).without_edge(0, 1))
 @example(star(10))
 def test_packed_key_matches_list_key(g):
-    assert enumeration._min_code(g.rows) == reference_min_code(g.rows)
+    assert label([g]) == [reference_min_code(g.rows)]
 
 
 @st.composite
@@ -307,6 +318,14 @@ def test_graph_from_code_checks_order():
         graph_from_code(-1, 0)
     with pytest.raises(ValueError, match="exceeds limit"):
         graph_from_code(513, 0)
+
+
+def test_graph_from_code_rejects_codes_out_of_range():
+    assert graph_from_code(3, 7) == complete(3)
+    assert graph_from_code(0, 0) == build_graph(0)
+    for n, code in [(3, 1 << 3), (3, 1 << 10), (3, -1), (1, 1), (0, -1)]:
+        with pytest.raises(ValueError, match="out of range"):
+            graph_from_code(n, code)
 
 
 def test_graph6_anchors():

@@ -1,13 +1,14 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qext import search
 from qext.bounds import closed_form_snk
-from qext.enumeration import canonical_code, enumerate_nonisomorphic, graph_from_code
+from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic, graph_from_code
 from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
 from qext.graph import disjoint_union
 from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
@@ -80,9 +81,11 @@ def test_matched_family_tag_is_exact_up_to_order_8():
     for n in range(1, 9):
         members = {canonical_code(s_nk(n, k)): "s_nk" for k in range(1, n - 1)}
         members.update({canonical_code(s_nk_plus(n, k)): "s_nk_plus" for k in range(1, n - 2)})
-        for g in enumerate_nonisomorphic(n):
+        catalogue = list(enumerate_nonisomorphic(n))
+        codes = _min_codes(np.array([g.rows for g in catalogue], dtype=np.int64)).tolist()
+        for g, code in zip(catalogue, codes):
             tag = search._match_family(g)
-            assert tag == members.get(canonical_code(g))
+            assert tag == members.get(code)
             tags[tag] += 1
     assert tags == Counter({None: 13_562, "s_nk": 21, "s_nk_plus": 15})
 

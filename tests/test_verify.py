@@ -6,10 +6,11 @@ from pathlib import Path
 from typing import Iterable
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from qext import subgraphs, verify
-from qext.enumeration import canonical_code, enumerate_nonisomorphic
+from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic
 from qext.families import (
     complete,
     cycle,
@@ -144,23 +145,32 @@ def test_lemma2_exception_matcher(k):
 
 
 def test_matchers_agree_with_isomorphism_small():
-    # against canonical codes on every graph with n <= 7
-    def isomorphic(g, comp, ref):
-        return canonical_code(g.induced(comp)) == canonical_code(ref)
-
+    # against canonical codes on every graph with n <= 7; the components
+    # are labelled in one batch per order
+    catalogue = [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+    parts = {g.induced(c) for g in catalogue for c in components(g)}
+    codes = {}
     for n in range(1, 8):
-        for g in enumerate_nonisomorphic(n):
-            comps = components(g)
-            for size in range(1, n + 1):
-                expect = all(isomorphic(g, c, complete(size)) for c in comps)
-                assert is_disjoint_cliques(g, size) == expect
-            for k in range(1, 4):
-                for v in range(n):
-                    expect = g.degrees[v] == 1 and all(
-                        isomorphic(g, c, kite_pendant(k) if v in c else complete(2 * k))
-                        for c in comps
-                    )
-                    assert matches_lemma2_exception(g, k, v) == expect
+        batch = [h for h in parts if h.n == n]
+        rows = np.array([h.rows for h in batch], dtype=np.int64).reshape(-1, n)
+        codes.update(zip(batch, _min_codes(rows).tolist()))
+
+    def isomorphic(g, comp, ref):
+        return codes[g.induced(comp)] == canonical_code(ref)
+
+    for g in catalogue:
+        n = g.n
+        comps = components(g)
+        for size in range(1, n + 1):
+            expect = all(isomorphic(g, c, complete(size)) for c in comps)
+            assert is_disjoint_cliques(g, size) == expect
+        for k in range(1, 4):
+            for v in range(n):
+                expect = g.degrees[v] == 1 and all(
+                    isomorphic(g, c, kite_pendant(k) if v in c else complete(2 * k))
+                    for c in comps
+                )
+                assert matches_lemma2_exception(g, k, v) == expect
 
 
 def test_ni_triangle_example():
