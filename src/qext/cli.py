@@ -298,11 +298,15 @@ def run(argv: Sequence[str]) -> int:
         outcomes=outcomes,
         elapsed_seconds=elapsed,
     )
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
-    if args.csv:
-        write_csv(report, args.csv)
+    try:
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(report.to_json())
+        if args.csv:
+            write_csv(report, args.csv)
+    except OSError as exc:  # an unwritable report path is not a violation
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return exit_code_for(outcomes)
 
 

@@ -25,7 +25,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .enumeration import CANONICAL_MAX, GRAPH6_MAX, canonical_code, write_graph6
+import numpy as np
+
+from .enumeration import CANONICAL_MAX, GRAPH6_MAX, _min_codes, write_graph6
 from .families import edgeless
 from .graph import Graph, edges_within, is_connected
 from .report import record
@@ -106,10 +108,17 @@ def _restart_worker(payload: tuple) -> tuple[Graph, int]:
     return _grow(edgeless(n), pairs, forbidden, node_budget)[0], 0
 
 
-def _merge_key(g: Graph, value: float) -> tuple:
-    if g.n <= CANONICAL_MAX:
-        return (value, 0, canonical_code(g))
-    return (value, 1, write_graph6(g))
+def _tie_break(graphs: list[Graph]) -> int:
+    """Index of the first of equally valued graphs on one order with the
+    largest canonical code, or graph6 string above ``CANONICAL_MAX``; the
+    distinct graphs are labelled in one batch."""
+    if graphs[0].n > CANONICAL_MAX:
+        keys = [write_graph6(g) for g in graphs]
+    else:
+        distinct = list(dict.fromkeys(g.rows for g in graphs))
+        codes = dict(zip(distinct, _min_codes(np.array(distinct, dtype=np.int64)).tolist()))
+        keys = [codes[g.rows] for g in graphs]
+    return max(range(len(graphs)), key=keys.__getitem__)
 
 
 def _match_family(g: Graph) -> str | None:
@@ -186,12 +195,8 @@ def maximize_q_forbidden_cycles(
 
     best_q_value = max(value for _, value, _ in certified)
     tied = [item for item in certified if item[1] == best_q_value]
-    if len({g.rows for g, _, _ in tied}) == 1:
-        best_graph, best_q, best_residual = tied[0]
-    else:
-        best_graph, best_q, best_residual = max(
-            tied, key=lambda item: _merge_key(item[0], item[1])
-        )
+    pick = _tie_break([g for g, _, _ in tied]) if len({g.rows for g, _, _ in tied}) > 1 else 0
+    best_graph, best_q, best_residual = tied[pick]
     if not is_feasible(best_graph, forbidden_set, node_budget):
         raise RuntimeError("internal error: returned graph failed final feasibility check")
     near = sorted(

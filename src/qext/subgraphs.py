@@ -5,32 +5,24 @@ edges, a cycle of order k has k vertices and k edges.  Absence answers are
 exact; running out of node budget raises :class:`SearchBudgetExceeded`,
 which is distinct from absence.
 
-Graphs on at most ``_TABLE_MAX`` = 8 vertices get a path table from a
-Held–Karp subset DP run in numpy over a batch of graphs of one order (one
-batch per suite chunk and order; a single graph is a batch of one, cached by
-its rows).  A table holds, for each order r and start u, the mask of
-vertices that end a path on r vertices from u; for each length l, the mask
-of vertices that are the smallest of some l-cycle; and ``spans[r]``, whose
-bit A says that some path on r vertices has both ends in the vertex set A.
-On these graphs absence is read off the table, and a search runs only from
-the first start or anchor the table proves, never stepping to a vertex with
-no path of the remaining order into the end mask.  Larger graphs, and
-cycles through a given edge, use the backtracking search alone.
+One engine, :func:`_first_path`, builds every witness at every order: it
+returns the first simple path from a given start whose interior lies in one
+bitmask and whose last vertex lies in another.  A constrained path, a cycle
+of given length (anchored at its smallest vertex) and a cycle through an
+edge are each a choice of those masks.  Starts, anchors and steps are tried
+in ascending index, so witnesses are deterministic.  The last vertex is
+picked straight from the end mask.  The node budget counts only the
+vertices this search places, so a given budget reaches at least as far as a
+search that also visits dead-end leaves.  Every witness is re-checked by an
+independent validator before it is returned.
 
-:func:`_table_queries` answers presence without a witness on table
-graphs: one lookup in ``spans`` or ``cycles``, with no node spent.
-
-One engine, :func:`_first_path`, builds every witness: it returns the first
-simple path from a given start whose interior lies in one bitmask and
-whose last vertex lies in another.  A constrained path, a cycle of given
-length (anchored at its smallest vertex) and a cycle through an edge are
-each a choice of those masks.  Vertices are tried in ascending index, so
-witnesses are deterministic and the same with or without the table.  The
-last vertex is picked straight from the end mask.  The node budget counts
-only the vertices this search places, so an absence the table proves costs
-nothing, and a given budget reaches at least as far as a search that also
-visits dead-end leaves.  Every witness is re-checked by an independent
-validator before it is returned.
+Presence alone has a second source on graphs with at most 8 vertices: a
+path table from a Held–Karp subset DP run in numpy over a batch of graphs
+of one order (one batch per suite chunk and order).  A table holds, for
+each length l, the mask of vertices that are the smallest of some l-cycle,
+and ``spans[r]``, whose bit A says that some path on r vertices has both
+ends in the vertex set A.  :func:`_table_queries` answers presence from it
+with one lookup and no node spent; no witness is built from it.
 """
 
 from __future__ import annotations
@@ -77,7 +69,6 @@ def _check_witness(ok: bool, kind: str, vertices: tuple[int, ...]) -> None:
 
 
 class _PathTable(NamedTuple):
-    ends: bytes  # [8r + u]: vertices that end a path on r vertices from u
     cycles: Sequence[int]  # [l]: vertices that are the smallest of some l-cycle
     spans: Sequence[int]  # [r]: bit A set when some path on r vertices has both ends in A
 
@@ -102,8 +93,8 @@ def _path_tables(rows_list: Sequence[tuple[int, ...]]) -> list[_PathTable | None
 
 
 def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[_PathTable]:
-    """The path tables of graphs of one order n <= ``_TABLE_MAX``: Held–Karp
-    over the subsets S, one size at a time, in numpy over every graph at once,
+    """The path tables of graphs of one order n <= 8: Held–Karp over the
+    subsets S, one size at a time, in numpy over every graph at once,
     keeping only the previous size's layer.  ``layer[S, v, g]`` masks the u
     such that some path of graph g on the vertex set S runs from u to v, so
     (paths being undirected) the ends of those paths from v."""
@@ -140,15 +131,7 @@ def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[_PathTable]
         [int.from_bytes(data[at : at + width], "little") for at in range(start, start + step, width)]
         for start in range(0, count * step, step)
     ]
-    data, step = ends.tobytes(), 8 * (n + 1)
-    ends_of = [data[start : start + step] for start in range(0, count * step, step)]
-    return list(map(_PathTable, ends_of, cycles.T.tolist(), spans_of))
-
-
-@lru_cache(maxsize=8)
-def _path_table(rows: tuple[int, ...]) -> _PathTable:
-    """The path table of one graph with at most ``_TABLE_MAX`` vertices."""
-    return _held_karp([rows], len(rows))[0]
+    return list(map(_PathTable, cycles.T.tolist(), spans_of))
 
 
 def _first_path(
@@ -158,7 +141,6 @@ def _first_path(
     inner: int,
     last: int,
     budget: list,
-    reach: bytes | None = None,
 ) -> tuple[int, ...] | None:
     """First path on ``order`` vertices from ``start`` in ascending DFS order.
 
@@ -166,10 +148,7 @@ def _first_path(
     ``last``; the start is the caller's choice and is not checked.
     ``budget`` is a ``[nodes_left, message]`` pair shared by the caller's
     searches: each vertex placed on the path costs one node, and
-    :class:`SearchBudgetExceeded` carries the message.  Given a path
-    table's ``ends``, the search skips every step to a vertex from which
-    no path of the remaining order reaches ``last``; such a step can never
-    succeed, so the first path found is the same.
+    :class:`SearchBudgetExceeded` carries the message.
     """
     path: list[int] = []
 
@@ -186,8 +165,6 @@ def _first_path(
         else:
             nxt = rows[v] & inner & ~visited
         for w in _bits(nxt):
-            if reach is not None and not reach[8 * remaining + w] & last:
-                continue
             if extend(w, visited | (1 << w), remaining - 1):
                 return True
         path.pop()
@@ -207,8 +184,7 @@ def find_constrained_path(
 
     Returns the vertex sequence or None for exact absence.  A path of
     order 1 is a single vertex, which must lie in the mask as both ends.
-    On a table graph the search runs only from the first start the table
-    proves.
+    Every start in the mask is tried, ascending.
     """
     if order < 1:
         raise ValueError(f"path order must be >= 1, got {order}")
@@ -217,12 +193,8 @@ def find_constrained_path(
         return None
     ends = ends_mask & ((1 << n) - 1)
     budget = [node_budget, f"path search exceeded node budget {node_budget}"]
-    starts, reach = _bits(ends), None
-    if n <= _TABLE_MAX:
-        reach = _path_table(rows).ends
-        starts = [start for start in _bits(ends) if reach[8 * order + start] & ends][:1]
-    for start in starts:
-        witness = _first_path(rows, start, order, -1, ends, budget, reach)
+    for start in _bits(ends):
+        witness = _first_path(rows, start, order, -1, ends, budget)
         if witness is not None:
             _check_witness(
                 is_path_witness(g, witness)
@@ -252,21 +224,18 @@ def find_cycle_of_length(
     length: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...] | None:
-    """First cycle with ``length`` vertices, anchored at its minimum vertex."""
+    """First cycle with ``length`` vertices, anchored at its minimum vertex;
+    every anchor is tried, ascending."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     n, rows = g.n, g.rows
     if length > n:
         return None
     budget = [node_budget, f"cycle search exceeded node budget {node_budget}"]
-    anchors, reach = range(n), None
-    if n <= _TABLE_MAX:
-        table = _path_table(rows)
-        anchors, reach = list(_bits(table.cycles[length]))[:1], table.ends
-    for anchor in anchors:
+    for anchor in range(n):
         # every cycle is found from its smallest vertex; larger ones only
         above = ~((1 << (anchor + 1)) - 1)
-        witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget, reach)
+        witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget)
         if witness is not None:
             _check_witness(
                 is_cycle_witness(g, witness) and len(witness) == length,

@@ -183,10 +183,11 @@ class _Search(NamedTuple):
     """How a rule asks its questions: a path on ``order`` vertices with both
     ends in ``ends_mask``, and a cycle on ``length`` vertices, each within
     the default node budget.  Either the witness builders
-    find_constrained_path and find_cycle_of_length (a witness or None), or
-    on a graph with a path table the presence bits of _table_queries, which
-    are truthy exactly when a witness exists; a rule reads only whether the
-    answer is truthy, and keeps it as the witness."""
+    find_constrained_path and find_cycle_of_length (a witness or None, from
+    a plain DFS at every order), or, for a suite graph with a path table,
+    the presence bits of _table_queries, which are truthy exactly when a
+    witness exists; a rule reads only whether the answer is truthy, and
+    keeps it as the witness."""
 
     path: Callable[[Graph, int, int], Any]  # (g, order, ends_mask)
     cycle: Callable[[Graph, int], Any]  # (g, length)

@@ -325,6 +325,16 @@ def test_kinds_table_is_consistent():
         assert named <= set(fields) | set(optional)
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_report_path_is_a_runtime_error(tmp_path, capsys, flag):
+    # exit 1 means a violation: a report that cannot be written is exit 3
+    target = tmp_path / "missing" / "x.json"
+    assert run(["qindex", "--graph6", "C~", flag, str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err and not target.exists()
+
+
 def test_exit_code_mapping():
     check = {"kind": "check", "status": "holds"}
     violated = {"kind": "check", "status": "violated"}

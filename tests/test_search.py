@@ -10,7 +10,7 @@ from qext import search
 from qext.bounds import closed_form_snk
 from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic, graph_from_code
 from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
-from qext.graph import disjoint_union
+from qext.graph import build_graph, disjoint_union
 from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
 from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
@@ -241,6 +241,39 @@ def test_climb_from_maximal_start_evaluates_nothing(monkeypatch, n):
     assert calls == Counter()
     maximize_q_forbidden_cycles(n, {5}, budget=400, restarts=3, seed=n, seed_graph=path(n))
     assert calls["q_index"] == 3
+
+
+def test_tie_break_labels_the_tied_graphs_in_one_batch(monkeypatch):
+    # the first graph with the largest canonical code wins, as max over
+    # one canonical_code per graph picks it; repeated rows are labelled once
+    rng = random.Random(7)
+    batches = []
+    original = search._min_codes
+
+    def counted(rows):
+        batches.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(search, "_min_codes", counted)
+    for n in (4, 7, 10):
+        catalogue = list(enumerate_nonisomorphic(min(n, 6)))
+        for _ in range(20):
+            graphs = []
+            for g in rng.sample(catalogue, 4):
+                g = disjoint_union([g, edgeless(n - g.n)])
+                perm = list(range(n))
+                rng.shuffle(perm)
+                graphs += [g, build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])]
+            graphs += rng.sample(graphs, 3)
+            expect = max(range(len(graphs)), key=lambda i: canonical_code(graphs[i]))
+            batches.clear()
+            assert search._tie_break(graphs) == expect
+            assert batches == [len({g.rows for g in graphs})]
+    # above CANONICAL_MAX the graph6 string decides, with no labelling
+    big = [cycle(11), path(11), cycle(11), star(11)]
+    batches.clear()
+    expect = max(range(4), key=lambda i: search.write_graph6(big[i]))
+    assert search._tie_break(big) == expect and batches == []
 
 
 def test_climb_searches_each_blocked_pair_once(monkeypatch):

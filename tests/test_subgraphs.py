@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -151,10 +152,10 @@ def assert_engine_matches_oracle(g, masks):
                 assert find_cycle_through_edge(g, length, u, v, nodes) == expect
 
 
-# --- path table against the DFS-only oracle -----------------------------------
-# Graphs with n <= subgraphs._TABLE_MAX answer from the path table, larger
-# ones search alone; the slow oracle above searches from every start or
-# anchor on both sides.
+# --- witnesses against the DFS-only oracle -------------------------------------
+# Witnesses come from one plain DFS at every order, below and above the
+# path table's n <= 8; the slow oracle above searches from every start or
+# anchor as well.
 
 
 @st.composite
@@ -166,7 +167,7 @@ def graphs_up_to_9(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(graphs_up_to_9(), st.integers(1, 511), st.integers(0, 8))
-def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
+def test_witnesses_match_dfs_from_every_start(g, members, avoided):
     n = g.n
     members &= (1 << n) - 1
     cases = [(-1, lambda x: True)]
@@ -178,13 +179,43 @@ def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
         for ends, ok in cases:
             expect, _ = slow_constrained_path(g, order, ok)
             assert find_constrained_path(g, order, ends) == expect
-            if expect is None and n <= subgraphs._TABLE_MAX:
-                assert find_constrained_path(g, order, ends, node_budget=1) is None
     for length in range(3, n + 1):
         expect, _ = slow_cycle_of_length(g, length)
         assert find_cycle_of_length(g, length) == expect
-        if expect is None and n <= subgraphs._TABLE_MAX:
-            assert find_cycle_of_length(g, length, node_budget=1) is None
+
+
+# The first answer of every path and cycle query over the n <= 7 catalogue:
+# per graph, each path order with ends anywhere, in {0, 2} and off vertex 0,
+# then each cycle length; repr per answer, one per line.
+WITNESSES_N7 = (31397, "0a15c83287fe95d13e9eabba9e78d19b1da80adc85357fce3dbead97394ff699")
+
+
+def witness_answers(orders):
+    for n in orders:
+        for g in enumerate_nonisomorphic(n):
+            for order in range(1, n + 1):
+                for ends in (-1, 0b101, ~1):
+                    yield find_constrained_path(g, order, ends)
+            for length in range(3, n + 1):
+                yield find_cycle_of_length(g, length)
+
+
+def test_witnesses_pinned_over_the_n7_catalogue():
+    answers = [repr(w) for w in witness_answers(range(1, 8))]
+    digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+    assert (len(answers), digest) == WITNESSES_N7
+
+
+def test_witnesses_build_no_path_table(monkeypatch):
+    # the path table answers the suite's presence queries only: no witness
+    # search builds one, on any graph
+    def no_table(rows_list, n):
+        raise AssertionError("a witness search built a path table")
+
+    monkeypatch.setattr(subgraphs, "_held_karp", no_table)
+    for n in range(1, 7):
+        for g in enumerate_nonisomorphic(n):
+            assert_engine_matches_oracle(g, [0b101])
 
 
 # --- batched path tables against the per-graph loop ----------------------------
@@ -193,7 +224,9 @@ def test_table_witnesses_match_dfs_from_every_start(g, members, avoided):
 def loop_path_table(rows):
     """The per-graph Held–Karp loop that ``_held_karp`` replaced: ``tails[S][v]``
     is the mask of vertices u such that some path with vertex set S runs from
-    u to v.  Returns (ends, cycles) as tuples of tuples and a tuple."""
+    u to v.  Returns (ends, cycles): ``ends[r][u]`` masks the vertices that
+    end a path on r vertices from u, ``cycles[l]`` the smallest vertices of
+    l-cycles."""
     n = len(rows)
     tails = [None] * (1 << n)
     ends = [[0] * n for _ in range(n + 1)]
@@ -232,9 +265,16 @@ def assert_tables_match_loop(graphs):
             assert table is None
             continue
         ends, cycles = loop_path_table(g.rows)
-        assert tuple(tuple(table.ends[8 * r : 8 * r + g.n]) for r in range(g.n + 1)) == ends
+        assert list(table.spans) == spans_from_ends(ends)
         assert tuple(table.cycles) == cycles
-        assert len(table.spans) == g.n + 1
+
+
+def spans_from_ends(ends):
+    """spans[r]: bit A set when some u in A ends a path on r vertices at a v in A."""
+    n = len(ends[0])
+    return [
+        sum(1 << a for a in range(1 << n) if any(row[u] & a for u in _bits(a))) for row in ends
+    ]
 
 
 def test_batched_tables_match_loop_every_graph_up_to_7():
@@ -279,13 +319,17 @@ def test_spans_match_brute_force_for_every_end_mask():
         assert list(table.spans) == brute_spans(g)
 
 
-def test_table_proves_absence_without_a_node():
-    # n = 8, within the table: no Hamiltonian path or cycle, no node spent
+def test_absence_is_a_search_at_every_order():
+    # n = 8, within the path table's orders, and n = 9, above them: proving
+    # that no path on 5 or 6 vertices exists is a search, and one node runs out
     g = disjoint_union([complete(4), complete(4)])
-    assert find_constrained_path(g, 5, node_budget=0) is None
+    assert find_constrained_path(g, 5) is None
+    with pytest.raises(SearchBudgetExceeded):
+        find_constrained_path(g, 5, node_budget=1)
     for length in range(5, 9):
-        assert find_cycle_of_length(g, length, node_budget=0) is None
-    # n = 9, above it: the same absence is a search and the budget runs out
+        assert find_cycle_of_length(g, length) is None
+        with pytest.raises(SearchBudgetExceeded):
+            find_cycle_of_length(g, length, node_budget=1)
     h = disjoint_union([complete(4), complete(5)])
     with pytest.raises(SearchBudgetExceeded):
         find_constrained_path(h, 6, node_budget=1)
@@ -306,9 +350,9 @@ def test_presence_spends_no_node_on_table_graphs():
 
 
 def test_budgets_hold_on_table_graphs():
-    # K_7 has a path table, but a witness is still a search that spends one
-    # node per vertex placed: 6 nodes cannot place 7 vertices, even right
-    # after a call that found the path, and 7 nodes can
+    # a witness is a search that spends one node per vertex placed: 6 nodes
+    # cannot place 7 vertices, even right after a call that found the path,
+    # and 7 nodes can
     g = complete(7)
     assert find_constrained_path(g, 7) == tuple(range(7))
     with pytest.raises(SearchBudgetExceeded):
@@ -323,7 +367,7 @@ def test_budgets_hold_on_table_graphs():
 def test_ends_mask_contract(petersen):
     # an empty mask admits no path and costs no node; bits at or above n
     # are ignored, so a mask with extra high bits finds the same witness
-    for g in (s_nk(8, 2), petersen):  # a table graph and a search graph
+    for g in (s_nk(8, 2), petersen):  # n = 8 and n = 10
         n = g.n
         found = 0
         for order in range(1, n + 1):
