@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .enumeration import (
     canonical_code,
-    canonical_form,
     enumerate_nonisomorphic,
     parse_graph6,
     read_graph6_lines,
@@ -90,7 +89,6 @@ __all__ = [
     "build_construction",
     "build_graph",
     "canonical_code",
-    "canonical_form",
     "certified_compare",
     "check_statement",
     "closed_form_snk",

@@ -101,13 +101,6 @@ def canonical_code(g: Graph) -> int:
     return int(_min_codes(np.array([g.rows], dtype=np.int64))[0])
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Order byte followed by the canonical bit string packed MSB-first."""
-    nbits = g.n * (g.n - 1) // 2
-    nbytes = (nbits + 7) // 8
-    return bytes([g.n]) + (canonical_code(g) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
-
-
 def _graphs(n: int, codes: Sequence[int]) -> list[Graph]:
     """Decode in-range row-major codes, all in one numpy pass."""
     nbits = n * (n - 1) // 2

@@ -2,10 +2,12 @@
 
 Adjacency is kept as one packed bit row (a Python int) per vertex, which
 makes neighborhood intersections, component sweeps and edge counting a
-handful of integer operations.  Graphs never mutate: ``with_edge`` and
-``without_edge`` build a new instance that shares every unchanged row, so
-values are safe to pass between threads or worker processes.  Dense 0/1
-matrices come from ``_unpack`` and go back through ``_pack``: numpy bit packing.
+handful of integer operations.  Graphs never mutate: ``with_edge`` builds
+a new instance that shares every unchanged row, so values are safe to pass
+between threads or worker processes; it takes the parent's degrees and
+edge count plus one at each end instead of recounting every row.  Dense
+0/1 matrices come from ``_unpack`` and go back through ``_pack``: numpy bit
+packing.
 """
 
 from __future__ import annotations
@@ -69,19 +71,14 @@ class Graph:
         _check_pair(self.n, u, v)
         if self.has_edge(u, v):
             return self
-        rows = list(self.rows)
+        rows, degrees = list(self.rows), list(self.degrees)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        _check_pair(self.n, u, v)
-        if not self.has_edge(u, v):
-            return self
-        rows = list(self.rows)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        degrees[u] += 1
+        degrees[v] += 1
+        g = object.__new__(Graph)
+        g.n, g.rows, g.degrees, g.m = self.n, tuple(rows), tuple(degrees), self.m + 1
+        return g
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced by ``vertices``, relabeled to 0..k-1 in sorted order."""
@@ -219,68 +216,11 @@ def edges_within(g: Graph, mask: int) -> int:
     return sum((g.rows[v] & mask).bit_count() for v in _bits(mask)) // 2
 
 
-def edges_between(g: Graph, mask_a: int, mask_b: int) -> int:
-    """Number of edges joining the disjoint bitmasks ``mask_a`` and ``mask_b``."""
-    if mask_a & mask_b:
-        raise ValueError("vertex sets overlap")
-    return sum((g.rows[v] & mask_b).bit_count() for v in _bits(mask_a))
-
-
 def mask_of(vertices: Iterable[int]) -> int:
     out = 0
     for v in vertices:
         out |= 1 << v
     return out
-
-
-def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-coloring as bitmasks (side of vertex 0 first per component), or None."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in _bits(g.rows[v]):
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side_a = mask_of(v for v in range(g.n) if color[v] == 0)
-    return side_a, ((1 << g.n) - 1) & ~side_a
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
-
-
-def is_regular(g: Graph) -> bool:
-    return g.n == 0 or len(set(g.degrees)) == 1
-
-
-def is_semiregular_bipartite(g: Graph) -> bool:
-    """Bipartite with constant degree on each side of some 2-coloring."""
-    parts = bipartition(g)
-    if parts is None:
-        return False
-    side_a, side_b = parts
-    deg_a = {g.degrees[v] for v in _bits(side_a)}
-    deg_b = {g.degrees[v] for v in _bits(side_b)}
-    return len(deg_a) <= 1 and len(deg_b) <= 1
-
-
-def is_complete(g: Graph) -> bool:
-    return all(d == g.n - 1 for d in g.degrees)
-
-
-def is_star(g: Graph) -> bool:
-    """K_{1,n-1} for n >= 2 (one center adjacent to all, leaves of degree 1)."""
-    if g.n < 2 or g.m != g.n - 1:
-        return False
-    return max(g.degrees) == g.n - 1
 
 
 def blocks(g: Graph) -> list[tuple[int, ...]]:

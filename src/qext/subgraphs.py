@@ -11,10 +11,13 @@ bitmask and whose last vertex lies in another.  A constrained path, a cycle
 of given length (anchored at its smallest vertex) and a cycle through an
 edge are each a choice of those masks.  Starts, anchors and steps are tried
 in ascending index, so witnesses are deterministic.  The last vertex is
-picked straight from the end mask.  The node budget counts only the
-vertices this search places, so a given budget reaches at least as far as a
-search that also visits dead-end leaves.  Every witness is re-checked by an
-independent validator before it is returned.
+picked straight from the end mask, and the one before it only among the
+vertices ``near`` the end mask (with a neighbour in it): any other
+second-to-last vertex heads a dead subtree, so the cut keeps the first
+witness.  The node budget counts only the vertices this search places; the
+look-ahead places fewer, so a given budget reaches at least as far as a
+search without it.  Every witness is re-checked by an independent
+validator before it is returned.
 
 Presence alone has a second source on graphs with at most 8 vertices: a
 path table from a Held–Karp subset DP run in numpy over a batch of graphs
@@ -134,20 +137,34 @@ def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[_PathTable]
     return list(map(_PathTable, cycles.T.tolist(), spans_of))
 
 
+def _near(rows: tuple[int, ...], last: int) -> int:
+    """The vertices with a neighbour in the bitmask ``last``."""
+    near = 0
+    for x in _bits(last):
+        near |= rows[x]
+    return near
+
+
 def _first_path(
     rows: tuple[int, ...],
     start: int,
     order: int,
     inner: int,
     last: int,
+    near: int,
     budget: list,
 ) -> tuple[int, ...] | None:
     """First path on ``order`` vertices from ``start`` in ascending DFS order.
 
     Interior vertices lie in the bitmask ``inner`` and the last vertex in
     ``last``; the start is the caller's choice and is not checked.
+    ``near`` is ``_near(rows, last)`` (-1 for orders up to 2, which never
+    read it), the look-ahead: the second-to-last vertex is taken only from
+    it, since a vertex outside can never be followed by an end vertex, so
+    only dead subtrees are cut and the first path found is unchanged.
     ``budget`` is a ``[nodes_left, message]`` pair shared by the caller's
-    searches: each vertex placed on the path costs one node, and
+    searches: each vertex placed on the path costs one node (the look-ahead
+    places fewer than a plain DFS would), and
     :class:`SearchBudgetExceeded` carries the message.
     """
     path: list[int] = []
@@ -162,10 +179,14 @@ def _first_path(
         if remaining == 1:
             ends = rows[v] & last & ~visited
             nxt = ends & -ends  # only the first vertex that can end the path
+        elif remaining == 2:
+            nxt = rows[v] & inner & near & ~visited
         else:
             nxt = rows[v] & inner & ~visited
-        for w in _bits(nxt):
-            if extend(w, visited | (1 << w), remaining - 1):
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            if extend(low.bit_length() - 1, visited | low, remaining - 1):
                 return True
         path.pop()
         return False
@@ -193,8 +214,9 @@ def find_constrained_path(
         return None
     ends = ends_mask & ((1 << n) - 1)
     budget = [node_budget, f"path search exceeded node budget {node_budget}"]
+    near = _near(rows, ends) if order > 2 else -1
     for start in _bits(ends):
-        witness = _first_path(rows, start, order, -1, ends, budget)
+        witness = _first_path(rows, start, order, -1, ends, near, budget)
         if witness is not None:
             _check_witness(
                 is_path_witness(g, witness)
@@ -235,7 +257,8 @@ def find_cycle_of_length(
     for anchor in range(n):
         # every cycle is found from its smallest vertex; larger ones only
         above = ~((1 << (anchor + 1)) - 1)
-        witness = _first_path(rows, anchor, length, above, above & rows[anchor], budget)
+        last = above & rows[anchor]
+        witness = _first_path(rows, anchor, length, above, last, _near(rows, last), budget)
         if witness is not None:
             _check_witness(
                 is_cycle_witness(g, witness) and len(witness) == length,
@@ -263,7 +286,7 @@ def find_cycle_through_edge(
         return None
     budget = [node_budget, f"cycle search exceeded node budget {node_budget}"]
     # a cycle through (u, v) is a u..v path on `length` vertices plus that edge
-    witness = _first_path(g.rows, u, length, ~(1 << v), 1 << v, budget)
+    witness = _first_path(g.rows, u, length, ~(1 << v), 1 << v, g.rows[v], budget)
     if witness is not None:
         _check_witness(
             is_cycle_witness(g, witness)

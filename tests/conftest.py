@@ -27,3 +27,59 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
     return build_graph(10, outer + spokes + inner)
+
+
+# --- oracles for the tests: edge removal and the bounds' equality cases --------
+
+
+def without_edge(g: Graph, u: int, v: int) -> Graph:
+    return build_graph(g.n, [e for e in g.edges() if e != (min(u, v), max(u, v))])
+
+
+def bipartition(g: Graph) -> tuple[int, int] | None:
+    """Two-coloring as bitmasks (side of vertex 0 first per component), or None."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w in g.neighbors(v):
+                if color[w] == -1:
+                    color[w] = color[v] ^ 1
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    side_a = sum(1 << v for v in range(g.n) if color[v] == 0)
+    return side_a, ((1 << g.n) - 1) & ~side_a
+
+
+def is_bipartite(g: Graph) -> bool:
+    return bipartition(g) is not None
+
+
+def is_regular(g: Graph) -> bool:
+    return g.n == 0 or len(set(g.degrees)) == 1
+
+
+def is_semiregular_bipartite(g: Graph) -> bool:
+    """Bipartite with constant degree on each side of some 2-coloring."""
+    parts = bipartition(g)
+    if parts is None:
+        return False
+    return all(
+        len({g.degrees[v] for v in range(g.n) if side >> v & 1}) <= 1 for side in parts
+    )
+
+
+def is_complete(g: Graph) -> bool:
+    return all(d == g.n - 1 for d in g.degrees)
+
+
+def is_star(g: Graph) -> bool:
+    """K_{1,n-1} for n >= 2 (one center adjacent to all, leaves of degree 1)."""
+    if g.n < 2 or g.m != g.n - 1:
+        return False
+    return max(g.degrees) == g.n - 1

@@ -16,19 +16,13 @@ from qext.bounds import (
 )
 from qext.enumeration import enumerate_nonisomorphic, parse_graph6, write_graph6
 from qext.families import s_nk, s_nk_plus
-from qext.graph import (
-    is_complete,
-    is_connected,
-    is_regular,
-    is_semiregular_bipartite,
-    is_star,
-)
+from qext.graph import is_connected
 from qext.search import is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import certified_compare, q_index
 from qext.subgraphs import find_cycle_of_length
 from qext.verify import check_statement, run_suite, theorem1_construction_probe
 
-from conftest import random_graph
+from conftest import is_complete, is_regular, is_semiregular_bipartite, is_star, random_graph
 
 
 def _done(name: str, started: float, budget: float) -> None:

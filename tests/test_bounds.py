@@ -16,17 +16,10 @@ from qext.bounds import (
 )
 from qext.enumeration import enumerate_nonisomorphic
 from qext.families import complete, cycle, edgeless, path, s_nk, star
-from qext.graph import (
-    disjoint_union,
-    is_complete,
-    is_connected,
-    is_regular,
-    is_semiregular_bipartite,
-    is_star,
-)
+from qext.graph import disjoint_union, is_connected
 from qext.spectral import q_index
 
-from conftest import random_graph
+from conftest import is_complete, is_regular, is_semiregular_bipartite, is_star, random_graph
 
 
 def loop_merris(g):

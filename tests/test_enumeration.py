@@ -13,7 +13,6 @@ from qext import enumeration
 from qext.enumeration import (
     CANONICAL_MAX,
     canonical_code,
-    canonical_form,
     enumerate_nonisomorphic,
     graph_from_code,
     parse_graph6,
@@ -23,7 +22,7 @@ from qext.enumeration import (
 from qext.families import complete, cycle, edgeless, path, star
 from qext.graph import build_graph, disjoint_union, join
 
-from conftest import graphs, random_graph
+from conftest import graphs, random_graph, without_edge
 
 N8_CODES_SHA256 = "dcadbe6e773ef71781b0e6950c99589d3cdc1a8af2898923c1962081365e38b6"
 
@@ -67,8 +66,10 @@ def brute_codes_all_labeled(n):
 def test_canonical_form_relabel_invariance_examples():
     p = build_graph(3, [(0, 1), (1, 2)])
     q = build_graph(3, [(1, 0), (0, 2)])
-    assert canonical_form(p) == canonical_form(q)
-    assert canonical_form(complete(3)) != canonical_form(p)
+    assert canonical_code(p) == canonical_code(q)
+    assert canonical_code(complete(3)) != canonical_code(p)
+    with pytest.raises(ValueError, match="limited to"):
+        canonical_code(complete(11))
 
 
 def test_canonical_form_distinct_count_n4():
@@ -85,16 +86,7 @@ def test_canonical_form_random_relabelings():
                 perm = list(range(n))
                 rng.shuffle(perm)
                 relabelled.append(relabel(g, perm))
-            assert canonical_form(relabelled[0]) == canonical_form(g)
             assert set(label(relabelled)) == {canonical_code(g)}
-
-
-def test_canonical_form_layout():
-    form = canonical_form(complete(3))
-    assert form[0] == 3
-    assert len(form) == 2  # order byte + one packed byte for 3 bits
-    with pytest.raises(ValueError, match="limited to"):
-        canonical_form(complete(11))
 
 
 def test_canonical_code_matches_brute_force_small_catalogue():
@@ -261,7 +253,7 @@ def graphs_2_10(draw):
 @settings(max_examples=150, deadline=None)
 @given(graphs_2_10())
 @example(complete(10))
-@example(complete(10).without_edge(0, 1))
+@example(without_edge(complete(10), 0, 1))
 @example(star(10))
 def test_packed_key_matches_list_key(g):
     assert label([g]) == [reference_min_code(g.rows)]

@@ -18,10 +18,12 @@ from qext.families import (
     star,
     windmill,
 )
-from qext.graph import MAX_VERTICES, build_graph, components, is_star
+from qext.graph import MAX_VERTICES, build_graph, components
 from qext.spectral import q_index
 from qext.subgraphs import find_cycle_of_length
 from qext.verify import check_statement
+
+from conftest import is_star
 
 
 def test_s_nk_star_case():

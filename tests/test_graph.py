@@ -3,28 +3,32 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qext.families import complete, cycle, edgeless, path, star
 from qext.graph import (
     MAX_VERTICES,
+    Graph,
     _pack,
     _unpack,
     blocks,
     build_graph,
     components,
     disjoint_union,
-    edges_between,
-    is_bipartite,
-    is_complete,
     is_connected,
-    is_regular,
-    is_semiregular_bipartite,
-    is_star,
     join,
     mask_of,
 )
 
-from conftest import graphs, random_graph
+from conftest import (
+    graphs,
+    is_bipartite,
+    is_complete,
+    is_regular,
+    is_semiregular_bipartite,
+    is_star,
+    random_graph,
+)
 
 # orders on both sides of each byte boundary of a packed row, up to the limit
 BYTE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 62, 63, 64, 65, 127, 128, 129, 511, 512)
@@ -126,7 +130,7 @@ def test_components_order_and_partition():
             sub = g.induced(comp)
             assert is_connected(sub)
             others = mask_of(set(range(g.n)) - set(comp))
-            assert edges_between(g, mask_of(comp), others) == 0
+            assert all(g.rows[v] & others == 0 for v in comp)
 
 
 def test_graphs_are_immutable_under_toggles():
@@ -134,8 +138,25 @@ def test_graphs_are_immutable_under_toggles():
     h = g.with_edge(0, 3)
     assert g.m == 3 and h.m == 4
     assert not g.has_edge(0, 3) and h.has_edge(0, 3)
-    assert h.without_edge(0, 3) == g
-    assert g.without_edge(0, 1).m == 2 and g.m == 3
+    assert h == build_graph(4, [*g.edges(), (0, 3)])
+    assert g.with_edge(0, 3) == h and g.with_edge(0, 1) is g
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=70), st.integers(0, 69), st.integers(0, 69))
+def test_with_edge_matches_a_rebuilt_graph(g, a, b):
+    if g.n < 2:
+        return
+    u, v = a % g.n, b % g.n
+    if u == v:
+        v = (u + 1) % g.n
+    h = g.with_edge(u, v)
+    rows = list(g.rows)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    rebuilt = Graph(g.n, tuple(rows))
+    assert h == rebuilt
+    assert (h.degrees, h.m) == (rebuilt.degrees, rebuilt.m)
 
 
 def test_induced_relabels_in_sorted_order():

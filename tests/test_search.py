@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -8,12 +9,20 @@ from hypothesis import strategies as st
 
 from qext import search
 from qext.bounds import closed_form_snk
-from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic, graph_from_code
+from qext.enumeration import (
+    _min_codes,
+    canonical_code,
+    enumerate_nonisomorphic,
+    graph_from_code,
+    write_graph6,
+)
 from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
 from qext.graph import build_graph, disjoint_union
 from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
 from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
+
+from conftest import without_edge
 
 
 def exhaustive_best(n, forbidden):
@@ -131,7 +140,7 @@ def _slow_climb(start, forbidden, budget, rng, node_budget):
     for _ in range(budget):
         u, v = pairs[rng.randrange(len(pairs))]
         if current.has_edge(u, v):
-            candidate = current.without_edge(u, v)
+            candidate = without_edge(current, u, v)
         else:
             candidate = current.with_edge(u, v)
             if not _addition_allowed(candidate, u, v, forbidden, node_budget):
@@ -293,6 +302,29 @@ def test_climb_searches_each_blocked_pair_once(monkeypatch):
     assert max(found.values()) == 1
 
 
+# graph6 of every restart's result, one per line: restarts 0..7 at seed 0
+# and budget 400 over n in {10, 12, 16, 24} and four forbidden sets, then
+# seeds 0..3 of restart 0 grown from star(24) with {4, 5} and from
+# s_nk_plus(16, 2) with {7}, each followed by its accepted count
+RESTARTS = (136, "1a9008a2d5b77bc6b78e9c1c6b7a95e29362b954d8fc82660723ff94afa2b6d4")
+
+
+def test_restart_results_pinned():
+    lines = []
+    for n in (10, 12, 16, 24):
+        for forbidden in ((4,), (5,), (6,), (3, 5)):
+            for index in range(8):
+                payload = (index, n, forbidden, 400, 0, None, DEFAULT_NODE_BUDGET)
+                lines.append(write_graph6(search._restart_worker(payload)[0]))
+    for seed_graph, forbidden in ((star(24), (4, 5)), (s_nk_plus(16, 2), (7,))):
+        for seed in range(4):
+            payload = (0, seed_graph.n, forbidden, 400, seed, seed_graph, DEFAULT_NODE_BUDGET)
+            grown, accepted = search._restart_worker(payload)
+            lines.append(f"{write_graph6(grown)} {accepted}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == RESTARTS
+
+
 @st.composite
 def graphs_up_to_12(draw):
     n = draw(st.integers(3, 12))
@@ -310,7 +342,7 @@ def test_removal_never_raises_q(g, rng):
         return
     u, v = rng.choice(edges)
     before = q_index(g, method="dense").q
-    after = q_index(g.without_edge(u, v), method="dense").q
+    after = q_index(without_edge(g, u, v), method="dense").q
     assert after <= before + 1e-9
 
 

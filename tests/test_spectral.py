@@ -19,7 +19,7 @@ from qext.families import (
     star,
     windmill,
 )
-from qext.graph import build_graph, components, disjoint_union, is_bipartite, is_regular
+from qext.graph import build_graph, components, disjoint_union
 from qext.spectral import (
     Comparison,
     ConvergenceError,
@@ -29,7 +29,7 @@ from qext.spectral import (
     signless_laplacian,
 )
 
-from conftest import random_graph
+from conftest import is_bipartite, is_regular, random_graph
 
 
 def test_signless_laplacian_examples():

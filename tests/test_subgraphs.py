@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qext import subgraphs
+from qext import search, subgraphs
 from qext.enumeration import enumerate_nonisomorphic
 from qext.families import complete, cycle, kite_pendant, path, s_nk, star
 from qext.graph import _bits, build_graph, disjoint_union
 from qext.subgraphs import (
+    DEFAULT_NODE_BUDGET,
     SearchBudgetExceeded,
     find_constrained_path,
     find_cycle_of_length,
@@ -182,6 +183,119 @@ def test_witnesses_match_dfs_from_every_start(g, members, avoided):
     for length in range(3, n + 1):
         expect, _ = slow_cycle_of_length(g, length)
         assert find_cycle_of_length(g, length) == expect
+
+
+# --- the look-ahead against the unpruned engine --------------------------------
+
+
+def unpruned_first_path(rows, start, order, inner, last, budget):
+    """``_first_path`` before the look-ahead: any second-to-last vertex is
+    placed, whether or not it has a neighbour in ``last``."""
+    path = []
+
+    def extend(v, visited, remaining):
+        if budget[0] <= 0:
+            raise SearchBudgetExceeded(budget[1])
+        budget[0] -= 1
+        path.append(v)
+        if remaining == 0:
+            return True
+        if remaining == 1:
+            ends = rows[v] & last & ~visited
+            nxt = ends & -ends
+        else:
+            nxt = rows[v] & inner & ~visited
+        for w in _bits(nxt):
+            if extend(w, visited | (1 << w), remaining - 1):
+                return True
+        path.pop()
+        return False
+
+    return tuple(path) if extend(start, 1 << start, order - 1) else None
+
+
+def engine_calls(g, shape, *args):
+    """The ``(start, inner, last)`` calls of one query, in the order the
+    public searches make them; the first witness ends the query."""
+    n, rows = g.n, g.rows
+    if shape == "path":
+        ends = args[0] & ((1 << n) - 1)
+        return [(start, -1, ends) for start in _bits(ends)]
+    if shape == "cycle":  # from each anchor a, through the vertices above it (-2 << a)
+        return [(a, -2 << a, -2 << a & rows[a]) for a in range(n)]
+    u, v = args
+    return [(u, ~(1 << v), 1 << v)]
+
+
+def run_query(g, order, calls, pruned):
+    """First witness and nodes placed by one query on either engine."""
+    budget, witness = [10**9, "unbounded"], None
+    for start, inner, last in calls:
+        if pruned:
+            near = subgraphs._near(g.rows, last) if order > 2 else -1
+            witness = subgraphs._first_path(g.rows, start, order, inner, last, near, budget)
+        else:
+            witness = unpruned_first_path(g.rows, start, order, inner, last, budget)
+        if witness is not None:
+            break
+    return witness, 10**9 - budget[0]
+
+
+def assert_lookahead_exact(g, shape, order, *args):
+    """Same witness as the unpruned engine, from no more nodes, and the
+    public search returns it; gives both node counts."""
+    calls = engine_calls(g, shape, *args)
+    expect, before = run_query(g, order, calls, pruned=False)
+    witness, after = run_query(g, order, calls, pruned=True)
+    assert witness == expect and after <= before
+    if shape == "path":
+        assert find_constrained_path(g, order, *args) == expect
+    elif shape == "cycle":
+        assert find_cycle_of_length(g, order) == expect
+    else:
+        assert find_cycle_through_edge(g, order, *args) == expect
+    return before, after
+
+
+@st.composite
+def graphs_up_to_14(draw):
+    n = draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    return random_graph(n, density, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_up_to_14(), st.lists(st.integers(-1, (1 << 14) - 1), min_size=1, max_size=3))
+def test_lookahead_keeps_witnesses_and_saves_nodes(g, masks):
+    n = g.n
+    for order in range(1, n + 1):
+        for ends in masks:
+            assert_lookahead_exact(g, "path", order, ends)
+    for length in range(3, n + 1):
+        assert_lookahead_exact(g, "cycle", length)
+        for a, b in g.edges():
+            for u, v in ((a, b), (b, a)):
+                assert_lookahead_exact(g, "edge", length, u, v)
+
+
+def test_lookahead_halves_the_search_nodes(monkeypatch):
+    # every cycle-through-edge query that growth makes over the restarts at
+    # the bench's orders n = 10, 16 and 24 with C5 forbidden: the same
+    # answers from at most half the nodes (about 0.31 of them; n = 16 alone
+    # needs about 0.55)
+    nodes = [0, 0]
+
+    def traced(g, length, u, v, node_budget):
+        before, after = assert_lookahead_exact(g, "edge", length, u, v)
+        nodes[0] += before
+        nodes[1] += after
+        return find_cycle_through_edge(g, length, u, v, node_budget)
+
+    monkeypatch.setattr(search, "find_cycle_through_edge", traced)
+    for n in (10, 16, 24):
+        for restart in range(8):
+            search._restart_worker((restart, n, (5,), 400, 0, None, DEFAULT_NODE_BUDGET))
+    assert 0 < 2 * nodes[1] <= nodes[0]
 
 
 # The first answer of every path and cycle query over the n <= 7 catalogue:

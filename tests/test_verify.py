@@ -34,7 +34,7 @@ from qext.verify import (
     theorem1_construction_probe,
 )
 
-from conftest import random_graph
+from conftest import random_graph, without_edge
 
 
 # --- single-statement examples ------------------------------------------------
@@ -91,10 +91,6 @@ def test_lemma2_pendant_must_be_v():
 # --- structure matchers -------------------------------------------------------
 # Orders on both sides of 10, where clique shapes were once matched by
 # canonical code below and structurally above.
-
-
-def without_edge(g, u, v):
-    return build_graph(g.n, [e for e in g.edges() if e != (min(u, v), max(u, v))])
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 9, 10, 11, 12, 14])
@@ -187,7 +183,7 @@ def test_ni_partition_validation():
 
 def test_ore_checker():
     dense = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    dense = dense.without_edge(0, 1).without_edge(2, 3)
+    dense = without_edge(without_edge(dense, 0, 1), 2, 3)
     assert dense.m == 8
     outcome = check_statement("ore", dense)
     assert outcome.status == "holds" and outcome.witness is not None
