@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -62,14 +63,25 @@ def closed_form_snk(n: int, k: int) -> float:
     return 0.5 * (a + math.sqrt(a * a - 8 * (k * k - k)))
 
 
-def prop1_sandwich(n: int, k: int) -> tuple[float, float]:
-    """Lower/upper envelope around q of the split-graph family:
+def snk_compare(n: int, k: int, t: int | Fraction) -> int:
+    """Sign of q(s_nk) - t, exactly: with a = n+2k-2 and t = p/s, the larger
+    root of x^2 - ax + 2k(k-1) is above t iff 2p - as < 0 or
+    (2p - as)^2 < (a^2 - 8k(k-1))s^2, and equal to t iff the squares tie."""
+    a = n + 2 * k - 2
+    p, s = t.as_integer_ratio()
+    u = 2 * p - a * s
+    gap = (a * a - 8 * k * (k - 1)) * s * s - u * u
+    return 1 if u < 0 else (gap > 0) - (gap < 0)
+
+
+def prop1_sandwich(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """Lower/upper envelope around q of the split-graph family, exactly:
     n+2k-2 - 2(k^2-k)/(n+2k-3)  and  n+2k-2 - 2(k^2-k)/(n+2k+2)."""
     if k < 1 or n <= k:
         raise ValueError(f"sandwich requires 1 <= k < n, got n={n}, k={k}")
     a = n + 2 * k - 2
     spread = 2 * (k * k - k)
-    return (a - spread / (n + 2 * k - 3), a - spread / (n + 2 * k + 2))
+    return (a - Fraction(spread, n + 2 * k - 3), a - Fraction(spread, n + 2 * k + 2))
 
 
 def kopylov_i_value(n: int, k: int) -> int:

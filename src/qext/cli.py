@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     p.add_argument("--file", help="file with one graph6 token per line")
     add_common(p)
 
-    p = sub.add_parser("prop1", help="certified sandwich check for the split family")
+    p = sub.add_parser("prop1", help="exact sandwich check for the split family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     add_common(p)
@@ -282,7 +282,7 @@ def run(argv: Sequence[str]) -> int:
         return 3
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, OSError, ConvergenceError, SearchBudgetExceeded) as exc:
+    except (ValueError, OverflowError, OSError, ConvergenceError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - started

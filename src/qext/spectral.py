@@ -11,12 +11,15 @@ quotient, the default above that; and deterministic power iteration, the
 fallback when colour refinement ends with more than 64 cells.  The
 quotient's spectrum holds every main eigenvalue of Q, and the Q-index is
 one, since its Perron vector has a positive sum (Godsil & Royle,
-*Algebraic Graph Theory*, ch. 9).
+*Algebraic Graph Theory*, ch. 9).  Given an integer quotient, no estimate
+is needed: ``_quotient_below`` compares that eigenvalue with a rational in
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -129,19 +132,51 @@ def _quotient(g: Graph, mat: np.ndarray) -> SpectralResult | None:
         dtype=np.float64,
     )
     b[np.diag_indices(len(cells))] += b.sum(axis=1)
-    root = np.sqrt([float(c.bit_count()) for c in cells])
-    # D^{1/2} B D^{-1/2} with D the cell sizes is symmetric
-    values, vectors = np.linalg.eigh(root[:, None] * b / root[None, :])
+    top, cell_values = _quotient_top(b, [c.bit_count() for c in cells])
+    x = np.empty(g.n)
+    for c, value in zip(cells, cell_values):
+        x[list(_bits(c))] = value
+    x /= np.linalg.norm(x)
+    res = float(np.linalg.norm(mat @ x - top * x))
+    return SpectralResult(top, x, res, 0, "quotient")
+
+
+def _quotient_top(b: np.ndarray | list, sizes: list[int]) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of an equitable quotient b with the given cell sizes D,
+    and its eigenvector, one value per cell: D^{1/2} B D^{-1/2} is symmetric."""
+    root = np.sqrt(np.array(sizes, dtype=np.float64))
+    values, vectors = np.linalg.eigh(root[:, None] * np.asarray(b, dtype=np.float64) / root[None, :])
     y = vectors[:, -1]
     if y[int(np.argmax(np.abs(y)))] < 0:
         y = -y
-    x = np.empty(g.n)
-    for c, value in zip(cells, y / root):
-        x[list(_bits(c))] = value
-    x /= np.linalg.norm(x)
-    top = float(values[-1])
-    res = float(np.linalg.norm(mat @ x - top * x))
-    return SpectralResult(top, x, res, 0, "quotient")
+    return float(values[-1]), y / root
+
+
+def _quotient_below(b: list[list[int]], sizes: list[int], t: int | Fraction) -> bool:
+    """Whether the top eigenvalue of the integer equitable quotient b is below
+    t = p/s, exactly: p·D - s·D·B, D the cell sizes, is congruent to
+    s(t - D^{1/2} B D^{-1/2}), so Sylvester's criterion decides it."""
+    p, s = t.as_integer_ratio()
+    m = [[p * d * (i == j) - s * d * x for j, x in enumerate(row)]
+         for i, (d, row) in enumerate(zip(sizes, b))]
+    return all(minor > 0 for minor in _leading_minors(m))
+
+
+def _leading_minors(m: list[list[int]]) -> list[int]:
+    """Leading principal minors of a square integer matrix, up to the first
+    zero one, by fraction-free Bareiss elimination: each pivot is the minor
+    of its order, and every division is exact."""
+    m = [list(row) for row in m]
+    minors, previous = [], 1
+    for i, pivot_row in enumerate(m):
+        minors.append(pivot_row[i])
+        if not pivot_row[i]:  # the next step would divide by it
+            break
+        for row in m[i + 1 :]:
+            for j in range(i + 1, len(m)):
+                row[j] = (row[j] * pivot_row[i] - row[i] * pivot_row[j]) // previous
+        previous = pivot_row[i]
+    return minors
 
 
 def q_index(g: Graph, method: str = "auto", max_iterations: int | None = None) -> SpectralResult:

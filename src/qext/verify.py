@@ -4,15 +4,16 @@ Each statement is decided by one rule, which evaluates it on a concrete
 instance and reports holds / equality_case / violated / precondition_unmet
 / indeterminate with the numeric pair behind the verdict and, where
 applicable, a structural witness.  Hypothesis failures are always reported
-as precondition_unmet, never silently as holds; spectral thresholds go
-through certified comparisons and may come back indeterminate, and every
-one of them is decided by ``_threshold``.  ``_STATEMENTS`` declares each
-statement once: its rule, the least k it accepts, the name of its own
-parameter and whether it runs in suites.  The same rule serves
-``check_statement``, which hands it searches that build witnesses, and
-``run_suite``, which keeps only the status, lhs and rhs and hands it
-presence read off a path table on graphs up to 8 vertices, the same
-witness searches above.
+as precondition_unmet, never silently as holds; spectral thresholds on a
+given graph go through ``_threshold``'s certified comparison and may come
+back indeterminate, while Proposition 1 and the construction probe are
+decided exactly, in integers, on the split graphs' equitable quotients,
+with no graph built.  ``_STATEMENTS`` declares each statement once: its
+rule, the least k it accepts, the name of its own parameter and whether it
+runs in suites.  The same rule serves ``check_statement``, which hands it
+searches that build witnesses, and ``run_suite``, which keeps only the
+status, lhs and rhs and hands it presence read off a path table on graphs
+up to 8 vertices, the same witness searches above.
 
 Statement tags
 --------------
@@ -40,13 +41,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
+from .bounds import (
+    closed_form_snk,
+    kopylov_i_value,
+    kopylov_ii_value,
+    ore_edge_threshold,
+    prop1_sandwich,
+    snk_compare,
+)
 from .enumeration import enumerate_nonisomorphic, write_graph6
-from .families import complete, corollary1_graph, s_nk, s_nk_plus
+from .families import complete, corollary1_graph
 from .graph import (
     Graph,
     _bits,
@@ -60,7 +69,7 @@ from .graph import (
     mask_of,
 )
 from .report import record
-from .spectral import certified_compare, q_index
+from .spectral import _quotient_below, _quotient_top, certified_compare, q_index
 from .subgraphs import (
     _path_tables,
     _table_queries,
@@ -546,9 +555,20 @@ def check_statement(statement: str, g: Graph | None = None, **params: Any) -> Ch
     return spec.rule(statement, g, k, x, find)
 
 
+def _split_graphs(n: int, k: int, t: int | Fraction) -> tuple[float, float, bool]:
+    """q(s_nk) and q(s_nk_plus) as floats, and whether q(s_nk_plus) < t,
+    decided exactly on the quotient of s_nk_plus over its cells: the clique
+    (k vertices), the edge pair (2) and the rest."""
+    r = n - k - 2
+    b, sizes = [[n + k - 2, 2, r], [k, k + 2, 0], [k, 0, k]], [k, 2, r]
+    return closed_form_snk(n, k), _quotient_top(b, sizes)[0], _quotient_below(b, sizes, t)
+
+
 def prop1_sandwich_check(n: int, k: int) -> list[CheckOutcome]:
-    """Certified check of the strict chain
-    lower(n,k) < q(s_nk) < q(s_nk_plus) < upper(n,k).
+    """Exact check of the strict chain
+    lower(n,k) < q(s_nk) < q(s_nk_plus) < upper(n,k), with no graph built;
+    the middle link holds by Perron-Frobenius, as s_nk_plus is the
+    connected s_nk plus an edge.
 
     Returns one outcome per strict inequality, or a single
     precondition_unmet outcome when k < 2 or n <= 5k^2.
@@ -565,54 +585,39 @@ def prop1_sandwich_check(n: int, k: int) -> list[CheckOutcome]:
             )
         ]
     lower, upper = prop1_sandwich(n, k)
-    rs = q_index(s_nk(n, k))
-    rsp = q_index(s_nk_plus(n, k))
-    outcomes = []
-
-    def strict(statement: str, lhs: float, lhs_err: float, rhs: float, rhs_err: float) -> CheckOutcome:
-        # lhs < rhs, certified against both residuals
-        if lhs + lhs_err < rhs - rhs_err:
-            return CheckOutcome(statement, HOLDS, lhs, rhs)
-        if lhs - lhs_err > rhs + rhs_err:
-            return CheckOutcome(statement, VIOLATED, lhs, rhs)
-        return CheckOutcome(statement, INDETERMINATE, lhs, rhs, None, "intervals overlap")
-
-    outcomes.append(strict("prop1_lower", lower, 0.0, rs.q, rs.residual))
-    outcomes.append(strict("prop1_between", rs.q, rs.residual, rsp.q, rsp.residual))
-    outcomes.append(strict("prop1_upper", rsp.q, rsp.residual, upper, 0.0))
-    return outcomes
+    q, q_plus, below_upper = _split_graphs(n, k, upper)
+    above_lower = snk_compare(n, k, lower) > 0
+    return [
+        CheckOutcome("prop1_lower", HOLDS if above_lower else VIOLATED, float(lower), q),
+        CheckOutcome("prop1_between", HOLDS, q, q_plus),
+        CheckOutcome("prop1_upper", HOLDS if below_upper else VIOLATED, q_plus, float(upper)),
+    ]
 
 
 def theorem1_construction_probe(n: int, k: int) -> CheckOutcome:
     """Check the threshold's consistency on the extremal candidates.
 
-    Verifies (certified) that both split-graph candidates stay strictly
-    below n+2k-2.  The complete graph needs no check: once n > 5k^2, its
-    Q-index 2n-2 clears n+2k-2 and it has cycles of every order 3..n,
-    which covers 3..2k+2.
+    Decides exactly, with no graph built, that both split-graph candidates
+    stay strictly below n+2k-2.  The complete graph needs no check: once
+    n > 5k^2, its Q-index 2n-2 clears n+2k-2 and it has cycles of every
+    order 3..n, which covers 3..2k+2.
     """
     stmt = "theorem1_construction_probe"
     if k < 2:
         raise ValueError(f"probe requires k >= 2, got {k}")
-    threshold = float(n + 2 * k - 2)
+    threshold = n + 2 * k - 2
+    rhs = float(threshold)
     if n <= _order_limit(k):
         return CheckOutcome(
-            stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}"
+            stmt, UNMET, 0.0, rhs, None, f"order {n} <= {_order_limit(k)}"
         )
-    worst_q = 0.0
-    for label, graph in (("s_nk", s_nk(n, k)), ("s_nk_plus", s_nk_plus(n, k))):
-        q, verdict = _threshold(graph, threshold)
-        worst_q = max(worst_q, q)
-        if verdict == "indeterminate":
-            return CheckOutcome(
-                stmt, INDETERMINATE, q, threshold, None, f"{label} not certifiable"
-            )
-        if verdict != "lt":
-            return CheckOutcome(
-                stmt, VIOLATED, q, threshold, None, f"{label} reaches the threshold"
-            )
+    q, q_plus, plus_below = _split_graphs(n, k, threshold)
+    if snk_compare(n, k, threshold) >= 0:
+        return CheckOutcome(stmt, VIOLATED, q, rhs, None, "s_nk reaches the threshold")
+    if not plus_below:
+        return CheckOutcome(stmt, VIOLATED, q_plus, rhs, None, "s_nk_plus reaches the threshold")
     return CheckOutcome(
-        stmt, HOLDS, worst_q, threshold, None, "candidates below threshold; complete graph pancyclic to 2k+2"
+        stmt, HOLDS, max(q, q_plus), rhs, None, "candidates below threshold; complete graph pancyclic to 2k+2"
     )
 
 

@@ -116,6 +116,22 @@ def test_prop1_exit_zero(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["prop1", "theorem1"])
+def test_split_checks_take_orders_past_the_graph_cap(capsys, command):
+    assert run([command, "--n", "600", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("holds") == (3 if command == "prop1" else 1)
+
+
+@pytest.mark.parametrize("command", ["prop1", "theorem1"])
+def test_split_checks_reject_orders_past_float_range(capsys, command):
+    # the verdict is exact at any order, but lhs and rhs are floats
+    assert run([command, "--n", str(10**400), "--k", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_theorem1_unmet_is_not_an_error(capsys):
     assert run(["theorem1", "--n", "10", "--k", "2"]) == 0
     assert "precondition_unmet" in capsys.readouterr().out

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +200,52 @@ def test_quotient_matches_dense_on_enumerated_graphs():
             assert r.residual <= 1e-10 * max(1.0, r.q)
 
 
+def _leibniz(m):
+    """Determinant by the permutation expansion: the oracle for Bareiss."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m)))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_leading_minors_are_the_exact_determinants(m):
+    expected = [_leibniz([row[:i] for row in m[:i]]) for i in range(1, len(m) + 1)]
+    stop = next((i + 1 for i, minor in enumerate(expected) if minor == 0), len(m))
+    assert spectral._leading_minors(m) == expected[:stop]
+
+
+def _integer_quotient(g):
+    """The equitable quotient of g in integers, with its cell sizes."""
+    cells = spectral._equitable_cells(g)
+    b = [[(g.rows[(c & -c).bit_length() - 1] & d).bit_count() for d in cells] for c in cells]
+    for i, row in enumerate(b):
+        row[i] += sum(row)  # plus the degree on the diagonal
+    return b, [c.bit_count() for c in cells]
+
+
+def test_quotient_below_decides_exactly():
+    for n in range(1, 8):
+        for g in enumerate_nonisomorphic(n):
+            b, sizes = _integer_quotient(g)
+            q = q_index(g, method="dense").q
+            for t in (Fraction(round(q * 1000) + d, 1000) for d in (-2, 2)):
+                assert spectral._quotient_below(b, sizes, t) == (q < t)
+    for n in range(3, 120):  # exact ties, where a float residual cannot decide
+        for g, q in ((complete(n), 2 * n - 2), (cycle(n), 4)):
+            b, sizes = _integer_quotient(g)
+            assert not spectral._quotient_below(b, sizes, q)
+            assert spectral._quotient_below(b, sizes, q + Fraction(1, 10**15))
+
+
 def _snk_closed_form(n, k):
     s = n + 2 * k - 2
     return 0.5 * (s + math.sqrt(s * s - 8 * (k * k - k)))
@@ -224,13 +272,18 @@ def test_auto_never_certifies_exact_values_as_lt():
 
 
 def test_large_probes_run_without_power_iteration(monkeypatch):
+    # the probes decide on the quotients and build no graph; the q they
+    # report is what the quotient engine gives for the built graphs
     from qext.verify import prop1_sandwich_check, theorem1_construction_probe
 
     def refuse(*args, **kwargs):
         raise AssertionError("power iteration ran")
 
     monkeypatch.setattr(spectral, "_power", refuse)
-    assert [o.status for o in prop1_sandwich_check(509, 2)] == ["holds"] * 3
+    lower, between, upper = prop1_sandwich_check(509, 2)
+    assert [o.status for o in (lower, between, upper)] == ["holds"] * 3
+    assert abs(between.lhs - q_index(s_nk(509, 2)).q) <= 1e-9 * between.lhs
+    assert abs(between.rhs - q_index(s_nk_plus(509, 2)).q) <= 1e-9 * between.rhs
     assert theorem1_construction_probe(509, 2).status == "holds"
 
 

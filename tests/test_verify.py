@@ -2,14 +2,18 @@ import json
 import random
 import re
 from contextlib import ExitStack
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qext import subgraphs, verify
+from qext import graph, spectral, subgraphs, verify
+from qext.bounds import prop1_sandwich
 from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic
 from qext.families import (
     complete,
@@ -18,10 +22,12 @@ from qext.families import (
     lemma2_exception,
     path,
     s_nk,
+    s_nk_plus,
     star,
     windmill,
 )
 from qext.graph import build_graph, components, disjoint_union, is_connected
+from qext.spectral import certified_compare, q_index
 from qext.verify import (
     _STATEMENTS,
     STATEMENTS,
@@ -257,6 +263,116 @@ def test_prop1_sandwich_check():
     assert [o.status for o in outcomes] == ["holds"] * 3
     unmet = prop1_sandwich_check(10, 2)
     assert len(unmet) == 1 and unmet[0].status == "precondition_unmet"
+
+
+# --- Proposition 1 and the probe, exact against the float path ----------------
+
+
+def _float_chain(n, k):
+    """The float oracle for prop1_sandwich_check: q_index of the built graphs,
+    each threshold link decided by certified_compare and the middle link by
+    the two residual intervals; statuses with (lhs, rhs) per link."""
+    lower, upper = (float(t) for t in prop1_sandwich(n, k))
+    rs, rsp = q_index(s_nk(n, k)), q_index(s_nk_plus(n, k))
+    at_lower = certified_compare(rs, lower).verdict
+    at_upper = certified_compare(rsp, upper).verdict
+    if rs.q + rs.residual < rsp.q - rsp.residual:
+        between = "holds"
+    else:
+        between = "violated" if rs.q - rs.residual > rsp.q + rsp.residual else "indeterminate"
+    return [
+        ({"ge": "holds", "lt": "violated"}.get(at_lower, "indeterminate"), lower, rs.q),
+        (between, rs.q, rsp.q),
+        ({"lt": "holds", "ge": "violated"}.get(at_upper, "indeterminate"), rsp.q, upper),
+    ]
+
+
+def _float_probe(n, k):
+    """The float oracle for theorem1_construction_probe: both built graphs
+    against n+2k-2 by certified_compare; status, the worst q and the note."""
+    threshold = float(n + 2 * k - 2)
+    worst = 0.0
+    for label, g in (("s_nk", s_nk(n, k)), ("s_nk_plus", s_nk_plus(n, k))):
+        result = q_index(g)
+        worst = max(worst, result.q)
+        verdict = certified_compare(result, threshold).verdict
+        if verdict == "ge":
+            return "violated", result.q, f"{label} reaches the threshold"
+        if verdict == "indeterminate":
+            return "indeterminate", result.q, f"{label} not certifiable"
+    return "holds", worst, "candidates below threshold; complete graph pancyclic to 2k+2"
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_split_checks_match_the_float_path(data):
+    k = data.draw(st.integers(2, 7))
+    n = data.draw(st.integers(5 * k * k + 1, 512))
+    exact = prop1_sandwich_check(n, k)
+    oracle = _float_chain(n, k)
+    assert [o.status for o in exact] == [status for status, _, _ in oracle]
+    for outcome, (_, lhs, rhs) in zip(exact, oracle):
+        assert _close(outcome.lhs, lhs) and _close(outcome.rhs, rhs), (outcome, lhs, rhs)
+    probe = theorem1_construction_probe(n, k)
+    status, lhs, note = _float_probe(n, k)
+    assert (probe.status, probe.note) == (status, note)
+    assert _close(probe.lhs, lhs) and probe.rhs == n + 2 * k - 2
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_exact_split_checks_hold_at_the_order_limit_and_at_a_million(k):
+    for n in (5 * k * k + 1, 10**6):
+        assert [o.status for o in prop1_sandwich_check(n, k)] == ["holds"] * 3
+        probe = theorem1_construction_probe(n, k)
+        assert probe.status == "holds" and probe.rhs == n + 2 * k - 2
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_sylvester_rejects_false_thresholds_for_s_nk_plus(k):
+    # q(s_nk_plus) is above the lower envelope, which sits below q(s_nk),
+    # and above a - 1; it is below the upper envelope and below a
+    for n in (5 * k * k + 1, 5 * k * k + 37, 10**6):
+        r = n - k - 2
+        b, sizes = [[n + k - 2, 2, r], [k, k + 2, 0], [k, 0, k]], [k, 2, r]
+        a = n + 2 * k - 2
+        lower, upper = prop1_sandwich(n, k)
+        assert lower == a - Fraction(2 * k * (k - 1), n + 2 * k - 3)
+        assert not spectral._quotient_below(b, sizes, lower)
+        assert not spectral._quotient_below(b, sizes, a - 1)
+        assert spectral._quotient_below(b, sizes, upper)
+        assert spectral._quotient_below(b, sizes, a)
+
+
+def test_exact_split_checks_build_no_graph_and_call_no_q_index(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built or q_index ran")
+
+    monkeypatch.setattr(graph.Graph, "__init__", refuse)
+    monkeypatch.setattr(verify, "q_index", refuse)
+    monkeypatch.setattr(spectral, "q_index", refuse)
+    for n, k in [(21, 2), (25, 2), (509, 2), (600, 2), (10**6, 20)]:
+        assert [o.status for o in prop1_sandwich_check(n, k)] == ["holds"] * 3
+        assert theorem1_construction_probe(n, k).status == "holds"
+
+
+def test_exact_split_checks_report_a_failed_link(monkeypatch):
+    # no true statement reaches these branches, so the exact tests are patched
+    chain, probe = prop1_sandwich_check(25, 2), theorem1_construction_probe(25, 2)
+    q, q_plus = chain[1].lhs, chain[1].rhs
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "snk_compare", lambda n, k, t: 0)  # q(s_nk) ties t
+        assert [o.status for o in prop1_sandwich_check(25, 2)] == ["violated", "holds", "holds"]
+        tied = theorem1_construction_probe(25, 2)
+        assert (tied.status, tied.lhs, tied.note) == ("violated", q, "s_nk reaches the threshold")
+    monkeypatch.setattr(verify, "_quotient_below", lambda b, sizes, t: False)
+    assert [o.status for o in prop1_sandwich_check(25, 2)] == ["holds", "holds", "violated"]
+    above = theorem1_construction_probe(25, 2)
+    assert (above.status, above.lhs, above.note) == ("violated", q_plus, "s_nk_plus reaches the threshold")
+    assert probe.lhs == q_plus and probe.status == "holds"
 
 
 def test_unknown_statement_and_missing_params():

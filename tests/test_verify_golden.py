@@ -12,7 +12,8 @@ Three groups are pinned in ``tests/fixtures/verify_outcomes.json``:
   branches no true theorem reaches: the searches in ``verify`` are patched
   to find nothing, or ``verify.q_index`` is patched to return a chosen q
   and residual, so each threshold comes out below, tied, above or
-  indeterminate.
+  indeterminate.  The sandwich check and the probe decide in integers
+  and never call ``q_index``, so no stub reaches them.
 - Floats from the eigensolver are compared to 1e-9 relative, as in
   ``test_report_fixtures``; everything else must match exactly.
 
@@ -31,7 +32,6 @@ import numpy as np
 import pytest
 
 from qext import verify
-from qext.bounds import prop1_sandwich
 from qext.enumeration import enumerate_nonisomorphic
 from qext.families import complete, cycle, kite_pendant, path, s_nk, star
 from qext.graph import build_graph, disjoint_union
@@ -270,20 +270,6 @@ def _cases() -> dict:
         _check("lemma3", k=2, p=1, h=path(21)), [(hyp + 2e-9, 0.0), (con - 1, 0.0)])
     cases["stub/lemma3/con_margin_2e-9"] = _patched(
         _check("lemma3", k=2, p=1, h=path(21)), [(hyp - 1, 0.0), (con + 2e-9, 0.0)])
-    for first, second in [("lt", "lt"), ("lt", "tie"), ("lt", "gt"), ("lt", "ind"),
-                          ("tie", "lt"), ("gt", "lt"), ("ind", "lt"), ("near", "lt")]:
-        cases[f"stub/probe/{first}/{second}"] = _patched(
-            lambda: _outcome(theorem1_construction_probe, 25, 2),
-            _around(27.0, first) + _around(27.0, second))
-    lower, upper = prop1_sandwich(25, 2)
-    for label, values in [
-        ("inside", [(lower + 0.1, 0.0), (upper - 0.1, 0.0)]),
-        ("overlap", [(lower + 0.1, 0.5), (upper - 0.1, 0.0)]),
-        ("reversed", [(upper + 1, 0.0), (lower - 1, 0.0)]),
-        ("touching", [(lower, 0.0), (upper, 0.0)]),
-    ]:
-        cases[f"stub/prop1/{label}"] = _patched(
-            lambda: _outcome(prop1_sandwich_check, 25, 2), values)
     return cases
 
 
