@@ -59,19 +59,10 @@ def closed_form_snk(n: int, k: int) -> float:
     """Exact Q-index of the k-dominating split graph on n vertices."""
     if not 1 <= k < n:
         raise ValueError(f"closed_form_snk requires 1 <= k < n, got n={n}, k={k}")
-    a = n + 2 * k - 2
-    return 0.5 * (a + math.sqrt(a * a - 8 * (k * k - k)))
-
-
-def snk_compare(n: int, k: int, t: int | Fraction) -> int:
-    """Sign of q(s_nk) - t, exactly: with a = n+2k-2 and t = p/s, the larger
-    root of x^2 - ax + 2k(k-1) is above t iff 2p - as < 0 or
-    (2p - as)^2 < (a^2 - 8k(k-1))s^2, and equal to t iff the squares tie."""
-    a = n + 2 * k - 2
-    p, s = t.as_integer_ratio()
-    u = 2 * p - a * s
-    gap = (a * a - 8 * k * (k - 1)) * s * s - u * u
-    return 1 if u < 0 else (gap > 0) - (gap < 0)
+    # the larger root of x^2 - 2hx + 2k(k-1), h = (n+2k-2)/2, scaled by h so
+    # that no square leaves float range before q does
+    h = (n + 2 * k - 2) / 2
+    return h * (1 + math.sqrt(1 - 2 * k * (k - 1) / h / h))
 
 
 def prop1_sandwich(n: int, k: int) -> tuple[Fraction, Fraction]:

@@ -1,8 +1,8 @@
 """Signless Laplacian construction and certified computation of the Q-index.
 
 Every estimate carries an explicitly computed residual ||Qx - qx||_2, and
-threshold tests go through :func:`certified_compare`, which refuses to
-classify a comparison when the threshold falls inside the residual
+float threshold tests go through :func:`certified_compare`, which refuses
+to classify a comparison when the threshold falls inside the residual
 interval.  An estimate is returned only when that residual is at most
 1e-10 * max(1, q), a constant rather than a setting.  Three engines are
 available: a dense symmetric eigensolver, the default through 64
@@ -11,9 +11,9 @@ quotient, the default above that; and deterministic power iteration, the
 fallback when colour refinement ends with more than 64 cells.  The
 quotient's spectrum holds every main eigenvalue of Q, and the Q-index is
 one, since its Perron vector has a positive sum (Godsil & Royle,
-*Algebraic Graph Theory*, ch. 9).  Given an integer quotient, no estimate
-is needed: ``_quotient_below`` compares that eigenvalue with a rational in
-integers.
+*Algebraic Graph Theory*, ch. 9).  Given the integer quotient, no estimate
+is needed: ``_quotient_sign`` gives the exact sign of that eigenvalue minus
+a rational, ties included; it is the package's only exact comparator.
 """
 
 from __future__ import annotations
@@ -121,18 +121,21 @@ def _equitable_cells(g: Graph) -> list[int] | None:
         keys = [tuple((row & c).bit_count() for c in masks) for row in g.rows]
 
 
+def _quotient_matrix(g: Graph, cells: list[int]) -> list[list[int]]:
+    """The equitable quotient of Q over ``cells``, in integers: row i holds
+    the neighbours of a cell-i vertex in each cell, plus its degree."""
+    b = [[(g.rows[(c & -c).bit_length() - 1] & d).bit_count() for d in cells] for c in cells]
+    for i, row in enumerate(b):
+        row[i] += sum(row)
+    return b
+
+
 def _quotient(g: Graph, mat: np.ndarray) -> SpectralResult | None:
     """Top eigenpair of Q from its equitable quotient, lifted to all of g."""
     cells = _equitable_cells(g)
     if cells is None:
         return None
-    # row i: neighbours of a cell-i vertex in each cell, plus its degree
-    b = np.array(
-        [[(g.rows[(c & -c).bit_length() - 1] & d).bit_count() for d in cells] for c in cells],
-        dtype=np.float64,
-    )
-    b[np.diag_indices(len(cells))] += b.sum(axis=1)
-    top, cell_values = _quotient_top(b, [c.bit_count() for c in cells])
+    top, cell_values = _quotient_top(_quotient_matrix(g, cells), [c.bit_count() for c in cells])
     x = np.empty(g.n)
     for c, value in zip(cells, cell_values):
         x[list(_bits(c))] = value
@@ -152,31 +155,29 @@ def _quotient_top(b: np.ndarray | list, sizes: list[int]) -> tuple[float, np.nda
     return float(values[-1]), y / root
 
 
-def _quotient_below(b: list[list[int]], sizes: list[int], t: int | Fraction) -> bool:
-    """Whether the top eigenvalue of the integer equitable quotient b is below
-    t = p/s, exactly: p·D - s·D·B, D the cell sizes, is congruent to
-    s(t - D^{1/2} B D^{-1/2}), so Sylvester's criterion decides it."""
+def _quotient_sign(b: list[list[int]], sizes: list[int], t: float | Fraction) -> int:
+    """Sign of λmax(b) - t, exactly, for an integer equitable quotient b
+    with cell sizes D and t = p/s at its exact value: M = p·D - s·D·B is
+    congruent to s(t - D^{1/2} B D^{-1/2}), so q < t iff M is positive
+    definite and q <= t iff it is semidefinite.  Fraction-free symmetric
+    elimination (Bareiss) decides both; each pivot is a leading minor of M
+    less its dropped rows, so every division is exact.  A negative pivot,
+    or a zero one on a row not all zero, means q > t; an all-zero row is
+    dropped and marks a tie."""
     p, s = t.as_integer_ratio()
     m = [[p * d * (i == j) - s * d * x for j, x in enumerate(row)]
          for i, (d, row) in enumerate(zip(sizes, b))]
-    return all(minor > 0 for minor in _leading_minors(m))
-
-
-def _leading_minors(m: list[list[int]]) -> list[int]:
-    """Leading principal minors of a square integer matrix, up to the first
-    zero one, by fraction-free Bareiss elimination: each pivot is the minor
-    of its order, and every division is exact."""
-    m = [list(row) for row in m]
-    minors, previous = [], 1
-    for i, pivot_row in enumerate(m):
-        minors.append(pivot_row[i])
-        if not pivot_row[i]:  # the next step would divide by it
-            break
-        for row in m[i + 1 :]:
-            for j in range(i + 1, len(m)):
-                row[j] = (row[j] * pivot_row[i] - row[i] * pivot_row[j]) // previous
-        previous = pivot_row[i]
-    return minors
+    sign, previous = -1, 1
+    while m:
+        (pivot, *head), *m = m
+        if pivot < 0 or pivot == 0 and any(head):
+            return 1
+        if pivot == 0:
+            sign, m = 0, [row[1:] for row in m]
+            continue
+        m = [[(x * pivot - row[0] * y) // previous for x, y in zip(row[1:], head)] for row in m]
+        previous = pivot
+    return sign
 
 
 def q_index(g: Graph, method: str = "auto", max_iterations: int | None = None) -> SpectralResult:

@@ -4,16 +4,18 @@ Each statement is decided by one rule, which evaluates it on a concrete
 instance and reports holds / equality_case / violated / precondition_unmet
 / indeterminate with the numeric pair behind the verdict and, where
 applicable, a structural witness.  Hypothesis failures are always reported
-as precondition_unmet, never silently as holds; spectral thresholds on a
-given graph go through ``_threshold``'s certified comparison and may come
-back indeterminate, while Proposition 1 and the construction probe are
-decided exactly, in integers, on the split graphs' equitable quotients,
-with no graph built.  ``_STATEMENTS`` declares each statement once: its
-rule, the least k it accepts, the name of its own parameter and whether it
-runs in suites.  The same rule serves ``check_statement``, which hands it
-searches that build witnesses, and ``run_suite``, which keeps only the
-status, lhs and rhs and hands it presence read off a path table on graphs
-up to 8 vertices, the same witness searches above.
+as precondition_unmet, never silently as holds.  Spectral thresholds are
+decided by ``spectral._quotient_sign``, the exact sign of q - t on an
+integer equitable quotient: ``_threshold`` takes the given graph's, and
+Proposition 1 and the construction probe the split graphs', from (n, k)
+with no graph built.  Only a graph whose colour refinement ends above 64
+cells gets a float verdict, which may be indeterminate.  ``_STATEMENTS``
+declares each statement once: its rule, the least k it accepts, the name
+of its own parameter and whether it runs in suites.  The same rule serves
+``check_statement``, which hands it searches that build witnesses, and
+``run_suite``, which keeps only the status, lhs and rhs and hands it
+presence read off a path table on graphs up to 8 vertices, the same
+witness searches above.
 
 Statement tags
 --------------
@@ -46,14 +48,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import (
-    closed_form_snk,
-    kopylov_i_value,
-    kopylov_ii_value,
-    ore_edge_threshold,
-    prop1_sandwich,
-    snk_compare,
-)
+from .bounds import closed_form_snk, kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
 from .enumeration import enumerate_nonisomorphic, write_graph6
 from .families import complete, corollary1_graph
 from .graph import (
@@ -69,7 +64,8 @@ from .graph import (
     mask_of,
 )
 from .report import record
-from .spectral import _quotient_below, _quotient_top, certified_compare, q_index
+from .spectral import (_equitable_cells, _quotient_matrix, _quotient_sign, _quotient_top,
+                       certified_compare, q_index)
 from .subgraphs import (
     _path_tables,
     _table_queries,
@@ -83,7 +79,6 @@ VIOLATED = "violated"
 UNMET = "precondition_unmet"
 INDETERMINATE = "indeterminate"
 
-SPECTRAL_EQ_TOL = 1e-9
 _STATUSES = (HOLDS, EQUALITY, VIOLATED, UNMET, INDETERMINATE)
 _CHUNK_SIZE = 256  # graphs per _run_chunk call, whose path tables are built at once
 _NI_SAMPLE = 50  # ni's vertex sets sampled per suite graph above 6 vertices
@@ -225,14 +220,20 @@ def _components_off_2k(g: Graph, k: int) -> list[tuple[tuple[int, ...], float, f
     ]
 
 
-def _threshold(g: Graph, threshold: float) -> tuple[float, str]:
-    """q(g) and its certified verdict against ``threshold``: "lt", "eq"
-    (at or above it by at most SPECTRAL_EQ_TOL), "gt" or "indeterminate",
-    from q_index's residual certificate."""
+def _threshold(g: Graph, t: float | Fraction) -> tuple[float, str]:
+    """q(g) and its verdict against t, at t's exact value: "lt", "eq", "gt"
+    or "indeterminate".  Exact, from the integer equitable quotient, when
+    colour refinement ends at 64 cells or fewer (always through 64
+    vertices); above, from q_index's residual certificate, "eq" only when
+    the float q equals t."""
+    cells = _equitable_cells(g)
+    if cells is not None:
+        b, sizes = _quotient_matrix(g, cells), [c.bit_count() for c in cells]
+        return _quotient_top(b, sizes)[0], ("lt", "eq", "gt")[_quotient_sign(b, sizes, t) + 1]
     result = q_index(g)
-    cmp = certified_compare(result, threshold)
+    cmp = certified_compare(result, float(t))
     if cmp.verdict == "ge":
-        return result.q, "eq" if cmp.margin <= SPECTRAL_EQ_TOL else "gt"
+        return result.q, "eq" if cmp.margin == 0 else "gt"
     return result.q, cmp.verdict
 
 
@@ -399,8 +400,9 @@ def _lemma3(
     unmet = _order_unmet(stmt, n, k)
     if unmet:
         return unmet
-    threshold_h = h.n + 2 * k - 2 + 6.0 * p * k / (n + 3)
-    q, hypothesis = _threshold(h, threshold_h)
+    bound_h = h.n + 2 * k - 2 + Fraction(6 * p * k, n + 3)
+    q, hypothesis = _threshold(h, bound_h)
+    threshold_h = float(bound_h)
     if hypothesis == "indeterminate":
         return CheckOutcome(stmt, INDETERMINATE, q, threshold_h, None, "hypothesis not certifiable")
     if hypothesis == "gt":
@@ -555,20 +557,21 @@ def check_statement(statement: str, g: Graph | None = None, **params: Any) -> Ch
     return spec.rule(statement, g, k, x, find)
 
 
-def _split_graphs(n: int, k: int, t: int | Fraction) -> tuple[float, float, bool]:
-    """q(s_nk) and q(s_nk_plus) as floats, and whether q(s_nk_plus) < t,
-    decided exactly on the quotient of s_nk_plus over its cells: the clique
-    (k vertices), the edge pair (2) and the rest."""
+def _split_quotients(n: int, k: int) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The equitable quotients (b, sizes) of s_nk over its clique (k
+    vertices) and the rest, and of s_nk_plus over its clique, the edge pair
+    (2) and the rest."""
     r = n - k - 2
-    b, sizes = [[n + k - 2, 2, r], [k, k + 2, 0], [k, 0, k]], [k, 2, r]
-    return closed_form_snk(n, k), _quotient_top(b, sizes)[0], _quotient_below(b, sizes, t)
+    return (([[n + k - 2, n - k], [k, k]], [k, n - k]),
+            ([[n + k - 2, 2, r], [k, k + 2, 0], [k, 0, k]], [k, 2, r]))
 
 
 def prop1_sandwich_check(n: int, k: int) -> list[CheckOutcome]:
     """Exact check of the strict chain
     lower(n,k) < q(s_nk) < q(s_nk_plus) < upper(n,k), with no graph built;
-    the middle link holds by Perron-Frobenius, as s_nk_plus is the
-    connected s_nk plus an edge.
+    the middle link holds by Perron-Frobenius, as its note says, so its
+    printed floats may meet or cross once the gap, about 4k/n^2, falls
+    below their spacing (n >= 10^6).
 
     Returns one outcome per strict inequality, or a single
     precondition_unmet outcome when k < 2 or n <= 5k^2.
@@ -585,11 +588,14 @@ def prop1_sandwich_check(n: int, k: int) -> list[CheckOutcome]:
             )
         ]
     lower, upper = prop1_sandwich(n, k)
-    q, q_plus, below_upper = _split_graphs(n, k, upper)
-    above_lower = snk_compare(n, k, lower) > 0
+    snk, plus = _split_quotients(n, k)
+    q, q_plus = closed_form_snk(n, k), _quotient_top(*plus)[0]
+    above_lower = _quotient_sign(*snk, lower) > 0
+    below_upper = _quotient_sign(*plus, upper) < 0
+    between = "Perron-Frobenius: s_nk_plus is the connected s_nk plus one edge"
     return [
         CheckOutcome("prop1_lower", HOLDS if above_lower else VIOLATED, float(lower), q),
-        CheckOutcome("prop1_between", HOLDS, q, q_plus),
+        CheckOutcome("prop1_between", HOLDS, q, q_plus, None, between),
         CheckOutcome("prop1_upper", HOLDS if below_upper else VIOLATED, q_plus, float(upper)),
     ]
 
@@ -611,10 +617,11 @@ def theorem1_construction_probe(n: int, k: int) -> CheckOutcome:
         return CheckOutcome(
             stmt, UNMET, 0.0, rhs, None, f"order {n} <= {_order_limit(k)}"
         )
-    q, q_plus, plus_below = _split_graphs(n, k, threshold)
-    if snk_compare(n, k, threshold) >= 0:
+    snk, plus = _split_quotients(n, k)
+    q, q_plus = closed_form_snk(n, k), _quotient_top(*plus)[0]
+    if _quotient_sign(*snk, threshold) >= 0:
         return CheckOutcome(stmt, VIOLATED, q, rhs, None, "s_nk reaches the threshold")
-    if not plus_below:
+    if _quotient_sign(*plus, threshold) >= 0:
         return CheckOutcome(stmt, VIOLATED, q_plus, rhs, None, "s_nk_plus reaches the threshold")
     return CheckOutcome(
         stmt, HOLDS, max(q, q_plus), rhs, None, "candidates below threshold; complete graph pancyclic to 2k+2"

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,6 @@ from qext.bounds import (
     merris_bound,
     ore_edge_threshold,
     prop1_sandwich,
-    snk_compare,
 )
 from qext.enumeration import enumerate_nonisomorphic
 from qext.families import complete, cycle, edgeless, path, s_nk, star
@@ -125,6 +125,18 @@ def test_closed_form_snk():
         closed_form_snk(5, 5)
 
 
+def test_closed_form_snk_is_accurate_past_squared_float_range():
+    for n, k in [(10**200, 2), (10**200, 20), (10**300, 20)]:
+        assert closed_form_snk(n, k) == pytest.approx(float(n), rel=1e-15)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for k in range(1, 21):
+            for n in range(k + 1, 3000, 37):
+                a = decimal.Decimal(n + 2 * k - 2)
+                exact = (a + (a * a - 8 * (k * k - k)).sqrt()) / 2
+                assert abs(decimal.Decimal(closed_form_snk(n, k)) - exact) <= exact * 3 / 2**53
+
+
 def test_prop1_sandwich_values():
     low, high = prop1_sandwich(25, 2)
     assert (low, high) == (27 - Fraction(4, 26), 27 - Fraction(4, 31))
@@ -132,19 +144,6 @@ def test_prop1_sandwich_values():
     assert high == pytest.approx(27 - 4 / 31)
     assert low == pytest.approx(26.84615385, abs=5e-9)
     assert high == pytest.approx(26.87096774, abs=5e-9)
-
-
-def test_snk_compare_is_exact_at_ties():
-    # K_3 = s_nk(3, 2) meets the lower envelope: q = 4 = 5 - 4/4
-    assert prop1_sandwich(3, 2)[0] == 4 and snk_compare(3, 2, Fraction(4)) == 0
-    for n in range(2, 40):  # s_nk(n, 1) is the star, with q = n
-        assert [snk_compare(n, 1, t) for t in (n - 1, n, n + 1)] == [1, 0, -1]
-        assert snk_compare(n, 1, Fraction(n * 10**12 - 1, 10**12)) == 1
-    for k in (2, 3, 4):
-        for n in range(k + 1, 60):
-            q = closed_form_snk(n, k)
-            for t in (Fraction(round(q * 1000) + d, 1000) for d in (-2, 2)):
-                assert snk_compare(n, k, t) == (1 if q > t else -1)
 
 
 def test_prop1_sandwich_brackets_closed_form():

@@ -124,6 +124,14 @@ def test_split_checks_take_orders_past_the_graph_cap(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["prop1", "theorem1"])
+def test_split_checks_take_orders_whose_square_leaves_float_range(capsys, command):
+    # q(s_nk) near 10^200 is a float, though (n+2k-2)^2 is not
+    assert run([command, "--n", str(10**200), "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("holds") == (3 if command == "prop1" else 1)
+
+
+@pytest.mark.parametrize("command", ["prop1", "theorem1"])
 def test_split_checks_reject_orders_past_float_range(capsys, command):
     # the verdict is exact at any order, but lhs and rhs are floats
     assert run([command, "--n", str(10**400), "--k", "2"]) == 3

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -200,50 +199,68 @@ def test_quotient_matches_dense_on_enumerated_graphs():
             assert r.residual <= 1e-10 * max(1.0, r.q)
 
 
-def _leibniz(m):
-    """Determinant by the permutation expansion: the oracle for Bareiss."""
-    total = 0
-    for perm in itertools.permutations(range(len(m))):
-        inversions = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m)))
-        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
-    return total
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
-        )
-    )
-)
-def test_leading_minors_are_the_exact_determinants(m):
-    expected = [_leibniz([row[:i] for row in m[:i]]) for i in range(1, len(m) + 1)]
-    stop = next((i + 1 for i, minor in enumerate(expected) if minor == 0), len(m))
-    assert spectral._leading_minors(m) == expected[:stop]
-
-
 def _integer_quotient(g):
     """The equitable quotient of g in integers, with its cell sizes."""
     cells = spectral._equitable_cells(g)
-    b = [[(g.rows[(c & -c).bit_length() - 1] & d).bit_count() for d in cells] for c in cells]
-    for i, row in enumerate(b):
-        row[i] += sum(row)  # plus the degree on the diagonal
-    return b, [c.bit_count() for c in cells]
+    return spectral._quotient_matrix(g, cells), [c.bit_count() for c in cells]
 
 
-def test_quotient_below_decides_exactly():
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_sign_matches_dense_eigenvalues(data):
+    n = data.draw(st.integers(1, 7))
+    g = graph_from_code(n, data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    b, sizes = _integer_quotient(g)
+    q = float(np.linalg.eigvalsh(signless_laplacian(g))[-1])
+    scale = data.draw(st.sampled_from([1, 3, 1000, 10**6]))
+    t = Fraction(round(q * scale) + data.draw(st.integers(-2, 2)), scale)
+    if abs(q - t) > 1e-9:
+        assert spectral._quotient_sign(b, sizes, t) == (1 if q > t else -1)
+    if n >= 3:  # exact ties, where no float gap can decide
+        for tied, value in ((complete(n), 2 * n - 2), (cycle(n), 4)):
+            assert spectral._quotient_sign(*_integer_quotient(tied), value) == 0
+
+
+def _integer_matrix(rows, n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_sign_on_symmetric_integer_matrices(data):
+    # with unit cells, b is any symmetric integer matrix.  N = A^T A is
+    # positive semidefinite, and singular when A has fewer rows than
+    # columns or a zero column; then b = tI - N has top eigenvalue t
+    # exactly, and the elimination meets zero rows at any position.  Every
+    # other b = tI - N, and b = tI - (C + C^T), is compared with dense
+    # eigenvalues
+    n, t = data.draw(st.integers(1, 6)), data.draw(st.integers(-5, 5))
+    a = np.array(data.draw(_integer_matrix(data.draw(st.integers(1, n)), n)))
+    c = np.array(data.draw(_integer_matrix(n, n)))
+    singular = a.shape[0] < n or not a.any(axis=0).all()
+    for nn, tie in ((a.T @ a, singular), (c + c.T, False)):
+        b = (t * np.eye(n, dtype=int) - nn).tolist()
+        sign = spectral._quotient_sign(b, [1] * n, t)
+        top = float(np.linalg.eigvalsh(np.array(b, dtype=float))[-1])
+        if tie:
+            assert sign == 0
+        elif abs(top - t) > 1e-9:
+            assert sign == (1 if top > t else -1)
+
+
+def test_quotient_sign_decides_exactly():
     for n in range(1, 8):
         for g in enumerate_nonisomorphic(n):
             b, sizes = _integer_quotient(g)
             q = q_index(g, method="dense").q
             for t in (Fraction(round(q * 1000) + d, 1000) for d in (-2, 2)):
-                assert spectral._quotient_below(b, sizes, t) == (q < t)
+                assert spectral._quotient_sign(b, sizes, t) == (1 if q > t else -1)
     for n in range(3, 120):  # exact ties, where a float residual cannot decide
         for g, q in ((complete(n), 2 * n - 2), (cycle(n), 4)):
             b, sizes = _integer_quotient(g)
-            assert not spectral._quotient_below(b, sizes, q)
-            assert spectral._quotient_below(b, sizes, q + Fraction(1, 10**15))
+            assert spectral._quotient_sign(b, sizes, q) == 0
+            assert spectral._quotient_sign(b, sizes, q + Fraction(1, 10**15)) == -1
+            assert spectral._quotient_sign(b, sizes, q - Fraction(1, 10**15)) == 1
 
 
 def _snk_closed_form(n, k):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from pathlib import Path
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qext import graph, spectral, subgraphs, verify
-from qext.bounds import prop1_sandwich
+from qext.bounds import closed_form_snk, prop1_sandwich
 from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic
 from qext.families import (
     complete,
     cycle,
+    edgeless,
     kite_pendant,
     lemma2_exception,
     path,
@@ -26,7 +28,7 @@ from qext.families import (
     star,
     windmill,
 )
-from qext.graph import build_graph, components, disjoint_union, is_connected
+from qext.graph import build_graph, components, disjoint_union, is_connected, join
 from qext.spectral import certified_compare, q_index
 from qext.verify import (
     _STATEMENTS,
@@ -238,6 +240,48 @@ def test_theorem1_checker_statuses():
     assert cor.status == "holds"
 
 
+def test_exact_threshold_agrees_with_dense_q_through_order_8():
+    # every graph with 3 <= n <= 8 against n+2k-2 for k = 2, 3: the exact
+    # verdict agrees with dense q off the ties, and the ties are exact
+    verdicts = Counter()
+    for n in range(3, 9):
+        for g in enumerate_nonisomorphic(n):
+            q = float(np.linalg.eigvalsh(spectral.signless_laplacian(g))[-1])
+            for k in (2, 3):
+                t = n + 2 * k - 2
+                verdict = verify._threshold(g, t)[1]
+                verdicts[verdict] += 1
+                if abs(q - t) > 1e-6:
+                    assert verdict == ("lt" if q < t else "gt"), (k, list(g.edges()))
+                elif verdict == "eq":
+                    assert abs(q - t) <= 1e-9
+    assert sum(verdicts.values()) == 27_190
+    assert verdicts["eq"] == 28 and verdicts["indeterminate"] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(9, 64), st.floats(0.05, 0.95), st.integers(0, 2**32), st.integers(-2, 2))
+def test_exact_threshold_decides_every_graph_up_to_64_vertices(n, p, seed, d):
+    g = random_graph(n, p, random.Random(seed))
+    q = float(np.linalg.eigvalsh(spectral.signless_laplacian(g))[-1])
+    t = Fraction(round(q * 1000) + d, 1000)
+    reported, verdict = verify._threshold(g, t)
+    assert abs(reported - q) <= 1e-9 * max(1.0, q)
+    if abs(q - t) > 1e-6:
+        assert verdict == ("lt" if q < t else "gt")
+    assert verdict != "indeterminate"
+
+
+@pytest.mark.parametrize("n,k,j", [(40, 2, 13), (46, 3, 23)])
+def test_theorem1_holds_where_q_ties_the_threshold(n, k, j):
+    # pd(n, k, j) = K_k joined to a star on j+1 vertices plus independent
+    # vertices has q = n+2k-2 exactly; its float q lies just above
+    g = join(complete(k), disjoint_union([star(j + 1), edgeless(n - k - j - 1)]))
+    assert verify._threshold(g, n + 2 * k - 2)[1] == "eq"
+    for statement in ("theorem1", "theorem1_corollary"):
+        assert check_statement(statement, g, k=k).status == "holds"
+
+
 def test_theorem1_construction_probe():
     assert theorem1_construction_probe(25, 2).status == "holds"
     assert theorem1_construction_probe(26, 2).status == "holds"
@@ -341,10 +385,26 @@ def test_sylvester_rejects_false_thresholds_for_s_nk_plus(k):
         a = n + 2 * k - 2
         lower, upper = prop1_sandwich(n, k)
         assert lower == a - Fraction(2 * k * (k - 1), n + 2 * k - 3)
-        assert not spectral._quotient_below(b, sizes, lower)
-        assert not spectral._quotient_below(b, sizes, a - 1)
-        assert spectral._quotient_below(b, sizes, upper)
-        assert spectral._quotient_below(b, sizes, a)
+        assert spectral._quotient_sign(b, sizes, lower) == 1
+        assert spectral._quotient_sign(b, sizes, a - 1) == 1
+        assert spectral._quotient_sign(b, sizes, upper) == -1
+        assert spectral._quotient_sign(b, sizes, a) == -1
+
+
+def test_snk_quotient_sign_is_exact_at_ties():
+    # K_3 = s_nk(3, 2) meets the lower envelope: q = 4 = 5 - 4/4
+    def sign(n, k, t):
+        return spectral._quotient_sign(*verify._split_quotients(n, k)[0], t)
+
+    assert prop1_sandwich(3, 2)[0] == 4 and sign(3, 2, Fraction(4)) == 0
+    for n in range(2, 40):  # s_nk(n, 1) is the star, with q = n
+        assert [sign(n, 1, t) for t in (n - 1, n, n + 1)] == [1, 0, -1]
+        assert sign(n, 1, Fraction(n * 10**12 - 1, 10**12)) == 1
+    for k in (2, 3, 4):
+        for n in range(k + 1, 60):
+            q = closed_form_snk(n, k)
+            for t in (Fraction(round(q * 1000) + d, 1000) for d in (-2, 2)):
+                assert sign(n, k, t) == (1 if q > t else -1)
 
 
 def test_exact_split_checks_build_no_graph_and_call_no_q_index(monkeypatch):
@@ -360,15 +420,21 @@ def test_exact_split_checks_build_no_graph_and_call_no_q_index(monkeypatch):
 
 
 def test_exact_split_checks_report_a_failed_link(monkeypatch):
-    # no true statement reaches these branches, so the exact tests are patched
+    # no true statement reaches these branches, so the exact test is patched
+    # on one quotient: s_nk's has 2 cells, s_nk_plus's 3
     chain, probe = prop1_sandwich_check(25, 2), theorem1_construction_probe(25, 2)
     q, q_plus = chain[1].lhs, chain[1].rhs
+    exact = verify._quotient_sign
+
+    def patched(cells, sign):
+        return lambda b, sizes, t: sign if len(b) == cells else exact(b, sizes, t)
+
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "snk_compare", lambda n, k, t: 0)  # q(s_nk) ties t
+        patch.setattr(verify, "_quotient_sign", patched(2, 0))  # q(s_nk) ties t
         assert [o.status for o in prop1_sandwich_check(25, 2)] == ["violated", "holds", "holds"]
         tied = theorem1_construction_probe(25, 2)
         assert (tied.status, tied.lhs, tied.note) == ("violated", q, "s_nk reaches the threshold")
-    monkeypatch.setattr(verify, "_quotient_below", lambda b, sizes, t: False)
+    monkeypatch.setattr(verify, "_quotient_sign", patched(3, 1))  # q(s_nk_plus) is above t
     assert [o.status for o in prop1_sandwich_check(25, 2)] == ["holds", "holds", "violated"]
     above = theorem1_construction_probe(25, 2)
     assert (above.status, above.lhs, above.note) == ("violated", q_plus, "s_nk_plus reaches the threshold")

@@ -11,9 +11,10 @@ Three groups are pinned in ``tests/fixtures/verify_outcomes.json``:
   spectral checkers on real graphs, every ``ValueError`` message, and the
   branches no true theorem reaches: the searches in ``verify`` are patched
   to find nothing, or ``verify.q_index`` is patched to return a chosen q
-  and residual, so each threshold comes out below, tied, above or
-  indeterminate.  The sandwich check and the probe decide in integers
-  and never call ``q_index``, so no stub reaches them.
+  and residual, with colour refinement patched to end above 64 cells so
+  that the float path runs, and each threshold comes out below, tied,
+  above or indeterminate.  The sandwich check and the probe decide in
+  integers and never call ``q_index``, so no stub reaches them.
 - Floats from the eigensolver are compared to 1e-9 relative, as in
   ``test_report_fixtures``; everything else must match exactly.
 
@@ -33,8 +34,8 @@ import pytest
 
 from qext import verify
 from qext.enumeration import enumerate_nonisomorphic
-from qext.families import complete, cycle, kite_pendant, path, s_nk, star
-from qext.graph import build_graph, disjoint_union
+from qext.families import complete, cycle, edgeless, kite_pendant, path, s_nk, star
+from qext.graph import build_graph, disjoint_union, join
 from qext.spectral import SpectralResult
 from qext.verify import (
     SUITE_STATEMENTS,
@@ -116,14 +117,17 @@ def _stub_q(values):
 
 
 def _patched(fn, q=None, finds_nothing=()):
-    """Run ``fn`` with ``verify.q_index`` stubbed and the named searches
-    returning None.  run_suite answers from path tables where it has them,
-    so a stubbed find_constrained_path also takes its tables away."""
+    """Run ``fn`` with ``verify.q_index`` stubbed (and colour refinement
+    stubbed to end above 64 cells, so that every threshold asks q_index)
+    and the named searches returning None.  run_suite answers from path
+    tables where it has them, so a stubbed find_constrained_path also takes
+    its tables away."""
 
     def run():
         with ExitStack() as stack:
             if q is not None:
                 stack.enter_context(mock.patch.object(verify, "q_index", _stub_q(q)))
+                stack.enter_context(mock.patch.object(verify, "_equitable_cells", lambda g: None))
             for name in finds_nothing:
                 stack.enter_context(
                     mock.patch.object(verify, name, lambda *a, **kw: None)
@@ -137,8 +141,9 @@ def _patched(fn, q=None, finds_nothing=()):
     return run
 
 
-# threshold offsets: below, tied, above by more than SPECTRAL_EQ_TOL, tied
-# within it, and a residual that straddles the threshold
+# threshold offsets: below, tied, above by 1 and by 5e-10 (above too: the
+# float path calls only an exact tie "eq"), and a residual that straddles
+# the threshold
 SHIFTS = {"lt": (-1.0, 0.0), "tie": (0.0, 0.0), "gt": (1.0, 0.0),
           "near": (5e-10, 0.0), "ind": (0.0, 0.5)}
 
@@ -210,6 +215,11 @@ def _cases() -> dict:
                      ("k21", complete(21)), ("k20", complete(20)), ("s_nk", s_nk(30, 2))]:
         for statement in ("theorem1", "theorem1_corollary"):
             cases[f"{statement}/{label}"] = _check(statement, g, k=2)
+    # q ties n+2k-2 exactly: K_k joined to a star on j+1 vertices and n-k-j-1
+    # independent vertices
+    for statement, n, k, j in [("theorem1", 40, 2, 13), ("theorem1_corollary", 46, 3, 23)]:
+        g = join(complete(k), disjoint_union([star(j + 1), edgeless(n - k - j - 1)]))
+        cases[f"{statement}/pd_{n}_{k}_{j}"] = _check(statement, g, k=k)
     h = path(21)
     cases["lemma3/path21"] = _check("lemma3", k=2, p=1, h=h, w=0, attachment=[0, 1])
     cases["lemma3/graph_ignored"] = _check(
