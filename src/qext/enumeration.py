@@ -8,19 +8,19 @@ generation", J. Algorithms 26, 1998; McKay & Piperno, "Practical graph
 isomorphism II", J. Symb. Comp. 60, 2014), one level at a time for a whole
 batch of graphs in numpy.
 
-Positions 0, 1, ... are filled in order.  A search node keeps the vertices
-still to place as an ordered partition whose cells occupy consecutive runs
-of positions, so the next vertex comes from the first cell.  Placing v
-writes, for each cell (the rest of the first, then the later ones) of size
-s holding a neighbors of v, the bits 0^(s-a) 1^a: rows compare as neighbor
-counts, packed 4 bits per cell into a key.  Each cell then splits into the
-non-neighbors of v followed by its neighbors.  Of all (node, candidate)
-pairs of one level, only those whose key equals their graph's least key
-survive.  This is exact: a graph's surviving nodes wrote the same prefix,
-so they share cell sizes, their rows compare as their keys, and each code
-under a larger row exceeds the minimum; so every leaf left spells it.  It
-cuts at least what a depth-first cut against the best leaf so far does.  A
-node expands only the lowest of its surviving twins (equal open or closed
+Positions 0, 1, ... are filled in order.  A search node is an ordered
+partition kept by position: each cell sits where its run starts, placed
+vertices stay as singletons, and the next vertex comes from the cell at the
+first free position.  Placing v writes, for each cell after it of size s
+holding a neighbors of v, the bits 0^(s-a) 1^a: rows compare as neighbor
+counts, packed 4 bits per position into a key.  Each cell then splits in
+place, non-neighbors of v first.  Of all (node, candidate) pairs of one
+level, only those whose key equals their graph's least key survive.  This is
+exact: a graph's surviving nodes wrote the same prefix, so they share cell
+sizes and starts, their rows compare as their keys, and each code under a
+larger row exceeds the minimum; so every leaf (all singletons) spells it.
+It cuts at least what a depth-first cut against the best leaf so far does.
+A node expands only the lowest of its surviving twins (equal open or closed
 neighborhoods): swapping twins is an automorphism that fixes the partition.
 
 The catalogue grows by canonical augmentation with two prunes: one mask per
@@ -44,28 +44,28 @@ _ROWS_CHUNK = 512  # graphs labelled at once: larger chunks cost memory
 _PARENTS_CHUNK = 32  # parents augmented at once, likewise
 
 
-def _level(rows, twins, graph, cells, order, depth):
+def _level(rows, twins, graph, cells, depth):
     """Place vertex ``depth`` in each node: node i searches ``graph[i]``
-    (nondecreasing) with cells ``cells[i]`` (bitmasks, empty ones last)."""
+    (nondecreasing) with ``cells[i, s]`` the cell starting at s, else 0."""
     n = rows.shape[1]
     bit = np.int16(1) << np.arange(n, dtype=np.int16)
-    node, v = np.nonzero(cells[:, :1] & bit)  # candidates: the first cell
-    g, nb = graph[node], rows[graph[node], v]
-    parts = cells[node]
-    parts[:, 0] ^= bit[v]
-    key = _POP[parts & nb[:, None]] @ 16 ** np.arange(n - 1, -1, -1)
+    node, v = np.nonzero(cells[:, depth, None] & bit)  # candidates: the first cell
+    g, nb, parts = graph[node], rows[graph[node], v], cells[node]
+    parts[:, depth + 1] |= parts[:, depth] ^ bit[v]  # the rest of the first cell
+    parts[:, depth] = bit[v]
+    key = _POP[parts[:, depth + 1 :] & nb[:, None]] @ 16 ** np.arange(n - depth - 2, -1, -1)
     low = np.full(len(rows), 16**n)
     np.minimum.at(low, g, key)
     tied = key == low[g]  # exact: see the module docstring
     ties = np.zeros(len(cells), dtype=np.int16)
     np.bitwise_or.at(ties, node[tied], bit[v[tied]])
     keep = np.flatnonzero(tied & (twins[g, v] & ties[node] & bit[v] - 1 == 0))  # lowest tied twins
-    node, v, nb, parts = node[keep], v[keep], nb[keep, None], parts[keep]
-    split = np.stack((parts & ~nb, parts & nb), axis=2).reshape(len(keep), 2 * n)
-    cells = np.take_along_axis(split, np.argsort(split == 0, axis=1, kind="stable")[:, :n], axis=1)
-    order = order[node]
-    order[:, depth] = v
-    return graph[node], cells, order
+    node, nb, parts = node[keep], nb[keep, None], parts[keep]
+    near = parts & nb  # every cell splits, a placed singleton onto itself
+    parts &= ~nb  # non-neighbors keep the cell's start, neighbors follow them
+    i, s = np.nonzero(near)
+    parts[i, s + _POP[parts[i, s]]] |= near[i, s]
+    return graph[node], parts
 
 
 def _min_codes(rows: np.ndarray) -> np.ndarray:
@@ -76,14 +76,11 @@ def _min_codes(rows: np.ndarray) -> np.ndarray:
     weight = np.uint64(1) << np.arange(len(iu) - 1, -1, -1, dtype=np.uint64)
     for at in range(0, m if n > 1 else 0, _ROWS_CHUNK):  # below 2 vertices every code is 0
         chunk = rows[at : at + _ROWS_CHUNK].astype(np.int16)
-        graph, order = np.arange(len(chunk)), np.zeros_like(chunk, dtype=np.int8)
-        cells = np.zeros_like(chunk)
+        graph, cells, twins = np.arange(len(chunk)), np.zeros_like(chunk), _twins(chunk)
         cells[:, 0] = (1 << n) - 1
-        twins = _twins(chunk)
         for depth in range(n - 1):
-            graph, cells, order = _level(chunk, twins, graph, cells, order, depth)
-        order = order[np.diff(graph, prepend=-1) > 0]  # each graph's first leaf
-        order[:, -1] = n * (n - 1) // 2 - order.sum(1)  # the vertex left over
+            graph, cells = _level(chunk, twins, graph, cells, depth)
+        order = _POP[cells[np.diff(graph, prepend=-1) > 0] - 1]  # each graph's first leaf: singletons
         placed = chunk[np.arange(len(chunk))[:, None], order]
         codes[at : at + len(chunk)] = (placed[:, iu] >> order[:, ju] & 1).astype(np.uint64) @ weight
     return codes
@@ -101,16 +98,19 @@ def canonical_code(g: Graph) -> int:
     return int(_min_codes(np.array([g.rows], dtype=np.int64))[0])
 
 
-def _graphs(n: int, codes: Sequence[int]) -> list[Graph]:
-    """Decode in-range row-major codes, all in one numpy pass."""
+def _rows(n: int, codes: Sequence[int]) -> np.ndarray:
+    """Bit rows [len(codes), n] of in-range row-major codes (Python ints from n = 64 on)."""
     nbits = n * (n - 1) // 2
     width = (nbits + 7) // 8
     data = np.frombuffer(b"".join(code.to_bytes(width, "big") for code in codes), dtype=np.uint8)
     adj = np.zeros((len(codes), n, n), dtype=np.uint8)
     bits = np.unpackbits(data.reshape(len(codes), width), axis=1)[:, 8 * width - nbits :]
     adj[(slice(None), *np.triu_indices(n, 1))] = bits
-    rows = _pack((adj | adj.transpose(0, 2, 1)).reshape(len(codes) * n, n))
-    return [Graph(n, rows[i * n : i * n + n]) for i in range(len(codes))]
+    return (adj | adj.transpose(0, 2, 1)) @ (1 << np.arange(n, dtype=np.int64 if n < 64 else object))
+
+
+def _graphs(n: int, codes: Sequence[int]) -> list[Graph]:
+    return [Graph(n, tuple(row)) for row in _rows(n, codes).tolist()]
 
 
 def graph_from_code(n: int, code: int) -> Graph:
@@ -128,7 +128,7 @@ def _nonisomorphic_codes(n: int) -> tuple[int, ...]:
     bit = 1 << np.arange(n - 1)
     masks = np.arange(1 << (n - 1))  # the new vertex's neighbors
     degree = _POP[masks]
-    parents = np.array([g.rows for g in _graphs(n - 1, _nonisomorphic_codes(n - 1))])
+    parents = _rows(n - 1, _nonisomorphic_codes(n - 1))
     found = []
     for at in range(0, len(parents), _PARENTS_CHUNK):
         rows = parents[at : at + _PARENTS_CHUNK]

@@ -140,8 +140,8 @@ def test_augmentation_prunes_cut_canonical_labelling(monkeypatch, cold_catalogue
 
 
 def test_prefix_prune_bounds_the_search_tree(monkeypatch):
-    # 9,857 search nodes over the n = 7 catalogue; 14,492 when each node
-    # keeps its own least keys instead of its graph's
+    # exactly 9,857 search nodes over the n = 7 catalogue; 14,492 when each
+    # node keeps its own least keys instead of its graph's
     catalogue = list(enumerate_nonisomorphic(7))
     level = enumeration._level
     nodes = 0
@@ -153,7 +153,21 @@ def test_prefix_prune_bounds_the_search_tree(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_level", counted)
     label(catalogue)
-    assert nodes <= 10_500
+    assert nodes == 9_857
+
+
+def test_cold_catalogue_walks_a_fixed_search_tree(monkeypatch, cold_catalogue):
+    # search nodes per order of the children labelled by the n <= 8 build
+    nodes = collections.Counter()
+    level = enumeration._level
+
+    def counted(rows, twins, graph, *state):
+        nodes[rows.shape[1]] += len(graph)
+        return level(rows, twins, graph, *state)
+
+    monkeypatch.setattr(enumeration, "_level", counted)
+    assert len(enumeration._nonisomorphic_codes(8)) == 12346
+    assert nodes == {2: 2, 3: 8, 4: 39, 5: 213, 6: 1557, 7: 13_662, 8: 175_159}
 
 
 def test_batches_label_each_graph_as_alone():
@@ -310,6 +324,17 @@ def test_graph_from_code_checks_order():
         graph_from_code(-1, 0)
     with pytest.raises(ValueError, match="exceeds limit"):
         graph_from_code(513, 0)
+
+
+def test_graph_from_code_round_trips_past_int64_rows():
+    # from 64 vertices on a bit row overflows int64
+    g = graph_from_code(70, (1 << 70 * 69 // 2) - 1)
+    assert g == complete(70)
+    assert g.m == 2415 and set(g.degrees) == {69}
+    rng = random.Random(70)
+    for n in (62, 63, 64, 70, 130):
+        code = rng.getrandbits(n * (n - 1) // 2)
+        assert row_major_code(graph_from_code(n, code)) == code
 
 
 def test_graph_from_code_rejects_codes_out_of_range():
