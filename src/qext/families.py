@@ -31,18 +31,21 @@ def edgeless(n: int) -> Graph:
 
 
 def path(n: int) -> Graph:
+    _check_order(n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle requires n >= 3, got {n}")
+    _check_order(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"star requires n >= 1, got {n}")
+    _check_order(n)
     return build_graph(n, [(0, i) for i in range(1, n)])
 
 
@@ -50,6 +53,7 @@ def s_nk(n: int, k: int) -> Graph:
     """Join of a k-clique with an independent set of n-k vertices."""
     if not 1 <= k < n:
         raise ValueError(f"s_nk requires n > k >= 1, got n={n}, k={k}")
+    _check_order(n)
     return join(complete(k), edgeless(n - k))
 
 
@@ -66,6 +70,7 @@ def kite_pendant(k: int) -> Graph:
     """Clique of order 2k with a pendant vertex attached to vertex 0."""
     if k < 1:
         raise ValueError(f"kite_pendant requires k >= 1, got {k}")
+    _check_order(2 * k + 1)
     edges = list(complete(2 * k).edges()) + [(0, 2 * k)]
     return build_graph(2 * k + 1, edges)
 
@@ -77,6 +82,7 @@ def windmill(k: int, copies: int) -> Graph:
     if copies < 0:
         raise ValueError(f"windmill requires copies >= 0, got {copies}")
     n = copies * (k - 1) + 1
+    _check_order(n)
     edges = []
     for c in range(copies):
         block = [0] + list(range(1 + c * (k - 1), 1 + (c + 1) * (k - 1)))
@@ -95,6 +101,7 @@ def corollary1_graph(k: int, p: int) -> Graph:
         raise ValueError(f"corollary1 requires k >= 2, got k={k}")
     if p < 0:
         raise ValueError(f"corollary1 requires p >= 0, got p={p}")
+    _check_order(2 * (p + 1) * k + 2)
     body = disjoint_union([complete(2 * k) for _ in range(p)] + [complete(2 * k + 1)])
     return join(complete(1), body)
 
@@ -105,6 +112,7 @@ def lemma2_exception(k: int, copies: int) -> Graph:
         raise ValueError(f"lemma2_exception requires k >= 1, got k={k}")
     if copies < 0:
         raise ValueError(f"lemma2_exception requires copies >= 0, got {copies}")
+    _check_order(2 * k * (copies + 1) + 1)
     parts = [complete(2 * k) for _ in range(copies)] + [kite_pendant(k)]
     return disjoint_union(parts)
 

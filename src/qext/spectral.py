@@ -1,19 +1,18 @@
 """Signless Laplacian construction and certified computation of the Q-index.
 
-Every estimate carries an explicitly computed residual ||Qx - qx||_2, and
-float threshold tests go through :func:`certified_compare`, which refuses
-to classify a comparison when the threshold falls inside the residual
-interval.  An estimate is returned only when that residual is at most
-1e-10 * max(1, q), a constant rather than a setting.  Three engines are
-available: a dense symmetric eigensolver, the default through 64
-vertices and the cross-check oracle in tests; the equitable-partition
-quotient, the default above that; and deterministic power iteration, the
-fallback when colour refinement ends with more than 64 cells.  The
-quotient's spectrum holds every main eigenvalue of Q, and the Q-index is
-one, since its Perron vector has a positive sum (Godsil & Royle,
-*Algebraic Graph Theory*, ch. 9).  Given the integer quotient, no estimate
-is needed: ``_quotient_sign`` gives the exact sign of that eigenvalue minus
-a rational, ties included; it is the package's only exact comparator.
+Every estimate carries the graph it was computed for and an explicitly
+computed residual ||Qx - qx||_2, at most 1e-10 * max(1, q), a constant
+rather than a setting.  Three engines are available: a dense symmetric
+eigensolver, the default through 64 vertices and the cross-check oracle in
+tests; the equitable-partition quotient, the default above that; and
+deterministic power iteration, the fallback when colour refinement ends
+with more than 64 cells.  The quotient's spectrum holds every main
+eigenvalue of Q, and the Q-index is one, since its Perron vector has a
+positive sum (Godsil & Royle, *Algebraic Graph Theory*, ch. 9).
+:func:`certified_compare` is the package's one spectral comparator: at 64
+cells or fewer, ``_quotient_sign`` gives it the exact sign of q minus a
+rational on the graph's integer quotient, ties included; above that, or
+with no graph, the residual is an interval radius around q.
 """
 
 from __future__ import annotations
@@ -31,20 +30,21 @@ _TOL = 1e-10  # residual bound, relative to max(1, q), of every returned estimat
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Q-index estimate with unit eigenvector and certified residual."""
+    """Q-index estimate, unit eigenvector, certified residual and graph."""
 
     q: float
     vector: np.ndarray
     residual: float
     iterations: int
     method: str
+    graph: Graph | None = None
 
 
 @dataclass(frozen=True)
 class Comparison:
     """Outcome of a certified threshold test; margin is q - threshold."""
 
-    verdict: str  # "ge" | "lt" | "indeterminate"
+    verdict: str  # "lt" | "eq" | "gt" (exact at <= 64 cells) | "indeterminate"
     margin: float
 
 
@@ -71,7 +71,7 @@ def _start_vector(n: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _power(q: np.ndarray, max_iterations: int) -> SpectralResult:
+def _power(g: Graph, q: np.ndarray, max_iterations: int) -> SpectralResult:
     n = q.shape[0]
     x = _start_vector(n)
     rho = 0.0
@@ -82,23 +82,23 @@ def _power(q: np.ndarray, max_iterations: int) -> SpectralResult:
         # y = 0 (edgeless graph) passes this test with rho = res = 0
         res = float(np.linalg.norm(y - rho * x))
         if res <= _TOL * max(1.0, rho):
-            return SpectralResult(rho, x, res, it, "power")
+            return SpectralResult(rho, x, res, it, "power", g)
         x = y / float(np.linalg.norm(y))
     raise ConvergenceError(
         f"power iteration did not reach tol={_TOL} in {max_iterations} iterations"
         f" (residual {res:.3e})",
-        SpectralResult(rho, x, res, max_iterations, "power"),
+        SpectralResult(rho, x, res, max_iterations, "power", g),
     )
 
 
-def _dense(q: np.ndarray) -> SpectralResult:
+def _dense(g: Graph, q: np.ndarray) -> SpectralResult:
     values, vectors = np.linalg.eigh(q)
     top = float(values[-1])
     x = vectors[:, -1]
     if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
     res = float(np.linalg.norm(q @ x - top * x))
-    return SpectralResult(top, x, res, 0, "dense")
+    return SpectralResult(top, x, res, 0, "dense", g)
 
 
 def _equitable_cells(g: Graph) -> list[int] | None:
@@ -141,7 +141,7 @@ def _quotient(g: Graph, mat: np.ndarray) -> SpectralResult | None:
         x[list(_bits(c))] = value
     x /= np.linalg.norm(x)
     res = float(np.linalg.norm(mat @ x - top * x))
-    return SpectralResult(top, x, res, 0, "quotient")
+    return SpectralResult(top, x, res, 0, "quotient", g)
 
 
 def _quotient_top(b: np.ndarray | list, sizes: list[int]) -> tuple[float, np.ndarray]:
@@ -203,7 +203,7 @@ def q_index(g: Graph, method: str = "auto", max_iterations: int | None = None) -
             return result
         method = "power"
     if method == "dense":
-        result = _dense(mat)
+        result = _dense(g, mat)
         if result.residual > _TOL * max(1.0, result.q):
             raise ConvergenceError(
                 f"dense solve residual {result.residual:.3e} exceeds tol={_TOL}",
@@ -212,19 +212,26 @@ def q_index(g: Graph, method: str = "auto", max_iterations: int | None = None) -
         return result
     if method == "power":
         cap = max_iterations if max_iterations is not None else 100 * g.n + 10000
-        return _power(mat, cap)
+        return _power(g, mat, cap)
     raise ValueError(f"unknown method {method!r}")
 
 
-def certified_compare(result: SpectralResult, threshold: float) -> Comparison:
-    """Compare q against a threshold using the residual as interval radius.
-
-    "ge" when q - residual >= threshold, "lt" when q + residual < threshold,
-    otherwise "indeterminate" (the threshold lies inside the interval).
-    """
-    margin = result.q - threshold
-    if result.q - result.residual >= threshold:
-        return Comparison("ge", margin)
-    if result.q + result.residual < threshold:
+def certified_compare(result: SpectralResult, threshold: float | Fraction) -> Comparison:
+    """Verdict "lt", "eq", "gt" or "indeterminate" on q against a threshold
+    (int, float or Fraction); the margin is q - threshold in floats.  For a
+    finite threshold and a graph that refines to 64 cells or fewer, it is
+    the exact sign on the integer quotient, at the threshold's exact value.
+    Otherwise the residual is a radius around q: "gt" ("eq" at a zero
+    margin) or "lt" when the threshold lies outside that interval,
+    "indeterminate" inside it."""
+    margin = result.q - float(threshold)
+    g = result.graph
+    cells = _equitable_cells(g) if g is not None and np.isfinite(margin) else None
+    if cells is not None:
+        b, sizes = _quotient_matrix(g, cells), [c.bit_count() for c in cells]
+        return Comparison(("lt", "eq", "gt")[_quotient_sign(b, sizes, Fraction(threshold)) + 1], margin)
+    if result.q - result.residual >= float(threshold):
+        return Comparison("eq" if margin == 0 else "gt", margin)
+    if result.q + result.residual < float(threshold):
         return Comparison("lt", margin)
     return Comparison("indeterminate", margin)

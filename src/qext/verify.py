@@ -4,12 +4,12 @@ Each statement is decided by one rule, which evaluates it on a concrete
 instance and reports holds / equality_case / violated / precondition_unmet
 / indeterminate with the numeric pair behind the verdict and, where
 applicable, a structural witness.  Hypothesis failures are always reported
-as precondition_unmet, never silently as holds.  Spectral thresholds are
-decided by ``spectral._quotient_sign``, the exact sign of q - t on an
-integer equitable quotient: ``_threshold`` takes the given graph's, and
-Proposition 1 and the construction probe the split graphs', from (n, k)
-with no graph built.  Only a graph whose colour refinement ends above 64
-cells gets a float verdict, which may be indeterminate.  ``_STATEMENTS``
+as precondition_unmet, never silently as holds.  A graph's spectral
+threshold is decided by ``spectral.certified_compare``, exactly whenever
+its colour refinement ends at 64 cells or fewer; only above that may the
+verdict be indeterminate.  Proposition 1 and the construction probe build
+no graph: they take ``spectral._quotient_sign``, the exact sign of q - t,
+on the split graphs' quotients built from (n, k).  ``_STATEMENTS``
 declares each statement once: its rule, the least k it accepts, the name
 of its own parameter and whether it runs in suites.  The same rule serves
 ``check_statement``, which hands it searches that build witnesses, and
@@ -64,8 +64,7 @@ from .graph import (
     mask_of,
 )
 from .report import record
-from .spectral import (_equitable_cells, _quotient_matrix, _quotient_sign, _quotient_top,
-                       certified_compare, q_index)
+from .spectral import _quotient_sign, _quotient_top, certified_compare, q_index
 from .subgraphs import (
     _path_tables,
     _table_queries,
@@ -154,12 +153,7 @@ def is_complete_block_graph(g: Graph, k: int) -> bool:
 def has_single_hub(g: Graph) -> bool:
     """All blocks share one common vertex (trivially true for <= 1 block)."""
     blks = blocks(g)
-    if len(blks) <= 1:
-        return True
-    common = set(blks[0])
-    for blk in blks[1:]:
-        common &= set(blk)
-    return len(common) == 1
+    return len(blks) <= 1 or len(set.intersection(*map(set, blks))) == 1
 
 
 def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
@@ -221,20 +215,10 @@ def _components_off_2k(g: Graph, k: int) -> list[tuple[tuple[int, ...], float, f
 
 
 def _threshold(g: Graph, t: float | Fraction) -> tuple[float, str]:
-    """q(g) and its verdict against t, at t's exact value: "lt", "eq", "gt"
-    or "indeterminate".  Exact, from the integer equitable quotient, when
-    colour refinement ends at 64 cells or fewer (always through 64
-    vertices); above, from q_index's residual certificate, "eq" only when
-    the float q equals t."""
-    cells = _equitable_cells(g)
-    if cells is not None:
-        b, sizes = _quotient_matrix(g, cells), [c.bit_count() for c in cells]
-        return _quotient_top(b, sizes)[0], ("lt", "eq", "gt")[_quotient_sign(b, sizes, t) + 1]
+    """q(g) and certified_compare's verdict against t at its exact value:
+    "lt", "eq", "gt", or "indeterminate" only above 64 cells."""
     result = q_index(g)
-    cmp = certified_compare(result, float(t))
-    if cmp.verdict == "ge":
-        return result.q, "eq" if cmp.margin == 0 else "gt"
-    return result.q, cmp.verdict
+    return result.q, certified_compare(result, t).verdict
 
 
 def _bound(

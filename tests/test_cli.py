@@ -98,6 +98,29 @@ def test_construct_rejects_missing_params(capsys):
     assert run(["construct", "--family", "s_nk", "--n", "10"]) == 3
 
 
+@pytest.mark.parametrize(
+    "params, order",
+    [
+        (["--family", "s_nk", "--n", "600", "--k", "2"], 600),
+        (["--family", "s_nk_plus", "--n", "600", "--k", "2"], 600),
+        (["--family", "kite_pendant", "--k", "300"], 601),
+        (["--family", "corollary1", "--k", "2", "--p", "200"], 806),
+        (["--family", "windmill", "--k", "3", "--copies", "300"], 601),
+        (["--family", "lemma2_exception", "--k", "2", "--copies", "200"], 805),
+        (["--family", "path", "--n", "513"], 513),
+        (["--family", "cycle", "--n", "513"], 513),
+        (["--family", "star", "--n", "513"], 513),
+    ],
+    ids=lambda p: p[1] if isinstance(p, list) else None,
+)
+def test_construct_over_the_limit_names_the_requested_order(capsys, params, order):
+    # each family checks its own total order before it builds any part
+    assert run(["construct"] + params) == 3
+    captured = capsys.readouterr()
+    assert f"vertex count {order} exceeds limit 512" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_bounds_handles_edgeless(capsys):
     token = write_graph6(edgeless(3))
     assert run(["bounds", "--graph6", token]) == 0

@@ -157,12 +157,37 @@ def test_edge_addition_monotonicity_sample():
 
 def test_certified_compare():
     r = q_index(complete(4))
-    assert certified_compare(r, 5.0).verdict == "ge"
+    assert r.graph == complete(4)
+    assert certified_compare(r, 5.0).verdict == "gt"
     assert certified_compare(r, 7.0).verdict == "lt"
     assert certified_compare(r, 5.0).margin == pytest.approx(1.0)
+    # the threshold is read at its exact value: q(K_4) = 6 exactly
+    for tie in (6, 6.0, Fraction(6), np.int64(6), np.float64(6)):
+        assert certified_compare(r, tie).verdict == "eq"
+    assert certified_compare(r, math.inf).verdict == "lt"
+    assert certified_compare(r, -math.inf).verdict == "gt"
+    assert certified_compare(r, Fraction(6 * 10**20 + 1, 10**20)).verdict == "lt"
+    assert certified_compare(r, Fraction(6 * 10**20 - 1, 10**20)).verdict == "gt"
+    # a result with no graph, as built by hand, takes the residual interval
     synthetic = SpectralResult(26.851030, np.ones(1), 1e-9, 1, "power")
+    assert synthetic.graph is None
     comparison = certified_compare(synthetic, 26.851030)
     assert comparison == Comparison("indeterminate", 0.0)
+    assert certified_compare(synthetic, 26.85).verdict == "gt"
+    assert certified_compare(synthetic, 26.86).verdict == "lt"
+    exact = SpectralResult(6.0, np.ones(1), 0.0, 0, "stub")
+    assert certified_compare(exact, 6).verdict == "eq"
+    assert certified_compare(exact, 6.0 - 1e-15).verdict == "gt"
+
+
+def test_certified_compare_above_64_cells_uses_the_residual():
+    g = random_graph(100, 0.3, random.Random(100))
+    assert spectral._equitable_cells(g) is None
+    r = q_index(g)
+    assert r.graph is g and r.residual > 0
+    assert certified_compare(r, r.q - 1e-6).verdict == "gt"
+    assert certified_compare(r, r.q + 1e-6).verdict == "lt"
+    assert certified_compare(r, r.q).verdict == "indeterminate"
 
 
 # --- equitable quotient (auto above DENSE_MAX) ---------------------------------
@@ -282,10 +307,15 @@ def test_auto_uses_the_quotient_on_structured_families(n):
         assert abs(q_index(s_nk(n, k)).q - _snk_closed_form(n, k)) <= 1e-8
 
 
-def test_auto_never_certifies_exact_values_as_lt():
-    for n in range(3, 200):
-        assert certified_compare(q_index(complete(n)), 2 * n - 2).verdict != "lt"
-        assert certified_compare(q_index(cycle(n)), 4).verdict != "lt"
+def test_exact_q_of_complete_graphs_and_cycles_compares_eq():
+    # one cell each, so the comparison is exact whichever engine ran; the
+    # residual interval alone calls dense q(K_82) = 161.99999999999994,
+    # residual 3.5e-14, "lt" against 162
+    for n in range(3, 513):
+        assert certified_compare(q_index(complete(n)), 2 * n - 2).verdict == "eq"
+        assert certified_compare(q_index(cycle(n)), 4).verdict == "eq"
+    for n in range(65, 200):
+        assert certified_compare(q_index(complete(n), method="dense"), 2 * n - 2).verdict == "eq"
 
 
 def test_large_probes_run_without_power_iteration(monkeypatch):
@@ -316,6 +346,7 @@ def test_many_cells_fall_back_to_power():
 
 def test_quotient_missing_tol_falls_back_to_power(monkeypatch):
     monkeypatch.setattr(spectral, "_TOL", 1e-18)  # below any float residual
+    g = s_nk(100, 2)
     with pytest.raises(ConvergenceError) as info:
-        q_index(s_nk(100, 2), max_iterations=50)
-    assert info.value.best.method == "power"
+        q_index(g, max_iterations=50)
+    assert info.value.best.method == "power" and info.value.best.graph is g

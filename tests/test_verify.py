@@ -309,14 +309,16 @@ def test_prop1_sandwich_check():
     assert len(unmet) == 1 and unmet[0].status == "precondition_unmet"
 
 
-# --- Proposition 1 and the probe, exact against the float path ----------------
+# --- Proposition 1 and the probe, against the built graphs -------------------
 
 
-def _float_chain(n, k):
-    """The float oracle for prop1_sandwich_check: q_index of the built graphs,
-    each threshold link decided by certified_compare and the middle link by
-    the two residual intervals; statuses with (lhs, rhs) per link."""
-    lower, upper = (float(t) for t in prop1_sandwich(n, k))
+def _built_chain(n, k):
+    """The oracle for prop1_sandwich_check from the built graphs: q_index of
+    s_nk and s_nk_plus, each threshold link decided by certified_compare
+    (exact on their integer quotients, at the envelope's exact value) and
+    the middle link by the two residual intervals; statuses with (lhs, rhs)
+    per link."""
+    lower, upper = prop1_sandwich(n, k)
     rs, rsp = q_index(s_nk(n, k)), q_index(s_nk_plus(n, k))
     at_lower = certified_compare(rs, lower).verdict
     at_upper = certified_compare(rsp, upper).verdict
@@ -324,23 +326,26 @@ def _float_chain(n, k):
         between = "holds"
     else:
         between = "violated" if rs.q - rs.residual > rsp.q + rsp.residual else "indeterminate"
+    above = {"lt": "violated", "eq": "violated", "gt": "holds"}
+    below = {"lt": "holds", "eq": "violated", "gt": "violated"}
     return [
-        ({"ge": "holds", "lt": "violated"}.get(at_lower, "indeterminate"), lower, rs.q),
+        (above.get(at_lower, "indeterminate"), float(lower), rs.q),
         (between, rs.q, rsp.q),
-        ({"lt": "holds", "ge": "violated"}.get(at_upper, "indeterminate"), rsp.q, upper),
+        (below.get(at_upper, "indeterminate"), rsp.q, float(upper)),
     ]
 
 
-def _float_probe(n, k):
-    """The float oracle for theorem1_construction_probe: both built graphs
-    against n+2k-2 by certified_compare; status, the worst q and the note."""
-    threshold = float(n + 2 * k - 2)
+def _built_probe(n, k):
+    """The oracle for theorem1_construction_probe from the built graphs:
+    each against n+2k-2 by certified_compare; status, the worst q and the
+    note."""
+    threshold = n + 2 * k - 2
     worst = 0.0
     for label, g in (("s_nk", s_nk(n, k)), ("s_nk_plus", s_nk_plus(n, k))):
         result = q_index(g)
         worst = max(worst, result.q)
         verdict = certified_compare(result, threshold).verdict
-        if verdict == "ge":
+        if verdict in ("eq", "gt"):
             return "violated", result.q, f"{label} reaches the threshold"
         if verdict == "indeterminate":
             return "indeterminate", result.q, f"{label} not certifiable"
@@ -353,16 +358,16 @@ def _close(a, b):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_exact_split_checks_match_the_float_path(data):
+def test_exact_split_checks_match_the_built_graphs(data):
     k = data.draw(st.integers(2, 7))
     n = data.draw(st.integers(5 * k * k + 1, 512))
     exact = prop1_sandwich_check(n, k)
-    oracle = _float_chain(n, k)
+    oracle = _built_chain(n, k)
     assert [o.status for o in exact] == [status for status, _, _ in oracle]
     for outcome, (_, lhs, rhs) in zip(exact, oracle):
         assert _close(outcome.lhs, lhs) and _close(outcome.rhs, rhs), (outcome, lhs, rhs)
     probe = theorem1_construction_probe(n, k)
-    status, lhs, note = _float_probe(n, k)
+    status, lhs, note = _built_probe(n, k)
     assert (probe.status, probe.note) == (status, note)
     assert _close(probe.lhs, lhs) and probe.rhs == n + 2 * k - 2
 

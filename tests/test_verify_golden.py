@@ -117,9 +117,9 @@ def _stub_q(values):
 
 
 def _patched(fn, q=None, finds_nothing=()):
-    """Run ``fn`` with ``verify.q_index`` stubbed (and colour refinement
-    stubbed to end above 64 cells, so that every threshold asks q_index)
-    and the named searches returning None.  run_suite answers from path
+    """Run ``fn`` with ``verify.q_index`` stubbed (its results carry no
+    graph, so certified_compare decides them on the residual interval) and
+    the named searches returning None.  run_suite answers from path
     tables where it has them, so a stubbed find_constrained_path also takes
     its tables away."""
 
@@ -127,7 +127,6 @@ def _patched(fn, q=None, finds_nothing=()):
         with ExitStack() as stack:
             if q is not None:
                 stack.enter_context(mock.patch.object(verify, "q_index", _stub_q(q)))
-                stack.enter_context(mock.patch.object(verify, "_equitable_cells", lambda g: None))
             for name in finds_nothing:
                 stack.enter_context(
                     mock.patch.object(verify, name, lambda *a, **kw: None)
