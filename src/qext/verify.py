@@ -15,7 +15,10 @@ of its own parameter and whether it runs in suites.  The same rule serves
 ``check_statement``, which hands it searches that build witnesses, and
 ``run_suite``, which keeps only the status, lhs and rhs and hands it
 presence read off a path table on graphs up to 8 vertices, the same
-witness searches above.
+witness searches above.  A suite calls no rule where the verdict is fixed
+before a search: below a statement's least order, on ni's sets that fail
+its hypothesis, and on table graphs where one presence bit decides ni or
+lemma2.
 
 Statement tags
 --------------
@@ -191,14 +194,20 @@ class _Search(NamedTuple):
     cycle: Callable[[Graph, int], Any]  # (g, length)
 
 
-def _order_limit(k: int) -> int:
-    """Theorem 1 and Proposition 1 assume n > 5k^2, as the paper states."""
-    return 5 * k * k
+def _least_order(stmt: str, k: int) -> int:
+    """The least order n the statement's hypothesis admits (0: any), as the
+    paper states: n >= 6k+13 for Lemma 3 and Corollaries 1 and 2, n > 5k^2
+    for Theorem 1, its corollary, Proposition 1 and the construction probe."""
+    if stmt in ("lemma3", "cor1", "cor2"):
+        return 6 * k + 13
+    if stmt in ("theorem1", "theorem1_corollary", "prop1", "theorem1_construction_probe"):
+        return 5 * k * k + 1
+    return 0
 
 
 def _order_unmet(stmt: str, n: int, k: int) -> CheckOutcome | None:
-    """Lemma 3 and Corollaries 1 and 2 assume n >= 6k+13."""
-    least = 6 * k + 13
+    """precondition_unmet below the statement's least order."""
+    least = _least_order(stmt, k)
     if n >= least:
         return None
     return CheckOutcome(stmt, UNMET, 0.0, float(n + 2 * k - 2), None, f"order {n} < {least}")
@@ -439,8 +448,9 @@ def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutco
     # every order 3..2k+2
     n = g.n
     threshold = float(n + 2 * k - 2)
-    if n <= _order_limit(k):
-        return CheckOutcome(stmt, UNMET, 0.0, threshold, None, f"order {n} <= {_order_limit(k)}")
+    least = _least_order(stmt, k)
+    if n < least:
+        return CheckOutcome(stmt, UNMET, 0.0, threshold, None, f"order {n} <= {least - 1}")
     q, verdict = _threshold(g, threshold)
     if verdict == "lt":
         return CheckOutcome(stmt, UNMET, q, threshold, None, "q below the threshold")
@@ -560,7 +570,7 @@ def prop1_sandwich_check(n: int, k: int) -> list[CheckOutcome]:
     Returns one outcome per strict inequality, or a single
     precondition_unmet outcome when k < 2 or n <= 5k^2.
     """
-    if k < 2 or n <= _order_limit(k):
+    if k < 2 or n < _least_order("prop1", k):
         return [
             CheckOutcome(
                 "prop1",
@@ -597,10 +607,9 @@ def theorem1_construction_probe(n: int, k: int) -> CheckOutcome:
         raise ValueError(f"probe requires k >= 2, got {k}")
     threshold = n + 2 * k - 2
     rhs = float(threshold)
-    if n <= _order_limit(k):
-        return CheckOutcome(
-            stmt, UNMET, 0.0, rhs, None, f"order {n} <= {_order_limit(k)}"
-        )
+    least = _least_order(stmt, k)
+    if n < least:
+        return CheckOutcome(stmt, UNMET, 0.0, rhs, None, f"order {n} <= {least - 1}")
     snk, plus = _split_quotients(n, k)
     q, q_plus = closed_form_snk(n, k), _quotient_top(*plus)[0]
     if _quotient_sign(*snk, threshold) >= 0:
@@ -639,7 +648,10 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     """Every instance of every statement on each graph of the chunk, in
     order: k by k, and within a k vertex by vertex or set by set.  Only the
     violated instances get a params dict.  ni's sets are the same for every
-    k; the unmet ones are counted without a rule call."""
+    k.  These are counted without a rule call: every instance below its
+    statement's least order, ni's sets that fail its degree-sum hypothesis
+    and, on a table graph, ni's met sets with a path on 2k+1 vertices ending
+    in A (holds) and lemma2's v with one avoiding v at both ends (unmet)."""
     graphs, start_index, statements, k_range, seed, ni_sample = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
@@ -648,6 +660,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     for statement in statements:
         rule, least, param, _ = _STATEMENTS[statement]
         ks = (None,) if least is None else [k for k in k_range if k >= least]
+        ks = [(k, _least_order(statement, k)) for k in ks]
         plan.append((statement, rule, ks, param, tallies[statement]))
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
@@ -657,10 +670,20 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
             if param == "a":  # ni samples its sets, seeded per graph
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
                 sets = _ni_sets(g, masks)
-            for k in ks:
+            for k, least in ks:
+                if g.n < least:  # theorem1's one instance, or cor2's one per w
+                    counts[UNMET] += g.n if param else 1
+                    continue
                 if param == "a":
                     xs = _ni_met(g.n, k, sets)
                     counts[UNMET] += len(sets) - len(xs)
+                    if table is not None:
+                        met = len(xs)
+                        xs = [a for a in xs if not find.path(g, 2 * k + 1, a[0])]
+                        counts[HOLDS] += met - len(xs)
+                elif param == "v" and table is not None:
+                    xs = [v for v in range(g.n) if not find.path(g, 2 * k + 1, ~(1 << v))]
+                    counts[UNMET] += g.n - len(xs)
                 else:
                     xs = range(g.n) if param else (None,)
                 for x in xs:
@@ -694,9 +717,11 @@ def run_suite(
     """Apply statements to every enumerated (or supplied) graph instance.
 
     Without a corpus, graphs are the exhaustive isomorph-free catalog for
-    every order 1..n_max.  Aggregation is deterministic in canonical order
-    regardless of the worker count.  A statement or k given twice runs
-    once, in the order of its first occurrence.
+    every order 1..n_max.  ``seed`` seeds ni's vertex sets on graphs above 6
+    vertices, a sample of ``_NI_SAMPLE`` per graph (every set below).
+    Aggregation is deterministic in canonical order regardless of the
+    worker count.  A statement or k given twice runs once, in the order of
+    its first occurrence.
     """
     statements = tuple(dict.fromkeys(statements))
     for statement in statements:

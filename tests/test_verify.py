@@ -778,12 +778,17 @@ def test_sweeps_match_per_instance_checks_small():
 
 def test_sweeps_match_per_instance_checks_across_the_table_cutoff():
     # n = 9 and 10 answer presence by search rather than from the path table;
-    # K_22 meets theorem1's hypothesis and the star cor2's order hypothesis
+    # complete graphs sit on each side of theorem1's n > 5k^2 and stars on
+    # each side of cor2's n >= 6k+13, for k = 2 and 3, where the suite counts
+    # the instances below the least order without a rule call
     rng = random.Random(17)
     graphs = [random_graph(n, p, rng) for n in range(7, 11) for p in (0.2, 0.45, 0.7)]
-    report = assert_sweeps_match_reference(graphs + [complete(22), star(26)], (1, 2, 3), seed=5)
-    assert report.by_statement["theorem1"]["holds"] == 1
-    assert report.by_statement["cor2"]["holds"] == 26
+    boundary = [complete(n) for n in (20, 21, 22, 45, 46)] + [star(n) for n in (24, 25, 26, 30, 31)]
+    report = assert_sweeps_match_reference(graphs + boundary, (1, 2, 3), seed=5)
+    # k = 2 on K_21, K_22, K_45 and K_46; k = 3 on K_46
+    assert report.by_statement["theorem1"]["holds"] == 5
+    # one per w: k = 2 on the stars on 25, 26, 30 and 31 vertices; k = 3 on 31
+    assert report.by_statement["cor2"]["holds"] == 25 + 26 + 30 + 2 * 31
 
 
 def test_sweeps_match_per_instance_checks_when_nothing_is_found():
@@ -817,6 +822,28 @@ def test_suite_builds_witnesses_only_above_the_table(monkeypatch):
     report = run_suite(SUITE_STATEMENTS, corpus=graphs, k_range=(1, 2, 3))
     assert report.violated == 0
     assert set(orders) == {10, 11, 22}
+    # each instance above the table runs its rule once, repeating no search:
+    # 359 path and 41 cycle searches, as when every instance ran its rule
+    assert len(orders) == 359 + 41
+
+
+def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
+    # below the least order (theorem1's n > 5k^2, cor2's n >= 6k+13), and
+    # where one path-table bit fixes ni's or lemma2's verdict, the suite
+    # counts the instance without calling its rule
+    calls = Counter()
+    for name, spec in _STATEMENTS.items():
+        def counted(statement, *args, rule=spec.rule):
+            calls[statement] += 1
+            return rule(statement, *args)
+
+        monkeypatch.setitem(_STATEMENTS, name, spec._replace(rule=counted))
+    report = run_suite(SUITE_STATEMENTS, n_max=7, k_range=(1, 2, 3), seed=0)
+    assert report.as_record() == json.loads(SUITE_N7.read_text())["0"]
+    for statement in ("cor2", "theorem1", "theorem1_corollary", "ni"):
+        assert calls[statement] == 0
+    assert calls["lemma2"] == 4449
+    assert sum(calls.values()) == 23229  # 111,603 with a rule call per instance
 
 
 @pytest.mark.parametrize("statement", SUITE_STATEMENTS)
