@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,6 +102,7 @@ def _dense(g: Graph, q: np.ndarray) -> SpectralResult:
     return SpectralResult(top, x, res, 0, "dense", g)
 
 
+@lru_cache(maxsize=1)  # q_index, then certified_compare, refine the same graph
 def _equitable_cells(g: Graph) -> list[int] | None:
     """Cells (vertex bitmasks) of the coarsest equitable refinement of the
     degree partition, or None once it has more than DENSE_MAX cells."""

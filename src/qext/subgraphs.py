@@ -21,17 +21,18 @@ validator before it is returned.
 
 Presence alone has a second source on graphs with at most 8 vertices: a
 path table from a Held–Karp subset DP run in numpy over a batch of graphs
-of one order (one batch per suite chunk and order).  A table holds, for
-each length l, the mask of vertices that are the smallest of some l-cycle,
-and ``spans[r]``, whose bit A says that some path on r vertices has both
-ends in the vertex set A.  :func:`_table_queries` answers presence from it
-with one lookup and no node spent; no witness is built from it.
+of one order (one batch per suite chunk and order).  A graph's table is
+``pairs[r]`` for r = 0..n, bit 8u + v set when some u..v path on r
+vertices exists.  :func:`_table_queries` answers presence with one AND and
+no node spent: with the pairs inside A for a path with both ends in A, and
+with the edges for a cycle (a path whose ends are adjacent).  No witness
+is built from a table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -71,43 +72,37 @@ def _check_witness(ok: bool, kind: str, vertices: tuple[int, ...]) -> None:
         raise RuntimeError(f"internal error: invalid {kind} witness {vertices}")
 
 
-class _PathTable(NamedTuple):
-    cycles: Sequence[int]  # [l]: vertices that are the smallest of some l-cycle
-    spans: Sequence[int]  # [r]: bit A set when some path on r vertices has both ends in A
-
-
 @lru_cache(maxsize=None)
-def _table_index(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _table_index(n: int) -> tuple[list[np.ndarray], list[int]]:
     """For order n, built on first use: the subsets of each size, ascending,
     and for each vertex set A its ordered pairs (u, v) as bits 8u + v."""
     layers = [np.array([s for s in range(1 << n) if s.bit_count() == r]) for r in range(n + 1)]
     inside = [sum(a << 8 * u for u in _bits(a)) for a in range(1 << n)]
-    return layers, np.array(inside, dtype="<u8")
+    return layers, inside
 
 
-def _path_tables(rows_list: Sequence[tuple[int, ...]]) -> list[_PathTable | None]:
+def _path_tables(rows_list: Sequence[tuple[int, ...]]) -> list[list[int] | None]:
     """The path table of each graph with at most ``_TABLE_MAX`` vertices
     (None for larger ones), built in one batch per order."""
-    tables: dict[int, _PathTable] = {}
+    tables: dict[int, list[int]] = {}
     for n in sorted({len(rows) for rows in rows_list if len(rows) <= _TABLE_MAX}):
         where = [i for i, rows in enumerate(rows_list) if len(rows) == n]
         tables.update(zip(where, _held_karp([rows_list[i] for i in where], n)))
     return [tables.get(i) for i in range(len(rows_list))]
 
 
-def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[_PathTable]:
-    """The path tables of graphs of one order n <= 8: Held–Karp over the
-    subsets S, one size at a time, in numpy over every graph at once,
-    keeping only the previous size's layer.  ``layer[S, v, g]`` masks the u
-    such that some path of graph g on the vertex set S runs from u to v, so
-    (paths being undirected) the ends of those paths from v."""
-    layers, inside = _table_index(n)
+def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[list[int]]:
+    """The path tables ``pairs`` of graphs of one order n <= 8: Held–Karp
+    over the subsets S, one size at a time, in numpy over every graph at
+    once, keeping only the previous size's layer.  ``layer[S, v, g]`` masks
+    the u such that some path of graph g on the vertex set S runs from u to
+    v; their union over S of size r is ``pairs[r]``, bits 8u + v."""
+    layers = _table_index(n)[0]
     count = len(rows_list)
     rows = np.array(rows_list, dtype=np.uint8).reshape(count, n).T  # [v, g]
     # [v, w, g]: 0xFF where vw is an edge of graph g, else 0
     edge = np.uint8(0) - np.unpackbits(rows[:, None], axis=1, bitorder="little")[:, :n]
-    ends = np.zeros((count, n + 1, 8), dtype=np.uint8)  # [g, r, u], u padded to 8
-    cycles = np.zeros((n + 1, count), dtype=np.uint8)
+    ends = np.zeros((count, n + 1, 8), dtype=np.uint8)  # [g, r, v], v padded to 8
     for r in range(1, n + 1):
         subsets = layers[r]
         layer = np.zeros((len(subsets), n, count), dtype=np.uint8)
@@ -119,22 +114,9 @@ def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[_PathTable]
             # a path on S ending at v is one on S - v ending at a neighbour of v
             before = last[np.searchsorted(layers[r - 1], subsets[at] ^ 1 << v)]
             layer[at, v] = np.bitwise_or.reduce(before & edge[v], axis=1)
-            if r > 2:  # a cycle: a path on S from its smallest vertex v back to a neighbour
-                low = at[subsets[at] & (1 << v) - 1 == 0]
-                cycles[r] |= np.any(layer[low, v] & rows[v] != 0, axis=0).astype(np.uint8) << v
         ends[:, r, :n] = np.bitwise_or.reduce(layer, axis=0).T
         last = layer
-    pairs = ends.view("<u8")[..., 0]  # [g, r]: bit 8u + v set for a u..v path on r vertices
-    width = ((1 << n) + 7) // 8
-    spans = np.empty((count, n + 1, width), dtype=np.uint8)
-    for r in range(n + 1):
-        spans[:, r] = np.packbits(pairs[:, r, None] & inside != 0, axis=1, bitorder="little")
-    data, step = spans.tobytes(), (n + 1) * width
-    spans_of = [
-        [int.from_bytes(data[at : at + width], "little") for at in range(start, start + step, width)]
-        for start in range(0, count * step, step)
-    ]
-    return list(map(_PathTable, cycles.T.tolist(), spans_of))
+    return ends.view("<u8")[..., 0].tolist()
 
 
 def _near(rows: tuple[int, ...], last: int) -> int:
@@ -230,14 +212,17 @@ def find_constrained_path(
     return None
 
 
-def _table_queries(n: int, table: _PathTable) -> tuple[Callable[..., Any], Callable[..., Any]]:
-    """Presence read off a path table, shaped as :func:`find_constrained_path`
-    and :func:`find_cycle_of_length` without their node budget: one bit of
-    ``spans`` or ``cycles``, truthy exactly when they return a witness."""
-    full, spans, cycles = (1 << n) - 1, table.spans, table.cycles
+def _table_queries(rows: tuple[int, ...], pairs: list[int]) -> tuple[Callable[..., Any], ...]:
+    """Presence read off a graph's path table, shaped as
+    :func:`find_constrained_path` and :func:`find_cycle_of_length` (length
+    >= 3) without their node budget: ``pairs`` ANDed with the pairs inside
+    the end mask or with the edges, truthy exactly when they return a witness."""
+    n = len(rows)
+    full, inside = (1 << n) - 1, _table_index(n)[1]
+    edges = sum(row << 8 * u for u, row in enumerate(rows))
     return (
-        lambda g, order, ends_mask: order <= n and spans[order] >> (ends_mask & full) & 1,
-        lambda g, length: length <= n and cycles[length] != 0,
+        lambda g, order, ends_mask: order <= n and pairs[order] & inside[ends_mask & full],
+        lambda g, length: length <= n and pairs[length] & edges,
     )
 
 

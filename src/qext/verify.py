@@ -186,8 +186,8 @@ class _Search(NamedTuple):
     the default node budget.  Either the witness builders
     find_constrained_path and find_cycle_of_length (a witness or None, from
     a plain DFS at every order), or, for a suite graph with a path table,
-    the presence bits of _table_queries, which are truthy exactly when a
-    witness exists; a rule reads only whether the answer is truthy, and
+    the presence answers of _table_queries, truthy exactly when a witness
+    exists; a rule reads only whether the answer is truthy, and
     keeps it as the witness."""
 
     path: Callable[[Graph, int, int], Any]  # (g, order, ends_mask)
@@ -665,7 +665,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
     for offset, (g, table) in enumerate(zip(graphs, tables)):
-        find = witnesses if table is None else _Search(*_table_queries(g.n, table))
+        find = witnesses if table is None else _Search(*_table_queries(g.rows, table))
         for statement, rule, ks, param, counts in plan:
             if param == "a":  # ni samples its sets, seeded per graph
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)

@@ -372,7 +372,9 @@ def loop_path_table(rows):
 
 
 def assert_tables_match_loop(graphs):
-    """One ``_path_tables`` call over all of ``graphs``, checked graph by graph."""
+    """One ``_path_tables`` call over all of ``graphs``, checked graph by
+    graph: the end pairs against the loop's, and the cycle query against
+    the loop's cycle masks."""
     tables = subgraphs._path_tables([g.rows for g in graphs])
     assert len(tables) == len(graphs)
     for g, table in zip(graphs, tables):
@@ -380,16 +382,16 @@ def assert_tables_match_loop(graphs):
             assert table is None
             continue
         ends, cycles = loop_path_table(g.rows)
-        assert list(table.spans) == spans_from_ends(ends)
-        assert tuple(table.cycles) == cycles
+        assert table == pairs_from_ends(ends)
+        cycle_query = subgraphs._table_queries(g.rows, table)[1]
+        assert [bool(cycle_query(g, length)) for length in range(3, g.n + 1)] == [
+            cycles[length] != 0 for length in range(3, g.n + 1)
+        ]
 
 
-def spans_from_ends(ends):
-    """spans[r]: bit A set when some u in A ends a path on r vertices at a v in A."""
-    n = len(ends[0])
-    return [
-        sum(1 << a for a in range(1 << n) if any(row[u] & a for u in _bits(a))) for row in ends
-    ]
+def pairs_from_ends(ends):
+    """pairs[r]: bit 8u + v set when v ends a path on r vertices from u."""
+    return [sum(mask << 8 * u for u, mask in enumerate(row)) for row in ends]
 
 
 def test_batched_tables_match_loop_every_graph_up_to_7():
@@ -427,11 +429,28 @@ def brute_spans(g):
 
 
 def test_spans_match_brute_force_for_every_end_mask():
+    # the path query, for every order r and every end set A, against the
+    # brute-force spans
     rng = random.Random(88)
     graphs = [build_graph(0)] + [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
     graphs += [random_graph(n, p, rng) for n in (7, 8) for p in (0.3, 0.6)]
     for g, table in zip(graphs, subgraphs._path_tables([g.rows for g in graphs])):
-        assert list(table.spans) == brute_spans(g)
+        path_query = subgraphs._table_queries(g.rows, table)[0]
+        spans = [
+            sum(bool(path_query(g, order, a)) << a for a in range(1 << g.n))
+            for order in range(g.n + 1)
+        ]
+        assert spans == brute_spans(g)
+
+
+def test_cycle_query_matches_the_search_up_to_7():
+    # on every graph with n <= 7, the table's cycle query is truthy exactly
+    # when find_cycle_of_length returns a witness, at every length 3..n
+    graphs = [g for n in range(3, 8) for g in enumerate_nonisomorphic(n)]
+    for g, table in zip(graphs, subgraphs._path_tables([g.rows for g in graphs])):
+        cycle_query = subgraphs._table_queries(g.rows, table)[1]
+        for length in range(3, g.n + 1):
+            assert bool(cycle_query(g, length)) == (find_cycle_of_length(g, length) is not None)
 
 
 def test_absence_is_a_search_at_every_order():
@@ -453,7 +472,7 @@ def test_absence_is_a_search_at_every_order():
 def test_presence_spends_no_node_on_table_graphs():
     # the suite reads presence on n = 8 off the path table, with no search
     g = complete(8)
-    path_bit, cycle_bit = subgraphs._table_queries(8, subgraphs._path_tables([g.rows])[0])
+    path_bit, cycle_bit = subgraphs._table_queries(g.rows, subgraphs._path_tables([g.rows])[0])
     assert path_bit(g, 8, -1) and cycle_bit(g, 8)
     assert not path_bit(g, 9, -1) and not cycle_bit(g, 9)
     assert not path_bit(g, 2, 1)  # both ends in {0}: only order 1 fits

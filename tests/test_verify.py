@@ -282,6 +282,15 @@ def test_theorem1_holds_where_q_ties_the_threshold(n, k, j):
         assert check_statement(statement, g, k=k).status == "holds"
 
 
+def test_threshold_refines_the_graph_once_above_64_vertices():
+    # q_index's quotient and certified_compare's exact sign share one
+    # colour refinement of the graph
+    spectral._equitable_cells.cache_clear()
+    assert verify._threshold(complete(100), 200)[1] == "lt"
+    info = spectral._equitable_cells.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_theorem1_construction_probe():
     assert theorem1_construction_probe(25, 2).status == "holds"
     assert theorem1_construction_probe(26, 2).status == "holds"
