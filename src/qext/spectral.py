@@ -2,17 +2,17 @@
 
 Every estimate carries the graph it was computed for and an explicitly
 computed residual ||Qx - qx||_2, at most 1e-10 * max(1, q), a constant
-rather than a setting.  Three engines are available: a dense symmetric
-eigensolver, the default through 64 vertices and the cross-check oracle in
-tests; the equitable-partition quotient, the default above that; and
-deterministic power iteration, the fallback when colour refinement ends
-with more than 64 cells.  The quotient's spectrum holds every main
-eigenvalue of Q, and the Q-index is one, since its Perron vector has a
-positive sum (Godsil & Royle, *Algebraic Graph Theory*, ch. 9).
-:func:`certified_compare` is the package's one spectral comparator: at 64
-cells or fewer, ``_quotient_sign`` gives it the exact sign of q minus a
-rational on the graph's integer quotient, ties included; above that, or
-with no graph, the residual is an interval radius around q.
+rather than a setting.  Auto mode has two engines: a dense symmetric
+eigensolver, the default through 64 vertices, the fallback above them and
+the cross-check oracle in tests; and the equitable-partition quotient,
+taken above 64 vertices when colour refinement ends at 64 cells or fewer.
+The quotient's spectrum holds every main eigenvalue of Q, and the Q-index
+is one, since its Perron vector has a positive sum (Godsil & Royle,
+*Algebraic Graph Theory*, ch. 9).  Power iteration runs only when asked
+for by name.  :func:`certified_compare` is the package's one spectral
+comparator: at 64 cells or fewer, ``_quotient_sign`` gives it the exact
+sign of q minus a rational on the graph's integer quotient, ties included;
+above that, or with no graph, the residual is an interval radius around q.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class Comparison:
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the best estimate so far."""
+    """Dense residual over the bound, or power's budget spent; carries ``best``."""
 
     def __init__(self, message: str, best: SpectralResult):
         super().__init__(message)
@@ -67,12 +67,14 @@ def signless_laplacian(g: Graph) -> np.ndarray:
 
 
 def _start_vector(n: int) -> np.ndarray:
-    # all-ones with a deterministic per-index perturbation, normalized
+    """Power iteration's start, for method "power" alone: all-ones, perturbed per index, unit."""
     x = 1.0 + np.arange(n) / (10.0 * n)
     return x / np.linalg.norm(x)
 
 
 def _power(g: Graph, q: np.ndarray, max_iterations: int) -> SpectralResult:
+    """For ``method="power"`` only: auto never runs it, and outside the tests
+    only the benchmark's self-test of a forced ``ConvergenceError`` calls it."""
     n = q.shape[0]
     x = _start_vector(n)
     rho = 0.0
@@ -187,24 +189,22 @@ def q_index(g: Graph, method: str = "auto", max_iterations: int | None = None) -
 
     ``method`` is "auto", "dense", or "power".  Auto is dense for n <= 64;
     above that it returns the equitable quotient's top eigenpair (method
-    "quotient", 0 iterations, residual against the full Q) and falls back
-    to power iteration when refinement ends with more than 64 cells or
-    that residual exceeds 1e-10 * max(1, q).  Dense fails loudly when its
-    residual exceeds that bound.  The power engine stops once
-    ||Qx - qx|| <= 1e-10 * max(1, q) and fails loudly with the best
-    estimate when its iteration cap (default 100n + 10000) runs out.
+    "quotient", 0 iterations, residual against the full Q) when refinement
+    ends at 64 cells or fewer and that residual is within 1e-10 * max(1, q),
+    and is dense otherwise.  Dense, chosen or automatic, fails loudly with
+    its estimate when its residual exceeds that bound.  Power iteration
+    runs only for method "power", whose sole non-test caller is the
+    benchmark self-test; ``max_iterations`` (default 100n + 10000) caps it
+    alone, and it fails loudly with the best estimate when the cap runs out.
     """
     if g.n == 0:
         raise ValueError("Q-index undefined for the empty graph")
     mat = signless_laplacian(g)
-    if method == "auto" and g.n <= DENSE_MAX:
-        method = "dense"
-    elif method == "auto":
+    if method == "auto" and g.n > DENSE_MAX:
         result = _quotient(g, mat)
         if result is not None and result.residual <= _TOL * max(1.0, result.q):
             return result
-        method = "power"
-    if method == "dense":
+    if method in ("auto", "dense"):
         result = _dense(g, mat)
         if result.residual > _TOL * max(1.0, result.q):
             raise ConvergenceError(

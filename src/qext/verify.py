@@ -5,20 +5,20 @@ instance and reports holds / equality_case / violated / precondition_unmet
 / indeterminate with the numeric pair behind the verdict and, where
 applicable, a structural witness.  Hypothesis failures are always reported
 as precondition_unmet, never silently as holds.  A graph's spectral
-threshold is decided by ``spectral.certified_compare``, exactly whenever
-its colour refinement ends at 64 cells or fewer; only above that may the
-verdict be indeterminate.  Proposition 1 and the construction probe build
-no graph: they take ``spectral._quotient_sign``, the exact sign of q - t,
-on the split graphs' quotients built from (n, k).  ``_STATEMENTS``
-declares each statement once: its rule, the least k it accepts, the name
-of its own parameter and whether it runs in suites.  The same rule serves
-``check_statement``, which hands it searches that build witnesses, and
-``run_suite``, which keeps only the status, lhs and rhs and hands it
-presence read off a path table on graphs up to 8 vertices, the same
-witness searches above.  A suite calls no rule where the verdict is fixed
-before a search: below a statement's least order, on ni's sets that fail
-its hypothesis, and on table graphs where one presence bit decides ni or
-lemma2.
+threshold is decided by ``spectral.certified_compare`` on auto ``q_index``
+(quotient or dense, never power), exactly at 64 cells or fewer; only above
+that may the verdict be indeterminate.  Proposition 1 and the construction
+probe build no graph: they take ``spectral._quotient_sign``, the exact
+sign of q - t, on the split graphs' quotients built from (n, k).
+``_STATEMENTS`` declares each statement once: its rule, the least k it
+accepts, the name of its own parameter and whether it runs in suites.  The
+same rule serves ``check_statement``, which hands it searches that build
+witnesses, and ``run_suite``, which keeps only the status, lhs and rhs and
+hands it presence read off a path table on graphs up to 8 vertices, the
+same witness searches above.  A suite calls no rule where the verdict is
+fixed before a search: below a statement's least order (Kopylov's: the
+forbidden path's order), on ni's sets that fail its hypothesis, and on
+table graphs where one presence bit decides ni or lemma2.
 
 Statement tags
 --------------
@@ -197,7 +197,10 @@ class _Search(NamedTuple):
 def _least_order(stmt: str, k: int) -> int:
     """The least order n the statement's hypothesis admits (0: any), as the
     paper states: n >= 6k+13 for Lemma 3 and Corollaries 1 and 2, n > 5k^2
-    for Theorem 1, its corollary, Proposition 1 and the construction probe."""
+    for Theorem 1, its corollary, Proposition 1 and the construction probe,
+    and the forbidden path's order, 2k+2 or 2k+3, for Kopylov's bounds."""
+    if stmt in ("kopylov_i", "kopylov_ii"):
+        return 2 * k + (2 if stmt == "kopylov_i" else 3)
     if stmt in ("lemma3", "cor1", "cor2"):
         return 6 * k + 13
     if stmt in ("theorem1", "theorem1_corollary", "prop1", "theorem1_construction_probe"):
@@ -275,12 +278,9 @@ def _egc(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
 
 
 def _kopylov(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
-    # kopylov_i forbids paths on 2k+2 vertices, kopylov_ii on 2k+3; each
-    # needs at least that many vertices
-    if stmt == "kopylov_i":
-        order, rhs = 2 * k + 2, float(kopylov_i_value(g.n, k))
-    else:
-        order, rhs = 2 * k + 3, float(kopylov_ii_value(g.n, k))
+    # the forbidden path's order is the least order; "not connected" is the note at any n
+    order = _least_order(stmt, k)
+    rhs = float((kopylov_i_value if stmt == "kopylov_i" else kopylov_ii_value)(g.n, k))
     if not is_connected(g):
         return CheckOutcome(stmt, UNMET, g.m, rhs, None, "not connected")
     if g.n < order:
@@ -671,7 +671,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
                 sets = _ni_sets(g, masks)
             for k, least in ks:
-                if g.n < least:  # theorem1's one instance, or cor2's one per w
+                if g.n < least:  # theorem1's or kopylov's one instance, or cor2's one per w
                     counts[UNMET] += g.n if param else 1
                     continue
                 if param == "a":

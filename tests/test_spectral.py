@@ -334,19 +334,47 @@ def test_large_probes_run_without_power_iteration(monkeypatch):
     assert theorem1_construction_probe(509, 2).status == "holds"
 
 
-def test_many_cells_fall_back_to_power():
+def test_many_cells_fall_back_to_dense():
     rng = random.Random(100)
     g = random_graph(100, 0.3, rng)
     assert len(components(g)) == 1
     assert spectral._equitable_cells(g) is None
     r = q_index(g)
-    assert r.method == "power"
-    assert r.q == q_index(g, method="power").q
+    assert r.method == "dense"
+    assert r.q == q_index(g, method="dense").q
 
 
-def test_quotient_missing_tol_falls_back_to_power(monkeypatch):
+def test_quotient_missing_tol_falls_back_to_dense(monkeypatch):
     monkeypatch.setattr(spectral, "_TOL", 1e-18)  # below any float residual
     g = s_nk(100, 2)
     with pytest.raises(ConvergenceError) as info:
-        q_index(g, max_iterations=50)
-    assert info.value.best.method == "power" and info.value.best.graph is g
+        q_index(g)
+    assert info.value.best.method == "dense" and info.value.best.graph is g
+
+
+def _union_of_near_twins():
+    # H and H plus its first non-edge: refinement ends above 64 cells, and
+    # power iteration stalls on the two nearly equal top eigenvalues
+    h = random_graph(100, 0.3, random.Random(5))
+    u, v = next((u, v) for u in range(100) for v in range(u + 1, 100) if not h.has_edge(u, v))
+    return disjoint_union([h, h.with_edge(u, v)])
+
+
+def test_auto_never_runs_power_iteration(monkeypatch):
+    from qext.verify import check_statement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(spectral, "_power", refuse)
+    union = _union_of_near_twins()
+    graphs = [random_graph(n, 0.3, random.Random(n)) for n in (65, 128, 200)] + [union]
+    for g in graphs:
+        assert spectral._equitable_cells(g) is None
+        r = q_index(g)
+        assert r.method == "dense"
+        assert r.residual <= 1e-12 * max(1.0, r.q)
+        assert certified_compare(r, r.q * (1 - 1e-11)).verdict == "gt"
+        assert certified_compare(r, r.q * (1 + 1e-11)).verdict == "lt"
+    outcome = check_statement("theorem1", union, k=2)
+    assert outcome.status == "precondition_unmet" and outcome.note == "q below the threshold"

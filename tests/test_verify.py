@@ -837,9 +837,10 @@ def test_suite_builds_witnesses_only_above_the_table(monkeypatch):
 
 
 def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
-    # below the least order (theorem1's n > 5k^2, cor2's n >= 6k+13), and
-    # where one path-table bit fixes ni's or lemma2's verdict, the suite
-    # counts the instance without calling its rule
+    # below the least order (theorem1's n > 5k^2, cor2's n >= 6k+13, and
+    # kopylov's n >= 2k+2 or 2k+3), and where one path-table bit fixes ni's
+    # or lemma2's verdict, the suite counts the instance without calling its
+    # rule
     calls = Counter()
     for name, spec in _STATEMENTS.items():
         def counted(statement, *args, rule=spec.rule):
@@ -852,7 +853,8 @@ def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
     for statement in ("cor2", "theorem1", "theorem1_corollary", "ni"):
         assert calls[statement] == 0
     assert calls["lemma2"] == 4449
-    assert sum(calls.values()) == 23229  # 111,603 with a rule call per instance
+    assert calls["kopylov_i"] + calls["kopylov_ii"] == 4723
+    assert sum(calls.values()) == 20440  # 111,603 with a rule call per instance
 
 
 @pytest.mark.parametrize("statement", SUITE_STATEMENTS)
