@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _check_order, _pack, _twins, _unpack
+from .graph import Graph, _pack, _twins, _unpack
 
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
@@ -99,26 +99,18 @@ def canonical_code(g: Graph) -> int:
 
 
 def _rows(n: int, codes: Sequence[int]) -> np.ndarray:
-    """Bit rows [len(codes), n] of in-range row-major codes (Python ints from n = 64 on)."""
+    """Bit rows [len(codes), n] (``int64``) of in-range row-major codes, n <= ENUMERATE_MAX."""
     nbits = n * (n - 1) // 2
     width = (nbits + 7) // 8
     data = np.frombuffer(b"".join(code.to_bytes(width, "big") for code in codes), dtype=np.uint8)
     adj = np.zeros((len(codes), n, n), dtype=np.uint8)
     bits = np.unpackbits(data.reshape(len(codes), width), axis=1)[:, 8 * width - nbits :]
     adj[(slice(None), *np.triu_indices(n, 1))] = bits
-    return (adj | adj.transpose(0, 2, 1)) @ (1 << np.arange(n, dtype=np.int64 if n < 64 else object))
+    return (adj | adj.transpose(0, 2, 1)) @ (1 << np.arange(n, dtype=np.int64))
 
 
 def _graphs(n: int, codes: Sequence[int]) -> list[Graph]:
     return [Graph(n, tuple(row)) for row in _rows(n, codes).tolist()]
-
-
-def graph_from_code(n: int, code: int) -> Graph:
-    """Rebuild the graph whose row-major upper-triangle bit string is ``code``."""
-    _check_order(n)
-    if not 0 <= code < 1 << n * (n - 1) // 2:
-        raise ValueError(f"code {code} out of range for n={n}: need 0 <= code < 2^{n * (n - 1) // 2}")
-    return _graphs(n, [code])[0]
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +152,8 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     in (degree, neighbor degree sum, neighbor squared degree sum): the key
     is invariant, so deleting a key-maximal vertex of any graph leaves a
     parent class that regrows it.  Canonical codes deduplicate the kept
-    children, yielded as ``graph_from_code`` in increasing code order.
+    children, yielded in increasing code order, each labelled so that its
+    row-major upper-triangle bit string is its code.
     """
     if not 1 <= n <= ENUMERATE_MAX:
         raise ValueError(f"native enumeration supports 1 <= n <= {ENUMERATE_MAX}, got {n}")

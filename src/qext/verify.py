@@ -17,8 +17,10 @@ witnesses, and ``run_suite``, which keeps only the status, lhs and rhs and
 hands it presence read off a path table on graphs up to 8 vertices, the
 same witness searches above.  A suite calls no rule where the verdict is
 fixed before a search: below a statement's least order (Kopylov's: the
-forbidden path's order), on ni's sets that fail its hypothesis, and on
-table graphs where one presence bit decides ni or lemma2.
+forbidden path's order) and, on table graphs, on ni's sets that fail its
+hypothesis and where one presence bit decides ni or lemma2; above the
+table every sampled ni set goes to the rule.  ni's vertex set A is its
+bitmask throughout.
 
 Statement tags
 --------------
@@ -49,15 +51,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .bounds import closed_form_snk, kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
 from .enumeration import enumerate_nonisomorphic, write_graph6
 from .families import complete, corollary1_graph
 from .graph import (
     Graph,
     _bits,
-    _unpack,
     blocks,
     build_graph,
     components,
@@ -174,10 +173,10 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 
 # --- rules -------------------------------------------------------------------
 # One rule per statement: rule(stmt, g, k, x, find) -> CheckOutcome.
-# x is the instance's own parameter: lemma2's v, cor2's w, ni's vertex set A
-# as (mask, degree sum, |A|), check_statement's params for lemma3 and cor1
-# (which build their own graph), and None otherwise.  check_statement has
-# already checked k against the statement's minimum and that g is given.
+# x is the instance's own parameter: lemma2's v, cor2's w, the mask of ni's
+# vertex set A, check_statement's params for lemma3 and cor1 (which build
+# their own graph), and None otherwise.  check_statement has already checked
+# k against the statement's minimum and that g is given.
 
 
 class _Search(NamedTuple):
@@ -303,34 +302,18 @@ def _ore(stmt: str, g: Graph, k: None, x: None, find: _Search) -> CheckOutcome:
     return CheckOutcome(stmt, VIOLATED, g.m, threshold, None, "no Hamiltonian cycle")
 
 
-def _ni_sets(g: Graph, masks: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Each vertex set A in ``masks`` as (mask, degree sum, |A|).  The degree
-    sum over A counts each edge at its ends in A, so it is 2e(A)+e(A,B)."""
-    sums = (_unpack(masks, g.n) @ np.array(g.degrees, dtype=np.int64)).tolist()
-    return [(mask, total, mask.bit_count()) for mask, total in zip(masks, sums)]
-
-
 def _ni_rhs(n: int, k: int, size: int) -> int:
     """(2k-1)|A| + k|B| for a set A of ``size`` vertices."""
     return (2 * k - 1) * size + k * (n - size)
 
 
-def _ni_met(n: int, k: int, sets: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """The sets A on which ``_ni`` is not precondition_unmet: their degree
-    sum exceeds ``_ni_rhs``.  The suite calls the rule on these only.
-    ``_ni`` repeats the comparison for check_statement's one set rather
-    than call this on a one-set list, which would cost every met set of
-    the suite a list and a call."""
-    rhs = [_ni_rhs(n, k, size) for size in range(n + 1)]
-    return [a for a in sets if a[1] > rhs[a[2]]]
-
-
-def _ni(stmt: str, g: Graph, k: int, a: tuple[int, int, int], find: _Search) -> CheckOutcome:
-    mask, lhs, size = a
-    rhs = _ni_rhs(g.n, k, size)
+def _ni(stmt: str, g: Graph, k: int, a: int, find: _Search) -> CheckOutcome:
+    # Σ_v |N(v) ∩ A| counts each edge at its ends in A: 2e(A)+e(A,B)
+    lhs = sum((row & a).bit_count() for row in g.rows)
+    rhs = _ni_rhs(g.n, k, a.bit_count())
     if lhs <= rhs:
         return CheckOutcome(stmt, UNMET, lhs, rhs, None, "weighted edge count not above threshold")
-    witness = find.path(g, 2 * k + 1, mask)
+    witness = find.path(g, 2 * k + 1, a)
     if witness:
         return CheckOutcome(stmt, HOLDS, lhs, rhs, witness)
     note = f"no path on {2 * k + 1} vertices with both ends in A"
@@ -500,7 +483,7 @@ SUITE_STATEMENTS = tuple(s for s, spec in _STATEMENTS.items() if spec.suite)
 
 def _param(name: str | None, g: Graph, params: dict[str, Any]) -> Any:
     """The instance's own parameter x read from check_statement's params: a
-    vertex for "v" and "w", ni's set A as (mask, degree sum, |A|) for "a"."""
+    vertex for "v" and "w", the mask of ni's vertex set A for "a"."""
     if name is None:
         return None
     if name not in params:
@@ -519,7 +502,7 @@ def _param(name: str | None, g: Graph, params: dict[str, Any]) -> Any:
         b_vertices = sorted(set(int(v) for v in params["b"]))
         if sorted(a_vertices + b_vertices) != list(range(g.n)):
             raise ValueError("(a, b) must partition the vertex set")
-    return _ni_sets(g, [mask_of(a_vertices)])[0]
+    return mask_of(a_vertices)
 
 
 def check_statement(statement: str, g: Graph | None = None, **params: Any) -> CheckOutcome:
@@ -647,10 +630,11 @@ def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
     """Every instance of every statement on each graph of the chunk, in
     order: k by k, and within a k vertex by vertex or set by set.  Only the
-    violated instances get a params dict.  ni's sets are the same for every
-    k.  These are counted without a rule call: every instance below its
-    statement's least order, ni's sets that fail its degree-sum hypothesis
-    and, on a table graph, ni's met sets with a path on 2k+1 vertices ending
+    violated instances get a params dict.  ni's sets are masks, the same
+    for every k.  These are counted without a rule call: every instance
+    below its statement's least order and, on a table graph, ni's sets
+    whose degree sum, read off a list of every subset's, fails its
+    hypothesis (unmet), ni's met sets with a path on 2k+1 vertices ending
     in A (holds) and lemma2's v with one avoiding v at both ends (unmet)."""
     graphs, start_index, statements, k_range, seed, ni_sample = payload
     tallies = _tallies(statements)
@@ -669,18 +653,22 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         for statement, rule, ks, param, counts in plan:
             if param == "a":  # ni samples its sets, seeded per graph
                 masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
-                sets = _ni_sets(g, masks)
+                if table is not None:  # sums[a]: the degree sum over the set with mask a
+                    sums = [0]
+                    for d in g.degrees:
+                        sums += [s + d for s in sums]
             for k, least in ks:
                 if g.n < least:  # theorem1's or kopylov's one instance, or cor2's one per w
                     counts[UNMET] += g.n if param else 1
                     continue
                 if param == "a":
-                    xs = _ni_met(g.n, k, sets)
-                    counts[UNMET] += len(sets) - len(xs)
+                    xs = masks
                     if table is not None:
-                        met = len(xs)
-                        xs = [a for a in xs if not find.path(g, 2 * k + 1, a[0])]
-                        counts[HOLDS] += met - len(xs)
+                        rhs = [_ni_rhs(g.n, k, size) for size in range(g.n + 1)]
+                        met = [a for a in masks if sums[a] > rhs[a.bit_count()]]
+                        xs = [a for a in met if not find.path(g, 2 * k + 1, a)]
+                        counts[UNMET] += len(masks) - len(met)
+                        counts[HOLDS] += len(met) - len(xs)
                 elif param == "v" and table is not None:
                     xs = [v for v in range(g.n) if not find.path(g, 2 * k + 1, ~(1 << v))]
                     counts[UNMET] += g.n - len(xs)
@@ -693,7 +681,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
                         continue
                     params: dict[str, Any] = {} if k is None else {"k": k}
                     if param:
-                        params[param] = list(_bits(x[0])) if param == "a" else x
+                        params[param] = list(_bits(x)) if param == "a" else x
                     violating.append(
                         {
                             "statement": statement,

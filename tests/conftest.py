@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,15 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def graph_from_code(n: int, code: int) -> Graph:
+    """The graph whose row-major upper-triangle bit string is ``code``, with
+    the pair (0,1) as its MSB: the layout of ``canonical_code``."""
+    pairs = list(itertools.combinations(range(n), 2))  # (0,1), (0,2), ..., row-major
+    if not 0 <= code < 1 << len(pairs):
+        raise ValueError(f"code {code} out of range for n={n}: need 0 <= code < 2^{len(pairs)}")
+    return build_graph(n, [pair for i, pair in enumerate(reversed(pairs)) if code >> i & 1])
 
 
 @st.composite

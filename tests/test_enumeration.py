@@ -14,7 +14,6 @@ from qext.enumeration import (
     CANONICAL_MAX,
     canonical_code,
     enumerate_nonisomorphic,
-    graph_from_code,
     parse_graph6,
     read_graph6_lines,
     write_graph6,
@@ -22,7 +21,7 @@ from qext.enumeration import (
 from qext.families import complete, cycle, edgeless, path, star
 from qext.graph import build_graph, disjoint_union, join
 
-from conftest import graphs, random_graph, without_edge
+from conftest import graph_from_code, graphs, random_graph, without_edge
 
 N8_CODES_SHA256 = "dcadbe6e773ef71781b0e6950c99589d3cdc1a8af2898923c1962081365e38b6"
 

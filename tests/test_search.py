@@ -13,7 +13,6 @@ from qext.enumeration import (
     _min_codes,
     canonical_code,
     enumerate_nonisomorphic,
-    graph_from_code,
     write_graph6,
 )
 from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
@@ -22,7 +21,7 @@ from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cyc
 from qext.spectral import q_index
 from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
 
-from conftest import without_edge
+from conftest import graph_from_code, without_edge
 
 
 def exhaustive_best(n, forbidden):

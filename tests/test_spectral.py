@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qext import spectral
-from qext.enumeration import enumerate_nonisomorphic, graph_from_code
+from qext.enumeration import enumerate_nonisomorphic
 from qext.families import (
     complete,
     corollary1_graph,
@@ -30,7 +30,7 @@ from qext.spectral import (
     signless_laplacian,
 )
 
-from conftest import is_bipartite, is_regular, random_graph
+from conftest import graph_from_code, is_bipartite, is_regular, random_graph
 
 
 def test_signless_laplacian_examples():

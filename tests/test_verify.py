@@ -42,7 +42,7 @@ from qext.verify import (
     theorem1_construction_probe,
 )
 
-from conftest import random_graph, without_edge
+from conftest import graphs, random_graph, without_edge
 
 
 # --- single-statement examples ------------------------------------------------
@@ -182,6 +182,19 @@ def test_ni_triangle_example():
     assert outcome.status == "holds"
     assert outcome.lhs == 4 and outcome.rhs == 3
     assert outcome.witness == (0, 2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ni_lhs_counts_the_edges_at_a(data):
+    # 2e(A) + e(A,B) counted edge by edge, independently of the rule's degree sum
+    g = data.draw(graphs(12))
+    a = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    k = data.draw(st.integers(1, 3))
+    outcome = check_statement("ni", g, k=k, a=sorted(a))
+    assert outcome.lhs == sum((u in a) + (v in a) for u, v in g.edges())
+    assert outcome.rhs == (2 * k - 1) * len(a) + k * (g.n - len(a))
+    assert (outcome.status == "precondition_unmet") == (outcome.lhs <= outcome.rhs)
 
 
 def test_ni_partition_validation():
