@@ -18,9 +18,9 @@ hands it presence read off a path table on graphs up to 8 vertices, the
 same witness searches above.  A suite calls no rule where the verdict is
 fixed before a search: below a statement's least order (Kopylov's: the
 forbidden path's order) and, on table graphs, on ni's sets that fail its
-hypothesis and where one presence bit decides ni or lemma2; above the
-table every sampled ni set goes to the rule.  ni's vertex set A is its
-bitmask throughout.
+hypothesis and where one presence bit decides ni or lemma2, all decided in
+numpy per chunk, order and k; above the table every sampled ni set goes to
+the rule.  ni's vertex set A is its bitmask throughout.
 
 Statement tags
 --------------
@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .bounds import closed_form_snk, kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
 from .enumeration import enumerate_nonisomorphic, write_graph6
 from .families import complete, corollary1_graph
@@ -69,6 +71,7 @@ from .report import record
 from .spectral import _quotient_sign, _quotient_top, certified_compare, q_index
 from .subgraphs import (
     _path_tables,
+    _table_index,
     _table_queries,
     find_constrained_path,
     find_cycle_of_length,
@@ -627,15 +630,51 @@ def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
     return sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
 
 
+def _table_open(graphs: list[Graph], tables: list, plan: list, ni_sets: list) -> dict[tuple, list]:
+    """ni's and lemma2's instances on the chunk's table graphs, decided in
+    numpy once per order and k: counts those whose verdict ni's hypothesis or
+    one presence bit fixes, and returns the rest, keyed (offset, statement,
+    k), for the rule.  ni's lhs is each set's degree sum: the degrees times
+    the 0/1 subset-membership matrix, taken at the masks."""
+    open_xs: dict[tuple, list[int]] = {}
+    on_table = [i for i, table in enumerate(tables) if table is not None]
+    for n in sorted({graphs[i].n for i in on_table}):
+        at = [i for i in on_table if graphs[i].n == n]
+        # [G, n+2]: the table and a last 0, the pairs of every order above n
+        pairs = np.array([tables[i] + [0] for i in at], dtype=np.uint64)
+        inside = np.array(_table_index(n)[1], dtype=np.uint64)
+        member = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # [v, a]: v in the set a
+        for statement, _, ks, param, counts in plan:
+            if param == "a":  # [G, S]: the sampled sets, their degree sums and sizes
+                xs = np.array([ni_sets[i] for i in at])
+                degrees = np.array([graphs[i].degrees for i in at], dtype=np.int64)
+                lhs, size = np.take_along_axis(degrees @ member, xs, 1), member.sum(0)[xs]
+                ends = inside[xs]
+            elif param == "v":  # [G, n]: lemma2's ends are every vertex but v
+                xs = np.broadcast_to(np.arange(n), (len(at), n))
+                ends = inside[(1 << n) - 1 ^ 1 << xs]
+            else:
+                continue
+            for k, _ in ks:
+                met = lhs > _ni_rhs(n, k, size) if param == "a" else np.ones(xs.shape, bool)
+                held = pairs[:, min(2 * k + 1, n + 1), None] & ends != 0
+                counts[UNMET] += int(np.count_nonzero(~met))
+                counts[HOLDS if param == "a" else UNMET] += int(np.count_nonzero(met & held))
+                rest = met & ~held
+                for row in np.flatnonzero(rest.any(1)):
+                    open_xs[at[row], statement, k] = xs[row][rest[row]].tolist()
+    return open_xs
+
+
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
     """Every instance of every statement on each graph of the chunk, in
     order: k by k, and within a k vertex by vertex or set by set.  Only the
     violated instances get a params dict.  ni's sets are masks, the same
     for every k.  These are counted without a rule call: every instance
-    below its statement's least order and, on a table graph, ni's sets
-    whose degree sum, read off a list of every subset's, fails its
-    hypothesis (unmet), ni's met sets with a path on 2k+1 vertices ending
-    in A (holds) and lemma2's v with one avoiding v at both ends (unmet)."""
+    below its statement's least order and, on a table graph, what
+    ``_table_open`` decides per order and k: ni's sets that fail its
+    hypothesis (unmet), ni's met sets with a path on 2k+1 vertices ending in
+    A (holds) and lemma2's v with one avoiding v at both ends (unmet)."""
     graphs, start_index, statements, k_range, seed, ni_sample = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
@@ -646,32 +685,23 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         ks = [(k, _least_order(statement, k)) for k in ks]
         plan.append((statement, rule, ks, param, tallies[statement]))
+    ni_sets = [  # ni samples its sets, seeded per graph
+        _ni_masks(g.n, seed * 1_000_003 + start_index + i, ni_sample) for i, g in enumerate(graphs)
+    ] if "ni" in statements else []
+    open_xs = _table_open(graphs, tables, plan, ni_sets)
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
     for offset, (g, table) in enumerate(zip(graphs, tables)):
         find = witnesses if table is None else _Search(*_table_queries(g.rows, table))
         for statement, rule, ks, param, counts in plan:
-            if param == "a":  # ni samples its sets, seeded per graph
-                masks = _ni_masks(g.n, seed * 1_000_003 + start_index + offset, ni_sample)
-                if table is not None:  # sums[a]: the degree sum over the set with mask a
-                    sums = [0]
-                    for d in g.degrees:
-                        sums += [s + d for s in sums]
             for k, least in ks:
                 if g.n < least:  # theorem1's or kopylov's one instance, or cor2's one per w
                     counts[UNMET] += g.n if param else 1
                     continue
-                if param == "a":
-                    xs = masks
-                    if table is not None:
-                        rhs = [_ni_rhs(g.n, k, size) for size in range(g.n + 1)]
-                        met = [a for a in masks if sums[a] > rhs[a.bit_count()]]
-                        xs = [a for a in met if not find.path(g, 2 * k + 1, a)]
-                        counts[UNMET] += len(masks) - len(met)
-                        counts[HOLDS] += len(met) - len(xs)
-                elif param == "v" and table is not None:
-                    xs = [v for v in range(g.n) if not find.path(g, 2 * k + 1, ~(1 << v))]
-                    counts[UNMET] += g.n - len(xs)
+                if table is not None and param in ("a", "v"):
+                    xs = open_xs.get((offset, statement, k), ())
+                elif param == "a":
+                    xs = ni_sets[offset]
                 else:
                     xs = range(g.n) if param else (None,)
                 for x in xs:

@@ -325,8 +325,9 @@ def test_graph_from_code_checks_order():
         graph_from_code(513, 0)
 
 
-def test_graph_from_code_round_trips_past_int64_rows():
-    # from 64 vertices on a bit row overflows int64
+def test_graph_from_code_round_trips_past_64_vertices():
+    # from 64 vertices on a row holds more bits than a machine word; the
+    # decoder works on Python ints, so codes round-trip at any order
     g = graph_from_code(70, (1 << 70 * 69 // 2) - 1)
     assert g == complete(70)
     assert g.m == 2415 and set(g.degrees) == {69}

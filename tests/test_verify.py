@@ -884,3 +884,58 @@ def test_suite_instances_respect_the_table(statement, monkeypatch):
     assert report.violating == violating
     if least is None:
         assert report.instances == len(graphs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(graphs(max_n=8), max_size=6),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.integers(2, 4),
+    st.integers(0, 2**16),
+    st.integers(1, 8),
+)
+def test_table_decisions_match_the_rule_on_every_instance(corpus, ks, k_needed, seed, ni_sample):
+    # what the suite decides in numpy on table graphs (ni's hypothesis and
+    # the presence bits of ni and lemma2) must give the report that calling
+    # each rule with a witness search gives; k <= 0 is dropped in both runs
+    k_range = ks + [k_needed]
+    with mock.patch.object(verify, "_NI_SAMPLE", ni_sample):
+        batched = run_suite(SUITE_STATEMENTS, corpus=corpus, k_range=k_range, seed=seed)
+        with mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)):
+            searched = run_suite(SUITE_STATEMENTS, corpus=corpus, k_range=k_range, seed=seed)
+    assert batched.as_record() == searched.as_record()
+
+
+def test_zeroed_tables_send_every_open_instance_to_the_rule(monkeypatch):
+    # with every table pair zeroed no path exists: each met ni set and each
+    # lemma2 vertex reaches its rule and is violated there (on these complete
+    # graphs n > 2k, so 2e - d_v > (2k-1)(n-1)), in the order graph,
+    # statement, k, then ascending set or vertex
+    calls = Counter()
+    for name in ("ni", "lemma2"):
+        def counted(statement, *args, rule=_STATEMENTS[name].rule):
+            calls[statement] += 1
+            return rule(statement, *args)
+
+        monkeypatch.setitem(_STATEMENTS, name, _STATEMENTS[name]._replace(rule=counted))
+    build = verify._path_tables
+    monkeypatch.setattr(verify, "_path_tables", lambda rows: [[0] * len(t) for t in build(rows)])
+    corpus = [complete(5), complete(6), complete(8)]
+    report = run_suite(["ni", "lemma2"], corpus=corpus, k_range=(0, 1, 2), seed=3)
+    expected = []
+    for index, g in enumerate(corpus):
+        masks = verify._ni_masks(g.n, 3 * 1_000_003 + index, verify._NI_SAMPLE)
+        for k in (1, 2):
+            for a in masks:
+                size = a.bit_count()
+                if (g.n - 1) * size > (2 * k - 1) * size + k * (g.n - size):
+                    expected.append(("ni", g.n, {"k": k, "a": [v for v in range(g.n) if a >> v & 1]}))
+        for k in (1, 2):
+            expected += [("lemma2", g.n, {"k": k, "v": v}) for v in range(g.n)]
+    order_of = {verify._graph_token(g): g.n for g in corpus}
+    got = [(v["statement"], order_of[v["graph6"]], v["params"]) for v in report.violating]
+    assert got == expected
+    assert calls["lemma2"] == 2 * (5 + 6 + 8)
+    assert calls["ni"] == report.by_statement["ni"]["violated"] == len(expected) - calls["lemma2"]
+    assert report.by_statement["lemma2"]["violated"] == calls["lemma2"]
+    assert report.violated == len(expected) == 241
