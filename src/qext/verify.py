@@ -1,26 +1,27 @@
 """Mechanical checkers turning bound statements into pass/fail verdicts.
 
 Each statement is decided by one rule, which evaluates it on a concrete
-instance and reports holds / equality_case / violated / precondition_unmet
-/ indeterminate with the numeric pair behind the verdict and, where
+instance and reports holds / equality_case / violated / precondition_unmet /
+indeterminate with the numeric pair behind the verdict and, where
 applicable, a structural witness.  Hypothesis failures are always reported
-as precondition_unmet, never silently as holds.  A graph's spectral
-threshold is decided by ``spectral.certified_compare`` on auto ``q_index``
-(quotient or dense, never power), exactly at 64 cells or fewer; only above
-that may the verdict be indeterminate.  Proposition 1 and the construction
-probe build no graph: they take ``spectral._quotient_sign``, the exact
-sign of q - t, on the split graphs' quotients built from (n, k).
-``_STATEMENTS`` declares each statement once: its rule, the least k it
-accepts, the name of its own parameter and whether it runs in suites.  The
-same rule serves ``check_statement``, which hands it searches that build
-witnesses, and ``run_suite``, which keeps only the status, lhs and rhs and
-hands it presence read off a path table on graphs up to 8 vertices, the
-same witness searches above.  A suite calls no rule where the verdict is
-fixed before a search: below a statement's least order (Kopylov's: the
-forbidden path's order) and, on table graphs, on ni's sets that fail its
-hypothesis and where one presence bit decides ni or lemma2, all decided in
-numpy per chunk, order and k; above the table every sampled ni set goes to
-the rule.  ni's vertex set A is its bitmask throughout.
+as precondition_unmet, never silently as holds.  Below a statement's least
+order, ``_order_unmet`` alone decides, with n and that order as lhs and rhs,
+and no rule runs.  A graph's spectral threshold is decided by
+``spectral.certified_compare`` on auto ``q_index`` (quotient or dense, never
+power), exactly at 64 cells or fewer; only above that may the verdict be
+indeterminate.  Proposition 1 and the construction probe build no graph:
+they take ``spectral._quotient_sign``, the exact sign of q - t, on the split
+graphs' quotients built from (n, k).  ``_STATEMENTS`` declares each
+statement once: its rule, the least k it accepts, the name of its own
+parameter and whether it runs in suites.  The same rule serves
+``check_statement``, which hands it searches that build witnesses, and
+``run_suite``, which keeps only the status, lhs and rhs and hands it
+presence read off a path table on graphs up to 8 vertices, the same witness
+searches above.  A suite calls no rule where the verdict is fixed before a
+search: below the least order and, on table graphs, on ni's sets that fail
+its hypothesis and where one presence bit decides ni or lemma2, all decided
+in numpy per chunk, order and k; above the table every sampled ni set goes
+to the rule.  ni's vertex set A is its bitmask throughout.
 
 Statement tags
 --------------
@@ -30,7 +31,7 @@ egc          no cycle on more than k vertices  =>  e <= k(n-1)/2 (equality:
              connected, every biconnected block a k-clique)
 kopylov_i    connected, n >= 2k+2, no path on 2k+2 vertices => edge bound
 kopylov_ii   connected, n >= 2k+3, no path on 2k+3 vertices => edge bound
-ore          e > C(n-1,2)+1  =>  Hamiltonian cycle
+ore          n >= 3, e > C(n-1,2)+1  =>  Hamiltonian cycle
 ni           partition (A,B): 2e(A)+e(A,B) > (2k-1)|A|+k|B|  =>  path on
              2k+1 vertices with both endpoints in A
 lemma1       no path on 2k+1 vertices  =>  every component H has order 2k
@@ -54,7 +55,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import closed_form_snk, kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
-from .enumeration import enumerate_nonisomorphic, write_graph6
+from .enumeration import ENUMERATE_MAX, enumerate_nonisomorphic, write_graph6
 from .families import complete, corollary1_graph
 from .graph import (
     Graph,
@@ -179,7 +180,7 @@ def matches_lemma2_exception(g: Graph, k: int, v: int) -> bool:
 # x is the instance's own parameter: lemma2's v, cor2's w, the mask of ni's
 # vertex set A, check_statement's params for lemma3 and cor1 (which build
 # their own graph), and None otherwise.  check_statement has already checked
-# k against the statement's minimum and that g is given.
+# k, g and n's least order, which lemma3 and cor1 check once they know n.
 
 
 class _Search(NamedTuple):
@@ -196,11 +197,14 @@ class _Search(NamedTuple):
     cycle: Callable[[Graph, int], Any]  # (g, length)
 
 
-def _least_order(stmt: str, k: int) -> int:
+def _least_order(stmt: str, k: int | None) -> int:
     """The least order n the statement's hypothesis admits (0: any), as the
     paper states: n >= 6k+13 for Lemma 3 and Corollaries 1 and 2, n > 5k^2
     for Theorem 1, its corollary, Proposition 1 and the construction probe,
-    and the forbidden path's order, 2k+2 or 2k+3, for Kopylov's bounds."""
+    the forbidden path's order, 2k+2 or 2k+3, for Kopylov's bounds, n >= 3
+    for Ore's theorem and one vertex for egc's bound k(n-1)/2."""
+    if stmt in ("ore", "egc"):
+        return 3 if stmt == "ore" else 1
     if stmt in ("kopylov_i", "kopylov_ii"):
         return 2 * k + (2 if stmt == "kopylov_i" else 3)
     if stmt in ("lemma3", "cor1", "cor2"):
@@ -210,12 +214,13 @@ def _least_order(stmt: str, k: int) -> int:
     return 0
 
 
-def _order_unmet(stmt: str, n: int, k: int) -> CheckOutcome | None:
-    """precondition_unmet below the statement's least order."""
+def _order_unmet(stmt: str, n: int, k: int | None) -> CheckOutcome | None:
+    """precondition_unmet, with lhs n and rhs the least order, below the
+    statement's least order; the only producer of that verdict."""
     least = _least_order(stmt, k)
     if n >= least:
         return None
-    return CheckOutcome(stmt, UNMET, 0.0, float(n + 2 * k - 2), None, f"order {n} < {least}")
+    return CheckOutcome(stmt, UNMET, float(n), float(least), None, f"order {n} < {least}")
 
 
 def _components_off_2k(g: Graph, k: int) -> list[tuple[tuple[int, ...], float, float]]:
@@ -261,8 +266,6 @@ def _egp(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
 
 def _egc(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
     lhs, rhs = g.m, k * (g.n - 1) / 2
-    if g.n == 0:  # the bound k(n-1)/2 assumes a vertex
-        return CheckOutcome(stmt, UNMET, lhs, rhs, None, "order 0")
     for length in range(max(k + 1, 3), g.n + 1):
         witness = find.cycle(g, length)
         if witness:
@@ -280,13 +283,10 @@ def _egc(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
 
 
 def _kopylov(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
-    # the forbidden path's order is the least order; "not connected" is the note at any n
-    order = _least_order(stmt, k)
+    order = _least_order(stmt, k)  # the forbidden path's order
     rhs = float((kopylov_i_value if stmt == "kopylov_i" else kopylov_ii_value)(g.n, k))
     if not is_connected(g):
         return CheckOutcome(stmt, UNMET, g.m, rhs, None, "not connected")
-    if g.n < order:
-        return CheckOutcome(stmt, UNMET, g.m, rhs, None, f"order {g.n} < {order}")
     witness = find.path(g, order, -1)
     if witness:
         return CheckOutcome(stmt, UNMET, g.m, rhs, witness, f"contains a path on {order} vertices")
@@ -294,8 +294,6 @@ def _kopylov(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcom
 
 
 def _ore(stmt: str, g: Graph, k: None, x: None, find: _Search) -> CheckOutcome:
-    if g.n < 3:
-        return CheckOutcome(stmt, UNMET, g.m, 0.0, None, "order < 3")
     threshold = float(ore_edge_threshold(g.n))
     if g.m <= threshold:
         return CheckOutcome(stmt, UNMET, g.m, threshold, None, "edge count not above threshold")
@@ -375,10 +373,9 @@ def _lemma3(
     for a in attachment:
         if not 0 <= a < 2 * k * p:
             raise ValueError(f"attachment index {a} outside the block range")
-    threshold_g = float(n + 2 * k - 2)
-    unmet = _order_unmet(stmt, n, k)
-    if unmet:
+    if unmet := _order_unmet(stmt, n, k):
         return unmet
+    threshold_g = float(n + 2 * k - 2)
     bound_h = h.n + 2 * k - 2 + Fraction(6 * p * k, n + 3)
     q, hypothesis = _threshold(h, bound_h)
     threshold_h = float(bound_h)
@@ -418,9 +415,6 @@ def _cor1(stmt: str, g_unused: None, k: int, params: dict[str, Any], find: _Sear
 
 
 def _cor2(stmt: str, g: Graph, k: int, w: int, find: _Search) -> CheckOutcome:
-    unmet = _order_unmet(stmt, g.n, k)
-    if unmet:
-        return unmet
     rest = [v for v in range(g.n) if v != w]
     for comp, lhs, rhs in _components_off_2k(g.induced(rest), k):
         if lhs > rhs:
@@ -432,11 +426,7 @@ def _cor2(stmt: str, g: Graph, k: int, w: int, find: _Search) -> CheckOutcome:
 def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutcome:
     # theorem1 asks for cycles on 2k+1 and 2k+2 vertices, its corollary for
     # every order 3..2k+2
-    n = g.n
-    threshold = float(n + 2 * k - 2)
-    least = _least_order(stmt, k)
-    if n < least:
-        return CheckOutcome(stmt, UNMET, 0.0, threshold, None, f"order {n} <= {least - 1}")
+    threshold = float(g.n + 2 * k - 2)
     q, verdict = _threshold(g, threshold)
     if verdict == "lt":
         return CheckOutcome(stmt, UNMET, q, threshold, None, "q below the threshold")
@@ -512,11 +502,12 @@ def check_statement(statement: str, g: Graph | None = None, **params: Any) -> Ch
     """Evaluate one statement on one instance.
 
     ``lemma3`` and ``cor1`` build their own graph from parameters and ignore
-    ``g``; every other statement requires it.  ``k`` is checked here against
-    the statement's minimum in ``_STATEMENTS``.  Parameters a statement does
-    not read are ignored, not rejected: ``ore`` ignores ``k``, and a stray
-    ``tol`` or ``node_budget`` is ignored too, since no verdict takes a
-    tolerance and every search runs within ``subgraphs.DEFAULT_NODE_BUDGET``.
+    ``g``; every other statement requires it, and runs no rule below its least
+    order (``_order_unmet``).  ``k`` is checked here against the statement's
+    minimum in ``_STATEMENTS``.  Parameters a statement does not read are
+    ignored, not rejected: ``ore`` ignores ``k``, and a stray ``tol`` or
+    ``node_budget`` is ignored too, since no verdict takes a tolerance and
+    every search runs within ``subgraphs.DEFAULT_NODE_BUDGET``.
     """
     spec = _STATEMENTS.get(statement)
     if spec is None:
@@ -533,6 +524,8 @@ def check_statement(statement: str, g: Graph | None = None, **params: Any) -> Ch
         if k < spec.min_k:
             raise ValueError(f"parameter k must be >= {spec.min_k}, got {k}")
     x = _param(spec.param, g, params) if spec.suite else params
+    if spec.suite and (unmet := _order_unmet(statement, g.n, k)):
+        return unmet
     find = _Search(find_constrained_path, find_cycle_of_length)
     return spec.rule(statement, g, k, x, find)
 
@@ -553,20 +546,13 @@ def prop1_sandwich_check(n: int, k: int) -> list[CheckOutcome]:
     printed floats may meet or cross once the gap, about 4k/n^2, falls
     below their spacing (n >= 10^6).
 
-    Returns one outcome per strict inequality, or a single
-    precondition_unmet outcome when k < 2 or n <= 5k^2.
+    Returns one outcome per strict inequality, or ``_order_unmet``'s single
+    outcome when n <= 5k^2; raises ValueError when k < 2, as the probe does.
     """
-    if k < 2 or n < _least_order("prop1", k):
-        return [
-            CheckOutcome(
-                "prop1",
-                UNMET,
-                0.0,
-                0.0,
-                None,
-                f"requires k >= 2 and n > 5k^2, got n={n}, k={k}",
-            )
-        ]
+    if k < 2:
+        raise ValueError(f"prop1 requires k >= 2, got {k}")
+    if unmet := _order_unmet("prop1", n, k):
+        return [unmet]
     lower, upper = prop1_sandwich(n, k)
     snk, plus = _split_quotients(n, k)
     q, q_plus = closed_form_snk(n, k), _quotient_top(*plus)[0]
@@ -591,11 +577,10 @@ def theorem1_construction_probe(n: int, k: int) -> CheckOutcome:
     stmt = "theorem1_construction_probe"
     if k < 2:
         raise ValueError(f"probe requires k >= 2, got {k}")
+    if unmet := _order_unmet(stmt, n, k):
+        return unmet
     threshold = n + 2 * k - 2
     rhs = float(threshold)
-    least = _least_order(stmt, k)
-    if n < least:
-        return CheckOutcome(stmt, UNMET, 0.0, rhs, None, f"order {n} <= {least - 1}")
     snk, plus = _split_quotients(n, k)
     q, q_plus = closed_form_snk(n, k), _quotient_top(*plus)[0]
     if _quotient_sign(*snk, threshold) >= 0:
@@ -695,7 +680,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         find = witnesses if table is None else _Search(*_table_queries(g.rows, table))
         for statement, rule, ks, param, counts in plan:
             for k, least in ks:
-                if g.n < least:  # theorem1's or kopylov's one instance, or cor2's one per w
+                if g.n < least:  # one instance, or cor2's one per w
                     counts[UNMET] += g.n if param else 1
                     continue
                 if table is not None and param in ("a", "v"):
@@ -760,8 +745,8 @@ def run_suite(
     else:
         if n_max is None:
             raise ValueError("n_max is required when no corpus is given")
-        if not 1 <= n_max <= 8:
-            raise ValueError(f"native enumeration needs 1 <= n_max <= 8, got {n_max}")
+        if not 1 <= n_max <= ENUMERATE_MAX:
+            raise ValueError(f"native enumeration needs 1 <= n_max <= {ENUMERATE_MAX}, got {n_max}")
         graphs = [g for n in range(1, n_max + 1) for g in enumerate_nonisomorphic(n)]
 
     payloads = [

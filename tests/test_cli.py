@@ -164,8 +164,17 @@ def test_split_checks_reject_orders_past_float_range(capsys, command):
 
 
 def test_theorem1_unmet_is_not_an_error(capsys):
-    assert run(["theorem1", "--n", "10", "--k", "2"]) == 0
-    assert "precondition_unmet" in capsys.readouterr().out
+    # prop1 prints the same order-unmet record as the theorem1 probe
+    for command in ("prop1", "theorem1"):
+        assert run([command, "--n", "10", "--k", "2"]) == 0
+        assert "precondition_unmet (lhs=10, rhs=21) order 10 < 21" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["prop1", "theorem1"])
+def test_split_checks_reject_k_below_2(capsys, command):
+    assert run([command, "--n", "25", "--k", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "requires k >= 2, got 1" in captured.err and captured.out == ""
 
 
 def test_suite_writes_report_and_csv(tmp_path, capsys):

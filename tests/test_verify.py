@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qext import graph, spectral, subgraphs, verify
@@ -317,7 +317,7 @@ def test_theorem1_order_hypothesis_is_n_above_5k2():
     assert check_statement("theorem1_corollary", complete(21), k=2).status == "holds"
     assert [o.status for o in prop1_sandwich_check(21, 2)] == ["holds"] * 3
     unmet = theorem1_construction_probe(20, 2)
-    assert (unmet.status, unmet.note) == ("precondition_unmet", "order 20 <= 20")
+    assert (unmet.status, unmet.lhs, unmet.rhs, unmet.note) == ("precondition_unmet", 20, 21, "order 20 < 21")
     assert check_statement("theorem1", complete(20), k=2).status == "precondition_unmet"
     assert prop1_sandwich_check(20, 2)[0].status == "precondition_unmet"
     assert theorem1_construction_probe(46, 3).status == "holds"
@@ -329,6 +329,8 @@ def test_prop1_sandwich_check():
     assert [o.status for o in outcomes] == ["holds"] * 3
     unmet = prop1_sandwich_check(10, 2)
     assert len(unmet) == 1 and unmet[0].status == "precondition_unmet"
+    with pytest.raises(ValueError, match="requires k >= 2"):
+        prop1_sandwich_check(25, 1)
 
 
 # --- Proposition 1 and the probe, against the built graphs -------------------
@@ -554,7 +556,7 @@ def test_egc_is_unmet_on_the_empty_graph():
     # the bound k(n-1)/2 assumes a vertex: at n = 0 it would read 0 > -k/2
     empty = build_graph(0)
     outcome = check_statement("egc", empty, k=2)
-    assert (outcome.status, outcome.note) == ("precondition_unmet", "order 0")
+    assert (outcome.status, outcome.note) == ("precondition_unmet", "order 0 < 1")
     report = run_suite(["egc"], corpus=[empty], k_range=[2, 3])
     assert report.by_statement["egc"]["precondition_unmet"] == 2
     assert report.violated == 0
@@ -850,10 +852,10 @@ def test_suite_builds_witnesses_only_above_the_table(monkeypatch):
 
 
 def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
-    # below the least order (theorem1's n > 5k^2, cor2's n >= 6k+13, and
-    # kopylov's n >= 2k+2 or 2k+3), and where one path-table bit fixes ni's
-    # or lemma2's verdict, the suite counts the instance without calling its
-    # rule
+    # below the least order (theorem1's n > 5k^2, cor2's n >= 6k+13,
+    # kopylov's n >= 2k+2 or 2k+3 and ore's n >= 3), and where one path-table
+    # bit fixes ni's or lemma2's verdict, the suite counts the instance
+    # without calling its rule
     calls = Counter()
     for name, spec in _STATEMENTS.items():
         def counted(statement, *args, rule=spec.rule):
@@ -867,7 +869,43 @@ def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
         assert calls[statement] == 0
     assert calls["lemma2"] == 4449
     assert calls["kopylov_i"] + calls["kopylov_ii"] == 4723
-    assert sum(calls.values()) == 20440  # 111,603 with a rule call per instance
+    assert calls["ore"] == 1252 - 3  # every graph but the three on one or two vertices
+    assert sum(calls.values()) == 20437  # 111,603 with a rule call per instance
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=10), st.sampled_from(SUITE_STATEMENTS), st.integers(0, 3), st.data())
+def test_order_gate_decides_below_the_least_order_without_a_rule(g, statement, k, data):
+    # below the least order, check_statement returns (n, least order,
+    # "order n < least") and calls no rule, and neither does the suite on
+    # the one-graph corpus; from the least order on, check_statement calls it
+    spec = _STATEMENTS[statement]
+    assume(spec.min_k is None or k >= spec.min_k)
+    assume(spec.param not in ("v", "w") or g.n > 0)
+    params = {} if spec.min_k is None else {"k": k}
+    if spec.param == "a":
+        mask = data.draw(st.integers(0, (1 << g.n) - 1))
+        params["a"] = [v for v in range(g.n) if mask >> v & 1]
+    elif spec.param:
+        params[spec.param] = data.draw(st.integers(0, g.n - 1))
+    least = verify._least_order(statement, params.get("k"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return spec.rule(*args)
+
+    with mock.patch.dict(_STATEMENTS, {statement: spec._replace(rule=counted)}):
+        outcome = check_statement(statement, g, **params)
+        checked = len(calls)
+        report = run_suite([statement], corpus=[g], k_range=[k])
+    got = (outcome.status, outcome.lhs, outcome.rhs, outcome.note)
+    if g.n < least:
+        assert got == ("precondition_unmet", g.n, least, f"order {g.n} < {least}")
+        assert calls == []
+        assert report.precondition_unmet == report.instances == (g.n if spec.param else 1)
+    else:
+        assert outcome.note != f"order {g.n} < {least}" and checked == 1
 
 
 @pytest.mark.parametrize("statement", SUITE_STATEMENTS)

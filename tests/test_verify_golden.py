@@ -19,11 +19,15 @@ Three groups are pinned in ``tests/fixtures/verify_outcomes.json``:
   ``test_report_fixtures``; everything else must match exactly.
 
 Regenerate with ``PYTHONPATH=src python tests/test_verify_golden.py``, only
-when a verdict is meant to change.
+when a verdict is meant to change, or only some entries by naming them,
+each case by its name and the sweep as ``sweep``:
+``... test_verify_golden.py sweep prop1/25_1``.  Entries not named are
+kept byte for byte.
 """
 
 import hashlib
 import json
+import sys
 from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
@@ -307,8 +311,14 @@ def test_sweep_matches_fixture(golden):
 
 
 if __name__ == "__main__":
-    payload = {
-        "cases": {name: CASES[name]() for name in sorted(CASES)},
-        "sweep": _sweep(),
-    }
+    names = sys.argv[1:] or ["sweep", *CASES]
+    unknown = [name for name in names if name != "sweep" and name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case {', '.join(unknown)}; choose sweep or a case name, such as prop1/25_1")
+    payload = json.loads(GOLDEN.read_text()) if sys.argv[1:] else {"cases": {}}
+    for name in names:
+        if name == "sweep":
+            payload["sweep"] = _sweep()
+        else:
+            payload["cases"][name] = CASES[name]()
     GOLDEN.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
