@@ -12,16 +12,16 @@ power), exactly at 64 cells or fewer; only above that may the verdict be
 indeterminate.  Proposition 1 and the construction probe build no graph:
 they take ``spectral._quotient_sign``, the exact sign of q - t, on the split
 graphs' quotients built from (n, k).  ``_STATEMENTS`` declares each
-statement once: its rule, the least k it accepts, the name of its own
-parameter and whether it runs in suites.  The same rule serves
+statement once: its rule, the least k it accepts, its own parameter, whether
+it runs in suites and its opening question.  The same rule serves
 ``check_statement``, which hands it searches that build witnesses, and
 ``run_suite``, which keeps only the status, lhs and rhs and hands it
 presence read off a path table on graphs up to 8 vertices, the same witness
 searches above.  A suite calls no rule where the verdict is fixed before a
-search: below the least order and, on table graphs, on ni's sets that fail
-its hypothesis and where one presence bit decides ni or lemma2, all decided
-in numpy per chunk, order and k; above the table every sampled ni set goes
-to the rule.  ni's vertex set A is its bitmask throughout.
+search: below the least order and, on table graphs, where the hypothesis or
+the one presence bit of the statement's ``_Opening`` fixes it (all but cor2
+and theorem1's), decided in numpy per chunk, order and k; above the table
+every instance goes to the rule.  ni's vertex set A is its bitmask throughout.
 
 Statement tags
 --------------
@@ -443,26 +443,37 @@ def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutco
     return CheckOutcome(stmt, HOLDS, q, threshold, first)
 
 
+class _Opening(NamedTuple):
+    """A rule's first question on order n, which one path-table bit answers."""
+
+    cycle: bool  # a cycle on at least order(n, k) vertices, else a path on order(n, k) ending in x's set
+    order: Callable[[int, Any], int]
+    found: str  # the rule's verdict when that path or cycle is there
+    rhs: Callable[[int, Any, int], Any] | None = None  # ni and ore first need lhs > rhs(n, k, |A|)
+
+
 class _Statement(NamedTuple):
     rule: Callable[..., CheckOutcome]
     min_k: int | None
     param: str | None
     suite: bool
+    opens: _Opening | None = None
 
 
 # Every statement, declared once, in STATEMENTS order: its rule, the least k
 # it accepts (None: it takes no k), the name of its own parameter x (None: it
-# has none) and whether it runs in suites (lemma3 and cor1 build their own
-# graph from their params, so they take no graph and run in no suite).
+# has none), whether it runs in suites (lemma3 and cor1 build their own graph
+# from their params, so run in none) and the suite's table-answered question.
 _STATEMENTS: dict[str, _Statement] = {
-    "egp": _Statement(_egp, 1, None, True),
-    "egc": _Statement(_egc, 2, None, True),
-    "kopylov_i": _Statement(_kopylov, 1, None, True),
-    "kopylov_ii": _Statement(_kopylov, 1, None, True),
-    "ore": _Statement(_ore, None, None, True),
-    "ni": _Statement(_ni, 1, "a", True),
-    "lemma1": _Statement(_lemma1, 1, None, True),
-    "lemma2": _Statement(_lemma2, 1, "v", True),
+    "egp": _Statement(_egp, 1, None, True, _Opening(False, lambda n, k: k + 2, UNMET)),
+    "egc": _Statement(_egc, 2, None, True, _Opening(True, lambda n, k: max(k + 1, 3), UNMET)),
+    "kopylov_i": _Statement(_kopylov, 1, None, True, _Opening(False, lambda n, k: 2 * k + 2, UNMET)),
+    "kopylov_ii": _Statement(_kopylov, 1, None, True, _Opening(False, lambda n, k: 2 * k + 3, UNMET)),
+    "ore": _Statement(_ore, None, None, True,
+                      _Opening(True, lambda n, k: n, HOLDS, lambda n, *_: ore_edge_threshold(n))),
+    "ni": _Statement(_ni, 1, "a", True, _Opening(False, lambda n, k: 2 * k + 1, HOLDS, _ni_rhs)),
+    "lemma1": _Statement(_lemma1, 1, None, True, _Opening(False, lambda n, k: 2 * k + 1, UNMET)),
+    "lemma2": _Statement(_lemma2, 1, "v", True, _Opening(False, lambda n, k: 2 * k + 1, UNMET)),
     "cor2": _Statement(_cor2, 2, "w", True),
     "theorem1": _Statement(_theorem1, 2, None, True),
     "theorem1_corollary": _Statement(_theorem1, 2, None, True),
@@ -616,20 +627,26 @@ def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
 
 
 def _table_open(graphs: list[Graph], tables: list, plan: list, ni_sets: list) -> dict[tuple, list]:
-    """ni's and lemma2's instances on the chunk's table graphs, decided in
-    numpy once per order and k: counts those whose verdict ni's hypothesis or
-    one presence bit fixes, and returns the rest, keyed (offset, statement,
-    k), for the rule.  ni's lhs is each set's degree sum: the degrees times
-    the 0/1 subset-membership matrix, taken at the masks."""
-    open_xs: dict[tuple, list[int]] = {}
+    """Each ``_Opening`` on the chunk's table graphs, in numpy per order and
+    k: counts the instances whose verdict the hypothesis or presence bit
+    fixes, and returns the rest, keyed (offset, statement, k), for the rule.
+    ni's lhs is the degrees times the 0/1 subset-membership matrix at the
+    masks, ore's the edge count; a cycle is a suffix OR of pairs[l] & edges."""
+    open_xs: dict[tuple, list] = {}
     on_table = [i for i, table in enumerate(tables) if table is not None]
     for n in sorted({graphs[i].n for i in on_table}):
         at = [i for i in on_table if graphs[i].n == n]
-        # [G, n+2]: the table and a last 0, the pairs of every order above n
+        # [G, n+2]: the table and a last 0, the pairs of every order above n;
+        # uint64 holds pair bit 8u + v only to n = 8 (ROADMAP item 5 step 1's limb caveat, tested on K_8)
         pairs = np.array([tables[i] + [0] for i in at], dtype=np.uint64)
+        edges = np.array([sum(r << 8 * u for u, r in enumerate(graphs[i].rows)) for i in at], dtype=np.uint64)
+        # [G, n+2]: a cycle on at least l vertices, read only at l >= 3
+        cycles = np.logical_or.accumulate((pairs & edges[:, None] != 0)[:, ::-1], 1)[:, ::-1]
         inside = np.array(_table_index(n)[1], dtype=np.uint64)
         member = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # [v, a]: v in the set a
-        for statement, _, ks, param, counts in plan:
+        for statement, _, ks, param, counts, opens in plan:
+            if opens is None:
+                continue
             if param == "a":  # [G, S]: the sampled sets, their degree sums and sizes
                 xs = np.array([ni_sets[i] for i in at])
                 degrees = np.array([graphs[i].degrees for i in at], dtype=np.int64)
@@ -638,13 +655,15 @@ def _table_open(graphs: list[Graph], tables: list, plan: list, ni_sets: list) ->
             elif param == "v":  # [G, n]: lemma2's ends are every vertex but v
                 xs = np.broadcast_to(np.arange(n), (len(at), n))
                 ends = inside[(1 << n) - 1 ^ 1 << xs]
-            else:
-                continue
-            for k, _ in ks:
-                met = lhs > _ni_rhs(n, k, size) if param == "a" else np.ones(xs.shape, bool)
-                held = pairs[:, min(2 * k + 1, n + 1), None] & ends != 0
+            else:  # [G, 1]: one instance, ends anywhere
+                xs, ends, size = np.full((len(at), 1), None), inside[-1], n
+                lhs = np.array([[graphs[i].m] for i in at])
+            for k in [k for k, least in ks if n >= least]:  # _run_chunk counts the rest
+                met = lhs > opens.rhs(n, k, size) if opens.rhs else np.ones(xs.shape, bool)
+                order = min(opens.order(n, k), n + 1)
+                held = cycles[:, order, None] if opens.cycle else pairs[:, order, None] & ends != 0
                 counts[UNMET] += int(np.count_nonzero(~met))
-                counts[HOLDS if param == "a" else UNMET] += int(np.count_nonzero(met & held))
+                counts[opens.found] += int(np.count_nonzero(met & held))
                 rest = met & ~held
                 for row in np.flatnonzero(rest.any(1)):
                     open_xs[at[row], statement, k] = xs[row][rest[row]].tolist()
@@ -657,19 +676,19 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     violated instances get a params dict.  ni's sets are masks, the same
     for every k.  These are counted without a rule call: every instance
     below its statement's least order and, on a table graph, what
-    ``_table_open`` decides per order and k: ni's sets that fail its
-    hypothesis (unmet), ni's met sets with a path on 2k+1 vertices ending in
-    A (holds) and lemma2's v with one avoiding v at both ends (unmet)."""
+    ``_table_open`` decides per order and k from each ``_Opening``.  Only
+    the status is tallied, so where Kopylov's rule would first find the graph
+    disconnected, its path's presence gives the same unmet count."""
     graphs, start_index, statements, k_range, seed, ni_sample = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
     tables = _path_tables([g.rows for g in graphs])
     plan = []
     for statement in statements:
-        rule, least, param, _ = _STATEMENTS[statement]
+        rule, least, param, _, opens = _STATEMENTS[statement]
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         ks = [(k, _least_order(statement, k)) for k in ks]
-        plan.append((statement, rule, ks, param, tallies[statement]))
+        plan.append((statement, rule, ks, param, tallies[statement], opens))
     ni_sets = [  # ni samples its sets, seeded per graph
         _ni_masks(g.n, seed * 1_000_003 + start_index + i, ni_sample) for i, g in enumerate(graphs)
     ] if "ni" in statements else []
@@ -678,12 +697,12 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
     for offset, (g, table) in enumerate(zip(graphs, tables)):
         find = witnesses if table is None else _Search(*_table_queries(g.rows, table))
-        for statement, rule, ks, param, counts in plan:
+        for statement, rule, ks, param, counts, opens in plan:
             for k, least in ks:
                 if g.n < least:  # one instance, or cor2's one per w
                     counts[UNMET] += g.n if param else 1
                     continue
-                if table is not None and param in ("a", "v"):
+                if table is not None and opens:
                     xs = open_xs.get((offset, statement, k), ())
                 elif param == "a":
                     xs = ni_sets[offset]

@@ -853,24 +853,60 @@ def test_suite_builds_witnesses_only_above_the_table(monkeypatch):
 
 def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
     # below the least order (theorem1's n > 5k^2, cor2's n >= 6k+13,
-    # kopylov's n >= 2k+2 or 2k+3 and ore's n >= 3), and where one path-table
-    # bit fixes ni's or lemma2's verdict, the suite counts the instance
-    # without calling its rule
+    # kopylov's n >= 2k+2 or 2k+3 and ore's n >= 3), and where a statement's
+    # _Opening fixes its verdict (ni's or ore's hypothesis, or one path-table
+    # bit), the suite counts the instance without calling its rule; so no
+    # rule call on these table graphs finds the opening's path or cycle
     calls = Counter()
+    found = []
     for name, spec in _STATEMENTS.items():
-        def counted(statement, *args, rule=spec.rule):
+        def counted(statement, *args, rule=spec.rule, opens=spec.opens):
             calls[statement] += 1
-            return rule(statement, *args)
+            outcome = rule(statement, *args)
+            if opens and outcome.witness and outcome.status == opens.found:
+                found.append(outcome)
+            return outcome
 
         monkeypatch.setitem(_STATEMENTS, name, spec._replace(rule=counted))
     report = run_suite(SUITE_STATEMENTS, n_max=7, k_range=(1, 2, 3), seed=0)
     assert report.as_record() == json.loads(SUITE_N7.read_text())["0"]
-    for statement in ("cor2", "theorem1", "theorem1_corollary", "ni"):
-        assert calls[statement] == 0
-    assert calls["lemma2"] == 4449
-    assert calls["kopylov_i"] + calls["kopylov_ii"] == 4723
-    assert calls["ore"] == 1252 - 3  # every graph but the three on one or two vertices
-    assert sum(calls.values()) == 20437  # 111,603 with a rule call per instance
+    assert found == []
+    assert {s: calls[s] for s in SUITE_STATEMENTS} == {
+        "egp": 192, "egc": 247, "kopylov_i": 249, "kopylov_ii": 407, "ore": 0, "ni": 0,
+        "lemma1": 652, "lemma2": 4449, "cor2": 0, "theorem1": 0, "theorem1_corollary": 0,
+    }
+    # 20,437 when only ni and lemma2 were batched; 111,603 with a rule call per instance
+    assert sum(calls.values()) == 6196
+
+
+def _count_rule_calls(monkeypatch, names):
+    calls = []
+    for name in names:
+        def counted(*args, rule=_STATEMENTS[name].rule):
+            calls.append(args[:3])
+            return rule(*args)
+
+        monkeypatch.setitem(_STATEMENTS, name, _STATEMENTS[name]._replace(rule=counted))
+    return calls
+
+
+def test_table_batch_and_rule_differ_only_in_the_note(monkeypatch):
+    # check_statement finds P6 + K1 disconnected before it looks for the path
+    # on 2k+2 = 6 vertices, and the suite reads that path's table bit: both
+    # count it unmet, and the suite calls no rule; ore on K6 holds from its
+    # Hamiltonian bit, with no rule call either
+    calls = _count_rule_calls(monkeypatch, ["kopylov_i", "ore"])
+    cases = [
+        ("kopylov_i", disjoint_union([path(6), path(1)]), 2, "precondition_unmet", "not connected"),
+        ("ore", complete(6), None, "holds", ""),
+    ]
+    for statement, g, k, status, note in cases:
+        report = run_suite([statement], corpus=[g], k_range=[k or 1])
+        assert calls == []
+        outcome = check_statement(statement, g, k=k)
+        assert (outcome.status, outcome.note, len(calls)) == (status, note, 1)
+        calls.clear()
+        assert report.by_statement[statement] == {**dict.fromkeys(verify._STATUSES, 0), status: 1}
 
 
 @settings(max_examples=100, deadline=None)
@@ -926,22 +962,48 @@ def test_suite_instances_respect_the_table(statement, monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(graphs(max_n=8), max_size=6),
+    st.lists(graphs(max_n=8) | st.builds(lambda a, b: disjoint_union([a, b]), graphs(4), graphs(4)), max_size=6),
+    st.lists(st.sampled_from(SUITE_STATEMENTS), min_size=1, unique=True),
     st.lists(st.integers(-1, 4), max_size=3),
     st.integers(2, 4),
     st.integers(0, 2**16),
     st.integers(1, 8),
 )
-def test_table_decisions_match_the_rule_on_every_instance(corpus, ks, k_needed, seed, ni_sample):
-    # what the suite decides in numpy on table graphs (ni's hypothesis and
-    # the presence bits of ni and lemma2) must give the report that calling
-    # each rule with a witness search gives; k <= 0 is dropped in both runs
+def test_table_decisions_match_the_rule_on_every_instance(corpus, statements, ks, k_needed, seed, ni_sample):
+    # what the suite decides in numpy on table graphs (ni's and ore's
+    # hypotheses and each statement's opening presence bit) must give the
+    # report that calling each rule with a witness search gives, for any
+    # statements in any order; disjoint unions bring disconnected graphs
+    # with long paths, where Kopylov's rule is unmet for another reason;
+    # k <= 0 is dropped in both runs
     k_range = ks + [k_needed]
     with mock.patch.object(verify, "_NI_SAMPLE", ni_sample):
-        batched = run_suite(SUITE_STATEMENTS, corpus=corpus, k_range=k_range, seed=seed)
+        batched = run_suite(statements, corpus=corpus, k_range=k_range, seed=seed)
         with mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)):
-            searched = run_suite(SUITE_STATEMENTS, corpus=corpus, k_range=k_range, seed=seed)
+            searched = run_suite(statements, corpus=corpus, k_range=k_range, seed=seed)
     assert batched.as_record() == searched.as_record()
+
+
+def test_table_batch_reads_the_top_bit_of_the_pair_words(monkeypatch):
+    # K_8's pairs[1] sets bit 63 = 8*7 + 7, and its edge word bit 62: the
+    # batch stacks both as uint64, which holds pair bit 8u + v only while
+    # _TABLE_MAX <= 8 (ROADMAP item 5 step 1: above, the words need limbs);
+    # stacked as int64 they overflow, and K_8 then fails here loudly
+    top = 8 * (subgraphs._TABLE_MAX - 1) + subgraphs._TABLE_MAX - 1
+    assert top < 64, f"pair bit {top} does not fit the batch's uint64 words"
+    k8 = complete(8)
+    table = subgraphs._path_tables([k8.rows])[0]
+    assert table[1] >> 63 == 1
+    assert sum(row << 8 * u for u, row in enumerate(k8.rows)).bit_length() == 63
+    with pytest.raises(OverflowError):
+        np.array([table], dtype=np.int64)
+    calls = _count_rule_calls(monkeypatch, SUITE_STATEMENTS)
+    batched = run_suite(SUITE_STATEMENTS, corpus=[k8], k_range=(1, 2, 3))
+    assert calls == []  # every opening path and cycle is there, or the order too small
+    with mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)):
+        searched = run_suite(SUITE_STATEMENTS, corpus=[k8], k_range=(1, 2, 3))
+    assert batched.as_record() == searched.as_record()
+    assert batched.by_statement["ore"]["holds"] == 1
 
 
 def test_zeroed_tables_send_every_open_instance_to_the_rule(monkeypatch):
