@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nmax", type=int, help="enumerate all graphs up to this order")
     p.add_argument("--k", default="1,2,3", help="comma-separated k values")
     p.add_argument("--corpus", help="graph6 file used instead of native enumeration")
-    p.add_argument("--seed", type=int, default=0, help="seeds ni's sampled vertex sets above 6 vertices")
+    p.add_argument("--seed", type=int, default=0, help="ni's sets above 6 vertices: a sample XORed per graph")
     p.add_argument("--jobs", type=_jobs, default=1)
     add_common(p)
 

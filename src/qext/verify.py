@@ -617,21 +617,23 @@ def _tallies(statements: Sequence[str]) -> dict[str, dict[str, int]]:
     return {s: dict.fromkeys(_STATUSES, 0) for s in statements}
 
 
-def _ni_masks(n: int, rng_seed: int, ni_sample: int) -> Sequence[int]:
-    """ni's vertex sets A, as masks: every set through 6 vertices; above, a
-    sorted sample of ``ni_sample`` sets drawn by ``random.Random(rng_seed)``."""
-    if n <= 6:
-        return range(1 << n)
-    rng = random.Random(rng_seed)
-    return sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
+def _ni_draw(graphs: Sequence[Graph], seed: int) -> tuple[dict[int, list[int]], list[int]]:
+    """Graph i's ni sets are sorted(a ^ flips[i] for a in bases[n]): bases[n] is
+    every mask through 6 vertices and above, ``_NI_SAMPLE`` drawn once per order;
+    flips[i] is an n-bit mask drawn in catalogue order.  A fixed XOR permutes the
+    subsets, so each graph's sets are a uniform sample.  String seeds tell 3 from -3."""
+    size = {n: 1 << n if n <= 6 else min(_NI_SAMPLE, 1 << n) for n in {g.n for g in graphs}}
+    bases = {n: sorted(random.Random(f"ni {seed} {n}").sample(range(1 << n), s)) for n, s in size.items()}
+    rng = random.Random(f"ni {seed}")
+    return bases, [rng.getrandbits(g.n) for g in graphs]
 
 
-def _table_open(graphs: list[Graph], tables: list, plan: list, ni_sets: list) -> dict[tuple, list]:
+def _table_open(graphs: list[Graph], tables: list, plan: list, bases: dict, flips: list) -> dict[tuple, list]:
     """Each ``_Opening`` on the chunk's table graphs, in numpy per order and
     k: counts the instances whose verdict the hypothesis or presence bit
     fixes, and returns the rest, keyed (offset, statement, k), for the rule.
     ni's lhs is the degrees times the 0/1 subset-membership matrix at the
-    masks, ore's the edge count; a cycle is a suffix OR of pairs[l] & edges."""
+    masks of ``_ni_draw``, ore's the edge count; a cycle is a suffix OR of pairs[l] & edges."""
     open_xs: dict[tuple, list] = {}
     on_table = [i for i, table in enumerate(tables) if table is not None]
     for n in sorted({graphs[i].n for i in on_table}):
@@ -647,8 +649,8 @@ def _table_open(graphs: list[Graph], tables: list, plan: list, ni_sets: list) ->
         for statement, _, ks, param, counts, opens in plan:
             if opens is None:
                 continue
-            if param == "a":  # [G, S]: the sampled sets, their degree sums and sizes
-                xs = np.array([ni_sets[i] for i in at])
+            if param == "a":  # [G, S]: each graph's translate of the base sets, their degree sums and sizes
+                xs = np.sort(np.array(bases[n]) ^ np.array([flips[i] for i in at])[:, None], 1)
                 degrees = np.array([graphs[i].degrees for i in at], dtype=np.int64)
                 lhs, size = np.take_along_axis(degrees @ member, xs, 1), member.sum(0)[xs]
                 ends = inside[xs]
@@ -674,12 +676,12 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     """Every instance of every statement on each graph of the chunk, in
     order: k by k, and within a k vertex by vertex or set by set.  Only the
     violated instances get a params dict.  ni's sets are masks, the same
-    for every k.  These are counted without a rule call: every instance
-    below its statement's least order and, on a table graph, what
-    ``_table_open`` decides per order and k from each ``_Opening``.  Only
-    the status is tallied, so where Kopylov's rule would first find the graph
-    disconnected, its path's presence gives the same unmet count."""
-    graphs, start_index, statements, k_range, seed, ni_sample = payload
+    for every k, from run_suite's ``_ni_draw``.  These are counted without a
+    rule call: every instance below its statement's least order and, on a
+    table graph, what ``_table_open`` decides per order and k from each
+    ``_Opening``.  Only the status is tallied, so where Kopylov's rule would
+    first find the graph disconnected, its path's presence gives the same unmet count."""
+    graphs, statements, k_range, bases, flips = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
     tables = _path_tables([g.rows for g in graphs])
@@ -689,10 +691,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         ks = [(k, _least_order(statement, k)) for k in ks]
         plan.append((statement, rule, ks, param, tallies[statement], opens))
-    ni_sets = [  # ni samples its sets, seeded per graph
-        _ni_masks(g.n, seed * 1_000_003 + start_index + i, ni_sample) for i, g in enumerate(graphs)
-    ] if "ni" in statements else []
-    open_xs = _table_open(graphs, tables, plan, ni_sets)
+    open_xs = _table_open(graphs, tables, plan, bases, flips)
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
     for offset, (g, table) in enumerate(zip(graphs, tables)):
@@ -705,7 +704,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
                 if table is not None and opens:
                     xs = open_xs.get((offset, statement, k), ())
                 elif param == "a":
-                    xs = ni_sets[offset]
+                    xs = sorted(a ^ flips[offset] for a in bases[g.n])
                 else:
                     xs = range(g.n) if param else (None,)
                 for x in xs:
@@ -739,11 +738,11 @@ def run_suite(
     """Apply statements to every enumerated (or supplied) graph instance.
 
     Without a corpus, graphs are the exhaustive isomorph-free catalog for
-    every order 1..n_max.  ``seed`` seeds ni's vertex sets on graphs above 6
-    vertices, a sample of ``_NI_SAMPLE`` per graph (every set below).
-    Aggregation is deterministic in canonical order regardless of the
-    worker count.  A statement or k given twice runs once, in the order of
-    its first occurrence.
+    every order 1..n_max.  ``seed`` seeds ni's vertex sets above 6 vertices,
+    ``_NI_SAMPLE`` per graph (every set below): ``_ni_draw`` takes one sample
+    per order and XORs it with a mask drawn per graph in catalogue order, so
+    the report is the same for any worker count and chunk size.  A statement
+    or k given twice runs once, in the order of its first occurrence.
     """
     statements = tuple(dict.fromkeys(statements))
     for statement in statements:
@@ -768,8 +767,9 @@ def run_suite(
             raise ValueError(f"native enumeration needs 1 <= n_max <= {ENUMERATE_MAX}, got {n_max}")
         graphs = [g for n in range(1, n_max + 1) for g in enumerate_nonisomorphic(n)]
 
+    bases, flips = _ni_draw(graphs, seed) if "ni" in statements else ({}, [])
     payloads = [
-        (graphs[i : i + _CHUNK_SIZE], i, statements, tuple(ks), seed, _NI_SAMPLE)
+        (graphs[i : i + _CHUNK_SIZE], statements, tuple(ks), bases, flips[i : i + _CHUNK_SIZE])
         for i in range(0, len(graphs), _CHUNK_SIZE)
     ]
     if jobs > 1 and len(payloads) > 1:

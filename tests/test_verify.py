@@ -525,11 +525,59 @@ def test_suite_ore_dense_instances():
 
 
 def test_suite_jobs_merge_is_deterministic():
-    # every statement; n = 7 samples ni's vertex sets with a per-graph seed,
+    # every statement; n = 7 samples ni's vertex sets, translated per graph,
     # which must not depend on how the graphs are split into chunks
     serial = run_suite(SUITE_STATEMENTS, n_max=7, k_range=[1, 2, 3])
     parallel = run_suite(SUITE_STATEMENTS, n_max=7, k_range=[1, 2, 3], jobs=2)
     assert serial == parallel
+
+
+def test_mixed_order_reports_do_not_depend_on_jobs_or_chunk_size(monkeypatch):
+    # run_suite draws each graph's ni translate in corpus order before it
+    # cuts the chunks, so orders interleaved across chunk borders give the
+    # same records whatever the chunk size and the worker count
+    rng = random.Random(23)
+    corpus = [random_graph(n, 0.5, rng) for n in (8, 3, 7, 10, 7, 6, 8, 9, 0, 7, 8)]
+    records = []
+    for size, jobs in ((256, 1), (1, 1), (1, 2), (3, 2)):
+        monkeypatch.setattr(verify, "_CHUNK_SIZE", size)
+        report = run_suite(SUITE_STATEMENTS, corpus=corpus, k_range=(1, 2), seed=11, jobs=jobs)
+        records.append(report.as_record())
+    assert records[1:] == records[:1] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(graphs(max_n=11), min_size=1, max_size=5), st.integers(-2**40, 2**40), st.integers(1, 300))
+def test_ni_sets_are_a_full_or_sampled_set_of_distinct_masks(corpus, seed, ni_sample):
+    # with no path table every set reaches the rule, one graph after
+    # another: min(S, 2^n) distinct masks of n bits, ascending, and every
+    # mask through 6 vertices or once S >= 2^n
+    corpus = [build_graph(g.n, g.edges()) for g in corpus]  # told apart by identity
+    calls = []
+
+    def counted(statement, g, k, a, find):
+        calls.append((g, a))
+        return verify.CheckOutcome(statement, "precondition_unmet", 0.0, 0.0)
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(_STATEMENTS, {"ni": _STATEMENTS["ni"]._replace(rule=counted)}))
+        stack.enter_context(mock.patch.object(verify, "_NI_SAMPLE", ni_sample))
+        stack.enter_context(mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)))
+        run_suite(["ni"], corpus=corpus, k_range=[1], seed=seed)
+    for g in corpus:
+        sets = [a for h, a in calls if h is g]
+        assert sets == sorted(set(sets)) and all(0 <= a < 1 << g.n for a in sets)
+        assert len(sets) == (1 << g.n if g.n <= 6 else min(ni_sample, 1 << g.n))
+        if g.n <= 6 or ni_sample >= 1 << g.n:
+            assert sets == list(range(1 << g.n))
+
+
+def test_ni_draw_tells_a_seed_from_its_negation():
+    # random.Random(3) and random.Random(-3) draw alike; ni's seeds must not
+    corpus = [complete(8), path(7), cycle(9)]
+    (bases, flips), (negated, negated_flips) = verify._ni_draw(corpus, 3), verify._ni_draw(corpus, -3)
+    assert all(bases[n] != negated[n] for n in (7, 8, 9)) and flips != negated_flips
+    assert reference_ni_masks(corpus, 3) != reference_ni_masks(corpus, -3)
 
 
 def test_suite_builds_one_table_batch_per_chunk_and_order(monkeypatch):
@@ -603,8 +651,9 @@ def test_suite_counts_a_repeated_statement_once():
     assert mixed == run_suite(["lemma1", "egp"], n_max=4, k_range=[1, 2])
 
 
-# records of the full suite at n <= 7, written from the commit before the
-# path table, with the DFS alone; n = 7 is where ni samples its vertex sets
+# records of the full suite at n <= 7, written with the path tables stubbed
+# out (the DFS alone), which gives the same records as the tables; n = 7 is
+# where ni samples its vertex sets
 SUITE_N7 = Path(__file__).parent / "fixtures" / "suite_n7.json"
 
 
@@ -734,14 +783,25 @@ def _each_vertex(name):
     return instances
 
 
-def _ni_partitions(g, ks, graph_index, seed, ni_sample):
-    n = g.n
-    if n <= 6:
-        masks: Iterable[int] = range(1 << n)
-    else:
-        rng = random.Random(seed * 1_000_003 + graph_index)
-        masks = sorted(rng.sample(range(1 << n), min(ni_sample, 1 << n)))
-    sets = [[v for v in range(n) if mask >> v & 1] for mask in masks]
+def reference_ni_masks(graphs, seed, ni_sample=50):
+    """ni's sets of each graph, written from the definition: every set
+    through 6 vertices; above, one sample T_n of ni_sample masks per order,
+    seeded by "ni {seed} {n}", each graph's sets the sorted XOR of T_n with
+    an n-bit mask drawn per graph, in order, from one "ni {seed}" stream."""
+    flips = random.Random(f"ni {seed}")
+    masks = []
+    for g in graphs:
+        n, flip = g.n, flips.getrandbits(g.n)
+        if n <= 6:
+            base: Iterable[int] = range(1 << n)
+        else:
+            base = random.Random(f"ni {seed} {n}").sample(range(1 << n), min(ni_sample, 1 << n))
+        masks.append(sorted(a ^ flip for a in base))
+    return masks
+
+
+def _ni_partitions(g, ks, masks):
+    sets = [[v for v in range(g.n) if mask >> v & 1] for mask in masks]
     return [{"k": k, "a": a} for k in ks for a in sets]
 
 
@@ -760,10 +820,10 @@ REFERENCE_INSTANCES = {
 }
 
 
-def _instances_for(g, graph_index, statement, k_range, seed, ni_sample):
+def _instances_for(g, ni_masks, statement, k_range):
     least = _STATEMENTS[statement].min_k
     ks = k_range if least is None else [k for k in k_range if k >= least]
-    return REFERENCE_INSTANCES[statement](g, ks, graph_index, seed, ni_sample)
+    return REFERENCE_INSTANCES[statement](g, ks, ni_masks)
 
 
 def reference_suite(statements, graphs, k_range, seed=0, ni_sample=50):
@@ -771,9 +831,9 @@ def reference_suite(statements, graphs, k_range, seed=0, ni_sample=50):
     ks = sorted(set(k_range))
     by_statement = {s: dict.fromkeys(verify._STATUSES, 0) for s in statements}
     violating = []
-    for index, g in enumerate(graphs):
+    for g, ni_masks in zip(graphs, reference_ni_masks(graphs, seed, ni_sample)):
         for statement in statements:
-            for params in _instances_for(g, index, statement, ks, seed, ni_sample):
+            for params in _instances_for(g, ni_masks, statement, ks):
                 outcome = check_statement(statement, g, **params)
                 by_statement[statement][outcome.status] += 1
                 if outcome.status == "violated":
@@ -847,8 +907,8 @@ def test_suite_builds_witnesses_only_above_the_table(monkeypatch):
     assert report.violated == 0
     assert set(orders) == {10, 11, 22}
     # each instance above the table runs its rule once, repeating no search:
-    # 359 path and 41 cycle searches, as when every instance ran its rule
-    assert len(orders) == 359 + 41
+    # 353 path and 41 cycle searches, as when every instance ran its rule
+    assert len(orders) == 353 + 41
 
 
 def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
@@ -1023,8 +1083,7 @@ def test_zeroed_tables_send_every_open_instance_to_the_rule(monkeypatch):
     corpus = [complete(5), complete(6), complete(8)]
     report = run_suite(["ni", "lemma2"], corpus=corpus, k_range=(0, 1, 2), seed=3)
     expected = []
-    for index, g in enumerate(corpus):
-        masks = verify._ni_masks(g.n, 3 * 1_000_003 + index, verify._NI_SAMPLE)
+    for g, masks in zip(corpus, reference_ni_masks(corpus, 3, verify._NI_SAMPLE)):
         for k in (1, 2):
             for a in masks:
                 size = a.bit_count()
@@ -1038,4 +1097,4 @@ def test_zeroed_tables_send_every_open_instance_to_the_rule(monkeypatch):
     assert calls["lemma2"] == 2 * (5 + 6 + 8)
     assert calls["ni"] == report.by_statement["ni"]["violated"] == len(expected) - calls["lemma2"]
     assert report.by_statement["lemma2"]["violated"] == calls["lemma2"]
-    assert report.violated == len(expected) == 241
+    assert report.violated == len(expected) == 244
