@@ -19,20 +19,19 @@ look-ahead places fewer, so a given budget reaches at least as far as a
 search without it.  Every witness is re-checked by an independent
 validator before it is returned.
 
-Presence alone has a second source on graphs with at most 8 vertices: a
-path table from a Held–Karp subset DP run in numpy over a batch of graphs
-of one order (one batch per suite chunk and order).  A graph's table is
-``pairs[r]`` for r = 0..n, bit 8u + v set when some u..v path on r
-vertices exists.  :func:`_table_queries` answers presence with one AND and
-no node spent: with the pairs inside A for a path with both ends in A, and
-with the edges for a cycle (a path whose ends are adjacent).  No witness
-is built from a table.
+Graphs with at most 8 vertices also get a path table, from a Held–Karp
+subset DP run in numpy over a batch of graphs of one order (one batch per
+suite chunk and order).  A graph's table is ``pairs[r]`` for r = 0..n, bit
+8u + v set when some u..v path on r vertices exists.  Its one reader is the
+suite's ``verify._table_open``: a path with both ends in A is an AND with
+the pairs inside A, a cycle one with the edges (a path whose ends are
+adjacent).  No witness is built from a table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -210,20 +209,6 @@ def find_constrained_path(
             )
             return witness
     return None
-
-
-def _table_queries(rows: tuple[int, ...], pairs: list[int]) -> tuple[Callable[..., Any], ...]:
-    """Presence read off a graph's path table, shaped as
-    :func:`find_constrained_path` and :func:`find_cycle_of_length` (length
-    >= 3) without their node budget: ``pairs`` ANDed with the pairs inside
-    the end mask or with the edges, truthy exactly when they return a witness."""
-    n = len(rows)
-    full, inside = (1 << n) - 1, _table_index(n)[1]
-    edges = sum(row << 8 * u for u, row in enumerate(rows))
-    return (
-        lambda g, order, ends_mask: order <= n and pairs[order] & inside[ends_mask & full],
-        lambda g, length: length <= n and pairs[length] & edges,
-    )
 
 
 def find_cycle_of_length(

@@ -15,13 +15,14 @@ graphs' quotients built from (n, k).  ``_STATEMENTS`` declares each
 statement once: its rule, the least k it accepts, its own parameter, whether
 it runs in suites and its opening question.  The same rule serves
 ``check_statement``, which hands it searches that build witnesses, and
-``run_suite``, which keeps only the status, lhs and rhs and hands it
-presence read off a path table on graphs up to 8 vertices, the same witness
-searches above.  A suite calls no rule where the verdict is fixed before a
-search: below the least order and, on table graphs, where the hypothesis or
-the one presence bit of the statement's ``_Opening`` fixes it (all but cor2
-and theorem1's), decided in numpy per chunk, order and k; above the table
-every instance goes to the rule.  ni's vertex set A is its bitmask throughout.
+``run_suite``, which keeps only the status, lhs and rhs.  A suite calls no
+rule where the verdict is fixed before a search: below the least order and,
+on graphs up to 8 vertices, where the hypothesis or the one path-table bit
+of the statement's ``_Opening`` fixes it (all but cor2 and theorem1's),
+decided in numpy per chunk, order and k by ``_table_open``, the table's one
+reader.  A rule it leaves open there gets ``_ABSENT``, a search that finds
+nothing; above the table every instance goes to the rule with the witness
+searches.  ni's vertex set A is its bitmask throughout.
 
 Statement tags
 --------------
@@ -48,6 +49,7 @@ theorem1_corollary   same hypothesis  =>  cycles of every order 3..2k+2
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
@@ -70,13 +72,7 @@ from .graph import (
 )
 from .report import record
 from .spectral import _quotient_sign, _quotient_top, certified_compare, q_index
-from .subgraphs import (
-    _path_tables,
-    _table_index,
-    _table_queries,
-    find_constrained_path,
-    find_cycle_of_length,
-)
+from .subgraphs import _path_tables, _table_index, find_constrained_path, find_cycle_of_length
 
 HOLDS = "holds"
 EQUALITY = "equality_case"
@@ -187,14 +183,19 @@ class _Search(NamedTuple):
     """How a rule asks its questions: a path on ``order`` vertices with both
     ends in ``ends_mask``, and a cycle on ``length`` vertices, each within
     the default node budget.  Either the witness builders
-    find_constrained_path and find_cycle_of_length (a witness or None, from
-    a plain DFS at every order), or, for a suite graph with a path table,
-    the presence answers of _table_queries, truthy exactly when a witness
-    exists; a rule reads only whether the answer is truthy, and
-    keeps it as the witness."""
+    find_constrained_path and find_cycle_of_length (a witness or None), or,
+    for a suite graph with a path table, ``_ABSENT``; a rule reads only
+    whether the answer is truthy, and keeps it as the witness."""
 
     path: Callable[[Graph, int, int], Any]  # (g, order, ends_mask)
     cycle: Callable[[Graph, int], Any]  # (g, length)
+
+
+# On a graph with a path table, every rule that _table_open leaves open asks
+# only its opening question, which the table has answered absent (for egc,
+# every longer cycle too: the suffix OR); cor2 and theorem1's, which have no
+# opening, need 21 or more vertices, so never reach a rule there.
+_ABSENT = _Search(lambda g, order, ends_mask: None, lambda g, length: None)
 
 
 def _least_order(stmt: str, k: int | None) -> int:
@@ -621,9 +622,19 @@ def _ni_draw(graphs: Sequence[Graph], seed: int) -> tuple[dict[int, list[int]], 
     """Graph i's ni sets are sorted(a ^ flips[i] for a in bases[n]): bases[n] is
     every mask through 6 vertices and above, ``_NI_SAMPLE`` drawn once per order;
     flips[i] is an n-bit mask drawn in catalogue order.  A fixed XOR permutes the
-    subsets, so each graph's sets are a uniform sample.  String seeds tell 3 from -3."""
-    size = {n: 1 << n if n <= 6 else min(_NI_SAMPLE, 1 << n) for n in {g.n for g in graphs}}
-    bases = {n: sorted(random.Random(f"ni {seed} {n}").sample(range(1 << n), s)) for n, s in size.items()}
+    subsets, so each graph's sets are a uniform sample.  String seeds tell 3 from -3.
+    Above 62 vertices, where range(1 << n) is too long to sample, the same
+    generator draws n-bit masks until it has that many distinct ones."""
+    bases = {}
+    for n in {g.n for g in graphs}:
+        base_rng, size = random.Random(f"ni {seed} {n}"), 1 << n if n <= 6 else min(_NI_SAMPLE, 1 << n)
+        if 1 << n <= sys.maxsize:
+            bases[n] = sorted(base_rng.sample(range(1 << n), size))
+            continue
+        masks: set[int] = set()
+        while len(masks) < size:
+            masks.add(base_rng.getrandbits(n))
+        bases[n] = sorted(masks)
     rng = random.Random(f"ni {seed}")
     return bases, [rng.getrandbits(g.n) for g in graphs]
 
@@ -679,8 +690,9 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     for every k, from run_suite's ``_ni_draw``.  These are counted without a
     rule call: every instance below its statement's least order and, on a
     table graph, what ``_table_open`` decides per order and k from each
-    ``_Opening``.  Only the status is tallied, so where Kopylov's rule would
-    first find the graph disconnected, its path's presence gives the same unmet count."""
+    ``_Opening``; the rules there get ``_ABSENT`` for the rest.  Only the
+    status is tallied, so where Kopylov's rule would first find the graph
+    disconnected, its path's presence gives the same unmet count."""
     graphs, statements, k_range, bases, flips = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
@@ -695,7 +707,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
     for offset, (g, table) in enumerate(zip(graphs, tables)):
-        find = witnesses if table is None else _Search(*_table_queries(g.rows, table))
+        find = witnesses if table is None else _ABSENT
         for statement, rule, ks, param, counts, opens in plan:
             for k, least in ks:
                 if g.n < least:  # one instance, or cor2's one per w

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qext.graph import Graph, build_graph
+from qext.subgraphs import _table_index
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -21,6 +22,20 @@ def graph_from_code(n: int, code: int) -> Graph:
     if not 0 <= code < 1 << len(pairs):
         raise ValueError(f"code {code} out of range for n={n}: need 0 <= code < 2^{len(pairs)}")
     return build_graph(n, [pair for i, pair in enumerate(reversed(pairs)) if code >> i & 1])
+
+
+def table_presence(g: Graph, pairs: list[int]):
+    """Presence read off g's path table ``pairs`` (bit 8u + v of pairs[r]: a
+    u..v path on r vertices), as (path, cycle): a path on ``order`` vertices
+    with both ends in the bitmask ``ends`` is pairs[order] & inside[ends], a
+    cycle on ``length`` >= 3 vertices pairs[length] & the edge word; both
+    False above n."""
+    n, inside = g.n, _table_index(g.n)[1]
+    edges = sum(row << 8 * u for u, row in enumerate(g.rows))
+    return (
+        lambda order, ends=-1: order <= n and pairs[order] & inside[ends & (1 << n) - 1] != 0,
+        lambda length: length <= n and pairs[length] & edges != 0,
+    )
 
 
 @st.composite

@@ -20,7 +20,7 @@ from qext.subgraphs import (
     is_path_witness,
 )
 
-from conftest import random_graph
+from conftest import random_graph, table_presence
 
 
 def brute_path_exists(g, order, endpoint_ok):
@@ -383,8 +383,8 @@ def assert_tables_match_loop(graphs):
             continue
         ends, cycles = loop_path_table(g.rows)
         assert table == pairs_from_ends(ends)
-        cycle_query = subgraphs._table_queries(g.rows, table)[1]
-        assert [bool(cycle_query(g, length)) for length in range(3, g.n + 1)] == [
+        cycle_query = table_presence(g, table)[1]
+        assert [cycle_query(length) for length in range(3, g.n + 1)] == [
             cycles[length] != 0 for length in range(3, g.n + 1)
         ]
 
@@ -435,9 +435,9 @@ def test_spans_match_brute_force_for_every_end_mask():
     graphs = [build_graph(0)] + [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
     graphs += [random_graph(n, p, rng) for n in (7, 8) for p in (0.3, 0.6)]
     for g, table in zip(graphs, subgraphs._path_tables([g.rows for g in graphs])):
-        path_query = subgraphs._table_queries(g.rows, table)[0]
+        path_query = table_presence(g, table)[0]
         spans = [
-            sum(bool(path_query(g, order, a)) << a for a in range(1 << g.n))
+            sum(path_query(order, a) << a for a in range(1 << g.n))
             for order in range(g.n + 1)
         ]
         assert spans == brute_spans(g)
@@ -448,9 +448,9 @@ def test_cycle_query_matches_the_search_up_to_7():
     # when find_cycle_of_length returns a witness, at every length 3..n
     graphs = [g for n in range(3, 8) for g in enumerate_nonisomorphic(n)]
     for g, table in zip(graphs, subgraphs._path_tables([g.rows for g in graphs])):
-        cycle_query = subgraphs._table_queries(g.rows, table)[1]
+        cycle_query = table_presence(g, table)[1]
         for length in range(3, g.n + 1):
-            assert bool(cycle_query(g, length)) == (find_cycle_of_length(g, length) is not None)
+            assert cycle_query(length) == (find_cycle_of_length(g, length) is not None)
 
 
 def test_absence_is_a_search_at_every_order():
@@ -470,13 +470,13 @@ def test_absence_is_a_search_at_every_order():
 
 
 def test_presence_spends_no_node_on_table_graphs():
-    # the suite reads presence on n = 8 off the path table, with no search
+    # presence on n = 8 is read off the path table, with no search
     g = complete(8)
-    path_bit, cycle_bit = subgraphs._table_queries(g.rows, subgraphs._path_tables([g.rows])[0])
-    assert path_bit(g, 8, -1) and cycle_bit(g, 8)
-    assert not path_bit(g, 9, -1) and not cycle_bit(g, 9)
-    assert not path_bit(g, 2, 1)  # both ends in {0}: only order 1 fits
-    assert path_bit(g, 1, 1) and not path_bit(g, 1, 0)
+    path_bit, cycle_bit = table_presence(g, subgraphs._path_tables([g.rows])[0])
+    assert path_bit(8) and cycle_bit(8)
+    assert not path_bit(9) and not cycle_bit(9)
+    assert not path_bit(2, 1)  # both ends in {0}: only order 1 fits
+    assert path_bit(1, 1) and not path_bit(1, 0)
     with pytest.raises(ValueError, match="path order"):
         find_constrained_path(g, 0, -1)
     with pytest.raises(ValueError, match="cycle length"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -30,6 +31,7 @@ from qext.families import (
 )
 from qext.graph import build_graph, components, disjoint_union, is_connected, join
 from qext.spectral import certified_compare, q_index
+from qext.subgraphs import find_constrained_path, find_cycle_of_length
 from qext.verify import (
     _STATEMENTS,
     STATEMENTS,
@@ -580,6 +582,23 @@ def test_ni_draw_tells_a_seed_from_its_negation():
     assert reference_ni_masks(corpus, 3) != reference_ni_masks(corpus, -3)
 
 
+def test_ni_draws_its_sets_above_62_vertices(monkeypatch):
+    # range(1 << n) is too long to sample from once n >= 63: the base is
+    # then _NI_SAMPLE distinct n-bit masks from the same per-order generator
+    sets = []
+
+    def counted(statement, g, k, a, find, rule=_STATEMENTS["ni"].rule):
+        sets.append(a)
+        return rule(statement, g, k, a, find)
+
+    monkeypatch.setitem(_STATEMENTS, "ni", _STATEMENTS["ni"]._replace(rule=counted))
+    for n in (62, 63, 64):
+        sets.clear()
+        report = run_suite(["ni"], corpus=[edgeless(n)], k_range=[1])
+        assert report.instances == report.precondition_unmet == verify._NI_SAMPLE == 50
+        assert sets == sorted(set(sets)) and len(sets) == 50 and all(0 <= a < 1 << n for a in sets)
+
+
 def test_suite_builds_one_table_batch_per_chunk_and_order(monkeypatch):
     # the path tables of a chunk are built in one batch per order, never
     # one graph at a time
@@ -915,22 +934,25 @@ def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
     # below the least order (theorem1's n > 5k^2, cor2's n >= 6k+13,
     # kopylov's n >= 2k+2 or 2k+3 and ore's n >= 3), and where a statement's
     # _Opening fixes its verdict (ni's or ore's hypothesis, or one path-table
-    # bit), the suite counts the instance without calling its rule; so no
-    # rule call on these table graphs finds the opening's path or cycle
+    # bit), the suite counts the instance without calling its rule; every
+    # rule call it makes on these table graphs gets the search that finds
+    # nothing, and gives the outcome, witness aside, of the witness searches
     calls = Counter()
-    found = []
+    differ = []
+    witnesses = verify._Search(find_constrained_path, find_cycle_of_length)
     for name, spec in _STATEMENTS.items():
-        def counted(statement, *args, rule=spec.rule, opens=spec.opens):
+        def counted(statement, g, k, x, find, rule=spec.rule):
             calls[statement] += 1
-            outcome = rule(statement, *args)
-            if opens and outcome.witness and outcome.status == opens.found:
-                found.append(outcome)
+            outcome = rule(statement, g, k, x, find)
+            searched = rule(statement, g, k, x, witnesses)
+            if dataclasses.replace(outcome, witness=None) != dataclasses.replace(searched, witness=None):
+                differ.append((outcome, searched))
             return outcome
 
         monkeypatch.setitem(_STATEMENTS, name, spec._replace(rule=counted))
     report = run_suite(SUITE_STATEMENTS, n_max=7, k_range=(1, 2, 3), seed=0)
+    assert differ == []
     assert report.as_record() == json.loads(SUITE_N7.read_text())["0"]
-    assert found == []
     assert {s: calls[s] for s in SUITE_STATEMENTS} == {
         "egp": 192, "egc": 247, "kopylov_i": 249, "kopylov_ii": 407, "ore": 0, "ni": 0,
         "lemma1": 652, "lemma2": 4449, "cor2": 0, "theorem1": 0, "theorem1_corollary": 0,
