@@ -21,11 +21,9 @@ validator before it is returned.
 
 Graphs with at most 8 vertices also get a path table, from a Held–Karp
 subset DP run in numpy over a batch of graphs of one order (one batch per
-suite chunk and order).  A graph's table is ``pairs[r]`` for r = 0..n, bit
-8u + v set when some u..v path on r vertices exists.  Its one reader is the
-suite's ``verify._table_open``: a path with both ends in A is an AND with
-the pairs inside A, a cycle one with the edges (a path whose ends are
-adjacent).  No witness is built from a table.
+suite chunk and order), whose word format only this module reads: the
+suite asks :func:`_table_paths` for a path with both ends in a vertex set
+and :func:`_table_cycles` for a long cycle.  No witness is built from it.
 """
 
 from __future__ import annotations
@@ -72,30 +70,20 @@ def _check_witness(ok: bool, kind: str, vertices: tuple[int, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _table_index(n: int) -> tuple[list[np.ndarray], list[int]]:
+def _table_index(n: int) -> tuple[list[np.ndarray], np.ndarray]:
     """For order n, built on first use: the subsets of each size, ascending,
     and for each vertex set A its ordered pairs (u, v) as bits 8u + v."""
     layers = [np.array([s for s in range(1 << n) if s.bit_count() == r]) for r in range(n + 1)]
-    inside = [sum(a << 8 * u for u in _bits(a)) for a in range(1 << n)]
+    inside = np.array([sum(a << 8 * u for u in _bits(a)) for a in range(1 << n)], dtype=np.uint64)
     return layers, inside
 
 
-def _path_tables(rows_list: Sequence[tuple[int, ...]]) -> list[list[int] | None]:
-    """The path table of each graph with at most ``_TABLE_MAX`` vertices
-    (None for larger ones), built in one batch per order."""
-    tables: dict[int, list[int]] = {}
-    for n in sorted({len(rows) for rows in rows_list if len(rows) <= _TABLE_MAX}):
-        where = [i for i, rows in enumerate(rows_list) if len(rows) == n]
-        tables.update(zip(where, _held_karp([rows_list[i] for i in where], n)))
-    return [tables.get(i) for i in range(len(rows_list))]
-
-
-def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[list[int]]:
-    """The path tables ``pairs`` of graphs of one order n <= 8: Held–Karp
-    over the subsets S, one size at a time, in numpy over every graph at
-    once, keeping only the previous size's layer.  ``layer[S, v, g]`` masks
-    the u such that some path of graph g on the vertex set S runs from u to
-    v; their union over S of size r is ``pairs[r]``, bits 8u + v."""
+def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """The path tables ``pairs`` [G, n+1] of graphs of one order n <= 8:
+    Held–Karp over the subsets S, one size at a time, in numpy over every
+    graph at once, keeping only the previous size's layer.  ``layer[S, v, g]``
+    masks the u such that some path of graph g on S runs from u to v; their
+    union over S of size r is ``pairs[g, r]``, bits 8u + v of a uint64."""
     layers = _table_index(n)[0]
     count = len(rows_list)
     rows = np.array(rows_list, dtype=np.uint8).reshape(count, n).T  # [v, g]
@@ -115,7 +103,24 @@ def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> list[list[int]]:
             layer[at, v] = np.bitwise_or.reduce(before & edge[v], axis=1)
         ends[:, r, :n] = np.bitwise_or.reduce(layer, axis=0).T
         last = layer
-    return ends.view("<u8")[..., 0].tolist()
+    return ends.view("<u8")[..., 0]
+
+
+def _table_paths(pairs: np.ndarray, order: int, ends: np.ndarray) -> np.ndarray:
+    """Per graph of ``pairs`` (from ``_held_karp``) and vertex-set mask in
+    ``ends`` ([G, S], [G, n] or [1, 1]): whether a path on ``order`` vertices
+    has both ends in the set; all false above n."""
+    if order >= pairs.shape[1]:
+        return np.zeros(np.broadcast_shapes(ends.shape, (len(pairs), 1)), dtype=bool)
+    return pairs[:, order, None] & _table_index(pairs.shape[1] - 1)[1][ends] != 0
+
+
+def _table_cycles(pairs: np.ndarray, rows_list: Sequence[tuple[int, ...]], order: int) -> np.ndarray:
+    """Per graph of ``pairs``, whose rows are ``rows_list``: whether a cycle
+    (a path with adjacent ends) on at least ``order`` >= 3 vertices exists."""
+    rows = np.array(rows_list, dtype=np.uint64).reshape(len(pairs), -1)
+    edges = np.bitwise_or.reduce(rows << np.arange(0, 8 * rows.shape[1], 8, dtype=np.uint64), axis=1)
+    return (pairs[:, order:] & edges[:, None] != 0).any(1)
 
 
 def _near(rows: tuple[int, ...], last: int) -> int:

@@ -19,8 +19,8 @@ it runs in suites and its opening question.  The same rule serves
 rule where the verdict is fixed before a search: below the least order and,
 on graphs up to 8 vertices, where the hypothesis or the one path-table bit
 of the statement's ``_Opening`` fixes it (all but cor2 and theorem1's),
-decided in numpy per chunk, order and k by ``_table_open``, the table's one
-reader.  A rule it leaves open there gets ``_ABSENT``, a search that finds
+decided in numpy per chunk, order and k by ``_table_open`` through the
+table's two readers in ``subgraphs``.  A rule it leaves open there gets ``_ABSENT``, a search that finds
 nothing; above the table every instance goes to the rule with the witness
 searches.  ni's vertex set A is its bitmask throughout.
 
@@ -72,7 +72,7 @@ from .graph import (
 )
 from .report import record
 from .spectral import _quotient_sign, _quotient_top, certified_compare, q_index
-from .subgraphs import _path_tables, _table_index, find_constrained_path, find_cycle_of_length
+from .subgraphs import _TABLE_MAX, _held_karp, _table_cycles, _table_paths, find_constrained_path, find_cycle_of_length
 
 HOLDS = "holds"
 EQUALITY = "equality_case"
@@ -193,7 +193,7 @@ class _Search(NamedTuple):
 
 # On a graph with a path table, every rule that _table_open leaves open asks
 # only its opening question, which the table has answered absent (for egc,
-# every longer cycle too: the suffix OR); cor2 and theorem1's, which have no
+# every longer cycle too); cor2 and theorem1's, which have no
 # opening, need 21 or more vertices, so never reach a rule there.
 _ABSENT = _Search(lambda g, order, ends_mask: None, lambda g, length: None)
 
@@ -639,42 +639,35 @@ def _ni_draw(graphs: Sequence[Graph], seed: int) -> tuple[dict[int, list[int]], 
     return bases, [rng.getrandbits(g.n) for g in graphs]
 
 
-def _table_open(graphs: list[Graph], tables: list, plan: list, bases: dict, flips: list) -> dict[tuple, list]:
+def _table_open(graphs: list[Graph], plan: list, bases: dict, flips: list) -> dict[tuple, list]:
     """Each ``_Opening`` on the chunk's table graphs, in numpy per order and
     k: counts the instances whose verdict the hypothesis or presence bit
     fixes, and returns the rest, keyed (offset, statement, k), for the rule.
     ni's lhs is the degrees times the 0/1 subset-membership matrix at the
-    masks of ``_ni_draw``, ore's the edge count; a cycle is a suffix OR of pairs[l] & edges."""
+    masks of ``_ni_draw``, ore's the edge count."""
     open_xs: dict[tuple, list] = {}
-    on_table = [i for i, table in enumerate(tables) if table is not None]
-    for n in sorted({graphs[i].n for i in on_table}):
-        at = [i for i in on_table if graphs[i].n == n]
-        # [G, n+2]: the table and a last 0, the pairs of every order above n;
-        # uint64 holds pair bit 8u + v only to n = 8 (ROADMAP item 5 step 1's limb caveat, tested on K_8)
-        pairs = np.array([tables[i] + [0] for i in at], dtype=np.uint64)
-        edges = np.array([sum(r << 8 * u for u, r in enumerate(graphs[i].rows)) for i in at], dtype=np.uint64)
-        # [G, n+2]: a cycle on at least l vertices, read only at l >= 3
-        cycles = np.logical_or.accumulate((pairs & edges[:, None] != 0)[:, ::-1], 1)[:, ::-1]
-        inside = np.array(_table_index(n)[1], dtype=np.uint64)
+    for n in sorted({g.n for g in graphs if g.n <= _TABLE_MAX}):
+        at = [i for i, g in enumerate(graphs) if g.n == n]
+        rows = [graphs[i].rows for i in at]
+        pairs = _held_karp(rows, n)
         member = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # [v, a]: v in the set a
         for statement, _, ks, param, counts, opens in plan:
             if opens is None:
                 continue
             if param == "a":  # [G, S]: each graph's translate of the base sets, their degree sums and sizes
-                xs = np.sort(np.array(bases[n]) ^ np.array([flips[i] for i in at])[:, None], 1)
+                xs = ends = np.sort(np.array(bases[n]) ^ np.array([flips[i] for i in at])[:, None], 1)
                 degrees = np.array([graphs[i].degrees for i in at], dtype=np.int64)
                 lhs, size = np.take_along_axis(degrees @ member, xs, 1), member.sum(0)[xs]
-                ends = inside[xs]
             elif param == "v":  # [G, n]: lemma2's ends are every vertex but v
                 xs = np.broadcast_to(np.arange(n), (len(at), n))
-                ends = inside[(1 << n) - 1 ^ 1 << xs]
+                ends = (1 << n) - 1 ^ 1 << xs
             else:  # [G, 1]: one instance, ends anywhere
-                xs, ends, size = np.full((len(at), 1), None), inside[-1], n
+                xs, ends, size = np.full((len(at), 1), None), np.full((1, 1), (1 << n) - 1), n
                 lhs = np.array([[graphs[i].m] for i in at])
             for k in [k for k, least in ks if n >= least]:  # _run_chunk counts the rest
                 met = lhs > opens.rhs(n, k, size) if opens.rhs else np.ones(xs.shape, bool)
-                order = min(opens.order(n, k), n + 1)
-                held = cycles[:, order, None] if opens.cycle else pairs[:, order, None] & ends != 0
+                order = opens.order(n, k)
+                held = _table_cycles(pairs, rows, order)[:, None] if opens.cycle else _table_paths(pairs, order, ends)
                 counts[UNMET] += int(np.count_nonzero(~met))
                 counts[opens.found] += int(np.count_nonzero(met & held))
                 rest = met & ~held
@@ -696,24 +689,24 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     graphs, statements, k_range, bases, flips = payload
     tallies = _tallies(statements)
     violating: list[dict[str, Any]] = []
-    tables = _path_tables([g.rows for g in graphs])
     plan = []
     for statement in statements:
         rule, least, param, _, opens = _STATEMENTS[statement]
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         ks = [(k, _least_order(statement, k)) for k in ks]
         plan.append((statement, rule, ks, param, tallies[statement], opens))
-    open_xs = _table_open(graphs, tables, plan, bases, flips)
+    open_xs = _table_open(graphs, plan, bases, flips)
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
-    for offset, (g, table) in enumerate(zip(graphs, tables)):
-        find = witnesses if table is None else _ABSENT
+    for offset, g in enumerate(graphs):
+        on_table = g.n <= _TABLE_MAX
+        find = _ABSENT if on_table else witnesses
         for statement, rule, ks, param, counts, opens in plan:
             for k, least in ks:
                 if g.n < least:  # one instance, or cor2's one per w
                     counts[UNMET] += g.n if param else 1
                     continue
-                if table is not None and opens:
+                if on_table and opens:
                     xs = open_xs.get((offset, statement, k), ())
                 elif param == "a":
                     xs = sorted(a ^ flips[offset] for a in bases[g.n])
@@ -771,6 +764,8 @@ def run_suite(
                 f"suite statement {statement!r} needs some k >= {least}, got k in {ks}"
             )
     if corpus is not None:
+        if n_max is not None:
+            raise ValueError("give n_max or corpus, not both")
         graphs = list(corpus)
     else:
         if n_max is None:

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from qext.graph import Graph, build_graph
-from qext.subgraphs import _table_index
+from qext.subgraphs import _table_cycles, _table_paths
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -24,17 +25,15 @@ def graph_from_code(n: int, code: int) -> Graph:
     return build_graph(n, [pair for i, pair in enumerate(reversed(pairs)) if code >> i & 1])
 
 
-def table_presence(g: Graph, pairs: list[int]):
-    """Presence read off g's path table ``pairs`` (bit 8u + v of pairs[r]: a
-    u..v path on r vertices), as (path, cycle): a path on ``order`` vertices
-    with both ends in the bitmask ``ends`` is pairs[order] & inside[ends], a
-    cycle on ``length`` >= 3 vertices pairs[length] & the edge word; both
-    False above n."""
-    n, inside = g.n, _table_index(g.n)[1]
-    edges = sum(row << 8 * u for u, row in enumerate(g.rows))
+def table_presence(g: Graph, pairs):
+    """Presence read off g's path table ``pairs`` (its row of ``_held_karp``)
+    by the suite's readers, as (path, cycle): a path on ``order`` vertices
+    with both ends in the bitmask ``ends``, and a cycle on at least
+    ``length`` >= 3 vertices; both False above n."""
+    table = np.asarray(pairs).reshape(1, g.n + 1)
     return (
-        lambda order, ends=-1: order <= n and pairs[order] & inside[ends & (1 << n) - 1] != 0,
-        lambda length: length <= n and pairs[length] & edges != 0,
+        lambda order, ends=-1: bool(_table_paths(table, order, np.full((1, 1), ends & (1 << g.n) - 1))[0, 0]),
+        lambda length: bool(_table_cycles(table, [g.rows], length)[0]),
     )
 
 

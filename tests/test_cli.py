@@ -216,6 +216,14 @@ def test_suite_with_corpus(tmp_path, capsys):
     )
 
 
+def test_suite_rejects_nmax_with_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nC~\n")
+    assert run(["suite", "--nmax", "3", "--corpus", str(corpus), "--statements", "egp"]) == 3
+    err = capsys.readouterr().err
+    assert "give n_max or corpus, not both" in err and "Traceback" not in err
+
+
 def test_suite_egc_on_the_empty_graph_exits_zero(tmp_path, capsys):
     # "?" is the graph on no vertices; egc's bound does not apply to it
     corpus = tmp_path / "empty.g6"

@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,21 +372,25 @@ def loop_path_table(rows):
     return tuple(map(tuple, ends)), tuple(cycles)
 
 
+def path_tables(graphs):
+    """Each graph's row of one ``_held_karp`` batch per order."""
+    tables = {}
+    for n in sorted({g.n for g in graphs}):
+        at = [i for i, g in enumerate(graphs) if g.n == n]
+        tables.update(zip(at, subgraphs._held_karp([graphs[i].rows for i in at], n)))
+    return [tables[i] for i in range(len(graphs))]
+
+
 def assert_tables_match_loop(graphs):
-    """One ``_path_tables`` call over all of ``graphs``, checked graph by
-    graph: the end pairs against the loop's, and the cycle query against
-    the loop's cycle masks."""
-    tables = subgraphs._path_tables([g.rows for g in graphs])
-    assert len(tables) == len(graphs)
-    for g, table in zip(graphs, tables):
-        if g.n > subgraphs._TABLE_MAX:
-            assert table is None
-            continue
+    """One ``_held_karp`` batch per order over ``graphs``, checked graph by
+    graph: the end pairs against the loop's, and the cycle query (a cycle
+    on at least l vertices) against the loop's cycle masks."""
+    for g, table in zip(graphs, path_tables(graphs)):
         ends, cycles = loop_path_table(g.rows)
-        assert table == pairs_from_ends(ends)
+        assert table.tolist() == pairs_from_ends(ends)
         cycle_query = table_presence(g, table)[1]
-        assert [cycle_query(length) for length in range(3, g.n + 1)] == [
-            cycles[length] != 0 for length in range(3, g.n + 1)
+        assert [cycle_query(length) for length in range(3, g.n + 2)] == [
+            any(cycles[length:]) for length in range(3, g.n + 2)
         ]
 
 
@@ -395,9 +400,9 @@ def pairs_from_ends(ends):
 
 
 def test_batched_tables_match_loop_every_graph_up_to_7():
-    # one mixed-order batch: n = 0, every graph with n <= 7, and one n = 9 graph
+    # n = 0 and every graph with n <= 7, in mixed order
     graphs = [build_graph(0)] + [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
-    assert_tables_match_loop(graphs[::-1] + [complete(9)])
+    assert_tables_match_loop(graphs[::-1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -434,7 +439,7 @@ def test_spans_match_brute_force_for_every_end_mask():
     rng = random.Random(88)
     graphs = [build_graph(0)] + [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
     graphs += [random_graph(n, p, rng) for n in (7, 8) for p in (0.3, 0.6)]
-    for g, table in zip(graphs, subgraphs._path_tables([g.rows for g in graphs])):
+    for g, table in zip(graphs, path_tables(graphs)):
         path_query = table_presence(g, table)[0]
         spans = [
             sum(path_query(order, a) << a for a in range(1 << g.n))
@@ -444,13 +449,33 @@ def test_spans_match_brute_force_for_every_end_mask():
 
 
 def test_cycle_query_matches_the_search_up_to_7():
-    # on every graph with n <= 7, the table's cycle query is truthy exactly
-    # when find_cycle_of_length returns a witness, at every length 3..n
-    graphs = [g for n in range(3, 8) for g in enumerate_nonisomorphic(n)]
-    for g, table in zip(graphs, subgraphs._path_tables([g.rows for g in graphs])):
-        cycle_query = table_presence(g, table)[1]
-        for length in range(3, g.n + 1):
-            assert cycle_query(length) == (find_cycle_of_length(g, length) is not None)
+    # on every graph with n <= 7, one batch per order: the table's cycle
+    # query at each l in 3..n+1 is true exactly when find_cycle_of_length
+    # returns a witness at some length l..n, a cycle on at least l vertices
+    for n in range(3, 8):
+        graphs = list(enumerate_nonisomorphic(n))
+        rows = [g.rows for g in graphs]
+        pairs = subgraphs._held_karp(rows, n)
+        found = [[find_cycle_of_length(g, m) is not None for m in range(3, n + 1)] for g in graphs]
+        for length in range(3, n + 2):
+            assert subgraphs._table_cycles(pairs, rows, length).tolist() == [any(f[length - 3 :]) for f in found]
+
+
+def test_table_words_hold_the_top_pair_bit_of_k8():
+    # K_8's pairs[1] sets bit 63 = 8*7 + 7, the top bit of the table's
+    # uint64 words, which hold pair bit 8u + v only while _TABLE_MAX <= 8
+    # (ROADMAP item 7 step 1: above, the words need limbs); as int64 the
+    # same words overflow, and K_8 then fails here loudly
+    top = 8 * (subgraphs._TABLE_MAX - 1) + subgraphs._TABLE_MAX - 1
+    assert top < 64, f"pair bit {top} does not fit the table's uint64 words"
+    k8 = complete(8)
+    pairs = subgraphs._held_karp([k8.rows], 8)
+    assert int(pairs[0, 1]) >> 63 == 1
+    # a path on one vertex with both ends in {7} is that bit alone
+    assert subgraphs._table_paths(pairs, 1, np.array([[1 << 7]])).tolist() == [[True]]
+    assert subgraphs._table_cycles(pairs, [k8.rows], 8).tolist() == [True]
+    with pytest.raises(OverflowError):
+        np.array(pairs.tolist(), dtype=np.int64)
 
 
 def test_absence_is_a_search_at_every_order():
@@ -472,7 +497,7 @@ def test_absence_is_a_search_at_every_order():
 def test_presence_spends_no_node_on_table_graphs():
     # presence on n = 8 is read off the path table, with no search
     g = complete(8)
-    path_bit, cycle_bit = table_presence(g, subgraphs._path_tables([g.rows])[0])
+    path_bit, cycle_bit = table_presence(g, subgraphs._held_karp([g.rows], 8)[0])
     assert path_bit(8) and cycle_bit(8)
     assert not path_bit(9) and not cycle_bit(9)
     assert not path_bit(2, 1)  # both ends in {0}: only order 1 fits

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qext import graph, spectral, subgraphs, verify
+from qext import graph, spectral, verify
 from qext.bounds import closed_form_snk, prop1_sandwich
 from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic
 from qext.families import (
@@ -564,7 +564,7 @@ def test_ni_sets_are_a_full_or_sampled_set_of_distinct_masks(corpus, seed, ni_sa
     with ExitStack() as stack:
         stack.enter_context(mock.patch.dict(_STATEMENTS, {"ni": _STATEMENTS["ni"]._replace(rule=counted)}))
         stack.enter_context(mock.patch.object(verify, "_NI_SAMPLE", ni_sample))
-        stack.enter_context(mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)))
+        stack.enter_context(mock.patch.object(verify, "_TABLE_MAX", -1))
         run_suite(["ni"], corpus=corpus, k_range=[1], seed=seed)
     for g in corpus:
         sets = [a for h, a in calls if h is g]
@@ -603,13 +603,13 @@ def test_suite_builds_one_table_batch_per_chunk_and_order(monkeypatch):
     # the path tables of a chunk are built in one batch per order, never
     # one graph at a time
     batches = []
-    build = subgraphs._held_karp
+    build = verify._held_karp
 
     def counted(rows_list, n):
         batches.append((n, len(rows_list)))
         return build(rows_list, n)
 
-    monkeypatch.setattr(subgraphs, "_held_karp", counted)
+    monkeypatch.setattr(verify, "_held_karp", counted)
     report = run_suite(["egp", "egc", "ni"], n_max=7, k_range=[2])
     assert report.violated == 0
     orders = [g.n for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
@@ -634,6 +634,13 @@ def test_suite_corpus_input():
     report = run_suite(["egp"], corpus=graphs, k_range=[1, 2])
     assert report.instances == 6
     assert report.violated == 0
+
+
+def test_suite_rejects_n_max_with_a_corpus():
+    # a corpus replaces the enumeration, so an n_max beside it would be
+    # ignored, yet recorded in the report's parameters
+    with pytest.raises(ValueError, match="give n_max or corpus, not both"):
+        run_suite(["egp"], n_max=3, corpus=[complete(4)])
 
 
 def test_suite_argument_validation():
@@ -903,7 +910,7 @@ def test_sweeps_match_per_instance_checks_when_nothing_is_found():
         for name in witnesses:
             stack.enter_context(mock.patch.object(verify, name, lambda *a, **kw: None))
         # with no path tables, the suite asks the stubbed searches on every graph
-        stack.enter_context(mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)))
+        stack.enter_context(mock.patch.object(verify, "_TABLE_MAX", -1))
         report = assert_sweeps_match_reference(graphs, (1, 2, 3))
     assert {v["statement"] for v in report.violating} == {
         "egp", "egc", "kopylov_i", "kopylov_ii", "ore", "ni", "lemma1", "lemma2",
@@ -1061,28 +1068,20 @@ def test_table_decisions_match_the_rule_on_every_instance(corpus, statements, ks
     k_range = ks + [k_needed]
     with mock.patch.object(verify, "_NI_SAMPLE", ni_sample):
         batched = run_suite(statements, corpus=corpus, k_range=k_range, seed=seed)
-        with mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)):
+        with mock.patch.object(verify, "_TABLE_MAX", -1):
             searched = run_suite(statements, corpus=corpus, k_range=k_range, seed=seed)
     assert batched.as_record() == searched.as_record()
 
 
 def test_table_batch_reads_the_top_bit_of_the_pair_words(monkeypatch):
-    # K_8's pairs[1] sets bit 63 = 8*7 + 7, and its edge word bit 62: the
-    # batch stacks both as uint64, which holds pair bit 8u + v only while
-    # _TABLE_MAX <= 8 (ROADMAP item 5 step 1: above, the words need limbs);
-    # stacked as int64 they overflow, and K_8 then fails here loudly
-    top = 8 * (subgraphs._TABLE_MAX - 1) + subgraphs._TABLE_MAX - 1
-    assert top < 64, f"pair bit {top} does not fit the batch's uint64 words"
+    # K_8's table sets the top bit of its words (checked against the
+    # readers in test_subgraphs): the suite decides every opening there and
+    # gives the report of the witness searches
     k8 = complete(8)
-    table = subgraphs._path_tables([k8.rows])[0]
-    assert table[1] >> 63 == 1
-    assert sum(row << 8 * u for u, row in enumerate(k8.rows)).bit_length() == 63
-    with pytest.raises(OverflowError):
-        np.array([table], dtype=np.int64)
     calls = _count_rule_calls(monkeypatch, SUITE_STATEMENTS)
     batched = run_suite(SUITE_STATEMENTS, corpus=[k8], k_range=(1, 2, 3))
     assert calls == []  # every opening path and cycle is there, or the order too small
-    with mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows)):
+    with mock.patch.object(verify, "_TABLE_MAX", -1):
         searched = run_suite(SUITE_STATEMENTS, corpus=[k8], k_range=(1, 2, 3))
     assert batched.as_record() == searched.as_record()
     assert batched.by_statement["ore"]["holds"] == 1
@@ -1100,8 +1099,7 @@ def test_zeroed_tables_send_every_open_instance_to_the_rule(monkeypatch):
             return rule(statement, *args)
 
         monkeypatch.setitem(_STATEMENTS, name, _STATEMENTS[name]._replace(rule=counted))
-    build = verify._path_tables
-    monkeypatch.setattr(verify, "_path_tables", lambda rows: [[0] * len(t) for t in build(rows)])
+    monkeypatch.setattr(verify, "_held_karp", lambda rows_list, n: np.zeros((len(rows_list), n + 1), np.uint64))
     corpus = [complete(5), complete(6), complete(8)]
     report = run_suite(["ni", "lemma2"], corpus=corpus, k_range=(0, 1, 2), seed=3)
     expected = []

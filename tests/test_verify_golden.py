@@ -136,9 +136,7 @@ def _patched(fn, q=None, finds_nothing=()):
                     mock.patch.object(verify, name, lambda *a, **kw: None)
                 )
             if "find_constrained_path" in finds_nothing:
-                stack.enter_context(
-                    mock.patch.object(verify, "_path_tables", lambda rows: [None] * len(rows))
-                )
+                stack.enter_context(mock.patch.object(verify, "_TABLE_MAX", -1))
             return fn()
 
     return run
