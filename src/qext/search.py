@@ -2,18 +2,18 @@
 lengths.
 
 Every restart grows a graph one vertex pair at a time, keeping each
-addition that closes no forbidden cycle (only cycles through the new edge
-need searching).  The graph only gains edges, so a cycle that blocks a
-pair persists and the pair is never searched again.  A random restart
-grows the edgeless graph over every pair once, in random order, into a
-random maximal feasible graph; a removal never raises the Q-index (Q(G-e)
-<= Q(G) entrywise, hence q(G-e) <= q(G) by Perron-Frobenius), so no move
-could improve it.  When a seed graph is given, restart 0 grows it instead
-over one randomly drawn pair per budget step.  The seed must be
-connected, and adding an edge to a connected graph strictly raises the
-Q-index (its Q is irreducible), so every feasible drawn addition is kept
-and the Q-index is computed only once per restart, when the results are
-merged.
+addition that closes no forbidden cycle: each pair asks the current graph
+for a u..v path, and a graph with the edge is built only when it is kept.
+The graph only gains edges, so a cycle that blocks a pair persists and the
+pair is never searched again.  A random restart grows the edgeless graph
+over every pair once, in random order, into a random maximal feasible
+graph; a removal never raises the Q-index (Q(G-e) <= Q(G) entrywise, hence
+q(G-e) <= q(G) by Perron-Frobenius), so no move could improve it.  When a
+seed graph is given, restart 0 grows it instead over one randomly drawn
+pair per budget step.  The seed must be connected, and adding an edge to a
+connected graph strictly raises the Q-index (its Q is irreducible), so
+every feasible drawn addition is kept and the Q-index is computed only
+once per restart, when the results are merged.
 Identical arguments always produce identical results: restart r uses the
 derived seed ``seed + r`` and the merge orders candidates by value with a
 canonical tiebreak, independent of completion order.
@@ -68,7 +68,8 @@ def is_feasible(g: Graph, forbidden: Iterable[int], node_budget: int = DEFAULT_N
 def _addition_allowed(
     g: Graph, u: int, v: int, forbidden: frozenset[int], node_budget: int
 ) -> bool:
-    # only cycles through the toggled edge can be new
+    """Whether g + uv has no cycle of a forbidden length through uv, asked of
+    g itself (with or without that edge) as u..v paths of those orders."""
     for length in forbidden:
         if length <= g.n and find_cycle_through_edge(g, length, u, v, node_budget=node_budget):
             return False
@@ -80,17 +81,17 @@ def _grow(
 ) -> tuple[Graph, int]:
     """Add each pair in turn unless it is an edge or closes a forbidden cycle.
 
-    A pair found to close a forbidden cycle is blocked from then on.
-    Returns the grown graph and the number of edges added.
+    The current graph answers for each pair, and a graph with the edge is
+    built only for a kept pair; a blocked pair stays blocked.  Returns the
+    grown graph and the number of edges added.
     """
     blocked: set[tuple[int, int]] = set()
     added = 0
     for u, v in pairs:
         if (u, v) in blocked or g.has_edge(u, v):
             continue
-        candidate = g.with_edge(u, v)
-        if _addition_allowed(candidate, u, v, forbidden, node_budget):
-            g, added = candidate, added + 1
+        if _addition_allowed(g, u, v, forbidden, node_budget):
+            g, added = g.with_edge(u, v), added + 1
         else:
             blocked.add((u, v))
     return g, added

@@ -5,19 +5,19 @@ edges, a cycle of order k has k vertices and k edges.  Absence answers are
 exact; running out of node budget raises :class:`SearchBudgetExceeded`,
 which is distinct from absence.
 
-One engine, :func:`_first_path`, builds every witness at every order: it
-returns the first simple path from a given start whose interior lies in one
-bitmask and whose last vertex lies in another.  A constrained path, a cycle
-of given length (anchored at its smallest vertex) and a cycle through an
-edge are each a choice of those masks.  Starts, anchors and steps are tried
-in ascending index, so witnesses are deterministic.  The last vertex is
-picked straight from the end mask, and the one before it only among the
-vertices ``near`` the end mask (with a neighbour in it): any other
-second-to-last vertex heads a dead subtree, so the cut keeps the first
-witness.  The node budget counts only the vertices this search places; the
-look-ahead places fewer, so a given budget reaches at least as far as a
-search without it.  Every witness is re-checked by an independent
-validator before it is returned.
+One engine, :func:`_first_path`, one loop over a stack, builds every
+witness at every order: it returns the first simple path from a given start
+whose interior lies in one bitmask and whose last vertex lies in another.
+A constrained path, a cycle of given length (anchored at its smallest
+vertex) and a cycle through a vertex pair, an edge or not, are each a
+choice of those masks.  Starts, anchors and steps are tried in ascending
+index, so witnesses are deterministic.  The last vertex is picked straight
+from the end mask, and the one before it only among the vertices ``near``
+the end mask (with a neighbour in it): any other second-to-last vertex
+heads a dead subtree, so the cut keeps the first witness.  The node budget
+counts only the vertices this search places; the look-ahead places fewer,
+so a given budget reaches at least as far as a search without it.  Every
+witness is re-checked by an independent validator before it is returned.
 
 Graphs with at most 8 vertices also get a path table, from a Held–Karp
 subset DP run in numpy over a batch of graphs of one order (one batch per
@@ -149,35 +149,44 @@ def _first_path(
     it, since a vertex outside can never be followed by an end vertex, so
     only dead subtrees are cut and the first path found is unchanged.
     ``budget`` is a ``[nodes_left, message]`` pair shared by the caller's
-    searches: each vertex placed on the path costs one node (the look-ahead
-    places fewer than a plain DFS would), and
-    :class:`SearchBudgetExceeded` carries the message.
+    searches: each vertex placed, the start included, costs one node, checked
+    before it is placed (the look-ahead places fewer than a plain DFS would),
+    and :class:`SearchBudgetExceeded` carries the message.  One loop: ``nxt``
+    masks the untried candidates for the next vertex (at first the start),
+    and ``stack`` the untried siblings of each vertex on the path, pushed on
+    descent and popped on backtrack.
     """
     path: list[int] = []
-
-    def extend(v: int, visited: int, remaining: int) -> bool:
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded(budget[1])
-        budget[0] -= 1
-        path.append(v)
-        if remaining == 0:
-            return True
-        if remaining == 1:
-            ends = rows[v] & last & ~visited
-            nxt = ends & -ends  # only the first vertex that can end the path
-        elif remaining == 2:
-            nxt = rows[v] & inner & near & ~visited
-        else:
-            nxt = rows[v] & inner & ~visited
-        while nxt:
+    stack: list[int] = []
+    nxt, visited, remaining, left = 1 << start, 0, order - 1, budget[0]
+    while True:
+        if nxt:
+            if left <= 0:
+                raise SearchBudgetExceeded(budget[1])
+            left -= 1
             low = nxt & -nxt
             nxt ^= low
-            if extend(low.bit_length() - 1, visited | low, remaining - 1):
-                return True
-        path.pop()
-        return False
-
-    return tuple(path) if extend(start, 1 << start, order - 1) else None
+            v = low.bit_length() - 1
+            seen = visited | low
+            if remaining > 2:
+                after = rows[v] & inner & ~seen
+            elif remaining == 2:
+                after = rows[v] & inner & near & ~seen
+            elif remaining == 1:  # the lowest of these ends the path
+                after = rows[v] & last & ~seen
+            else:
+                budget[0] = left
+                return (*path, v)
+            if after:  # descend; a vertex with nothing after it is never pushed
+                stack.append(nxt)
+                path.append(v)
+                visited, remaining, nxt = seen, remaining - 1, after
+        elif stack:
+            nxt, remaining = stack.pop(), remaining + 1
+            visited ^= 1 << path.pop()
+        else:
+            budget[0] = left
+            return None
 
 
 def find_constrained_path(
@@ -251,20 +260,19 @@ def find_cycle_through_edge(
     v: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...] | None:
-    """First cycle of ``length`` vertices that uses the edge (u, v)."""
+    """First cycle of ``length`` vertices through (u, v) in g + uv, edge of g
+    or not: the first u..v path on ``length`` vertices, which never uses the
+    pair uv itself, so g answers without a graph with the edge built."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     _check_pair(g.n, u, v)
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
     if length > g.n:
         return None
     budget = [node_budget, f"cycle search exceeded node budget {node_budget}"]
-    # a cycle through (u, v) is a u..v path on `length` vertices plus that edge
     witness = _first_path(g.rows, u, length, ~(1 << v), 1 << v, g.rows[v], budget)
     if witness is not None:
         _check_witness(
-            is_cycle_witness(g, witness)
+            is_path_witness(g, witness)
             and len(witness) == length
             and witness[0] == u
             and witness[-1] == v,

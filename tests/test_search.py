@@ -16,7 +16,7 @@ from qext.enumeration import (
     write_graph6,
 )
 from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
-from qext.graph import build_graph, disjoint_union
+from qext.graph import Graph, build_graph, disjoint_union
 from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
 from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
@@ -301,6 +301,28 @@ def test_climb_searches_each_blocked_pair_once(monkeypatch):
     assert max(found.values()) == 1
 
 
+def test_growth_builds_a_graph_only_for_each_kept_edge(monkeypatch):
+    # a random restart asks the graph it has about every pair, once and
+    # before the pair is an edge, and builds a graph only to add an edge
+    built, asked = Counter(), Counter()
+    with_edge, original = Graph.with_edge, search.find_cycle_through_edge
+
+    def counted_with_edge(g, u, v):
+        built["with_edge"] += 1
+        return with_edge(g, u, v)
+
+    def recording(g, length, u, v, **kwargs):
+        assert not g.has_edge(u, v)
+        asked[u, v] += 1
+        return original(g, length, u, v, **kwargs)
+
+    monkeypatch.setattr(Graph, "with_edge", counted_with_edge)
+    monkeypatch.setattr(search, "find_cycle_through_edge", recording)
+    grown, _ = search._restart_worker((0, 24, (5,), 400, 0, None, DEFAULT_NODE_BUDGET))
+    assert 0 < built["with_edge"] == grown.m < len(asked)
+    assert len(asked) == 24 * 23 // 2 and set(asked.values()) == {1}
+
+
 # graph6 of every restart's result, one per line: restarts 0..7 at seed 0
 # and budget 400 over n in {10, 12, 16, 24} and four forbidden sets, then
 # seeds 0..3 of restart 0 grown from star(24) with {4, 5} and from
@@ -361,3 +383,14 @@ def test_blocked_pair_stays_blocked_after_an_addition(g, rng, length):
     for u, v in non_edges:
         if (u, v) != f and blocked(g, u, v):
             assert blocked(bigger, u, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_up_to_12(), st.randoms(use_true_random=False))
+def test_addition_allowed_asks_the_graph_without_the_pair(g, rng):
+    # a cycle through uv in g + uv is a u..v path of g that never uses uv,
+    # so g answers as g + uv does, whether or not g has that edge
+    u, v = rng.sample(range(g.n), 2)
+    forbidden = frozenset(rng.sample(range(3, g.n + 1), rng.randint(1, g.n - 2)))
+    allowed = _addition_allowed(g, u, v, forbidden, DEFAULT_NODE_BUDGET)
+    assert allowed == _addition_allowed(g.with_edge(u, v), u, v, forbidden, DEFAULT_NODE_BUDGET)

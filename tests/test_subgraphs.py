@@ -275,9 +275,10 @@ def test_lookahead_keeps_witnesses_and_saves_nodes(g, masks):
             assert_lookahead_exact(g, "path", order, ends)
     for length in range(3, n + 1):
         assert_lookahead_exact(g, "cycle", length)
-        for a, b in g.edges():
-            for u, v in ((a, b), (b, a)):
-                assert_lookahead_exact(g, "edge", length, u, v)
+        for u in range(n):  # every ordered pair, edge or not
+            for v in range(n):
+                if u != v:
+                    assert_lookahead_exact(g, "edge", length, u, v)
 
 
 def test_lookahead_halves_the_search_nodes(monkeypatch):
@@ -298,6 +299,113 @@ def test_lookahead_halves_the_search_nodes(monkeypatch):
         for restart in range(8):
             search._restart_worker((restart, n, (5,), 400, 0, None, DEFAULT_NODE_BUDGET))
     assert 0 < 2 * nodes[1] <= nodes[0]
+
+
+# --- the loop engine against the recursive one --------------------------------
+
+
+def recursive_first_path(rows, start, order, inner, last, near, budget):
+    """The reference engine: ``_first_path`` as a recursive DFS, one call
+    per placed vertex, with the same order, look-ahead and node
+    accounting."""
+    path = []
+
+    def extend(v, visited, remaining):
+        if budget[0] <= 0:
+            raise SearchBudgetExceeded(budget[1])
+        budget[0] -= 1
+        path.append(v)
+        if remaining == 0:
+            return True
+        if remaining == 1:
+            ends = rows[v] & last & ~visited
+            nxt = ends & -ends
+        elif remaining == 2:
+            nxt = rows[v] & inner & near & ~visited
+        else:
+            nxt = rows[v] & inner & ~visited
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            if extend(low.bit_length() - 1, visited | low, remaining - 1):
+                return True
+        path.pop()
+        return False
+
+    return tuple(path) if extend(start, 1 << start, order - 1) else None
+
+
+PROBE_CAP = 5000  # nodes; a query that needs more is compared at this cap only
+
+
+def capped_query(engine, rows, order, calls, cap):
+    """First witness of ``calls`` on one engine and the nodes it placed from
+    a shared budget of ``cap``; ``SearchBudgetExceeded`` for the witness
+    when the budget runs out."""
+    budget = [cap, "capped"]
+    witness = None
+    try:
+        for start, inner, last in calls:
+            near = subgraphs._near(rows, last) if order > 2 else -1
+            witness = engine(rows, start, order, inner, last, near, budget)
+            if witness is not None:
+                break
+    except SearchBudgetExceeded:
+        return SearchBudgetExceeded, cap
+    return witness, cap - budget[0]
+
+
+def assert_engines_agree(g, order, calls, rng):
+    """Equal witness and nodes on both engines, and both run out of budget
+    at every sampled cap below the nodes used and at none at or above it:
+    each cap below 16, the two caps around the nodes used and 8 more drawn
+    below it.  Gives the witness and the nodes, or None past ``PROBE_CAP``."""
+    expect = capped_query(recursive_first_path, g.rows, order, calls, PROBE_CAP)
+    assert capped_query(subgraphs._first_path, g.rows, order, calls, PROBE_CAP) == expect
+    witness, nodes = expect
+    if witness is SearchBudgetExceeded:
+        return None
+    caps = {*range(min(nodes, 16)), nodes - 1, nodes, nodes + 1}
+    caps |= {rng.randrange(nodes) for _ in range(8)} if nodes else set()
+    for cap in caps - {-1}:
+        outcome = (SearchBudgetExceeded, cap) if cap < nodes else expect
+        for engine in (recursive_first_path, subgraphs._first_path):
+            assert capped_query(engine, g.rows, order, calls, cap) == outcome
+    return expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    graphs_up_to_14(),
+    st.randoms(use_true_random=False),
+    st.one_of(st.just(-1), st.integers(0, (1 << 14) - 1)),
+    st.integers(0, (1 << 14) - 1),
+)
+def test_loop_engine_matches_the_recursive_engine(g, rng, inner, last):
+    n = g.n
+    last &= (1 << n) - 1  # the callers' end masks hold vertices only
+    order = rng.randint((n + 1) // 2, n)  # longer paths search deeper
+    assert_engines_agree(g, order, [(rng.randrange(n), inner, last)], rng)
+    ends = rng.choice([-1, last])
+    shapes = [("path", order, ends)]
+    if n >= 3:
+        shapes.append(("cycle", rng.randint(max(3, order), n)))
+        shapes.append(("edge", rng.randint(max(3, order), n), *rng.sample(range(n), 2)))
+    for shape, order, *args in shapes:
+        agreed = assert_engines_agree(g, order, engine_calls(g, shape, *args), rng)
+        if agreed is None:
+            continue
+        witness, nodes = agreed
+        if shape == "path":
+            public = lambda budget: find_constrained_path(g, order, ends, budget)
+        elif shape == "cycle":
+            public = lambda budget: find_cycle_of_length(g, order, budget)
+        else:
+            public = lambda budget: find_cycle_through_edge(g, order, *args, budget)
+        assert public(nodes) == witness
+        if nodes:
+            with pytest.raises(SearchBudgetExceeded):
+                public(nodes - 1)
 
 
 # The first answer of every path and cycle query over the n <= 7 catalogue:
@@ -652,25 +760,24 @@ def test_oracle_agreement_sampled_n7():
 
 
 def test_cycle_through_edge():
+    # an edge or a non-edge of g alike: a cycle through uv in g + uv
     rng = random.Random(13)
     for _ in range(40):
         g = random_graph(rng.randrange(3, 8), 0.5, rng)
-        edges = list(g.edges())
-        if not edges:
-            continue
-        u, v = edges[rng.randrange(len(edges))]
+        u, v = rng.sample(range(g.n), 2)
+        closed = g.with_edge(u, v)
         for length in range(3, g.n + 1):
             got = find_cycle_through_edge(g, length, u, v)
             expect = any(
-                all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+                all(closed.has_edge(a, b) for a, b in zip(seq, seq[1:]))
                 for seq in permutations(range(g.n), length)
                 if seq[0] == u and seq[-1] == v
             )
             assert (got is not None) == expect
             if got is not None:
-                assert got[0] == u and got[-1] == v
-    with pytest.raises(ValueError, match="not an edge"):
-        find_cycle_through_edge(path(3), 3, 0, 2)
+                assert got[0] == u and got[-1] == v and is_cycle_witness(closed, got)
+                assert got == find_cycle_through_edge(closed, length, u, v)
+    assert find_cycle_through_edge(path(3), 3, 0, 2) == (0, 1, 2)
 
 
 def test_path_monotonicity():
