@@ -19,10 +19,11 @@ it runs in suites and its opening question.  The same rule serves
 rule where the verdict is fixed before a search: below the least order and,
 on graphs up to 8 vertices, where the hypothesis or the one path-table bit
 of the statement's ``_Opening`` fixes it (all but cor2 and theorem1's),
-decided in numpy per chunk, order and k by ``_table_open`` through the
-table's two readers in ``subgraphs``.  A rule it leaves open there gets ``_ABSENT``, a search that finds
-nothing; above the table every instance goes to the rule with the witness
-searches.  ni's vertex set A is its bitmask throughout.
+decided in numpy by ``_run_chunk`` per chunk of one order, statement and k,
+through the table's two readers in ``subgraphs``.  An instance that table
+bit leaves open gets ``_ABSENT``, a search that finds nothing; every other
+instance goes to the rule with the witness searches.  ni's vertex set A is
+its bitmask throughout.
 
 Statement tags
 --------------
@@ -81,7 +82,7 @@ UNMET = "precondition_unmet"
 INDETERMINATE = "indeterminate"
 
 _STATUSES = (HOLDS, EQUALITY, VIOLATED, UNMET, INDETERMINATE)
-_CHUNK_SIZE = 256  # graphs per _run_chunk call, whose path tables are built at once
+_CHUNK_SIZE = 256  # most graphs per _run_chunk call, all of one order, tabled in one batch
 _NI_SAMPLE = 50  # ni's vertex sets sampled per suite graph above 6 vertices
 
 
@@ -184,17 +185,16 @@ class _Search(NamedTuple):
     ends in ``ends_mask``, and a cycle on ``length`` vertices, each within
     the default node budget.  Either the witness builders
     find_constrained_path and find_cycle_of_length (a witness or None), or,
-    for a suite graph with a path table, ``_ABSENT``; a rule reads only
-    whether the answer is truthy, and keeps it as the witness."""
+    for a suite instance its path table left open, ``_ABSENT``; a rule reads
+    only whether the answer is truthy, and keeps it as the witness."""
 
     path: Callable[[Graph, int, int], Any]  # (g, order, ends_mask)
     cycle: Callable[[Graph, int], Any]  # (g, length)
 
 
-# On a graph with a path table, every rule that _table_open leaves open asks
-# only its opening question, which the table has answered absent (for egc,
-# every longer cycle too); cor2 and theorem1's, which have no
-# opening, need 21 or more vertices, so never reach a rule there.
+# Only an instance whose _Opening the path table has answered absent gets
+# _ABSENT: its rule asks only that question (for egc, every longer cycle
+# too).  A statement with no _Opening gets the witness searches everywhere.
 _ABSENT = _Search(lambda g, order, ends_mask: None, lambda g, length: None)
 
 
@@ -639,96 +639,79 @@ def _ni_draw(graphs: Sequence[Graph], seed: int) -> tuple[dict[int, list[int]], 
     return bases, [rng.getrandbits(g.n) for g in graphs]
 
 
-def _table_open(graphs: list[Graph], plan: list, bases: dict, flips: list) -> dict[tuple, list]:
-    """Each ``_Opening`` on the chunk's table graphs, in numpy per order and
-    k: counts the instances whose verdict the hypothesis or presence bit
-    fixes, and returns the rest, keyed (offset, statement, k), for the rule.
-    ni's lhs is the degrees times the 0/1 subset-membership matrix at the
-    masks of ``_ni_draw``, ore's the edge count."""
-    open_xs: dict[tuple, list] = {}
-    for n in sorted({g.n for g in graphs if g.n <= _TABLE_MAX}):
-        at = [i for i, g in enumerate(graphs) if g.n == n]
-        rows = [graphs[i].rows for i in at]
-        pairs = _held_karp(rows, n)
-        member = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # [v, a]: v in the set a
-        for statement, _, ks, param, counts, opens in plan:
-            if opens is None:
-                continue
-            if param == "a":  # [G, S]: each graph's translate of the base sets, their degree sums and sizes
-                xs = ends = np.sort(np.array(bases[n]) ^ np.array([flips[i] for i in at])[:, None], 1)
-                degrees = np.array([graphs[i].degrees for i in at], dtype=np.int64)
-                lhs, size = np.take_along_axis(degrees @ member, xs, 1), member.sum(0)[xs]
-            elif param == "v":  # [G, n]: lemma2's ends are every vertex but v
-                xs = np.broadcast_to(np.arange(n), (len(at), n))
-                ends = (1 << n) - 1 ^ 1 << xs
-            else:  # [G, 1]: one instance, ends anywhere
-                xs, ends, size = np.full((len(at), 1), None), np.full((1, 1), (1 << n) - 1), n
-                lhs = np.array([[graphs[i].m] for i in at])
-            for k in [k for k, least in ks if n >= least]:  # _run_chunk counts the rest
-                met = lhs > opens.rhs(n, k, size) if opens.rhs else np.ones(xs.shape, bool)
-                order = opens.order(n, k)
-                held = _table_cycles(pairs, rows, order)[:, None] if opens.cycle else _table_paths(pairs, order, ends)
-                counts[UNMET] += int(np.count_nonzero(~met))
-                counts[opens.found] += int(np.count_nonzero(met & held))
-                rest = met & ~held
-                for row in np.flatnonzero(rest.any(1)):
-                    open_xs[at[row], statement, k] = xs[row][rest[row]].tolist()
-    return open_xs
-
-
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
-    """Every instance of every statement on each graph of the chunk, in
-    order: k by k, and within a k vertex by vertex or set by set.  Only the
-    violated instances get a params dict.  ni's sets are masks, the same
-    for every k, from run_suite's ``_ni_draw``.  These are counted without a
-    rule call: every instance below its statement's least order and, on a
-    table graph, what ``_table_open`` decides per order and k from each
-    ``_Opening``; the rules there get ``_ABSENT`` for the rest.  Only the
+    """Every instance of every statement on the chunk's graphs, all of one
+    order n, decided per (statement, k) for the whole chunk at once.  Below
+    the least order each graph counts one unmet instance, or n for lemma2 and
+    cor2.  On a table graph, each ``_Opening`` is decided in numpy: ni's lhs is
+    the degrees times the 0/1 subset-membership matrix at its sets (``base``
+    XOR each graph's flip, from ``_ni_draw``), ore's the edge count, and the
+    table's two readers give presence; only the instances these leave open
+    reach the rule, with ``_ABSENT``.  Everything else goes to the rule with
+    the witness searches.  Rules run graph by graph, then statement, k and x
+    ascending, and only the violated instances get a params dict.  Only the
     status is tallied, so where Kopylov's rule would first find the graph
     disconnected, its path's presence gives the same unmet count."""
-    graphs, statements, k_range, bases, flips = payload
+    graphs, statements, k_range, base, flips = payload
+    n, rows = graphs[0].n, [g.rows for g in graphs]
+    pairs = _held_karp(rows, n) if n <= _TABLE_MAX else None
     tallies = _tallies(statements)
-    violating: list[dict[str, Any]] = []
-    plan = []
-    for statement in statements:
-        rule, least, param, _, opens = _STATEMENTS[statement]
-        ks = (None,) if least is None else [k for k in k_range if k >= least]
-        ks = [(k, _least_order(statement, k)) for k in ks]
-        plan.append((statement, rule, ks, param, tallies[statement], opens))
-    open_xs = _table_open(graphs, plan, bases, flips)
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
-    for offset, g in enumerate(graphs):
-        on_table = g.n <= _TABLE_MAX
-        find = _ABSENT if on_table else witnesses
-        for statement, rule, ks, param, counts, opens in plan:
-            for k, least in ks:
-                if g.n < least:  # one instance, or cor2's one per w
-                    counts[UNMET] += g.n if param else 1
-                    continue
-                if on_table and opens:
-                    xs = open_xs.get((offset, statement, k), ())
-                elif param == "a":
-                    xs = sorted(a ^ flips[offset] for a in bases[g.n])
-                else:
-                    xs = range(g.n) if param else (None,)
-                for x in xs:
-                    outcome = rule(statement, g, k, x, find)
-                    counts[outcome.status] += 1
-                    if outcome.status != VIOLATED:
-                        continue
-                    params: dict[str, Any] = {} if k is None else {"k": k}
-                    if param:
-                        params[param] = list(_bits(x)) if param == "a" else x
-                    violating.append(
-                        {
-                            "statement": statement,
-                            "graph6": _graph_token(g),
-                            "params": params,
-                            "lhs": outcome.lhs,
-                            "rhs": outcome.rhs,
-                        }
-                    )
+    calls: list[tuple] = []  # (offset, statement, k, x, find) for each rule call
+    for statement in statements:
+        _, least, param, _, opens = _STATEMENTS[statement]
+        counts = tallies[statement]
+        ks = (None,) if least is None else [k for k in k_range if k >= least]
+        open_ks = [k for k in ks if n >= _least_order(statement, k)]
+        counts[UNMET] += (len(ks) - len(open_ks)) * len(graphs) * (n if param else 1)
+        if not open_ks:
+            continue
+        if pairs is None or opens is None:
+            every = ([sorted(a ^ flip for a in base) for flip in flips] if param == "a"
+                     else [range(n) if param else (None,)] * len(graphs))
+            calls += [(offset, statement, k, x, witnesses)
+                      for k in open_ks for offset, xs in enumerate(every) for x in xs]
+            continue
+        if param == "a":  # [G, S]: each graph's translate of the base sets, their degree sums and sizes
+            member = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # [v, a]: v in the set a
+            xs = ends = np.sort(np.array(base) ^ np.array(flips)[:, None], 1)
+            degrees = np.array([g.degrees for g in graphs], dtype=np.int64)
+            lhs, size = np.take_along_axis(degrees @ member, xs, 1), member.sum(0)[xs]
+        elif param == "v":  # [G, n]: lemma2's ends are every vertex but v
+            xs = np.broadcast_to(np.arange(n), (len(graphs), n))
+            ends = (1 << n) - 1 ^ 1 << xs
+        else:  # [G, 1]: one instance, ends anywhere
+            xs, ends, size = np.full((len(graphs), 1), None), np.full((1, 1), (1 << n) - 1), n
+            lhs = np.array([[g.m] for g in graphs])
+        for k in open_ks:
+            met = lhs > opens.rhs(n, k, size) if opens.rhs else np.ones(xs.shape, bool)
+            order = opens.order(n, k)
+            held = _table_cycles(pairs, rows, order)[:, None] if opens.cycle else _table_paths(pairs, order, ends)
+            counts[UNMET] += int(np.count_nonzero(~met))
+            counts[opens.found] += int(np.count_nonzero(met & held))
+            rest = met & ~held
+            calls += [(offset, statement, k, x, _ABSENT)
+                      for offset, x in zip(np.nonzero(rest)[0].tolist(), xs[rest].tolist())]
+    violating: list[dict[str, Any]] = []
+    for offset, statement, k, x, find in sorted(calls, key=lambda call: call[0]):
+        g, spec = graphs[offset], _STATEMENTS[statement]
+        outcome = spec.rule(statement, g, k, x, find)
+        tallies[statement][outcome.status] += 1
+        if outcome.status != VIOLATED:
+            continue
+        params: dict[str, Any] = {} if k is None else {"k": k}
+        if spec.param:
+            params[spec.param] = list(_bits(x)) if spec.param == "a" else x
+        violating.append(
+            {
+                "statement": statement,
+                "graph6": _graph_token(g),
+                "params": params,
+                "lhs": outcome.lhs,
+                "rhs": outcome.rhs,
+            }
+        )
     return tallies, violating
 
 
@@ -775,10 +758,11 @@ def run_suite(
         graphs = [g for n in range(1, n_max + 1) for g in enumerate_nonisomorphic(n)]
 
     bases, flips = _ni_draw(graphs, seed) if "ni" in statements else ({}, [])
-    payloads = [
-        (graphs[i : i + _CHUNK_SIZE], statements, tuple(ks), bases, flips[i : i + _CHUNK_SIZE])
-        for i in range(0, len(graphs), _CHUNK_SIZE)
-    ]
+    # chunks [i, j): runs of one order, cut every _CHUNK_SIZE graphs
+    cuts = [0, *(i for i in range(1, len(graphs)) if graphs[i].n != graphs[i - 1].n), len(graphs)]
+    spans = [(i, min(i + _CHUNK_SIZE, end))
+             for start, end in zip(cuts, cuts[1:]) for i in range(start, end, _CHUNK_SIZE)]
+    payloads = [(graphs[i:j], statements, tuple(ks), bases.get(graphs[i].n), flips[i:j]) for i, j in spans]
     if jobs > 1 and len(payloads) > 1:
         import concurrent.futures
 

@@ -600,8 +600,8 @@ def test_ni_draws_its_sets_above_62_vertices(monkeypatch):
 
 
 def test_suite_builds_one_table_batch_per_chunk_and_order(monkeypatch):
-    # the path tables of a chunk are built in one batch per order, never
-    # one graph at a time
+    # every chunk holds one order, and its path tables are built in one
+    # batch, never one graph at a time
     batches = []
     build = verify._held_karp
 
@@ -613,10 +613,41 @@ def test_suite_builds_one_table_batch_per_chunk_and_order(monkeypatch):
     report = run_suite(["egp", "egc", "ni"], n_max=7, k_range=[2])
     assert report.violated == 0
     orders = [g.n for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
-    size = verify._CHUNK_SIZE
-    chunks = [orders[i : i + size] for i in range(0, len(orders), size)]
-    assert batches == [(n, chunk.count(n)) for chunk in chunks for n in sorted(set(chunk))]
+    assert batches == [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)] + [(7, 256)] * 4 + [(7, 20)]
     assert len(batches) == 11 and sum(count for _, count in batches) == len(orders) == 1252
+
+
+def test_suite_chunks_are_runs_of_one_order(monkeypatch):
+    # a chunk ends where the order changes: interleaved orders give one
+    # table batch per run, and each payload carries its order's ni base and
+    # the flips _ni_draw drew at those corpus positions
+    rng = random.Random(31)
+    corpus = [random_graph(n, 0.5, rng) for n in (8, 3, 8, 8, 9, 7, 7)]
+    batches, payloads = [], []
+    build, run = verify._held_karp, verify._run_chunk
+    monkeypatch.setattr(
+        verify, "_held_karp", lambda rows_list, n: batches.append((n, len(rows_list))) or build(rows_list, n)
+    )
+    monkeypatch.setattr(verify, "_run_chunk", lambda payload: payloads.append(payload) or run(payload))
+    run_suite(["egp", "ni", "lemma2"], corpus=corpus, k_range=(1, 2), seed=5)
+    assert batches == [(8, 1), (3, 1), (8, 2), (7, 2)]
+    bases, flips = verify._ni_draw(corpus, 5)
+    at = 0
+    for graphs, _, _, base, chunk_flips in payloads:
+        assert {g.n for g in graphs} == {graphs[0].n} and base == bases[graphs[0].n]
+        assert graphs == corpus[at : at + len(graphs)] and chunk_flips == flips[at : at + len(graphs)]
+        at += len(graphs)
+    assert len(payloads) == 5 and at == len(corpus)
+
+
+def test_statements_with_no_opening_get_the_witness_searches_on_table_graphs(monkeypatch):
+    # theorem1 has no _Opening, so on a table graph its rule must search for
+    # its cycles, never take _ABSENT's "not found"; its least order, 21 at
+    # k = 2, is lowered here to reach a rule on a table graph at all
+    monkeypatch.setattr(verify, "_least_order", lambda stmt, k: 0)
+    report = run_suite(["theorem1"], corpus=[complete(8)], k_range=[2])
+    assert check_statement("theorem1", complete(8), k=2).status == "holds"
+    assert report.by_statement["theorem1"]["holds"] == report.instances == 1
 
 
 def test_egc_is_unmet_on_the_empty_graph():
