@@ -19,7 +19,7 @@ from .graph import Graph, _unpack
 class BoundValue:
     name: str
     value: float
-    relation: str  # "upper_bound_on_q" | "edge_count_bound" | "sandwich_pair"
+    relation: str  # "upper_bound_on_q", the one relation every bound here has
 
 
 def merris_bound(g: Graph) -> BoundValue:

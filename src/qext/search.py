@@ -182,7 +182,7 @@ def maximize_q_forbidden_cycles(
     if jobs > 1 and restarts > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, restarts)) as pool:
             raw = list(pool.map(_restart_worker, payloads))
     else:
         raw = [_restart_worker(p) for p in payloads]

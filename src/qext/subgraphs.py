@@ -23,7 +23,8 @@ Graphs with at most 8 vertices also get a path table, from a Held–Karp
 subset DP run in numpy over a batch of graphs of one order (one batch per
 suite chunk and order), whose word format only this module reads: the
 suite asks :func:`_table_paths` for a path with both ends in a vertex set
-and :func:`_table_cycles` for a long cycle.  No witness is built from it.
+and :func:`_table_cycles` for a long cycle, a path whose end pair lies in
+the table's own two-vertex layer (an edge).  No witness is built from it.
 """
 
 from __future__ import annotations
@@ -81,28 +82,24 @@ def _table_index(n: int) -> tuple[list[np.ndarray], np.ndarray]:
 def _held_karp(rows_list: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
     """The path tables ``pairs`` [G, n+1] of graphs of one order n <= 8:
     Held–Karp over the subsets S, one size at a time, in numpy over every
-    graph at once, keeping only the previous size's layer.  ``layer[S, v, g]``
-    masks the u such that some path of graph g on S runs from u to v; their
-    union over S of size r is ``pairs[g, r]``, bits 8u + v of a uint64."""
+    graph at once.  ``tails[S, v, g]``, indexed by the mask S (S - v is
+    ``S ^ 1 << v``), masks the u such that some path of graph g on S runs
+    from u to v; their union over |S| = r is ``pairs[g, r]``, bits 8u + v."""
     layers = _table_index(n)[0]
     count = len(rows_list)
     rows = np.array(rows_list, dtype=np.uint8).reshape(count, n).T  # [v, g]
     # [v, w, g]: 0xFF where vw is an edge of graph g, else 0
     edge = np.uint8(0) - np.unpackbits(rows[:, None], axis=1, bitorder="little")[:, :n]
+    tails = np.zeros((1 << n, n, count), dtype=np.uint8)
+    tails[1 << np.arange(n), np.arange(n)] = 1 << np.arange(n)[:, None]
+    for subsets in layers[2:]:
+        for v in range(n):
+            at = subsets[subsets >> v & 1 == 1]
+            # a path on S ending at v is one on S - v ending at a neighbour of v
+            tails[at, v] = np.bitwise_or.reduce(tails[at ^ 1 << v] & edge[v], axis=1)
     ends = np.zeros((count, n + 1, 8), dtype=np.uint8)  # [g, r, v], v padded to 8
     for r in range(1, n + 1):
-        subsets = layers[r]
-        layer = np.zeros((len(subsets), n, count), dtype=np.uint8)
-        for v in range(n):
-            at = np.flatnonzero(subsets >> v & 1)
-            if r == 1:
-                layer[at, v] = 1 << v
-                continue
-            # a path on S ending at v is one on S - v ending at a neighbour of v
-            before = last[np.searchsorted(layers[r - 1], subsets[at] ^ 1 << v)]
-            layer[at, v] = np.bitwise_or.reduce(before & edge[v], axis=1)
-        ends[:, r, :n] = np.bitwise_or.reduce(layer, axis=0).T
-        last = layer
+        ends[:, r, :n] = np.bitwise_or.reduce(tails[layers[r]], axis=0).T
     return ends.view("<u8")[..., 0]
 
 
@@ -115,12 +112,11 @@ def _table_paths(pairs: np.ndarray, order: int, ends: np.ndarray) -> np.ndarray:
     return pairs[:, order, None] & _table_index(pairs.shape[1] - 1)[1][ends] != 0
 
 
-def _table_cycles(pairs: np.ndarray, rows_list: Sequence[tuple[int, ...]], order: int) -> np.ndarray:
-    """Per graph of ``pairs``, whose rows are ``rows_list``: whether a cycle
-    (a path with adjacent ends) on at least ``order`` >= 3 vertices exists."""
-    rows = np.array(rows_list, dtype=np.uint64).reshape(len(pairs), -1)
-    edges = np.bitwise_or.reduce(rows << np.arange(0, 8 * rows.shape[1], 8, dtype=np.uint64), axis=1)
-    return (pairs[:, order:] & edges[:, None] != 0).any(1)
+def _table_cycles(pairs: np.ndarray, order: int) -> np.ndarray:
+    """Per graph of ``pairs``: whether a cycle on at least ``order`` >= 3
+    vertices exists, a path on r >= order vertices whose end pair is an edge,
+    a path on 2 vertices; all false above n, where the slices are empty."""
+    return (pairs[:, order:] & pairs[:, 2:3] != 0).any(1)
 
 
 def _near(rows: tuple[int, ...], last: int) -> int:

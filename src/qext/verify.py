@@ -445,11 +445,11 @@ def _theorem1(stmt: str, g: Graph, k: int, x: None, find: _Search) -> CheckOutco
 
 
 class _Opening(NamedTuple):
-    """A rule's first question on order n, which one path-table bit answers."""
+    """A rule's first question on order n, which one path-table bit answers;
+    that path or cycle proves the statement where ``rhs`` is set, else leaves it unmet."""
 
     cycle: bool  # a cycle on at least order(n, k) vertices, else a path on order(n, k) ending in x's set
     order: Callable[[int, Any], int]
-    found: str  # the rule's verdict when that path or cycle is there
     rhs: Callable[[int, Any, int], Any] | None = None  # ni and ore first need lhs > rhs(n, k, |A|)
 
 
@@ -466,15 +466,15 @@ class _Statement(NamedTuple):
 # has none), whether it runs in suites (lemma3 and cor1 build their own graph
 # from their params, so run in none) and the suite's table-answered question.
 _STATEMENTS: dict[str, _Statement] = {
-    "egp": _Statement(_egp, 1, None, True, _Opening(False, lambda n, k: k + 2, UNMET)),
-    "egc": _Statement(_egc, 2, None, True, _Opening(True, lambda n, k: max(k + 1, 3), UNMET)),
-    "kopylov_i": _Statement(_kopylov, 1, None, True, _Opening(False, lambda n, k: 2 * k + 2, UNMET)),
-    "kopylov_ii": _Statement(_kopylov, 1, None, True, _Opening(False, lambda n, k: 2 * k + 3, UNMET)),
+    "egp": _Statement(_egp, 1, None, True, _Opening(False, lambda n, k: k + 2)),
+    "egc": _Statement(_egc, 2, None, True, _Opening(True, lambda n, k: max(k + 1, 3))),
+    "kopylov_i": _Statement(_kopylov, 1, None, True, _Opening(False, lambda n, k: 2 * k + 2)),
+    "kopylov_ii": _Statement(_kopylov, 1, None, True, _Opening(False, lambda n, k: 2 * k + 3)),
     "ore": _Statement(_ore, None, None, True,
-                      _Opening(True, lambda n, k: n, HOLDS, lambda n, *_: ore_edge_threshold(n))),
-    "ni": _Statement(_ni, 1, "a", True, _Opening(False, lambda n, k: 2 * k + 1, HOLDS, _ni_rhs)),
-    "lemma1": _Statement(_lemma1, 1, None, True, _Opening(False, lambda n, k: 2 * k + 1, UNMET)),
-    "lemma2": _Statement(_lemma2, 1, "v", True, _Opening(False, lambda n, k: 2 * k + 1, UNMET)),
+                      _Opening(True, lambda n, k: n, lambda n, *_: ore_edge_threshold(n))),
+    "ni": _Statement(_ni, 1, "a", True, _Opening(False, lambda n, k: 2 * k + 1, _ni_rhs)),
+    "lemma1": _Statement(_lemma1, 1, None, True, _Opening(False, lambda n, k: 2 * k + 1)),
+    "lemma2": _Statement(_lemma2, 1, "v", True, _Opening(False, lambda n, k: 2 * k + 1)),
     "cor2": _Statement(_cor2, 2, "w", True),
     "theorem1": _Statement(_theorem1, 2, None, True),
     "theorem1_corollary": _Statement(_theorem1, 2, None, True),
@@ -653,8 +653,8 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     status is tallied, so where Kopylov's rule would first find the graph
     disconnected, its path's presence gives the same unmet count."""
     graphs, statements, k_range, base, flips = payload
-    n, rows = graphs[0].n, [g.rows for g in graphs]
-    pairs = _held_karp(rows, n) if n <= _TABLE_MAX else None
+    n = graphs[0].n
+    pairs = _held_karp([g.rows for g in graphs], n) if n <= _TABLE_MAX else None
     tallies = _tallies(statements)
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
@@ -687,9 +687,9 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         for k in open_ks:
             met = lhs > opens.rhs(n, k, size) if opens.rhs else np.ones(xs.shape, bool)
             order = opens.order(n, k)
-            held = _table_cycles(pairs, rows, order)[:, None] if opens.cycle else _table_paths(pairs, order, ends)
+            held = _table_cycles(pairs, order)[:, None] if opens.cycle else _table_paths(pairs, order, ends)
             counts[UNMET] += int(np.count_nonzero(~met))
-            counts[opens.found] += int(np.count_nonzero(met & held))
+            counts[HOLDS if opens.rhs else UNMET] += int(np.count_nonzero(met & held))
             rest = met & ~held
             calls += [(offset, statement, k, x, _ABSENT)
                       for offset, x in zip(np.nonzero(rest)[0].tolist(), xs[rest].tolist())]
@@ -766,7 +766,7 @@ def run_suite(
     if jobs > 1 and len(payloads) > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             partials = list(pool.map(_run_chunk, payloads))
     else:
         partials = [_run_chunk(p) for p in payloads]

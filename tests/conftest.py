@@ -33,7 +33,7 @@ def table_presence(g: Graph, pairs):
     table = np.asarray(pairs).reshape(1, g.n + 1)
     return (
         lambda order, ends=-1: bool(_table_paths(table, order, np.full((1, 1), ends & (1 << g.n) - 1))[0, 0]),
-        lambda length: bool(_table_cycles(table, [g.rows], length)[0]),
+        lambda length: bool(_table_cycles(table, length)[0]),
     )
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import random
 from collections import Counter
@@ -20,6 +21,7 @@ from qext.graph import Graph, build_graph, disjoint_union
 from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
 from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
+from qext.verify import run_suite
 
 from conftest import graph_from_code, without_edge
 
@@ -70,6 +72,35 @@ def test_jobs_do_not_change_the_result():
         serial = maximize_q_forbidden_cycles(n, {4}, **kwargs)
         parallel = maximize_q_forbidden_cycles(n, {4}, jobs=2, **kwargs)
         assert serial == parallel
+
+
+def test_pools_never_ask_for_more_workers_than_payloads(monkeypatch):
+    # a pool may fork all its workers at the first submit, so each caller
+    # caps it at its work: the suite's 3 chunks (n = 1, 2, 3) and the 2
+    # restarts; the fake pool records the request and maps serially
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    def both(jobs):
+        return (run_suite(["egp"], n_max=3, k_range=[1], jobs=jobs),
+                maximize_q_forbidden_cycles(10, {5}, restarts=2, jobs=jobs))
+
+    serial = both(1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert both(64) == serial
+    assert asked == [3, 2]
 
 
 def test_matched_family_tag():
