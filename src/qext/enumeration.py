@@ -9,19 +9,19 @@ isomorphism II", J. Symb. Comp. 60, 2014), one level at a time for a whole
 batch of graphs in numpy.
 
 Positions 0, 1, ... are filled in order.  A search node is an ordered
-partition kept by position: each cell sits where its run starts, placed
-vertices stay as singletons, and the next vertex comes from the cell at the
-first free position.  Placing v writes, for each cell after it of size s
-holding a neighbors of v, the bits 0^(s-a) 1^a: rows compare as neighbor
-counts, packed 4 bits per position into a key.  Each cell then splits in
-place, non-neighbors of v first.  Of all (node, candidate) pairs of one
-level, only those whose key equals their graph's least key survive.  This is
-exact: a graph's surviving nodes wrote the same prefix, so they share cell
-sizes and starts, their rows compare as their keys, and each code under a
-larger row exceeds the minimum; so every leaf (all singletons) spells it.
-It cuts at least what a depth-first cut against the best leaf so far does.
-A node expands only the lowest of its surviving twins (equal open or closed
-neighborhoods): swapping twins is an automorphism that fixes the partition.
+partition kept by position: each cell sits where its run starts, and the
+next vertex comes from the cell at the first free position.  Placing v
+writes, for each cell after it of size s holding a neighbors of v, the bits
+0^(s-a) 1^a: rows compare as neighbor counts, packed 4 bits per position
+into a key.  Each cell then splits in place, non-neighbors of v first.  Of
+all (node, candidate) pairs of one level, those with their graph's least key
+survive: they wrote the same prefix, so they share cell sizes and starts,
+and any code under a larger row exceeds the minimum.  Three cuts are exact
+too.  Position 0 keys only least-degree vertices: its key is the degree.  A
+vertex with a lower twin (equal open or closed neighborhood) in its cell is
+not keyed: swapping them is an automorphism that fixes the partition.  Each
+placed vertex splits every cell, so both members of a 2-cell left at n - 2
+look alike to all of them: either order spells one code, so none is tried.
 
 The catalogue grows by canonical augmentation with two prunes: one mask per
 orbit of the parent's twin swaps (automorphisms), and a new vertex that
@@ -40,8 +40,18 @@ from .graph import Graph, _pack, _twins, _unpack
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
 _POP = np.array([x.bit_count() for x in range(1 << CANONICAL_MAX)], dtype=np.uint8)  # row popcounts
-_ROWS_CHUNK = 512  # graphs labelled at once: larger chunks cost memory
-_PARENTS_CHUNK = 32  # parents augmented at once, likewise
+_ROWS_CHUNK = 1024  # graphs labelled at once; the n = 9 build peaks at 65 MB RSS (64 MB at 512)
+_PARENTS_CHUNK = 64  # parents augmented at once: about 950 children per labelling at n = 8
+
+
+def _candidates(rows, twins, graph, cells, depth):
+    """(node, vertex) pairs keyed at ``depth``: see the module docstring."""
+    bit = np.int16(1) << np.arange(rows.shape[1], dtype=np.int16)
+    first = cells[:, depth, None]
+    if depth == 0:  # the key is the degree
+        deg = _POP[rows[graph]]
+        first = (deg == deg.min(1, keepdims=True)) @ bit[:, None]
+    return np.nonzero((first & bit != 0) & (twins[graph] & first & bit - 1 == 0))
 
 
 def _level(rows, twins, graph, cells, depth):
@@ -49,23 +59,20 @@ def _level(rows, twins, graph, cells, depth):
     (nondecreasing) with ``cells[i, s]`` the cell starting at s, else 0."""
     n = rows.shape[1]
     bit = np.int16(1) << np.arange(n, dtype=np.int16)
-    node, v = np.nonzero(cells[:, depth, None] & bit)  # candidates: the first cell
+    node, v = _candidates(rows, twins, graph, cells, depth)
     g, nb, parts = graph[node], rows[graph[node], v], cells[node]
     parts[:, depth + 1] |= parts[:, depth] ^ bit[v]  # the rest of the first cell
     parts[:, depth] = bit[v]
     key = _POP[parts[:, depth + 1 :] & nb[:, None]] @ 16 ** np.arange(n - depth - 2, -1, -1)
     low = np.full(len(rows), 16**n)
     np.minimum.at(low, g, key)
-    tied = key == low[g]  # exact: see the module docstring
-    ties = np.zeros(len(cells), dtype=np.int16)
-    np.bitwise_or.at(ties, node[tied], bit[v[tied]])
-    keep = np.flatnonzero(tied & (twins[g, v] & ties[node] & bit[v] - 1 == 0))  # lowest tied twins
-    node, nb, parts = node[keep], nb[keep, None], parts[keep]
+    keep = np.flatnonzero(key == low[g])  # exact: see the module docstring
+    g, nb, parts = g[keep], nb[keep, None], parts[keep]
     near = parts & nb  # every cell splits, a placed singleton onto itself
     parts &= ~nb  # non-neighbors keep the cell's start, neighbors follow them
     i, s = np.nonzero(near)
     parts[i, s + _POP[parts[i, s]]] |= near[i, s]
-    return graph[node], parts
+    return g, parts
 
 
 def _min_codes(rows: np.ndarray) -> np.ndarray:
@@ -78,9 +85,12 @@ def _min_codes(rows: np.ndarray) -> np.ndarray:
         chunk = rows[at : at + _ROWS_CHUNK].astype(np.int16)
         graph, cells, twins = np.arange(len(chunk)), np.zeros_like(chunk), _twins(chunk)
         cells[:, 0] = (1 << n) - 1
-        for depth in range(n - 1):
+        for depth in range(n - 2):
             graph, cells = _level(chunk, twins, graph, cells, depth)
-        order = _POP[cells[np.diff(graph, prepend=-1) > 0] - 1]  # each graph's first leaf: singletons
+        leaf = cells[np.diff(graph, prepend=-1) > 0]  # each graph's first leaf
+        leaf[:, n - 1] |= leaf[:, n - 2] & leaf[:, n - 2] - 1  # a last 2-cell's high bit goes last
+        leaf[:, n - 2] &= -leaf[:, n - 2]
+        order = _POP[leaf - 1]
         placed = chunk[np.arange(len(chunk))[:, None], order]
         codes[at : at + len(chunk)] = (placed[:, iu] >> order[:, ju] & 1).astype(np.uint64) @ weight
     return codes

@@ -19,7 +19,7 @@ from qext.enumeration import (
     write_graph6,
 )
 from qext.families import complete, cycle, edgeless, path, star
-from qext.graph import build_graph, disjoint_union, join
+from qext.graph import _twins, build_graph, disjoint_union, join
 
 from conftest import graph_from_code, graphs, random_graph, without_edge
 
@@ -139,7 +139,7 @@ def test_augmentation_prunes_cut_canonical_labelling(monkeypatch, cold_catalogue
 
 
 def test_prefix_prune_bounds_the_search_tree(monkeypatch):
-    # exactly 9,857 search nodes over the n = 7 catalogue; 14,492 when each
+    # exactly 8,257 search nodes over the n = 7 catalogue; 11,578 when each
     # node keeps its own least keys instead of its graph's
     catalogue = list(enumerate_nonisomorphic(7))
     level = enumeration._level
@@ -152,21 +152,29 @@ def test_prefix_prune_bounds_the_search_tree(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_level", counted)
     label(catalogue)
-    assert nodes == 9_857
+    assert nodes == 8_257
 
 
 def test_cold_catalogue_walks_a_fixed_search_tree(monkeypatch, cold_catalogue):
-    # search nodes per order of the children labelled by the n <= 8 build
-    nodes = collections.Counter()
-    level = enumeration._level
+    # search nodes, and the candidates keyed in them, per order of the
+    # children labelled by the n <= 8 build; no level runs below 3 vertices
+    nodes, keyed = collections.Counter(), collections.Counter()
+    level, candidates = enumeration._level, enumeration._candidates
 
     def counted(rows, twins, graph, *state):
         nodes[rows.shape[1]] += len(graph)
         return level(rows, twins, graph, *state)
 
+    def counted_candidates(rows, *state):
+        node, v = candidates(rows, *state)
+        keyed[rows.shape[1]] += len(node)
+        return node, v
+
     monkeypatch.setattr(enumeration, "_level", counted)
+    monkeypatch.setattr(enumeration, "_candidates", counted_candidates)
     assert len(enumeration._nonisomorphic_codes(8)) == 12346
-    assert nodes == {2: 2, 3: 8, 4: 39, 5: 213, 6: 1557, 7: 13_662, 8: 175_159}
+    assert nodes == {3: 4, 4: 25, 5: 155, 6: 1231, 7: 11_505, 8: 153_566}
+    assert keyed == {3: 4, 4: 32, 5: 225, 6: 2004, 7: 21_117, 8: 314_314}
 
 
 def test_batches_label_each_graph_as_alone():
@@ -268,8 +276,34 @@ def graphs_2_10(draw):
 @example(complete(10))
 @example(without_edge(complete(10), 0, 1))
 @example(star(10))
+@example(edgeless(2))  # the last two positions are one cell ...
+@example(complete(2))
+@example(edgeless(10))
+@example(disjoint_union([complete(2), edgeless(1)]))  # ... here a pendant pair
+@example(star(3))  # ... or two singletons
 def test_packed_key_matches_list_key(g):
     assert label([g]) == [reference_min_code(g.rows)]
+
+
+@pytest.mark.parametrize(
+    "g, one_cell",
+    [
+        (edgeless(2), True),
+        (complete(2), True),
+        (edgeless(10), True),
+        (disjoint_union([complete(2), edgeless(1)]), True),
+        (star(3), False),
+    ],
+)
+def test_examples_end_in_both_last_shapes(g, one_cell):
+    # the search stops before position n - 2, which then holds one 2-cell
+    # (split by _min_codes, low vertex first) or two singletons
+    rows = np.array([g.rows], dtype=np.int16)
+    graph, cells = np.arange(1), np.zeros_like(rows)
+    cells[:, 0] = (1 << g.n) - 1
+    for depth in range(g.n - 2):
+        graph, cells = enumeration._level(rows, _twins(rows), graph, cells, depth)
+    assert (cells[0, g.n - 1] == 0) == one_cell
 
 
 @st.composite
