@@ -23,15 +23,15 @@ not keyed: swapping them is an automorphism that fixes the partition.  Each
 placed vertex splits every cell, so both members of a 2-cell left at n - 2
 look alike to all of them: either order spells one code, so none is tried.
 
-The catalogue grows by canonical augmentation with two prunes: one mask per
-orbit of the parent's twin swaps (automorphisms), and a new vertex that
-maximizes an isomorphism-invariant degree key (every graph has one).
+The catalogue grows by canonical augmentation (``_nonisomorphic_codes``) and
+stays arrays: one sorted, read-only ``uint64`` array of codes per order,
+decoded by ``_rows``; only ``enumerate_nonisomorphic`` builds ``Graph``s.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .graph import Graph, _pack, _twins, _unpack
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
 _POP = np.array([x.bit_count() for x in range(1 << CANONICAL_MAX)], dtype=np.uint8)  # row popcounts
-_ROWS_CHUNK = 1024  # graphs labelled at once; the n = 9 build peaks at 65 MB RSS (64 MB at 512)
+_ROWS_CHUNK = 1024  # graphs labelled at once; the n = 9 build peaks at 44 MB RSS
 _PARENTS_CHUNK = 64  # parents augmented at once: about 950 children per labelling at n = 8
 
 
@@ -108,25 +108,30 @@ def canonical_code(g: Graph) -> int:
     return int(_min_codes(np.array([g.rows], dtype=np.int64))[0])
 
 
-def _rows(n: int, codes: Sequence[int]) -> np.ndarray:
-    """Bit rows [len(codes), n] (``int64``) of in-range row-major codes, n <= ENUMERATE_MAX."""
-    nbits = n * (n - 1) // 2
-    width = (nbits + 7) // 8
-    data = np.frombuffer(b"".join(code.to_bytes(width, "big") for code in codes), dtype=np.uint8)
-    adj = np.zeros((len(codes), n, n), dtype=np.uint8)
-    bits = np.unpackbits(data.reshape(len(codes), width), axis=1)[:, 8 * width - nbits :]
-    adj[(slice(None), *np.triu_indices(n, 1))] = bits
-    return (adj | adj.transpose(0, 2, 1)) @ (1 << np.arange(n, dtype=np.int64))
-
-
-def _graphs(n: int, codes: Sequence[int]) -> list[Graph]:
-    return [Graph(n, tuple(row)) for row in _rows(n, codes).tolist()]
+def _rows(n: int, codes: np.ndarray) -> np.ndarray:
+    """Bit rows [len(codes), n] (``int64``) of row-major ``uint64`` codes, n <= CANONICAL_MAX."""
+    rows = np.zeros((len(codes), n), dtype=np.int64)
+    iu, ju = np.triu_indices(n, 1)
+    for shift, (u, v) in enumerate(zip(iu[::-1].tolist(), ju[::-1].tolist())):  # the pair (0, 1) is the MSB
+        bit = (codes >> shift & 1).astype(np.int64)
+        rows[:, u] |= bit << v
+        rows[:, v] |= bit << u
+    return rows
 
 
 @lru_cache(maxsize=None)
-def _nonisomorphic_codes(n: int) -> tuple[int, ...]:
+def _nonisomorphic_codes(n: int) -> np.ndarray:
+    """The canonical codes on n vertices, ascending, in a read-only ``uint64`` array.
+
+    Each class on n-1 vertices gets a new vertex joined to a mask.  A mask
+    must take the lowest vertices of each twin class (equal open or closed
+    neighborhoods; no vertex has both kinds of twin): twin swaps are parent
+    automorphisms, so each orbit keeps one mask.  The new vertex must lead
+    in (degree, neighbor degree sum, neighbor squared degree sum): the key
+    is invariant, so deleting a key-maximal vertex of any graph leaves a
+    parent class that regrows it."""
     if n == 1:
-        return (0,)
+        return np.frombuffer(bytes(8), dtype=np.uint64)  # the one code, 0, read-only like the rest
     bit = 1 << np.arange(n - 1)
     masks = np.arange(1 << (n - 1))  # the new vertex's neighbors
     degree = _POP[masks]
@@ -149,27 +154,20 @@ def _nonisomorphic_codes(n: int) -> tuple[int, ...]:
         weight = deg << 10 | deg**2
         key = deg << 20 | sum((child >> w & 1) * weight[:, w, None] for w in range(n))
         found.append(_min_codes(child[key[:, :-1].max(1) <= key[:, -1]]))
-    return tuple(sorted(set(np.concatenate(found).tolist())))
+    codes = np.sort(np.concatenate(found))  # then drop repeats: np.unique costs lazy imports
+    codes = codes[np.insert(codes[1:] != codes[:-1], 0, True)]
+    codes.flags.writeable = False  # every caller shares the cached array
+    return codes
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class on n vertices, canonical order.
-
-    Each class on n-1 vertices gets a new vertex joined to a mask.  A mask
-    must take the lowest vertices of each twin class (equal open or closed
-    neighborhoods; no vertex has both kinds of twin): twin swaps are parent
-    automorphisms, so each orbit keeps one mask.  The new vertex must lead
-    in (degree, neighbor degree sum, neighbor squared degree sum): the key
-    is invariant, so deleting a key-maximal vertex of any graph leaves a
-    parent class that regrows it.  Canonical codes deduplicate the kept
-    children, yielded in increasing code order, each labelled so that its
-    row-major upper-triangle bit string is its code.
-    """
+    """One representative per isomorphism class on n vertices, in increasing
+    code order, each labelled so that its row-major upper-triangle bit string
+    is its canonical code (see ``_nonisomorphic_codes``)."""
     if not 1 <= n <= ENUMERATE_MAX:
         raise ValueError(f"native enumeration supports 1 <= n <= {ENUMERATE_MAX}, got {n}")
-    codes = _nonisomorphic_codes(n)
-    for at in range(0, len(codes), _ROWS_CHUNK):
-        yield from _graphs(n, codes[at : at + _ROWS_CHUNK])
+    for row in zip(*_rows(n, _nonisomorphic_codes(n)).T.tolist()):  # no list per row: less peak RSS
+        yield Graph(n, row)
 
 
 # --- graph6 ----------------------------------------------------------------

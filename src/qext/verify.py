@@ -22,8 +22,9 @@ of the statement's ``_Opening`` fixes it (all but cor2 and theorem1's),
 decided in numpy by ``_run_chunk`` per chunk of one order, statement and k,
 through the table's two readers in ``subgraphs``.  An instance that table
 bit leaves open gets ``_ABSENT``, a search that finds nothing; every other
-instance goes to the rule with the witness searches.  ni's vertex set A is
-its bitmask throughout.
+instance goes to the rule with the witness searches.  Graphs, from the
+catalogue or a corpus, travel as bit rows; only a rule call builds a
+``Graph``.  ni's vertex set A is its bitmask throughout.
 
 Statement tags
 --------------
@@ -58,7 +59,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import closed_form_snk, kopylov_i_value, kopylov_ii_value, ore_edge_threshold, prop1_sandwich
-from .enumeration import ENUMERATE_MAX, enumerate_nonisomorphic, write_graph6
+from .enumeration import ENUMERATE_MAX, _POP, _nonisomorphic_codes, _rows, write_graph6
 from .families import complete, corollary1_graph
 from .graph import (
     Graph,
@@ -618,15 +619,15 @@ def _tallies(statements: Sequence[str]) -> dict[str, dict[str, int]]:
     return {s: dict.fromkeys(_STATUSES, 0) for s in statements}
 
 
-def _ni_draw(graphs: Sequence[Graph], seed: int) -> tuple[dict[int, list[int]], list[int]]:
-    """Graph i's ni sets are sorted(a ^ flips[i] for a in bases[n]): bases[n] is
-    every mask through 6 vertices and above, ``_NI_SAMPLE`` drawn once per order;
-    flips[i] is an n-bit mask drawn in catalogue order.  A fixed XOR permutes the
+def _ni_draw(orders: Sequence[int], seed: int) -> tuple[dict[int, list[int]], list[int]]:
+    """Graph i, of order n = orders[i], has ni sets sorted(a ^ flips[i] for a in bases[n]):
+    bases[n] is every mask through 6 vertices and above, ``_NI_SAMPLE`` drawn once per
+    order; flips[i] is an n-bit mask drawn in catalogue order.  A fixed XOR permutes the
     subsets, so each graph's sets are a uniform sample.  String seeds tell 3 from -3.
     Above 62 vertices, where range(1 << n) is too long to sample, the same
     generator draws n-bit masks until it has that many distinct ones."""
     bases = {}
-    for n in {g.n for g in graphs}:
+    for n in set(orders):
         base_rng, size = random.Random(f"ni {seed} {n}"), 1 << n if n <= 6 else min(_NI_SAMPLE, 1 << n)
         if 1 << n <= sys.maxsize:
             bases[n] = sorted(base_rng.sample(range(1 << n), size))
@@ -636,25 +637,25 @@ def _ni_draw(graphs: Sequence[Graph], seed: int) -> tuple[dict[int, list[int]], 
             masks.add(base_rng.getrandbits(n))
         bases[n] = sorted(masks)
     rng = random.Random(f"ni {seed}")
-    return bases, [rng.getrandbits(g.n) for g in graphs]
+    return bases, [rng.getrandbits(n) for n in orders]
 
 
 def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str, Any]]]:
-    """Every instance of every statement on the chunk's graphs, all of one
-    order n, decided per (statement, k) for the whole chunk at once.  Below
-    the least order each graph counts one unmet instance, or n for lemma2 and
-    cor2.  On a table graph, each ``_Opening`` is decided in numpy: ni's lhs is
-    the degrees times the 0/1 subset-membership matrix at its sets (``base``
-    XOR each graph's flip, from ``_ni_draw``), ore's the edge count, and the
-    table's two readers give presence; only the instances these leave open
-    reach the rule, with ``_ABSENT``.  Everything else goes to the rule with
-    the witness searches.  Rules run graph by graph, then statement, k and x
-    ascending, and only the violated instances get a params dict.  Only the
-    status is tallied, so where Kopylov's rule would first find the graph
-    disconnected, its path's presence gives the same unmet count."""
-    graphs, statements, k_range, base, flips = payload
-    n = graphs[0].n
-    pairs = _held_karp([g.rows for g in graphs], n) if n <= _TABLE_MAX else None
+    """Every instance of every statement on one chunk, decided per
+    (statement, k) for the whole chunk at once: its graphs, all of order n,
+    come as ``Graph.rows`` tuples.  Below the least order each graph counts
+    one unmet instance, or n for lemma2 and cor2.  On table graphs, whose
+    rows become one [G, n] array, each ``_Opening`` is decided in numpy
+    (ni's sets are ``base`` XOR each graph's flip, from ``_ni_draw``); only
+    the instances it leaves open reach the rule, with ``_ABSENT``, and the
+    rest the witness searches.  Rules run graph by graph, on one ``Graph``
+    per graph with a rule call, then statement, k and x ascending.  Only
+    the status is tallied, so where Kopylov's rule would first find the
+    graph disconnected, its path's presence gives the same unmet count."""
+    n, rows, statements, k_range, base, flips = payload
+    if n <= _TABLE_MAX:
+        bit_rows = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        pairs, degrees = _held_karp(bit_rows, n), _POP[bit_rows].astype(np.int64)
     tallies = _tallies(statements)
     # read from the module at call time, so that stubs and tracers see each call
     witnesses = _Search(find_constrained_path, find_cycle_of_length)
@@ -664,26 +665,25 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         counts = tallies[statement]
         ks = (None,) if least is None else [k for k in k_range if k >= least]
         open_ks = [k for k in ks if n >= _least_order(statement, k)]
-        counts[UNMET] += (len(ks) - len(open_ks)) * len(graphs) * (n if param else 1)
+        counts[UNMET] += (len(ks) - len(open_ks)) * len(rows) * (n if param else 1)
         if not open_ks:
             continue
-        if pairs is None or opens is None:
+        if n > _TABLE_MAX or opens is None:
             every = ([sorted(a ^ flip for a in base) for flip in flips] if param == "a"
-                     else [range(n) if param else (None,)] * len(graphs))
+                     else [range(n) if param else (None,)] * len(rows))
             calls += [(offset, statement, k, x, witnesses)
                       for k in open_ks for offset, xs in enumerate(every) for x in xs]
             continue
         if param == "a":  # [G, S]: each graph's translate of the base sets, their degree sums and sizes
             member = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # [v, a]: v in the set a
             xs = ends = np.sort(np.array(base) ^ np.array(flips)[:, None], 1)
-            degrees = np.array([g.degrees for g in graphs], dtype=np.int64)
             lhs, size = np.take_along_axis(degrees @ member, xs, 1), member.sum(0)[xs]
         elif param == "v":  # [G, n]: lemma2's ends are every vertex but v
-            xs = np.broadcast_to(np.arange(n), (len(graphs), n))
+            xs = np.broadcast_to(np.arange(n), (len(rows), n))
             ends = (1 << n) - 1 ^ 1 << xs
         else:  # [G, 1]: one instance, ends anywhere
-            xs, ends, size = np.full((len(graphs), 1), None), np.full((1, 1), (1 << n) - 1), n
-            lhs = np.array([[g.m] for g in graphs])
+            xs, ends, size = np.full((len(rows), 1), None), np.full((1, 1), (1 << n) - 1), n
+            lhs = degrees.sum(1, keepdims=True) // 2
         for k in open_ks:
             met = lhs > opens.rhs(n, k, size) if opens.rhs else np.ones(xs.shape, bool)
             order = opens.order(n, k)
@@ -694,6 +694,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
             calls += [(offset, statement, k, x, _ABSENT)
                       for offset, x in zip(np.nonzero(rest)[0].tolist(), xs[rest].tolist())]
     violating: list[dict[str, Any]] = []
+    graphs = {offset: Graph(n, rows[offset]) for offset in {call[0] for call in calls}}
     for offset, statement, k, x, find in sorted(calls, key=lambda call: call[0]):
         g, spec = graphs[offset], _STATEMENTS[statement]
         outcome = spec.rule(statement, g, k, x, find)
@@ -749,20 +750,20 @@ def run_suite(
     if corpus is not None:
         if n_max is not None:
             raise ValueError("give n_max or corpus, not both")
-        graphs = list(corpus)
+        rows = [g.rows for g in corpus]
     else:
         if n_max is None:
             raise ValueError("n_max is required when no corpus is given")
         if not 1 <= n_max <= ENUMERATE_MAX:
             raise ValueError(f"native enumeration needs 1 <= n_max <= {ENUMERATE_MAX}, got {n_max}")
-        graphs = [g for n in range(1, n_max + 1) for g in enumerate_nonisomorphic(n)]
-
-    bases, flips = _ni_draw(graphs, seed) if "ni" in statements else ({}, [])
+        rows = [row for n in range(1, n_max + 1) for row in zip(*_rows(n, _nonisomorphic_codes(n)).T.tolist())]
+    orders = [len(row) for row in rows]  # a graph's rows tuple has one entry per vertex
+    bases, flips = _ni_draw(orders, seed) if "ni" in statements else ({}, [])
     # chunks [i, j): runs of one order, cut every _CHUNK_SIZE graphs
-    cuts = [0, *(i for i in range(1, len(graphs)) if graphs[i].n != graphs[i - 1].n), len(graphs)]
+    cuts = [0, *(i for i in range(1, len(orders)) if orders[i] != orders[i - 1]), len(orders)]
     spans = [(i, min(i + _CHUNK_SIZE, end))
              for start, end in zip(cuts, cuts[1:]) for i in range(start, end, _CHUNK_SIZE)]
-    payloads = [(graphs[i:j], statements, tuple(ks), bases.get(graphs[i].n), flips[i:j]) for i, j in spans]
+    payloads = [(orders[i], rows[i:j], statements, tuple(ks), bases.get(orders[i]), flips[i:j]) for i, j in spans]
     if jobs > 1 and len(payloads) > 1:
         import concurrent.futures
 

@@ -59,7 +59,8 @@ def label(graphs):
 
 def brute_codes_all_labeled(n):
     """Independent oracle: canonical-dedup every labeled graph on n vertices."""
-    return set(label(enumeration._graphs(n, range(1 << n * (n - 1) // 2))))
+    every = enumeration._rows(n, np.arange(1 << n * (n - 1) // 2, dtype=np.uint64))
+    return set(enumeration._min_codes(every).tolist())
 
 
 def test_canonical_form_relabel_invariance_examples():
@@ -193,6 +194,24 @@ def test_enumeration_matches_labeled_dedup_oracle():
     for n in range(1, 7):
         ours = {canonical_code(g) for g in enumerate_nonisomorphic(n)}
         assert ours == brute_codes_all_labeled(n)
+
+
+def test_catalogue_codes_are_a_read_only_increasing_uint64_array():
+    # every caller shares the cached array, so no caller may write to it
+    for n in range(1, 9):
+        codes = enumeration._nonisomorphic_codes(n)
+        assert codes.dtype == np.uint64 and (codes[1:] > codes[:-1]).all()
+        with pytest.raises(ValueError):
+            codes[0] = 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(9, 10), st.lists(st.integers(0, 2**32 - 1), max_size=8), st.sampled_from([0.05, 0.5, 0.95]))
+def test_rows_decode_36_and_45_bit_codes(n, seeds, p):
+    # the n = 10 build decodes its n = 9 parents; K_n sets the top pair bit
+    batch = [random_graph(n, p, random.Random(seed)) for seed in seeds] + [complete(n)]
+    codes = np.array([row_major_code(g) for g in batch], dtype=np.uint64)
+    assert enumeration._rows(n, codes).tolist() == [list(g.rows) for g in batch]
 
 
 def test_enumeration_is_canonical_and_sorted():

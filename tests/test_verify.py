@@ -553,8 +553,8 @@ def test_mixed_order_reports_do_not_depend_on_jobs_or_chunk_size(monkeypatch):
 def test_ni_sets_are_a_full_or_sampled_set_of_distinct_masks(corpus, seed, ni_sample):
     # with no path table every set reaches the rule, one graph after
     # another: min(S, 2^n) distinct masks of n bits, ascending, and every
-    # mask through 6 vertices or once S >= 2^n
-    corpus = [build_graph(g.n, g.edges()) for g in corpus]  # told apart by identity
+    # mask through 6 vertices or once S >= 2^n; each graph gets one rule
+    # Graph, so a run of calls on one Graph is one corpus position
     calls = []
 
     def counted(statement, g, k, a, find):
@@ -566,8 +566,13 @@ def test_ni_sets_are_a_full_or_sampled_set_of_distinct_masks(corpus, seed, ni_sa
         stack.enter_context(mock.patch.object(verify, "_NI_SAMPLE", ni_sample))
         stack.enter_context(mock.patch.object(verify, "_TABLE_MAX", -1))
         run_suite(["ni"], corpus=corpus, k_range=[1], seed=seed)
-    for g in corpus:
-        sets = [a for h, a in calls if h is g]
+    runs = []
+    for h, a in calls:
+        if not runs or runs[-1][0] is not h:
+            runs.append((h, []))
+        runs[-1][1].append(a)
+    assert [h.rows for h, _ in runs] == [g.rows for g in corpus]
+    for g, (_, sets) in zip(corpus, runs):
         assert sets == sorted(set(sets)) and all(0 <= a < 1 << g.n for a in sets)
         assert len(sets) == (1 << g.n if g.n <= 6 else min(ni_sample, 1 << g.n))
         if g.n <= 6 or ni_sample >= 1 << g.n:
@@ -577,7 +582,8 @@ def test_ni_sets_are_a_full_or_sampled_set_of_distinct_masks(corpus, seed, ni_sa
 def test_ni_draw_tells_a_seed_from_its_negation():
     # random.Random(3) and random.Random(-3) draw alike; ni's seeds must not
     corpus = [complete(8), path(7), cycle(9)]
-    (bases, flips), (negated, negated_flips) = verify._ni_draw(corpus, 3), verify._ni_draw(corpus, -3)
+    orders = [g.n for g in corpus]
+    (bases, flips), (negated, negated_flips) = verify._ni_draw(orders, 3), verify._ni_draw(orders, -3)
     assert all(bases[n] != negated[n] for n in (7, 8, 9)) and flips != negated_flips
     assert reference_ni_masks(corpus, 3) != reference_ni_masks(corpus, -3)
 
@@ -619,8 +625,9 @@ def test_suite_builds_one_table_batch_per_chunk_and_order(monkeypatch):
 
 def test_suite_chunks_are_runs_of_one_order(monkeypatch):
     # a chunk ends where the order changes: interleaved orders give one
-    # table batch per run, and each payload carries its order's ni base and
-    # the flips _ni_draw drew at those corpus positions
+    # table batch per run, and each payload carries its order, its graphs'
+    # rows, its order's ni base and the flips _ni_draw drew at those corpus
+    # positions
     rng = random.Random(31)
     corpus = [random_graph(n, 0.5, rng) for n in (8, 3, 8, 8, 9, 7, 7)]
     batches, payloads = [], []
@@ -631,12 +638,13 @@ def test_suite_chunks_are_runs_of_one_order(monkeypatch):
     monkeypatch.setattr(verify, "_run_chunk", lambda payload: payloads.append(payload) or run(payload))
     run_suite(["egp", "ni", "lemma2"], corpus=corpus, k_range=(1, 2), seed=5)
     assert batches == [(8, 1), (3, 1), (8, 2), (7, 2)]
-    bases, flips = verify._ni_draw(corpus, 5)
+    bases, flips = verify._ni_draw([g.n for g in corpus], 5)
     at = 0
-    for graphs, _, _, base, chunk_flips in payloads:
-        assert {g.n for g in graphs} == {graphs[0].n} and base == bases[graphs[0].n]
-        assert graphs == corpus[at : at + len(graphs)] and chunk_flips == flips[at : at + len(graphs)]
-        at += len(graphs)
+    for n, rows, _, _, base, chunk_flips in payloads:
+        chunk = corpus[at : at + len(rows)]
+        assert {g.n for g in chunk} == {n} and base == bases[n]
+        assert rows == [g.rows for g in chunk] and chunk_flips == flips[at : at + len(rows)]
+        at += len(rows)
     assert len(payloads) == 5 and at == len(corpus)
 
 
@@ -997,6 +1005,24 @@ def test_suite_calls_a_rule_only_where_the_verdict_is_open(monkeypatch):
     }
     # 20,437 when only ni and lemma2 were batched; 111,603 with a rule call per instance
     assert sum(calls.values()) == 6196
+
+
+def test_n8_suite_builds_a_graph_only_for_a_rule_call(monkeypatch):
+    # the catalogue reaches the rules as rows: of the 13,598 graphs with
+    # n <= 8, only the 3,086 that get a rule call become a Graph, once each
+    built = Counter()
+    init = graph.Graph.__init__
+
+    def counted_init(self, n, rows):
+        built[n, rows] += 1
+        init(self, n, rows)
+
+    calls = _count_rule_calls(monkeypatch, SUITE_STATEMENTS)
+    monkeypatch.setattr(graph.Graph, "__init__", counted_init)
+    run_suite(SUITE_STATEMENTS, n_max=8, k_range=(1, 2, 3))
+    assert len(calls) == 18_043
+    assert set(built) == {(g.n, g.rows) for _, g, _ in calls}
+    assert sum(built.values()) == len(built) == 3_086
 
 
 def _count_rule_calls(monkeypatch, names):
