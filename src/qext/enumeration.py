@@ -17,11 +17,12 @@ into a key.  Each cell then splits in place, non-neighbors of v first.  Of
 all (node, candidate) pairs of one level, those with their graph's least key
 survive: they wrote the same prefix, so they share cell sizes and starts,
 and any code under a larger row exceeds the minimum.  Three cuts are exact
-too.  Position 0 keys only least-degree vertices: its key is the degree.  A
-vertex with a lower twin (equal open or closed neighborhood) in its cell is
-not keyed: swapping them is an automorphism that fixes the partition.  Each
-placed vertex splits every cell, so both members of a 2-cell left at n - 2
-look alike to all of them: either order spells one code, so none is tried.
+too.  Position 0 tries only least-degree vertices and keys none: the key
+would be the degree, so all of them tie.  A vertex with a lower twin (equal
+open or closed neighborhood) in its cell is not tried: swapping them is an
+automorphism that fixes the partition.  Each placed vertex splits every
+cell, so both members of a 2-cell left at n - 2 look alike to all of them:
+either order spells one code, so none is tried.
 
 The catalogue grows by canonical augmentation (``_nonisomorphic_codes``) and
 stays arrays: one sorted, read-only ``uint64`` array of codes per order,
@@ -40,15 +41,15 @@ from .graph import Graph, _pack, _twins, _unpack
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
 _POP = np.array([x.bit_count() for x in range(1 << CANONICAL_MAX)], dtype=np.uint8)  # row popcounts
-_ROWS_CHUNK = 1024  # graphs labelled at once; the n = 9 build peaks at 44 MB RSS
+_ROWS_CHUNK = 1024  # graphs labelled at once; the n = 9 build peaks at 42.5 MB RSS
 _PARENTS_CHUNK = 64  # parents augmented at once: about 950 children per labelling at n = 8
 
 
 def _candidates(rows, twins, graph, cells, depth):
-    """(node, vertex) pairs keyed at ``depth``: see the module docstring."""
+    """(node, vertex) pairs tried at ``depth``: see the module docstring."""
     bit = np.int16(1) << np.arange(rows.shape[1], dtype=np.int16)
     first = cells[:, depth, None]
-    if depth == 0:  # the key is the degree
+    if depth == 0:  # the key would be the degree
         deg = _POP[rows[graph]]
         first = (deg == deg.min(1, keepdims=True)) @ bit[:, None]
     return np.nonzero((first & bit != 0) & (twins[graph] & first & bit - 1 == 0))
@@ -63,13 +64,14 @@ def _level(rows, twins, graph, cells, depth):
     g, nb, parts = graph[node], rows[graph[node], v], cells[node]
     parts[:, depth + 1] |= parts[:, depth] ^ bit[v]  # the rest of the first cell
     parts[:, depth] = bit[v]
-    key = _POP[parts[:, depth + 1 :] & nb[:, None]] @ 16 ** np.arange(n - depth - 2, -1, -1)
-    low = np.full(len(rows), 16**n)
-    np.minimum.at(low, g, key)
-    keep = np.flatnonzero(key == low[g])  # exact: see the module docstring
-    g, nb, parts = g[keep], nb[keep, None], parts[keep]
-    near = parts & nb  # every cell splits, a placed singleton onto itself
-    parts &= ~nb  # non-neighbors keep the cell's start, neighbors follow them
+    if depth:  # at position 0 every candidate has the least degree: all tie
+        key = _POP[parts[:, depth + 1 :] & nb[:, None]] @ 16 ** np.arange(n - depth - 2, -1, -1)
+        low = np.full(len(rows), 16**n)
+        np.minimum.at(low, g, key)
+        keep = np.flatnonzero(key == low[g])  # exact: see the module docstring
+        g, nb, parts = g[keep], nb[keep], parts[keep]
+    near = parts & nb[:, None]  # every cell splits, a placed singleton onto itself
+    parts &= ~nb[:, None]  # non-neighbors keep the cell's start, neighbors follow them
     i, s = np.nonzero(near)
     parts[i, s + _POP[parts[i, s]]] |= near[i, s]
     return g, parts
@@ -144,8 +146,8 @@ def _nonisomorphic_codes(n: int) -> np.ndarray:
         level = (deg[:, None, :] == np.arange(n)[:, None]) @ bit
         keep = (degree >= deg.max(1)[:, None]) & (level[:, degree] & masks == 0)
         # one mask per twin-swap orbit: each chosen vertex's lower twins are chosen
-        lower = np.where(masks[:, None] & bit, (_twins(rows) & bit - 1)[:, None, :], 0)
-        keep &= np.bitwise_or.reduce(lower, axis=2) & ~masks == 0
+        for w, lower in enumerate((_twins(rows) & bit - 1).T):
+            keep &= (masks & bit[w] == 0) | (lower[:, None] & ~masks == 0)
         p, mask = np.nonzero(keep)
         child = np.concatenate((rows[p] | np.where(mask[:, None] & bit, 1 << n - 1, 0), mask[:, None]), 1)
         # no vertex may beat the new one (last) in (degree, the sum, then

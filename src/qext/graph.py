@@ -40,8 +40,9 @@ class Graph:
     def __init__(self, n: int, rows: tuple[int, ...]):
         self.n = n
         self.rows = rows
-        self.degrees = tuple(r.bit_count() for r in rows)
-        self.m = sum(self.degrees) // 2
+        # a list is built faster than a generator is drained; map(int.bit_count, ...) would reject numpy ints
+        self.degrees = tuple([r.bit_count() for r in rows])
+        self.m = sum(self.degrees) >> 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -157,8 +157,10 @@ def test_prefix_prune_bounds_the_search_tree(monkeypatch):
 
 
 def test_cold_catalogue_walks_a_fixed_search_tree(monkeypatch, cold_catalogue):
-    # search nodes, and the candidates keyed in them, per order of the
-    # children labelled by the n <= 8 build; no level runs below 3 vertices
+    # search nodes, and the candidates tried in them, per order of the
+    # children labelled by the n <= 8 build; no level runs below 3 vertices.
+    # Position 0 keys none of its 29,745 candidates (they all tie on the
+    # degree), so 307,951 of the 337,696 are keyed
     nodes, keyed = collections.Counter(), collections.Counter()
     level, candidates = enumeration._level, enumeration._candidates
 
@@ -176,6 +178,31 @@ def test_cold_catalogue_walks_a_fixed_search_tree(monkeypatch, cold_catalogue):
     assert len(enumeration._nonisomorphic_codes(8)) == 12346
     assert nodes == {3: 4, 4: 25, 5: 155, 6: 1231, 7: 11_505, 8: 153_566}
     assert keyed == {3: 4, 4: 32, 5: 225, 6: 2004, 7: 21_117, 8: 314_314}
+
+
+def test_position_0_tries_the_least_degree_vertices_with_no_lower_twin():
+    # _level keys no pair at depth 0: each pair _candidates yields there must
+    # already have its graph's least degree, the key it skips
+    rng = random.Random(11)
+    for n in range(1, 8):
+        graphs = []
+        for g in enumerate_nonisomorphic(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(relabel(g, perm))
+        rows = np.array([g.rows for g in graphs], dtype=np.int16)
+        cells = np.zeros_like(rows)
+        cells[:, 0] = (1 << n) - 1
+        node, v = enumeration._candidates(rows, _twins(rows), np.arange(len(rows)), cells, 0)
+        want = []
+        for i, g in enumerate(graphs):
+            for u in range(n):
+                lower_twin = any(
+                    g.rows[w] == g.rows[u] or g.rows[w] | 1 << w == g.rows[u] | 1 << u for w in range(u)
+                )
+                if g.degrees[u] == min(g.degrees) and not lower_twin:
+                    want.append((i, u))
+        assert list(zip(node.tolist(), v.tolist())) == want
 
 
 def test_batches_label_each_graph_as_alone():
