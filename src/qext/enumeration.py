@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, _pack, _twins, _unpack
+from .graph import Graph, _check_order, _pack, _twins, _unpack
 
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
@@ -98,7 +98,6 @@ def _min_codes(rows: np.ndarray) -> np.ndarray:
     return codes
 
 
-@lru_cache(maxsize=16384)
 def canonical_code(g: Graph) -> int:
     """Minimum upper-triangle bit string over all relabelings, as an integer.
 
@@ -174,25 +173,22 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
 
 # --- graph6 ----------------------------------------------------------------
 
-GRAPH6_MAX = 62
-
 
 def write_graph6(g: Graph) -> str:
-    """Encode as a graph6 line body: order byte, then 6-bit groups of the
-    upper-triangle bits in column order a(0,1); a(0,2), a(1,2); a(0,3), ...
+    """Encode as a graph6 line body: the order (byte n + 63 up to 62, else 126 and three 6-bit groups
+    of n, each plus 63), then 6-bit groups of the upper-triangle bits in column order a(0,1); a(0,2), ...
     """
     n = g.n
-    if n > GRAPH6_MAX:
-        raise ValueError(f"graph6 single-byte header supports n <= {GRAPH6_MAX}, got {n}")
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     # the lower triangle in row-major order is the upper one in column order
     bits = _unpack(g.rows, n)[np.tri(n, k=-1, dtype=bool)]
     bits = np.concatenate((bits, np.zeros(-len(bits) % 6, dtype=np.uint8)))
     groups = np.packbits(bits.reshape(-1, 6), axis=1) >> 2
-    return chr(n + 63) + (groups + 63).tobytes().decode("ascii")
+    return head + (groups + 63).tobytes().decode("ascii")
 
 
 def parse_graph6(text: str | bytes) -> Graph:
-    """Decode one graph6 token; strict about header, length and padding."""
+    """Decode one graph6 token; strict about header (long only for 63..MAX_VERTICES), length and padding."""
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -203,12 +199,16 @@ def parse_graph6(text: str | bytes) -> Graph:
     for ch in text:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"graph6 character {ch!r} outside 63..126")
-    n = ord(text[0]) - 63
-    if n > GRAPH6_MAX:
-        raise ValueError("multi-byte graph6 order headers are not supported")
+    n, payload = ord(text[0]) - 63, text[1:]
+    if n == 63:  # the long header: 126, then three 6-bit groups of n
+        if len(text) < 4:
+            raise ValueError("graph6 long order header is truncated")
+        n, payload = sum(ord(ch) - 63 << s for ch, s in zip(text[1:4], (12, 6, 0))), text[4:]
+        if n <= 62:
+            raise ValueError(f"graph6 long order header holds n={n} <= 62")
+        _check_order(n)
     nbits = n * (n - 1) // 2
     want = (nbits + 5) // 6
-    payload = text[1:]
     if len(payload) != want:
         raise ValueError(f"graph6 payload for n={n} must be {want} bytes, got {len(payload)}")
     groups = np.frombuffer(payload.encode("ascii"), dtype=np.uint8) - 63

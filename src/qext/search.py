@@ -1,5 +1,5 @@
-"""Stochastic maximization of the Q-index over graphs avoiding given cycle
-lengths.
+"""Stochastic maximization of the Q-index over graphs on 3..512 vertices
+avoiding given cycle lengths.
 
 Every restart grows a graph one vertex pair at a time, keeping each
 addition that closes no forbidden cycle: each pair asks the current graph
@@ -27,9 +27,9 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .enumeration import CANONICAL_MAX, GRAPH6_MAX, _min_codes, write_graph6
+from .enumeration import CANONICAL_MAX, _min_codes, write_graph6
 from .families import edgeless
-from .graph import Graph, edges_within, is_connected
+from .graph import Graph, _check_order, edges_within, is_connected
 from .report import record
 from .spectral import q_index
 from .subgraphs import (
@@ -146,7 +146,7 @@ def maximize_q_forbidden_cycles(
     jobs: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
-    """Best graph found on n vertices with no cycle of a forbidden length.
+    """Best graph found on n vertices (3 <= n <= 512) with no cycle of a forbidden length.
 
     Every restart returns a random maximal feasible graph, except that
     restart 0 grows ``seed_graph`` when one is given.  ``budget`` counts
@@ -159,8 +159,7 @@ def maximize_q_forbidden_cycles(
     """
     if n < 3:
         raise ValueError(f"search requires n >= 3, got {n}")
-    if n > GRAPH6_MAX:  # the result record carries the graph as graph6
-        raise ValueError(f"search requires n <= {GRAPH6_MAX}, got {n}")
+    _check_order(n)
     forbidden_set = frozenset(int(l) for l in forbidden)
     if not forbidden_set or min(forbidden_set) < 3:
         raise ValueError("forbidden lengths must be a nonempty set of integers >= 3")

@@ -74,7 +74,10 @@ from .graph import (
 )
 from .report import record
 from .spectral import _quotient_sign, _quotient_top, certified_compare, q_index
-from .subgraphs import _TABLE_MAX, _held_karp, _table_cycles, _table_paths, find_constrained_path, find_cycle_of_length
+from .subgraphs import (
+    _TABLE_MAX, SearchBudgetExceeded, _held_karp, _table_cycles, _table_paths, find_constrained_path,
+    find_cycle_of_length,
+)
 
 HOLDS = "holds"
 EQUALITY = "equality_case"
@@ -608,13 +611,6 @@ def theorem1_construction_probe(n: int, k: int) -> CheckOutcome:
 # --- suites ------------------------------------------------------------------
 
 
-def _graph_token(g: Graph) -> str:
-    try:
-        return write_graph6(g)
-    except ValueError:
-        return repr(g)
-
-
 def _tallies(statements: Sequence[str]) -> dict[str, dict[str, int]]:
     return {s: dict.fromkeys(_STATUSES, 0) for s in statements}
 
@@ -697,7 +693,11 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
     graphs = {offset: Graph(n, rows[offset]) for offset in {call[0] for call in calls}}
     for offset, statement, k, x, find in sorted(calls, key=lambda call: call[0]):
         g, spec = graphs[offset], _STATEMENTS[statement]
-        outcome = spec.rule(statement, g, k, x, find)
+        try:
+            outcome = spec.rule(statement, g, k, x, find)
+        except SearchBudgetExceeded:  # one undecided instance, not an aborted run
+            tallies[statement][INDETERMINATE] += 1
+            continue
         tallies[statement][outcome.status] += 1
         if outcome.status != VIOLATED:
             continue
@@ -707,7 +707,7 @@ def _run_chunk(payload: tuple) -> tuple[dict[str, dict[str, int]], list[dict[str
         violating.append(
             {
                 "statement": statement,
-                "graph6": _graph_token(g),
+                "graph6": write_graph6(g),
                 "params": params,
                 "lhs": outcome.lhs,
                 "rhs": outcome.rhs,

@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from qext import cli, search
+from qext import cli, search, verify
 from qext.cli import build_parser, run
 from qext.enumeration import parse_graph6, write_graph6
-from qext.families import edgeless, s_nk
+from qext.families import edgeless, path, s_nk
 from qext.report import _CSV_COLUMNS, _KINDS, RunReport, exit_code_for, parse_report, record
 from qext.subgraphs import SearchBudgetExceeded
 
@@ -249,6 +249,29 @@ def test_search_budget_exceeded_is_a_runtime_error(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_suite_budget_overrun_is_indeterminate_and_exits_2(monkeypatch, tmp_path, capsys):
+    # above the path table every egp instance goes to its rule; the one whose
+    # path search overruns its budget is indeterminate, and the run goes on
+    corpus = tmp_path / "above_table.g6"
+    corpus.write_text(f"{write_graph6(s_nk(12, 2))}\n{write_graph6(path(10))}\n")
+    calls, search_path = [], verify.find_constrained_path
+
+    def overrun_once(*args, **kwargs):
+        calls.append(args[0].n)
+        if len(calls) == 1:
+            raise SearchBudgetExceeded("path search exceeded node budget 5")
+        return search_path(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "find_constrained_path", overrun_once)
+    out_path = tmp_path / "suite.json"
+    argv = ["suite", "--statements", "egp", "--corpus", str(corpus), "--k", "1", "--out", str(out_path)]
+    assert run(argv) == 2
+    assert calls == [12, 10]
+    assert "egp: holds=0 equality=0 violated=0 unmet=1 indeterminate=1" in capsys.readouterr().out
+    (outcome,) = parse_report(out_path.read_text()).outcomes
+    assert (outcome["instances"], outcome["indeterminate"]) == (2, 1)
+
+
 def test_search_cli(tmp_path, capsys):
     out_path = tmp_path / "search.json"
     code = run(
@@ -305,16 +328,22 @@ def test_search_budget_without_seed_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_search_above_graph6_orders_fails_before_searching(monkeypatch, capsys):
-    # the result record carries the graph as graph6, which stops at 62 vertices
-    def restart(payload):
-        raise AssertionError("a restart ran")
-
-    monkeypatch.setattr(search, "_restart_worker", restart)
-    assert run(["search", "--n", "63", "--forbid", "5"]) == 3
-    assert "search requires n <= 62, got 63" in capsys.readouterr().err
-    assert run(["search", "--n", "63", "--forbid", "5", "--seed-construction", "s_nk:2"]) == 3
-    assert "search requires n <= 62, got 63" in capsys.readouterr().err
+def test_search_above_max_vertices_fails_before_searching(monkeypatch, capsys):
+    # graphs stop at 512 vertices; up to there the result record's graph6
+    # takes the long header, from 63 vertices on
+    orders = []
+    restart = search._restart_worker
+    monkeypatch.setattr(search, "_restart_worker", lambda payload: orders.append(payload[1]) or restart(payload))
+    assert run(["search", "--n", "513", "--forbid", "5"]) == 3
+    assert "vertex count 513 exceeds limit 512" in capsys.readouterr().err
+    assert run(["search", "--n", "513", "--forbid", "5", "--seed-construction", "s_nk:2"]) == 3
+    assert "vertex count 513 exceeds limit 512" in capsys.readouterr().err
+    assert orders == []
+    argv = ["search", "--n", "63", "--forbid", "4", "--seed-construction", "s_nk:1", "--restarts", "1", "--budget", "20"]
+    assert run(argv) == 0
+    token = capsys.readouterr().out.splitlines()[0]
+    assert token.startswith("~??~") and parse_graph6(token).n == 63
+    assert orders == [63]
 
 
 def test_jobs_below_one_is_a_usage_error(capsys):

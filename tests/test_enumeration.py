@@ -385,16 +385,15 @@ def test_canonical_code_worst_cases_n10(petersen):
         "K5,5": join(edgeless(5), edgeless(5)),
         "2C5": disjoint_union([cycle(5), cycle(5)]),
     }
-    uncached = canonical_code.__wrapped__
     for name, g in cases.items():
         start = time.perf_counter()
-        code = uncached(g)
+        code = canonical_code(g)
         took = time.perf_counter() - start
         assert took < 0.2, f"{name}: canonical code took {took:.3f} s"
         assert code <= row_major_code(g)
-        assert uncached(graph_from_code(10, code)) == code
-    assert uncached(cases["E10"]) == 0
-    assert uncached(cases["K10"]) == (1 << 45) - 1
+        assert canonical_code(graph_from_code(10, code)) == code
+    assert canonical_code(cases["E10"]) == 0
+    assert canonical_code(cases["K10"]) == (1 << 45) - 1
 
 
 def test_graph_from_code_checks_order():
@@ -443,8 +442,7 @@ def test_graph6_round_trip_enumerated():
 
 def test_graph6_round_trip_larger_random():
     rng = random.Random(4)
-    for _ in range(30):
-        n = rng.randrange(1, 63)
+    for n in [*(rng.randrange(1, 63) for _ in range(30)), 63, 64, 100, 511, 512]:
         edges = [
             (u, v)
             for u in range(n)
@@ -456,10 +454,11 @@ def test_graph6_round_trip_larger_random():
 
 
 def loop_write_graph6(g):
-    """Slow oracle: graph6 written one pair and one 6-bit group at a time."""
+    """Slow oracle: graph6 written one pair and one 6-bit group at a time;
+    above 62 vertices the order is 126, then n in 18 bits, 6 to a byte."""
     bits = [1 if g.has_edge(i, j) else 0 for j in range(1, g.n) for i in range(j)]
     bits += [0] * (-len(bits) % 6)
-    chars = [chr(g.n + 63)]
+    chars = [chr(g.n + 63)] if g.n <= 62 else [chr(126), *(chr((g.n >> s) % 64 + 63) for s in (12, 6, 0))]
     for pos in range(0, len(bits), 6):
         group = 0
         for b in bits[pos : pos + 6]:
@@ -480,14 +479,22 @@ def loop_parse_graph6(text):
     for ch in text:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"graph6 character {ch!r} outside 63..126")
-    n = ord(text[0]) - 63
-    if n > 62:
-        raise ValueError("multi-byte graph6 order headers are not supported")
+    n, head = ord(text[0]) - 63, 1
+    if n == 63:
+        if len(text) < 4:
+            raise ValueError("graph6 long order header is truncated")
+        n, head = 0, 4
+        for ch in text[1:4]:
+            n = n * 64 + ord(ch) - 63
+        if n <= 62:
+            raise ValueError(f"graph6 long order header holds n={n} <= 62")
+        if n > 512:
+            raise ValueError(f"vertex count {n} exceeds limit 512")
     nbits = n * (n - 1) // 2
     want = (nbits + 5) // 6
-    if len(text) - 1 != want:
-        raise ValueError(f"graph6 payload for n={n} must be {want} bytes, got {len(text) - 1}")
-    bits = [ord(ch) - 63 >> k & 1 for ch in text[1:] for k in range(5, -1, -1)]
+    if len(text) - head != want:
+        raise ValueError(f"graph6 payload for n={n} must be {want} bytes, got {len(text) - head}")
+    bits = [ord(ch) - 63 >> k & 1 for ch in text[head:] for k in range(5, -1, -1)]
     if any(bits[nbits:]):
         raise ValueError("graph6 padding bits must be zero")
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
@@ -504,8 +511,9 @@ def test_graph6_matches_loop_oracle_on_every_small_graph():
 
 
 def test_graph6_matches_loop_oracle_on_random_graphs():
+    # every single-byte order, then random ones, a few of them long-header orders
     rng = random.Random(13)
-    for n in [*range(63), *(rng.randrange(63) for _ in range(140))]:
+    for n in [*range(63), *(rng.randrange(63) for _ in range(140)), *(rng.randrange(63, 513) for _ in range(4))]:
         g = random_graph(n, rng.choice([0.05, 0.3, 0.7, 1.0]), rng)
         token = write_graph6(g)
         assert token == loop_write_graph6(g)
@@ -525,7 +533,12 @@ def test_graph6_round_trip_property(g):
         ("B\x1f", "outside 63..126"),
         ("B\xff", "outside 63..126"),
         (b"B\xff", "not ASCII"),
-        ("~??", "multi-byte"),
+        ("~", "truncated"),
+        ("~??", "truncated"),
+        ("~???", "holds n=0"),
+        ("~??}", "holds n=62"),
+        ("~?G@", "exceeds limit 512"),
+        ("~~??????", "exceeds limit"),
         ("C~~", "payload"),
         ("E", "payload"),
         ("Bx", "padding"),
@@ -549,12 +562,23 @@ def test_graph6_rejects_malformed():
         parse_graph6("C~~")
     with pytest.raises(ValueError, match="payload"):
         parse_graph6("E")
-    with pytest.raises(ValueError, match="multi-byte"):
+    with pytest.raises(ValueError, match="truncated"):
         parse_graph6("~??")
     with pytest.raises(ValueError, match="padding"):
         parse_graph6("Bx")  # stray bit beyond the 3 pair positions
-    with pytest.raises(ValueError, match="n <= 62"):
-        write_graph6(build_graph(63))
+    # 63 vertices take the long header, and its payload length is checked too
+    assert write_graph6(build_graph(63)) == "~??~" + "?" * 326
+    with pytest.raises(ValueError, match="payload for n=63 must be 326 bytes, got 325"):
+        parse_graph6("~??~" + "?" * 325)
+
+
+def test_graph6_long_header_follows_the_format():
+    # McKay's formats.txt: N(n) = 126 R(n) for 63 <= n <= 258047, with R(n)
+    # the 18-bit big-endian n in three 6-bit groups, each plus 63
+    for n, head in [(62, "}"), (63, "~??~"), (64, "~?@?"), (100, "~?@c"), (511, "~?F~"), (512, "~?G?")]:
+        token = write_graph6(complete(n))
+        assert token.startswith(head) and len(token) == len(head) + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph6(token) == complete(n)
 
 
 def test_read_graph6_lines():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qext import graph, spectral, verify
 from qext.bounds import closed_form_snk, prop1_sandwich
-from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic
+from qext.enumeration import _min_codes, canonical_code, enumerate_nonisomorphic, write_graph6
 from qext.families import (
     complete,
     cycle,
@@ -31,7 +31,7 @@ from qext.families import (
 )
 from qext.graph import build_graph, components, disjoint_union, is_connected, join
 from qext.spectral import certified_compare, q_index
-from qext.subgraphs import find_constrained_path, find_cycle_of_length
+from qext.subgraphs import SearchBudgetExceeded, find_constrained_path, find_cycle_of_length
 from qext.verify import (
     _STATEMENTS,
     STATEMENTS,
@@ -675,6 +675,31 @@ def test_suite_corpus_input():
     assert report.violated == 0
 
 
+def test_a_budget_overrun_is_one_indeterminate_instance(monkeypatch):
+    # above the path table every open instance goes to its rule; the path
+    # search of one of them overruns its budget, and the report still
+    # counts every instance, that one as indeterminate
+    corpus, statements, ks = [s_nk(12, 2), path(10), cycle(11)], ("egp", "kopylov_i", "lemma2"), (1, 2, 3)
+    full = run_suite(statements, corpus=corpus, k_range=ks)
+    calls, search_path = [], verify.find_constrained_path
+
+    def overrun_once(*args, **kwargs):
+        calls.append(args[0].n)
+        if len(calls) == 5:
+            raise SearchBudgetExceeded("path search exceeded node budget 5")
+        return search_path(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "find_constrained_path", overrun_once)
+    report = run_suite(statements, corpus=corpus, k_range=ks)
+    assert len(calls) > 5 and full.indeterminate == 0
+    assert (report.instances, report.indeterminate, report.violated) == (full.instances, 1, 0)
+    moved = {(s, status): report.by_statement[s][status] - full.by_statement[s][status]
+             for s in statements for status in verify._STATUSES
+             if report.by_statement[s][status] != full.by_statement[s][status]}
+    assert sorted(moved.values()) == [-1, 1] and len({s for s, _ in moved}) == 1
+    assert 1 in [moved.get((s, "indeterminate")) for s in statements]
+
+
 def test_suite_rejects_n_max_with_a_corpus():
     # a corpus replaces the enumeration, so an n_max beside it would be
     # ignored, yet recorded in the report's parameters
@@ -903,7 +928,7 @@ def reference_suite(statements, graphs, k_range, seed=0, ni_sample=50):
                 by_statement[statement][outcome.status] += 1
                 if outcome.status == "violated":
                     violating.append({
-                        "statement": statement, "graph6": verify._graph_token(g),
+                        "statement": statement, "graph6": write_graph6(g),
                         "params": params, "lhs": outcome.lhs, "rhs": outcome.rhs,
                     })
     return by_statement, violating
@@ -1168,7 +1193,7 @@ def test_zeroed_tables_send_every_open_instance_to_the_rule(monkeypatch):
                     expected.append(("ni", g.n, {"k": k, "a": [v for v in range(g.n) if a >> v & 1]}))
         for k in (1, 2):
             expected += [("lemma2", g.n, {"k": k, "v": v}) for v in range(g.n)]
-    order_of = {verify._graph_token(g): g.n for g in corpus}
+    order_of = {write_graph6(g): g.n for g in corpus}
     got = [(v["statement"], order_of[v["graph6"]], v["params"]) for v in report.violating]
     assert got == expected
     assert calls["lemma2"] == 2 * (5 + 6 + 8)
