@@ -2,12 +2,13 @@
 avoiding given cycle lengths.
 
 Every restart grows a graph one vertex pair at a time, keeping each
-addition that closes no forbidden cycle: each pair asks the current graph
-for a u..v path, and a graph with the edge is built only when it is kept.
-The graph only gains edges, so a cycle that blocks a pair persists and the
-pair is never searched again.  A random restart grows the edgeless graph
-over every pair once, in random order, into a random maximal feasible
-graph; a removal never raises the Q-index (Q(G-e) <= Q(G) entrywise, hence
+addition that closes no forbidden cycle: each pair asks the current bit
+rows for a u..v path, the rows gain each kept edge in place, and one
+``Graph`` is built per restart, when growth ends.  The graph only gains
+edges, so a cycle that blocks a pair persists and the pair is never
+searched again.  A random restart grows the edgeless graph over every
+pair once, in random order, into a random maximal feasible graph; a
+removal never raises the Q-index (Q(G-e) <= Q(G) entrywise, hence
 q(G-e) <= q(G) by Perron-Frobenius), so no move could improve it.  When a
 seed graph is given, restart 0 grows it instead over one randomly drawn
 pair per budget step.  The seed must be connected, and adding an edge to a
@@ -65,15 +66,14 @@ def is_feasible(g: Graph, forbidden: Iterable[int], node_budget: int = DEFAULT_N
     )
 
 
-def _addition_allowed(
-    g: Graph, u: int, v: int, forbidden: frozenset[int], node_budget: int
-) -> bool:
-    """Whether g + uv has no cycle of a forbidden length through uv, asked of
-    g itself (with or without that edge) as u..v paths of those orders."""
-    for length in forbidden:
-        if length <= g.n and find_cycle_through_edge(g, length, u, v, node_budget=node_budget):
-            return False
-    return True
+class _Rows:
+    """The graph a restart grows, as ``find_cycle_through_edge`` reads it:
+    its order and its bit rows, which ``_grow`` changes in place."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: list[int]):
+        self.n, self.rows = n, rows
 
 
 def _grow(
@@ -81,20 +81,28 @@ def _grow(
 ) -> tuple[Graph, int]:
     """Add each pair in turn unless it is an edge or closes a forbidden cycle.
 
-    The current graph answers for each pair, and a graph with the edge is
-    built only for a kept pair; a blocked pair stays blocked.  Returns the
-    grown graph and the number of edges added.
+    Each pair asks the rows grown so far for a u..v path of every forbidden
+    order up to n, ascending; a kept pair is set in those rows in place,
+    and a blocked pair stays blocked.  Returns the one ``Graph`` built from
+    the grown rows and the number of edges added.
     """
+    grown = _Rows(g.n, list(g.rows))
+    rows = grown.rows
+    lengths = sorted(length for length in forbidden if length <= g.n)
     blocked: set[tuple[int, int]] = set()
     added = 0
     for u, v in pairs:
-        if (u, v) in blocked or g.has_edge(u, v):
+        if (u, v) in blocked or rows[u] >> v & 1:
             continue
-        if _addition_allowed(g, u, v, forbidden, node_budget):
-            g, added = g.with_edge(u, v), added + 1
+        for length in lengths:
+            if find_cycle_through_edge(grown, length, u, v, node_budget=node_budget):
+                blocked.add((u, v))
+                break
         else:
-            blocked.add((u, v))
-    return g, added
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            added += 1
+    return Graph(g.n, tuple(rows)), added
 
 
 def _restart_worker(payload: tuple) -> tuple[Graph, int]:

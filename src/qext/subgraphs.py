@@ -258,7 +258,8 @@ def find_cycle_through_edge(
 ) -> tuple[int, ...] | None:
     """First cycle of ``length`` vertices through (u, v) in g + uv, edge of g
     or not: the first u..v path on ``length`` vertices, which never uses the
-    pair uv itself, so g answers without a graph with the edge built."""
+    pair uv itself, so g answers without a graph with the edge built.  Only
+    ``g.n`` and ``g.rows`` are read, so any object with those two will do."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     _check_pair(g.n, u, v)

@@ -18,9 +18,9 @@ from qext.enumeration import (
 )
 from qext.families import complete, cycle, edgeless, path, s_nk, s_nk_plus, star
 from qext.graph import Graph, build_graph, disjoint_union
-from qext.search import _addition_allowed, is_feasible, maximize_q_forbidden_cycles
+from qext.search import is_feasible, maximize_q_forbidden_cycles
 from qext.spectral import q_index
-from qext.subgraphs import DEFAULT_NODE_BUDGET, find_cycle_through_edge
+from qext.subgraphs import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, find_cycle_through_edge
 from qext.verify import run_suite
 
 from conftest import graph_from_code, without_edge
@@ -160,6 +160,30 @@ def test_result_record():
     assert isinstance(record["near_ties"], list)
 
 
+def addition_allowed(g, u, v, forbidden, node_budget):
+    # whether g + uv has no cycle of a forbidden length through uv, asked of
+    # g itself (with or without that edge) as u..v paths of those orders
+    for length in forbidden:
+        if length <= g.n and find_cycle_through_edge(g, length, u, v, node_budget=node_budget):
+            return False
+    return True
+
+
+def reference_grow(g, pairs, forbidden, node_budget):
+    # growth as one immutable Graph per kept edge: each pair not yet an
+    # edge or blocked is asked of the current graph, and kept by with_edge
+    blocked = set()
+    added = 0
+    for u, v in pairs:
+        if (u, v) in blocked or g.has_edge(u, v):
+            continue
+        if addition_allowed(g, u, v, forbidden, node_budget):
+            g, added = g.with_edge(u, v), added + 1
+        else:
+            blocked.add((u, v))
+    return g, added
+
+
 def _slow_climb(start, forbidden, budget, rng, node_budget):
     # reference climb: toggles both ways and evaluates every feasible move
     n = start.n
@@ -173,7 +197,7 @@ def _slow_climb(start, forbidden, budget, rng, node_budget):
             candidate = without_edge(current, u, v)
         else:
             candidate = current.with_edge(u, v)
-            if not _addition_allowed(candidate, u, v, forbidden, node_budget):
+            if not addition_allowed(candidate, u, v, forbidden, node_budget):
                 continue
         candidate_q = q_index(candidate).q
         if candidate_q > current_q:
@@ -233,7 +257,7 @@ def _accept_all_climb(start, forbidden, budget, rng, node_budget):
         if current.has_edge(u, v):
             continue
         candidate = current.with_edge(u, v)
-        if _addition_allowed(candidate, u, v, forbidden, node_budget):
+        if addition_allowed(candidate, u, v, forbidden, node_budget):
             current, accepted = candidate, accepted + 1
     return current, accepted
 
@@ -332,26 +356,74 @@ def test_climb_searches_each_blocked_pair_once(monkeypatch):
     assert max(found.values()) == 1
 
 
-def test_growth_builds_a_graph_only_for_each_kept_edge(monkeypatch):
-    # a random restart asks the graph it has about every pair, once and
-    # before the pair is an edge, and builds a graph only to add an edge
+def test_growth_builds_one_graph_per_restart(monkeypatch):
+    # a random restart asks its rows about every pair, once and while the
+    # pair is not an edge, and builds one graph, when growth ends
     built, asked = Counter(), Counter()
-    with_edge, original = Graph.with_edge, search.find_cycle_through_edge
+    init, original = Graph.__init__, search.find_cycle_through_edge
 
-    def counted_with_edge(g, u, v):
-        built["with_edge"] += 1
-        return with_edge(g, u, v)
+    def counted_init(g, n, rows):
+        built["Graph"] += 1
+        init(g, n, rows)
 
     def recording(g, length, u, v, **kwargs):
-        assert not g.has_edge(u, v)
+        assert not g.rows[u] >> v & 1
         asked[u, v] += 1
         return original(g, length, u, v, **kwargs)
 
-    monkeypatch.setattr(Graph, "with_edge", counted_with_edge)
+    start = edgeless(24)
+    monkeypatch.setattr(search, "edgeless", lambda n: start)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
     monkeypatch.setattr(search, "find_cycle_through_edge", recording)
     grown, _ = search._restart_worker((0, 24, (5,), 400, 0, None, DEFAULT_NODE_BUDGET))
-    assert 0 < built["with_edge"] == grown.m < len(asked)
+    assert built["Graph"] == 1 and 0 < grown.m < len(asked)
     assert len(asked) == 24 * 23 // 2 and set(asked.values()) == {1}
+
+
+@st.composite
+def growth_cases(draw):
+    # a start (edgeless, or a random connected seed), forbidden lengths from
+    # 3..n, and pairs either shuffled once or drawn with repeats
+    n = draw(st.integers(3, 14))
+    rng = draw(st.randoms(use_true_random=False))
+    forbidden = frozenset(rng.sample(range(3, n + 1), rng.randint(1, n - 2)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if draw(st.booleans()):
+        start = edgeless(n)
+    else:
+        order = list(range(n))
+        rng.shuffle(order)
+        tree = [(order[rng.randrange(i)], order[i]) for i in range(1, n)]
+        density = draw(st.sampled_from([0.0, 0.1, 0.3]))
+        extra = [p for p in pairs if rng.random() < density]
+        start = build_graph(n, [(min(e), max(e)) for e in tree] + extra)
+    if draw(st.booleans()):
+        rng.shuffle(pairs)
+    else:
+        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randint(1, 3 * len(pairs)))]
+    return start, pairs, forbidden
+
+
+@settings(max_examples=150, deadline=None)
+@given(growth_cases())
+def test_grow_matches_growth_by_with_edge(case):
+    # rows grown in place give the graph, and the count, that one immutable
+    # graph per kept edge gives
+    start, pairs, forbidden = case
+    grown, added = search._grow(start, pairs, forbidden, DEFAULT_NODE_BUDGET)
+    reference, expected = reference_grow(start, pairs, forbidden, DEFAULT_NODE_BUDGET)
+    assert (grown.rows, added) == (reference.rows, expected)
+    assert grown == reference and grown.degrees == reference.degrees and grown.m == reference.m
+
+
+def test_grow_overrun_raises_the_query_budget_message():
+    # every query has its own node budget, and an overrun leaves _grow
+    # with the finder's message
+    pairs = [(0, 2), (1, 3)]
+    with pytest.raises(SearchBudgetExceeded, match="^cycle search exceeded node budget 1$"):
+        search._grow(path(6), pairs, frozenset({4}), 1)
+    with pytest.raises(SearchBudgetExceeded, match="^cycle search exceeded node budget 1$"):
+        reference_grow(path(6), pairs, frozenset({4}), 1)
 
 
 # graph6 of every restart's result, one per line: restarts 0..7 at seed 0
@@ -423,5 +495,5 @@ def test_addition_allowed_asks_the_graph_without_the_pair(g, rng):
     # so g answers as g + uv does, whether or not g has that edge
     u, v = rng.sample(range(g.n), 2)
     forbidden = frozenset(rng.sample(range(3, g.n + 1), rng.randint(1, g.n - 2)))
-    allowed = _addition_allowed(g, u, v, forbidden, DEFAULT_NODE_BUDGET)
-    assert allowed == _addition_allowed(g.with_edge(u, v), u, v, forbidden, DEFAULT_NODE_BUDGET)
+    allowed = addition_allowed(g, u, v, forbidden, DEFAULT_NODE_BUDGET)
+    assert allowed == addition_allowed(g.with_edge(u, v), u, v, forbidden, DEFAULT_NODE_BUDGET)
